@@ -16,12 +16,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .ordinal import Ordinal
 from .shape import EMPTY_SHAPE, POINT_SHAPE, binary_shape, chain_shape
-from .structure import (CannotComplete, Fragment, NotClosed, closure,
-                        complete, validate)
-from .types import (BadSeries, BudgetExceeded, count_type_classes,
-                    estimate_degree, tp_code)
+from .structure import CannotComplete, NotClosed, closure, complete, validate
+from .types import BadSeries, BudgetExceeded, count_type_classes, tp_code
 from . import qe as qe_mod
 from .indis import (SequenceWindow, classify, h_iterate, is_HNI, is_NI,
                     is_indiscernible, search_indiscernible)
@@ -32,6 +29,7 @@ from .glue import (AxiomViolated, DisjointnessViolated,
                    star_construct)
 from . import fileio
 from .fileio import InputError
+from .fixtures import vc_degree_experiment
 
 
 @dataclass
@@ -93,15 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     # Accepted before or after the subcommand: the subparser copy uses
     # SUPPRESS defaults so it only overrides when actually given.
     def add_common(p, suppress):
-        d = argparse.SUPPRESS if suppress else None
+        def default(value):
+            return argparse.SUPPRESS if suppress else value
         p.add_argument("--format", choices=("text", "json"),
-                       default=d if suppress else "text")
-        p.add_argument("--budget-nodes", type=int,
-                       default=d if suppress else 2000)
-        p.add_argument("--budget-tuples", type=int,
-                       default=d if suppress else 250000)
-        p.add_argument("--seed", type=int, default=d if suppress else 0)
-        p.add_argument("--workers", type=int, default=d if suppress else 1)
+                       default=default("text"))
+        p.add_argument("--budget-nodes", type=int, default=default(2000))
+        p.add_argument("--budget-tuples", type=int, default=default(250000))
 
     common = argparse.ArgumentParser(add_help=False)
     add_common(common, suppress=True)
@@ -330,77 +325,6 @@ def _run_types(args, rep: RunReport) -> RunReport:
     return rep
 
 
-def _family_fragment(family: str, size: int) -> Fragment:
-    from .structure import from_standard_tree
-    import itertools as it
-    if family == "chain":
-        names = ["n%03d" % i for i in range(size)]
-        levels = {}
-        for i, n in enumerate(names):
-            levels[n] = Ordinal.omega(1, i // 4).plus(i % 4) \
-                if i >= 4 else Ordinal.nat(i)
-        edges = set(it.combinations(names, 2))
-        return complete(from_standard_tree(levels, edges))
-    # binary: complete binary branching of the given size
-    levels = {"b": Ordinal()}
-    edges = set()
-    frontier = ["b"]
-    while len(levels) < size:
-        nxt = []
-        for p in frontier:
-            for bit in "01":
-                c = p + bit
-                if len(levels) >= size:
-                    break
-                levels[c] = Ordinal.nat(len(p))
-                nxt.append(c)
-        for c in nxt:
-            for anc in range(1, len(c)):
-                edges.add((c[:anc], c))
-        frontier = nxt
-    return complete(_std(levels, edges))
-
-
-def _std(levels, edges):
-    from .structure import from_standard_tree
-    return from_standard_tree(levels, edges)
-
-
-def vc_degree_experiment(family: str, ks, budget_tuples: int = 250000):
-    """Exact 1-variable type counts over growing parameter sets inside
-    one large fragment of the family, with the fitted growth degree per
-    rank."""
-    rows = []
-    degrees = {}
-    f = _family_fragment(family, 64)
-    base = family_parameter_pool(f, family)
-    for k in ks:
-        series = []
-        for m in range(1, 9):
-            a_set = base[:m]
-            cnt = count_type_classes(f, a_set, k, 1, budget_tuples)
-            rows.append((m, k, 1, cnt))
-            series.append((m, cnt))
-        degrees[k] = estimate_degree(series)
-    return rows, degrees
-
-
-def family_parameter_pool(f: Fragment, family: str):
-    """Parameter nodes in nested bit-reversal order, so every prefix of
-    the pool is an evenly spread subset of the family's leaves/chain."""
-    if family == "chain":
-        pool = sorted(n for n in f.nodes if n.startswith("n"))
-    else:
-        named = [n for n in f.nodes
-                 if n.startswith("b") and f.sort.get(n) is not None]
-        pool = sorted(n for n in named
-                      if not any(c != n and c.startswith(n) for c in named))
-    bits = max(1, (len(pool) - 1).bit_length())
-    order = sorted(range(len(pool)),
-                   key=lambda i: int(format(i, "0%db" % bits)[::-1], 2))
-    return [pool[i] for i in order]
-
-
 def _run_qe(args, rep: RunReport) -> RunReport:
     rep.command = "qe %s" % args.qe_command
     if args.qe_command == "m2":
@@ -440,17 +364,13 @@ def _run_indis(args, rep: RunReport) -> RunReport:
         rep.status = 0 if res is None else 1
         return rep
     w = SequenceWindow(f, _nodes_arg(args.seq), args.k, args.r, args.n)
-    if args.indis_command == "check":
-        ok = is_indiscernible(w)
-        rep.payload = {"indiscernible": ok}
-        rep.status = 0 if ok else 1
-    elif args.indis_command == "ni":
-        ok = is_NI(w)
-        rep.payload = {"nearly_indiscernible": ok}
-        rep.status = 0 if ok else 1
-    elif args.indis_command == "hni":
-        ok = is_HNI(w)
-        rep.payload = {"hereditarily": ok}
+    checks = {"check": ("indiscernible", is_indiscernible),
+              "ni": ("nearly_indiscernible", is_NI),
+              "hni": ("hereditarily", is_HNI)}
+    if args.indis_command in checks:
+        name, check = checks[args.indis_command]
+        ok = check(w)
+        rep.payload = {name: ok}
         rep.status = 0 if ok else 1
     elif args.indis_command == "classify":
         cls = classify(w)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 
-from .ordinal import Ordinal, OrdinalParseError
+from .ordinal import Ordinal
 from .shape import ShapeTree
 from .structure import Fragment, Term
 from .partition import Coloring, PTriple
@@ -60,9 +60,53 @@ def shape_from_dict(doc: dict, location: str = "shape") -> ShapeTree:
 def _parse_level(text, location: str) -> Ordinal:
     try:
         return Ordinal.parse(text)
-    except (OrdinalParseError, AttributeError, TypeError) as exc:
+    except (ValueError, AttributeError, TypeError) as exc:
         raise InputError("malformed ordinal literal %r: %s" % (text, exc),
                          location)
+
+
+def _read_json(path: str) -> dict:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError("not valid JSON: %s" % exc, path)
+    if not isinstance(doc, dict):
+        raise InputError("document is not a JSON object", path)
+    return doc
+
+
+def _write_json(doc: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _rows(doc: dict, key: str, width: int | None, location: str):
+    """(location, row) for each row of the section doc[key]: a list of
+    `width` entries, or an object when width is None."""
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise InputError("section %r is not a list" % key, location)
+    for i, row in enumerate(rows):
+        loc = "%s.%s[%d]" % (location, key, i)
+        if not (isinstance(row, dict) if width is None
+                else isinstance(row, list) and len(row) == width):
+            raise InputError("malformed %s row %r" % (key, row), loc)
+        yield loc, row
+
+
+def _ref(nid, ids, loc: str):
+    if not isinstance(nid, str) or nid not in ids:
+        raise InputError("dangling node reference %r" % (nid,), loc)
+    return nid
+
+
+def _int(value, what: str, loc: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("%s %r is not an integer" % (what, value), loc)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +116,9 @@ def _parse_level(text, location: str) -> Ordinal:
 def fragment_to_dict(f: Fragment) -> dict:
     nodes = []
     for n in sorted(f.nodes):
-        entry = {"id": n, "level": str(f.level[n])}
+        entry = {"id": n}
+        if n in f.level:
+            entry["level"] = str(f.level[n])
         if f.sort.get(n) is not None:
             entry["sort"] = f.sort[n]
         nodes.append(entry)
@@ -94,63 +140,53 @@ def fragment_to_dict(f: Fragment) -> dict:
 
 
 def fragment_from_dict(doc: dict, location: str = "fragment") -> Fragment:
+    """Nodes without a sort may omit their level; all others need one."""
     shape = shape_from_dict(doc.get("shape", {}), location + ".shape")
+
+    def known_sort(eta):
+        return isinstance(eta, str) and eta in shape
+
     sort = {}
     level = {}
     ids = set()
-    for i, entry in enumerate(doc.get("nodes", [])):
-        loc = "%s.nodes[%d]" % (location, i)
-        if "id" not in entry:
+    for loc, entry in _rows(doc, "nodes", None, location):
+        nid = entry.get("id")
+        if not isinstance(nid, str):
             raise InputError("node entry without id", loc)
-        nid = entry["id"]
         ids.add(nid)
-        level[nid] = _parse_level(entry.get("level"), loc)
+        if "level" in entry or "sort" in entry:
+            level[nid] = _parse_level(entry.get("level"), loc)
         if "sort" in entry:
-            if entry["sort"] not in shape:
-                raise InputError("unknown sort %r" % entry["sort"], loc)
+            if not known_sort(entry["sort"]):
+                raise InputError("unknown sort %r" % (entry["sort"],), loc)
             sort[nid] = entry["sort"]
 
-    def ref(nid, loc):
-        if nid not in ids:
-            raise InputError("dangling node reference %r" % nid, loc)
-        return nid
-
-    order = set()
-    for i, pair in enumerate(doc.get("order", [])):
-        loc = "%s.order[%d]" % (location, i)
-        a, b = pair
-        order.add((ref(a, loc), ref(b, loc)))
+    order = {(_ref(a, ids, loc), _ref(b, ids, loc))
+             for loc, (a, b) in _rows(doc, "order", 2, location)}
     meet = {}
-    for i, (x, y, m) in enumerate(doc.get("meet", [])):
-        loc = "%s.meet[%d]" % (location, i)
-        key = tuple(sorted((ref(x, loc), ref(y, loc))))
-        meet[key] = ref(m, loc)
-    suc = {}
-    for i, (x, y, v) in enumerate(doc.get("suc", [])):
-        loc = "%s.suc[%d]" % (location, i)
-        suc[(ref(x, loc), ref(y, loc))] = ref(v, loc)
-    pre = {}
-    for i, (x, v) in enumerate(doc.get("pre", [])):
-        loc = "%s.pre[%d]" % (location, i)
-        pre[ref(x, loc)] = ref(v, loc)
-    lim = {}
-    for i, (x, v) in enumerate(doc.get("lim", [])):
-        loc = "%s.lim[%d]" % (location, i)
-        lim[ref(x, loc)] = ref(v, loc)
+    for loc, (x, y, m) in _rows(doc, "meet", 3, location):
+        key = tuple(sorted((_ref(x, ids, loc), _ref(y, ids, loc))))
+        meet[key] = _ref(m, ids, loc)
+    suc = {(_ref(x, ids, loc), _ref(y, ids, loc)): _ref(v, ids, loc)
+           for loc, (x, y, v) in _rows(doc, "suc", 3, location)}
+    pre = {_ref(x, ids, loc): _ref(v, ids, loc)
+           for loc, (x, v) in _rows(doc, "pre", 2, location)}
+    lim = {_ref(x, ids, loc): _ref(v, ids, loc)
+           for loc, (x, v) in _rows(doc, "lim", 2, location)}
     gmap = {}
-    for i, block in enumerate(doc.get("g", [])):
-        loc = "%s.g[%d]" % (location, i)
-        e1, e2 = block.get("edge", (None, None))
-        if e1 not in shape or e2 not in shape:
-            raise InputError("unknown level-map edge %r" % ((e1, e2),), loc)
-        gmap[(e1, e2)] = {ref(x, loc): ref(v, loc)
-                          for x, v in block.get("entries", [])}
+    for loc, block in _rows(doc, "g", None, location):
+        edge = block.get("edge")
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(map(known_sort, edge))):
+            raise InputError("unknown level-map edge %r" % (edge,), loc)
+        gmap[tuple(edge)] = {
+            _ref(x, ids, eloc): _ref(v, ids, eloc)
+            for eloc, (x, v) in _rows(block, "entries", 2, loc)}
     constants = {}
-    for i, (eta, idx, c) in enumerate(doc.get("constants", [])):
-        loc = "%s.constants[%d]" % (location, i)
-        if eta not in shape:
-            raise InputError("unknown sort %r in constant" % eta, loc)
-        constants[(eta, int(idx))] = ref(c, loc)
+    for loc, (eta, idx, c) in _rows(doc, "constants", 3, location):
+        if not known_sort(eta):
+            raise InputError("unknown sort %r in constant" % (eta,), loc)
+        constants[(eta, _int(idx, "constant index", loc))] = _ref(c, ids, loc)
     mode = doc.get("mode", "base")
     if mode not in ("base", "theta", "classT"):
         raise InputError("unknown mode %r" % mode, location)
@@ -159,18 +195,11 @@ def fragment_from_dict(doc: dict, location: str = "fragment") -> Fragment:
 
 
 def save_fragment(f: Fragment, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(fragment_to_dict(f), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(fragment_to_dict(f), path)
 
 
 def load_fragment(path: str) -> Fragment:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("not valid JSON: %s" % exc, path)
-    return fragment_from_dict(doc, path)
+    return fragment_from_dict(_read_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +213,26 @@ def coloring_to_dict(c: Coloring) -> dict:
 
 def coloring_from_dict(doc: dict, location: str = "coloring") -> Coloring:
     try:
-        table = {tuple(k): int(v) for k, v in doc.get("entries", [])}
-        return Coloring(int(doc["n"]), int(doc["arity"]), table,
-                        int(doc.get("default", 0)))
+        c = Coloring(int(doc["n"]), int(doc["arity"]), {},
+                     int(doc.get("default", 0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed coloring: %s" % exc, location)
+    for loc, (key, v) in _rows(doc, "entries", 2, location):
+        try:
+            key = tuple(key)
+            c.check_key(key)
+        except (TypeError, ValueError) as exc:
+            raise InputError("malformed coloring entry: %s" % exc, loc)
+        c.table[key] = _int(v, "color", loc)
+    return c
 
 
 def load_coloring(path: str) -> Coloring:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("not valid JSON: %s" % exc, path)
-    return coloring_from_dict(doc, path)
+    return coloring_from_dict(_read_json(path), path)
 
 
 def save_coloring(c: Coloring, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(coloring_to_dict(c), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(coloring_to_dict(c), path)
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +250,21 @@ def ptriple_from_dict(doc: dict, location: str = "ptriple") -> PTriple:
                               location + ".fragment")
     ids = set(tree.nodes)
     d = {}
-    for i, (key, v) in enumerate(doc.get("d", [])):
-        loc = "%s.d[%d]" % (location, i)
-        for x in key:
-            if x not in ids:
-                raise InputError("dangling node reference %r" % x, loc)
-        d[tuple(key)] = int(v)
-    e = {}
-    for i, (x, lab) in enumerate(doc.get("e", [])):
-        loc = "%s.e[%d]" % (location, i)
-        if x not in ids:
-            raise InputError("dangling node reference %r" % x, loc)
-        e[x] = lab
+    for loc, (key, v) in _rows(doc, "d", 2, location):
+        if not isinstance(key, list):
+            raise InputError("d key %r is not a list" % (key,), loc)
+        d[tuple(_ref(x, ids, loc) for x in key)] = _int(v, "color", loc)
+    e = {_ref(x, ids, loc): lab
+         for loc, (x, lab) in _rows(doc, "e", 2, location)}
     return PTriple(tree, d, e)
 
 
 def load_ptriple(path: str) -> PTriple:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("not valid JSON: %s" % exc, path)
-    return ptriple_from_dict(doc, path)
+    return ptriple_from_dict(_read_json(path), path)
 
 
 def save_ptriple(p: PTriple, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(ptriple_to_dict(p), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(ptriple_to_dict(p), path)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +272,7 @@ def save_ptriple(p: PTriple, path: str) -> None:
 
 
 def load_gluespec(path: str) -> GlueSpec:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("not valid JSON: %s" % exc, path)
+    doc = _read_json(path)
     here = os.path.dirname(os.path.abspath(path))
 
     def resolve(rel):
@@ -269,20 +281,18 @@ def load_gluespec(path: str) -> GlueSpec:
     s_prime = shape_from_dict(doc.get("s_prime", {}), path + ".s_prime")
     base = load_fragment(resolve(doc["base"]))
     boundary = {}
-    for i, block in enumerate(doc.get("boundary", [])):
-        loc = "%s.boundary[%d]" % (path, i)
+    for loc, block in _rows(doc, "boundary", None, path):
         try:
-            key = (block["nu"], int(block["eps"]))
+            key = (block["nu"], _int(block["eps"], "eps", loc))
             boundary[key] = load_fragment(resolve(block["path"]))
         except (KeyError, TypeError) as exc:
             raise InputError("malformed boundary block: %s" % exc, loc)
     connectors = {}
-    for i, block in enumerate(doc.get("connectors", [])):
-        loc = "%s.connectors[%d]" % (path, i)
+    for loc, block in _rows(doc, "connectors", None, path):
         try:
             key = (block["nu"], int(block["eps"]))
             connectors[key] = {x: v for x, v in block["entries"]}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed connector block: %s" % exc, loc)
     return GlueSpec(s_prime, base, boundary, connectors)
 

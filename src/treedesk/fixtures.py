@@ -1,9 +1,9 @@
 """Shipped fixtures and seeded random generators.
 
-Deterministic builders used by the test suite, the examples and the
-demos: a three-sort step-map fixture, exhaustive-window dichotomy
-fixtures, small colored-tree bases, and seeded random standard-tree
-fragments.
+Deterministic builders used by the test suite and the demos: a
+three-sort step-map fixture, exhaustive-window dichotomy fixtures,
+small colored-tree bases, seeded random standard-tree fragments, and
+the chain and binary families of the type-growth experiment.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import random
 from .ordinal import Ordinal
 from .shape import ShapeTree, chain_shape
 from .structure import Fragment, complete, from_standard_tree
-from .partition import Coloring, PTriple, p_from_coloring
+from .partition import Coloring, PTriple, p_from_coloring, sub_tuples
+from .types import count_type_classes, estimate_degree
 
 
 def _o(m: int = 0, n: int = 0) -> Ordinal:
@@ -164,10 +165,6 @@ def comb_and_fan_fixture() -> Fragment:
     return from_standard_tree(levels, edges, mode="classT")
 
 
-def dichotomy_fixtures() -> list[Fragment]:
-    return [fan_pair_fixture(), comb_and_fan_fixture()]
-
-
 # ---------------------------------------------------------------------------
 # colored-tree bases
 
@@ -182,9 +179,8 @@ def six_chain_base(d_table=None, colors: int = 2) -> PTriple:
         d = {}
         for key, v in d_table.items():
             d[tuple(sl[i] for i in key)] = v
-        for m in (1, 2):
-            for tup in itertools.combinations(sl, m):
-                d.setdefault(tup, 0)
+        for tup in sub_tuples(sl, 2):
+            d.setdefault(tup, 0)
         p = PTriple(p.tree, d, p.e)
     return p
 
@@ -238,41 +234,6 @@ def random_closed_fragment(rng: random.Random,
             return out
 
 
-def random_two_sort_fragment(rng: random.Random,
-                             max_nodes: int = 12) -> Fragment:
-    """Completed two-sort fragment with a regressive cross-sort map
-    keyed by the limit of each successor node."""
-    shape = chain_shape(2)
-    fa = random_standard_fragment(rng, max_nodes=max_nodes)
-    fb = random_standard_fragment(rng, max_nodes=max_nodes)
-    fa = fa.replace(shape=shape, sort={n: "0" for n in fa.nodes})
-    ren = {n: "z" + n for n in fb.nodes}
-    fb = Fragment(shape, tuple(sorted(ren.values())),
-                  {ren[n]: "1" for n in fb.nodes},
-                  {ren[n]: l for n, l in fb.level.items()},
-                  {(ren[a], ren[b]) for a, b in fb.order},
-                  {tuple(sorted((ren[x], ren[y]))): ren[m]
-                   for (x, y), m in fb.meet.items()},
-                  {(ren[x], ren[y]): ren[v] for (x, y), v in fb.suc.items()},
-                  {ren[x]: ren[v] for x, v in fb.pre.items()},
-                  {ren[x]: ren[v] for x, v in fb.lim.items()})
-    targets = sorted(fb.nodes)
-    table = {}
-    by_lim: dict[str, str] = {}
-    for x in sorted(fa.nodes):
-        if fa.level[x].is_limit:
-            continue
-        key = fa.lim.get(x)
-        if key is None:
-            continue
-        if key not in by_lim:
-            by_lim[key] = targets[rng.randrange(len(targets))]
-        table[x] = by_lim[key]
-    f = merge_fragments(shape, {"0": fa, "1": fb},
-                        gmap={("0", "1"): table})
-    return complete(f)
-
-
 def random_sequence_fixture(rng: random.Random):
     """Completed fragment plus a sorted same-sort sequence of length 8
     for round-trip coloring experiments."""
@@ -282,3 +243,73 @@ def random_sequence_fixture(rng: random.Random):
         if len(pool) >= 8:
             start = rng.randrange(len(pool) - 7)
             return f, tuple(pool[start:start + 8])
+
+
+# ---------------------------------------------------------------------------
+# type-growth families
+
+
+def family_fragment(family: str, size: int) -> Fragment:
+    """Completed fragment of the given size from a type-growth family:
+    "chain" (one branch, four nodes at the levels w*q..w*q+3 for each q)
+    or "binary" (complete binary branching)."""
+    if family == "chain":
+        names = ["n%03d" % i for i in range(size)]
+        levels = {}
+        for i, n in enumerate(names):
+            levels[n] = Ordinal.omega(1, i // 4).plus(i % 4) \
+                if i >= 4 else Ordinal.nat(i)
+        edges = set(itertools.combinations(names, 2))
+        return complete(from_standard_tree(levels, edges))
+    levels = {"b": Ordinal()}
+    edges = set()
+    frontier = ["b"]
+    while len(levels) < size:
+        nxt = []
+        for p in frontier:
+            for bit in "01":
+                c = p + bit
+                if len(levels) >= size:
+                    break
+                levels[c] = Ordinal.nat(len(p))
+                nxt.append(c)
+        for c in nxt:
+            for anc in range(1, len(c)):
+                edges.add((c[:anc], c))
+        frontier = nxt
+    return complete(from_standard_tree(levels, edges))
+
+
+def vc_degree_experiment(family: str, ks, budget_tuples: int = 250000):
+    """Exact 1-variable type counts over growing parameter sets inside
+    one large fragment of the family, with the fitted growth degree per
+    rank."""
+    rows = []
+    degrees = {}
+    f = family_fragment(family, 64)
+    base = family_parameter_pool(f, family)
+    for k in ks:
+        series = []
+        for m in range(1, 9):
+            a_set = base[:m]
+            cnt = count_type_classes(f, a_set, k, 1, budget_tuples)
+            rows.append((m, k, 1, cnt))
+            series.append((m, cnt))
+        degrees[k] = estimate_degree(series)
+    return rows, degrees
+
+
+def family_parameter_pool(f: Fragment, family: str):
+    """Parameter nodes in nested bit-reversal order, so every prefix of
+    the pool is an evenly spread subset of the family's leaves/chain."""
+    if family == "chain":
+        pool = sorted(n for n in f.nodes if n.startswith("n"))
+    else:
+        named = [n for n in f.nodes
+                 if n.startswith("b") and f.sort.get(n) is not None]
+        pool = sorted(n for n in named
+                      if not any(c != n and c.startswith(n) for c in named))
+    bits = max(1, (len(pool) - 1).bit_length())
+    order = sorted(range(len(pool)),
+                   key=lambda i: int(format(i, "0%db" % bits)[::-1], 2))
+    return [pool[i] for i in order]

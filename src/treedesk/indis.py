@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 
+from .partition import budgeted, length_colors, sub_tuples
 from .structure import (Fragment, SortError, Term, complete, eval_term,
                         UndefinedTerm)
-from .types import BudgetExceeded, tp_code
+from .types import tp_code
 
 
 class NotAlmostIncreasing(RuntimeError):
@@ -68,42 +70,23 @@ def _code(w: SequenceWindow, idxs) -> bytes:
 def is_indiscernible(w: SequenceWindow) -> bool:
     """All equal-length increasing index tuples (length <= r) have the
     same rank-k type."""
-    for m in range(1, min(w.r, len(w)) + 1):
-        ref = None
-        for idxs in itertools.combinations(range(len(w)), m):
-            c = _code(w, idxs)
-            if ref is None:
-                ref = c
-            elif c != ref:
-                return False
-    return True
+    return length_colors(sub_tuples(range(len(w)), w.r),
+                         partial(_code, w)) is not None
 
 
 def is_NI(w: SequenceWindow) -> bool:
     """Nearly indiscernible: subsequences with consecutive index gaps
     >= n are indiscernible with one common type family, and the type of
     a consecutive block is independent of its starting position."""
-    # sub-sequence property
-    for m in range(1, min(w.r, len(w)) + 1):
-        ref = None
-        for idxs in itertools.combinations(range(len(w)), m):
-            if any(idxs[j + 1] - idxs[j] < w.n for j in range(m - 1)):
-                continue
-            c = _code(w, idxs)
-            if ref is None:
-                ref = c
-            elif c != ref:
-                return False
-    # sequential homogeneity
-    for m in range(1, min(w.r, len(w)) + 1):
-        ref = None
-        for i in range(len(w) - m + 1):
-            c = _code(w, tuple(range(i, i + m)))
-            if ref is None:
-                ref = c
-            elif c != ref:
-                return False
-    return True
+    spread = (idxs for idxs in sub_tuples(range(len(w)), w.r)
+              if all(idxs[j + 1] - idxs[j] >= w.n
+                     for j in range(len(idxs) - 1)))
+    blocks = (tuple(range(i, i + m))
+              for m in range(1, min(w.r, len(w)) + 1)
+              for i in range(len(w) - m + 1))
+    code = partial(_code, w)
+    return (length_colors(spread, code) is not None
+            and length_colors(blocks, code) is not None)
 
 
 def default_hni_terms() -> list[Term]:
@@ -145,9 +128,8 @@ def is_HNI(w: SequenceWindow, terms=None) -> bool:
         t = derived_sequence(w, sigma)
         if t is None or len(t) < 2:
             continue
-        if len({w.fragment.sort.get(x) for x in t}) != 1:
-            return False
-        if None in {w.fragment.sort.get(x) for x in t}:
+        sorts = {w.fragment.sort.get(x) for x in t}
+        if len(sorts) != 1 or None in sorts:
             return False
         if not is_NI(replace(w, seq=t)):
             return False
@@ -228,17 +210,12 @@ def search_indiscernible(f: Fragment, a_set, length: int, k: int, r: int,
     or None.  Backtracking over prefixes with incremental type checks."""
     pool = sorted(a_set)
     sortable = [x for x in pool if f.sort.get(x) is not None]
-    spent = [0]
 
     def codes_ok(prefix):
-        by_len: dict[int, set[bytes]] = {}
-        for m in range(1, min(r, len(prefix)) + 1):
-            for idxs in itertools.combinations(range(len(prefix)), m):
-                c = tp_code(f, tuple(prefix[i] for i in idxs), (), k)
-                by_len.setdefault(m, set()).add(c)
-                if len(by_len[m]) > 1:
-                    return False
-        return True
+        return length_colors(sub_tuples(prefix, r),
+                             lambda sub: tp_code(f, sub, (), k)) is not None
+
+    try_prefix = budgeted(codes_ok, budget, "search budget exhausted")
 
     def extend(prefix):
         if len(prefix) == length:
@@ -250,11 +227,8 @@ def search_indiscernible(f: Fragment, a_set, length: int, k: int, r: int,
                 continue
             if prefix and f.sort.get(x) != f.sort.get(prefix[0]):
                 continue
-            spent[0] += 1
-            if spent[0] > budget:
-                raise BudgetExceeded("search budget exhausted")
             cand = prefix + [x]
-            if codes_ok(cand):
+            if try_prefix(cand):
                 res = extend(cand)
                 if res is not None:
                     return res

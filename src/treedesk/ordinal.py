@@ -184,18 +184,3 @@ def cmp(a: Ordinal, b: Ordinal) -> int:
         return 1
     return 0
 
-
-def limb_level(a: Ordinal) -> Ordinal:
-    return a.limb()
-
-
-def mod_omega(a: Ordinal) -> int:
-    return a.mod_omega()
-
-
-def successor(a: Ordinal) -> Ordinal:
-    return a.successor()
-
-
-def predecessor(a: Ordinal) -> Ordinal:
-    return a.predecessor()

@@ -67,18 +67,60 @@ class Coloring:
 
     def __post_init__(self):
         for key in self.table:
-            if len(key) > self.arity:
-                raise ValueError("tuple %r longer than arity bound" % (key,))
-            if any(not (0 <= i < self.n) for i in key):
-                raise ValueError("tuple %r outside ground set" % (key,))
-            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                raise ValueError("tuple %r not strictly increasing" % (key,))
+            self.check_key(key)
+
+    def check_key(self, key: tuple) -> None:
+        """ValueError unless key is a strictly increasing tuple from [n]
+        no longer than the arity bound."""
+        if len(key) > self.arity:
+            raise ValueError("tuple %r longer than arity bound" % (key,))
+        if any(not (0 <= i < self.n) for i in key):
+            raise ValueError("tuple %r outside ground set" % (key,))
+        if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+            raise ValueError("tuple %r not strictly increasing" % (key,))
 
     def color(self, key) -> int:
         key = tuple(key)
         if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
             raise ValueError("tuple %r not strictly increasing" % (key,))
         return self.table.get(key, self.default)
+
+
+def sub_tuples(items, max_len: int):
+    """Increasing sub-tuples of items of lengths 1..max_len, shortest
+    first, each length in lexicographic order."""
+    items = tuple(items)
+    for m in range(1, min(max_len, len(items)) + 1):
+        yield from itertools.combinations(items, m)
+
+
+def length_colors(tuples, color):
+    """{length: color} when every tuple of each length gets one color,
+    else None.  Calls color once per tuple, in the given order, and
+    stops at the first mismatch; a None color fails the check.
+
+    This is the predicate shared by homogeneity (colors are coloring
+    values) and indiscernibility (colors are type codes)."""
+    per_len = {}
+    for key in tuples:
+        col = color(key)
+        if col is None or per_len.setdefault(len(key), col) != col:
+            return None
+    return per_len
+
+
+def budgeted(fn, budget: int, what: str):
+    """fn of one argument, raising BudgetExceeded(what) instead of
+    making call number budget + 1."""
+    spent = 0
+
+    def counted(arg):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetExceeded(what)
+        return fn(arg)
+    return counted
 
 
 def find_homogeneous(c: Coloring, delta: int, budget: int = 10 ** 7):
@@ -89,24 +131,10 @@ def find_homogeneous(c: Coloring, delta: int, budget: int = 10 ** 7):
         raise ValueError("delta exceeds the ground size")
     if c.arity < 2:
         raise ValueError("arity bound must be at least 2")
-    spent = 0
+    color = budgeted(c.color, budget, "homogeneity search budget")
     for idxs in itertools.combinations(range(c.n), delta):
-        per_len = {}
-        ok = True
-        for m in range(1, min(c.arity, delta) + 1):
-            for sub in itertools.combinations(idxs, m):
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceeded("homogeneity search budget")
-                col = c.color(sub)
-                if m not in per_len:
-                    per_len[m] = col
-                elif per_len[m] != col:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        per_len = length_colors(sub_tuples(idxs, c.arity), color)
+        if per_len is not None:
             return idxs, per_len
     return None
 
@@ -164,9 +192,6 @@ class PTriple:
     def nb_class(self, x: str) -> frozenset[str]:
         return frozenset(y for y in self.tree.nodes if self.tree.lt(y, x))
 
-    def d_of(self, key) -> int:
-        return self.d[tuple(key)]
-
 
 def validate_ptriple(p: PTriple) -> list[str]:
     rep = []
@@ -214,29 +239,11 @@ def is_hard(p: PTriple, delta: int, budget: int = 10 ** 6) -> bool:
     color depending only on tuple length."""
     sl = p.suc_lim()
     f = p.tree
-    spent = 0
+    color = budgeted(p.d.get, budget, "hardness search budget")
     for cand in itertools.combinations(sl, delta):
         if any(not f.lt(cand[i], cand[i + 1]) for i in range(delta - 1)):
             continue
-        per_len = {}
-        ok = True
-        for m in range(1, delta + 1):
-            for sub in itertools.combinations(cand, m):
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceeded("hardness search budget")
-                if sub not in p.d:
-                    ok = False
-                    break
-                col = p.d[sub]
-                if m not in per_len:
-                    per_len[m] = col
-                elif per_len[m] != col:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if length_colors(sub_tuples(cand, delta), color) is not None:
             return False
     return True
 
@@ -255,10 +262,8 @@ def p_from_coloring(c: Coloring, levels) -> PTriple:
     tree = from_standard_tree(lv, edges)
     p = PTriple(tree, {}, {x: x for x in names})
     pos = {x: i for i, x in enumerate(names)}
-    sl = p.suc_lim()
-    for m in range(1, min(len(sl), c.arity) + 1):
-        for key in itertools.combinations(sl, m):
-            p.d[key] = c.color(tuple(pos[x] for x in key))
+    for key in sub_tuples(p.suc_lim(), c.arity):
+        p.d[key] = c.color(tuple(pos[x] for x in key))
     return p
 
 
@@ -280,12 +285,12 @@ class DType:
                       if all(a in b for a in key)})
 
     def is_complete(self) -> bool:
-        keys = set(self.eqs)
-        for m in range(len(self.support) + 1):
-            for key in itertools.combinations(self.support, m):
-                if key not in keys:
-                    return False
-        return True
+        return all(key in self.eqs for key in _support_keys(self.support))
+
+
+def _support_keys(support) -> list[tuple[str, ...]]:
+    """Every increasing tuple of the support, the empty one first."""
+    return [()] + list(sub_tuples(support, len(support)))
 
 
 def satisfies(p: PTriple, t: str, dt: DType) -> bool:
@@ -308,13 +313,12 @@ def dtp(p: PTriple, t: str, a_set) -> DType:
         if not f.lt(x, y):
             raise ValueError("support not linearly ordered")
     eqs = {}
-    for m in range(len(support) + 1):
-        for key in itertools.combinations(support, m):
-            if key and not f.lt(key[-1], t):
-                continue
-            full = key + (t,)
-            if full in p.d:
-                eqs[key] = p.d[full]
+    for key in _support_keys(support):
+        if key and not f.lt(key[-1], t):
+            continue
+        full = key + (t,)
+        if full in p.d:
+            eqs[key] = p.d[full]
     return DType(support, eqs)
 
 
@@ -327,8 +331,7 @@ def enumerate_complete_dtypes(p: PTriple, a_set, colors: int,
     for x, y in zip(support, support[1:]):
         if not f.lt(x, y):
             raise ValueError("support not linearly ordered")
-    keys = [key for m in range(len(support) + 1)
-            for key in itertools.combinations(support, m)]
+    keys = _support_keys(support)
     if len(keys) * math.log2(max(colors, 2)) > budget_bits:
         raise BudgetExceeded("type space too large: %d keys, %d colors"
                              % (len(keys), colors))
@@ -495,11 +498,9 @@ def _qnode_key(a: QNode):
 
 
 def _increasing_suc_lim_tuples(p: PTriple, max_len: int = 4):
-    sl = p.suc_lim()
-    for m in range(1, max_len + 1):
-        for key in itertools.combinations(sl, m):
-            if all(p.tree.lt(key[i], key[i + 1]) for i in range(m - 1)):
-                yield key
+    for key in sub_tuples(p.suc_lim(), max_len):
+        if all(p.tree.lt(key[i], key[i + 1]) for i in range(len(key) - 1)):
+            yield key
 
 
 def d_q(p: PTriple, qnodes: tuple[QNode, ...],

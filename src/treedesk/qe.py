@@ -429,7 +429,8 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
 
     phi's variable 0 is the witness y; variables 1..nvars are x̄.
     Returns the set of rank-m configuration codes of x̄-tuples for which
-    a witness exists in the corpus fragment or its completion.  Use
+    a witness exists in the corpus fragment or its completion, coded in
+    the completion when it exists.  Use
     `qe_matches` to evaluate the result on a tuple.
     """
     corpus = list(corpus)
@@ -439,10 +440,8 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
     spent = 0
     for f in corpus:
         fc = f if not validate(f) else None
-        try:
-            comp = complete(f)
-        except CannotComplete:
-            comp = None
+        comp = _completed(f)
+        coded = f if comp is None else comp
         for xs in itertools.product(f.nodes, repeat=nvars):
             spent += 1
             if spent > budget_tuples:
@@ -458,11 +457,20 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
                 if found:
                     break
             if found:
-                configs.add(tp_code(f, xs, (), m))
+                configs.add(tp_code(coded, xs, (), m))
     return configs
+
+
+def _completed(f: Fragment) -> Fragment | None:
+    try:
+        return complete(f)
+    except CannotComplete:
+        return None
 
 
 def qe_matches(configs, f: Fragment, xs, m: int) -> bool:
     """Does the tuple satisfy the corpus-derived quantifier-free
-    equivalent?"""
-    return tp_code(f, tuple(xs), (), m) in configs
+    equivalent?  Codes are taken in the completion when it exists, as
+    in `qe_candidate`."""
+    comp = _completed(f)
+    return tp_code(f if comp is None else comp, tuple(xs), (), m) in configs

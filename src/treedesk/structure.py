@@ -145,9 +145,6 @@ class Fragment:
     def g_of(self, edge: tuple[str, str], x: str) -> str | None:
         return self.gmap.get(edge, {}).get(x)
 
-    def const_of(self, eta: str, i: int) -> str | None:
-        return self.constants.get((eta, i))
-
     def is_successor(self, x: str) -> bool:
         """Declared successor: lim(x) is declared and strictly below x."""
         l = self.lim.get(x)

@@ -148,10 +148,6 @@ def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
     return repr(rec).encode()
 
 
-def _is_reduced_iso(fa: Fragment, la, fb: Fragment, lb) -> bool:
-    return (_structure_record(fa, la) == _structure_record(fb, lb))
-
-
 def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
             a_set=(), b_set=()) -> dict[str, str] | None:
     """Witness map between rank-k closures, or None.
@@ -170,7 +166,7 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
     lb, pb = _canon(fb, gb, k)
     if tuple(pa[x] for x in ga) != tuple(pb[x] for x in gb):
         return None
-    if not _is_reduced_iso(fa, la, fb, lb):
+    if _structure_record(fa, la) != _structure_record(fb, lb):
         return None
     return {la[i]: lb[i] for i in range(len(la))}
 

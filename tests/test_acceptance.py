@@ -340,11 +340,11 @@ def test_criterion_05_extension_transfer():
 
 
 def test_criterion_06_degree_stability():
-    from treedesk.cli import _family_fragment, family_parameter_pool
+    from treedesk.fixtures import family_fragment, family_parameter_pool
     t0 = time.monotonic()
     ok = True
     for family in ("chain", "binary"):
-        f = _family_fragment(family, 64)
+        f = family_fragment(family, 64)
         pool = family_parameter_pool(f, family)
         degrees = {}
         for k in (0, 1, 2):

@@ -1,20 +1,25 @@
+import copy
 import csv
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedesk.fileio import (
-    InputError, coloring_from_dict, formula_from_list, fragment_from_dict,
-    fragment_to_dict, load_coloring, load_fragment, load_gluespec,
-    load_ptriple, save_coloring, save_fragment, save_ptriple, term_from_list,
+    InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
+    fragment_from_dict, fragment_to_dict, load_coloring, load_fragment,
+    load_gluespec, load_ptriple, ptriple_from_dict, ptriple_to_dict,
+    save_coloring, save_fragment, save_ptriple, term_from_list,
     write_series_csv,
 )
 from treedesk.fixtures import six_chain_base, three_sort_step_fixture
 from treedesk.glue import star_construct
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
-from treedesk.qe import eval_formula
-from treedesk.structure import Term, complete, from_standard_tree
+from treedesk.qe import eval_formula, extend_one_point
+from treedesk.shape import EMPTY_SHAPE
+from treedesk.structure import Fragment, Term, complete, from_standard_tree
 
 
 def _chain(n):
@@ -77,6 +82,148 @@ def test_fragment_not_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(InputError):
         load_fragment(str(p))
+
+
+@pytest.mark.parametrize("load", [load_fragment, load_coloring, load_ptriple,
+                                  load_gluespec])
+def test_document_not_an_object(tmp_path, load):
+    p = tmp_path / "list.json"
+    p.write_text("[]")
+    with pytest.raises(InputError) as exc:
+        load(str(p))
+    assert exc.value.location == str(p)
+
+
+def test_fragment_huge_level_literal_reports_location():
+    doc = fragment_to_dict(_chain(2))
+    doc["nodes"][1]["level"] = "9" * 5000
+    with pytest.raises(InputError) as exc:
+        fragment_from_dict(doc)
+    assert "nodes[1]" in exc.value.location
+
+
+def test_unsorted_nodes_without_level_round_trip():
+    f = Fragment(EMPTY_SHAPE, ["a", "b"])
+    doc = fragment_to_dict(f)
+    assert doc["nodes"] == [{"id": "a"}, {"id": "b"}]
+    assert _fragments_equal(fragment_from_dict(doc), f)
+    # the fresh point of an extension over the empty shape has no level
+    fb = Fragment(EMPTY_SHAPE, ["y0", "y1"])
+    ext, d = extend_one_point(f, ("a",), "b", fb, ("y0",), 0)
+    assert d not in ext.level
+    assert _fragments_equal(fragment_from_dict(fragment_to_dict(ext)), ext)
+
+
+def test_sorted_node_without_level_reports_location():
+    doc = fragment_to_dict(_chain(3))
+    del doc["nodes"][2]["level"]
+    with pytest.raises(InputError) as exc:
+        fragment_from_dict(doc)
+    assert "nodes[2]" in exc.value.location
+
+
+# Loader fuzz: change one row of one section of a valid document.  The
+# loader must either accept the result or raise InputError naming a row;
+# a mutated reference row must be named itself, while a mutated node row
+# may surface as a dangling reference in another section.
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_ROW_LOCATION = re.compile(r"\.[a-z]+\[\d+\]")
+
+
+def _valid_fragment_doc():
+    f, _ = three_sort_step_fixture()
+    doc = fragment_to_dict(complete(f))
+    doc["constants"] = [["0", 0, "a_r"], ["1", 0, "b_r"]]
+    return doc
+
+
+@st.composite
+def _row_mutation(draw, doc, sections):
+    """(section name, row index, mutated copy of doc).  Sections are key
+    paths into doc; rows are lists or objects."""
+    path = draw(st.sampled_from(sections))
+    out = copy.deepcopy(doc)
+    rows = out
+    for key in path:
+        rows = rows[key]
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    ids = st.sampled_from(sorted(n["id"] for n in doc.get(
+        "nodes", doc.get("fragment", {}).get("nodes", []))) or ["x"])
+    value = _JSON | ids | st.lists(ids | _JSON, max_size=4)
+    op = draw(st.sampled_from(("truncate", "extend", "replace")))
+    if op == "replace":
+        rows[i] = draw(value)
+    elif isinstance(row, dict):
+        key = draw(st.sampled_from(sorted(set(row) | {"id", "level",
+                                                      "sort", "edge"})))
+        rows[i] = dict(row)
+        if op == "truncate":
+            rows[i].pop(key, None)
+        else:
+            rows[i][key] = draw(value)
+    else:
+        rows[i] = row[:-1] if op == "truncate" else row + [draw(value)]
+    return path[-1], i, out
+
+
+def _loads_or_names_row(load, doc, section, i):
+    try:
+        load(doc)
+    except InputError as exc:
+        if section == "nodes":
+            assert _ROW_LOCATION.search(exc.location), exc.location
+        else:
+            assert ".%s[%d]" % (section, i) in exc.location, exc.location
+
+
+_FRAGMENT_DOC = _valid_fragment_doc()
+_FRAGMENT_SECTIONS = [(s,) for s in ("nodes", "order", "meet", "suc", "pre",
+                                     "lim", "g", "constants")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_fragment_rows(data):
+    assert all(_FRAGMENT_DOC[s] for (s,) in _FRAGMENT_SECTIONS)
+    section, i, doc = data.draw(_row_mutation(_FRAGMENT_DOC,
+                                              _FRAGMENT_SECTIONS))
+    _loads_or_names_row(fragment_from_dict, doc, section, i)
+
+
+def test_fragment_short_order_row_reports_location():
+    doc = fragment_to_dict(_chain(2))
+    doc["order"][0] = ["n00"]
+    with pytest.raises(InputError) as exc:
+        fragment_from_dict(doc)
+    assert exc.value.location == "fragment.order[0]"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzz_coloring_rows(data):
+    doc = coloring_to_dict(Coloring(5, 3, {(0, 1): 3, (1, 4): 1,
+                                           (0, 2, 3): 2}, 0))
+    section, i, doc = data.draw(_row_mutation(doc, [("entries",)]))
+    _loads_or_names_row(coloring_from_dict, doc, section, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzz_ptriple_rows(data):
+    doc = ptriple_to_dict(six_chain_base())
+    sections = [("d",), ("e",)] + [("fragment", s) for s in
+                                   ("nodes", "order", "meet", "pre", "lim")]
+    assert all(doc[s[0]] if len(s) == 1 else doc["fragment"][s[1]]
+               for s in sections)
+    section, i, doc = data.draw(_row_mutation(doc, sections))
+    _loads_or_names_row(ptriple_from_dict, doc, section, i)
 
 
 def test_coloring_round_trip(tmp_path):

@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedesk.fixtures import (
-    comb_and_fan_fixture, fan_pair_fixture, three_sort_step_fixture,
+    comb_and_fan_fixture, fan_pair_fixture, random_sequence_fixture,
+    three_sort_step_fixture,
 )
 from treedesk.indis import (
     NotAlmostIncreasing, SequenceWindow, ShapeExhausted, classify,
@@ -45,6 +49,18 @@ def test_chain_window_not_indiscernible():
     f = _chain(6)
     w = SequenceWindow(f, ("n01", "n02", "n03", "n04"), k=1, r=2)
     assert not is_indiscernible(w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.data())
+def test_ni_with_gap_one_is_indiscernibility(seed, data):
+    f, seq = random_sequence_fixture(random.Random(seed))
+    idxs = data.draw(st.lists(st.integers(0, len(seq) - 1), min_size=2,
+                              max_size=5, unique=True).map(sorted))
+    w = SequenceWindow(f, tuple(seq[i] for i in idxs),
+                       k=data.draw(st.integers(0, 1)),
+                       r=data.draw(st.integers(1, 3)), n=1)
+    assert is_NI(w) == is_indiscernible(w)
 
 
 def test_classify_almost_increasing():

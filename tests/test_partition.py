@@ -11,6 +11,7 @@ from treedesk.partition import (
     p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
     validate_ptriple, validate_qnode,
 )
+from treedesk.types import BudgetExceeded
 
 
 @given(st.integers(0, 500), st.integers(0, 500))
@@ -53,6 +54,36 @@ def test_find_homogeneous_delta_bounds():
     c = Coloring(3, 2, {}, 0)
     with pytest.raises(ValueError):
         find_homogeneous(c, 4)
+
+
+def _gap_coloring(n, arity, gaps):
+    """Pairs colored 1 when their index gap is in gaps, else 0."""
+    return Coloring(n, arity, {p: int(p[1] - p[0] in gaps)
+                               for p in itertools.combinations(range(n), 2)},
+                    0)
+
+
+# budget = the exact number of color lookups each search makes
+@pytest.mark.parametrize("c, lookups, want", [
+    (_gap_coloring(5, 2, (1, 4)), 53, None),
+    (_gap_coloring(6, 2, (1, 4)), 38, ((0, 2, 5), {1: 0, 2: 0})),
+])
+def test_find_homogeneous_budget_boundary(c, lookups, want):
+    assert find_homogeneous(c, 3, budget=lookups) == want
+    with pytest.raises(BudgetExceeded):
+        find_homogeneous(c, 3, budget=lookups - 1)
+
+
+@pytest.mark.parametrize("delta, lookups, want", [(3, 39, False),
+                                                  (4, 95, True)])
+def test_is_hard_budget_boundary(delta, lookups, want):
+    levels = [Ordinal.omega(1, q).plus(r) for q in range(1, 7)
+              for r in (0, 1)]
+    # suc-lim nodes sit at even index gaps: colored 1 at suc-lim gaps 1, 4
+    p = p_from_coloring(_gap_coloring(len(levels), 3, (2, 8)), levels)
+    assert is_hard(p, delta, budget=lookups) == want
+    with pytest.raises(BudgetExceeded):
+        is_hard(p, delta, budget=lookups - 1)
 
 
 def test_coloring_from_sequence_homogeneous_on_chain_tail():

@@ -4,13 +4,15 @@ import pytest
 
 from gen import TRIPOD, random_tripod, rename
 
-from treedesk.fixtures import random_closed_fragment
+from treedesk.fixtures import random_closed_fragment, random_standard_fragment
 from treedesk.ordinal import Ordinal
 from treedesk.qe import (
     RankTooLow, eval_formula, extend_one_point, m2, qe_candidate, qe_matches,
 )
 from treedesk.shape import EMPTY_SHAPE, POINT_SHAPE
-from treedesk.structure import Term, closure, from_standard_tree, validate
+from treedesk.structure import (
+    Term, closure, from_standard_tree, is_closed, validate,
+)
 from treedesk.types import equiv_k
 
 
@@ -112,6 +114,16 @@ def test_qe_candidate_round_trip():
     for x in probe.nodes:
         want = x != "p00"
         assert qe_matches(configs, probe, (x,), 1) == want
+
+
+def test_qe_candidate_on_unclosed_fragment():
+    f = random_standard_fragment(random.Random(3), 12)
+    assert not validate(f) and not is_closed(f)
+    phi = ("atom", "<", Term.var(0), Term.var(1))
+    configs = qe_candidate(phi, 1, [f], 0)
+    for x in f.nodes:
+        assert qe_matches(configs, f, (x,), 0) == any(
+            f.lt(y, x) for y in f.nodes)
 
 
 def test_qe_candidate_empty_corpus():
