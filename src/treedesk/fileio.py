@@ -16,7 +16,7 @@ import json
 import os
 
 from .ordinal import Ordinal
-from .shape import ShapeTree
+from .shape import ShapeTree, validate_shape
 from .structure import Fragment, Term
 from .partition import Coloring, PTriple
 from .glue import GlueSpec
@@ -43,18 +43,32 @@ def shape_to_dict(s: ShapeTree) -> dict:
 
 
 def shape_from_dict(doc: dict, location: str = "shape") -> ShapeTree:
+    """Distinct string indices, a string root (or none), object-valued
+    parent and labels; the result must pass `validate_shape`."""
     try:
-        idxs = tuple(doc["indices"])
+        idxs = doc["indices"]
         root = doc.get("root")
-        parent = dict(doc.get("parent", {}))
-        labels = dict(doc.get("labels", {}))
+        parent = doc.get("parent", {})
+        labels = doc.get("labels", {})
     except (KeyError, TypeError) as exc:
         raise InputError("malformed shape section: %s" % exc, location)
-    for i, p in parent.items():
-        if i not in idxs or p not in idxs:
-            raise InputError("parent edge %r -> %r uses unknown index"
-                             % (i, p), location)
-    return ShapeTree(idxs, root, parent, labels)
+    if not (isinstance(idxs, list) and all(isinstance(i, str) for i in idxs)
+            and len(set(idxs)) == len(idxs)):
+        raise InputError("indices %r are not distinct strings" % (idxs,),
+                         location)
+    if not (root is None or isinstance(root, str)):
+        raise InputError("root %r is not a string" % (root,), location)
+    if not (isinstance(parent, dict)
+            and all(isinstance(p, str) for p in parent.values())):
+        raise InputError("parent %r is not an object of index names"
+                         % (parent,), location)
+    if not isinstance(labels, dict):
+        raise InputError("labels %r is not an object" % (labels,), location)
+    shape = ShapeTree(tuple(idxs), root, dict(parent), dict(labels))
+    report = validate_shape(shape)
+    if report:
+        raise InputError("malformed shape: %s" % report[0], location)
+    return shape
 
 
 def _parse_level(text, location: str) -> Ordinal:

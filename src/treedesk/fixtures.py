@@ -13,7 +13,8 @@ import random
 
 from .ordinal import Ordinal
 from .shape import ShapeTree, chain_shape
-from .structure import Fragment, complete, from_standard_tree
+from .structure import (Fragment, FragmentBuilder, complete,
+                        from_standard_tree)
 from .partition import Coloring, PTriple, p_from_coloring, sub_tuples
 from .types import count_type_classes, estimate_degree
 
@@ -29,29 +30,11 @@ def merge_fragments(shape: ShapeTree, parts: dict[str, Fragment],
                     gmap=None, mode: str = "base") -> Fragment:
     """One fragment per shape index, merged over the given shape with
     the supplied cross-sort level-map tables."""
-    nodes = []
-    sort = {}
-    level = {}
-    order = set()
-    meet = {}
-    suc = {}
-    pre = {}
-    lim = {}
-    constants = {}
+    b = FragmentBuilder()
     for idx, f in sorted(parts.items()):
-        nodes.extend(f.nodes)
-        for n in f.nodes:
-            sort[n] = idx
-        level.update(f.level)
-        order |= set(f.order)
-        meet.update(f.meet)
-        suc.update(f.suc)
-        pre.update(f.pre)
-        lim.update(f.lim)
-        for (eta, i), c in f.constants.items():
-            constants[(idx, i)] = c
-    return Fragment(shape, tuple(sorted(nodes)), sort, level, order, meet,
-                    suc, pre, lim, dict(gmap or {}), constants, mode)
+        b.absorb(f, lambda eta, idx=idx: idx)
+    b.gmap.update(gmap or {})
+    return b.freeze(shape, mode)
 
 
 # ---------------------------------------------------------------------------

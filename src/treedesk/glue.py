@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .ordinal import Ordinal
 from .shape import ShapeTree, POINT_SHAPE, chain_shape
-from .structure import Fragment, complete, validate
+from .structure import Fragment, FragmentBuilder, complete, validate
 from .partition import PTriple, lift_element, p_from_coloring, q_enumerate
 
 
@@ -84,31 +84,9 @@ def star_construct(g: GlueSpec) -> Fragment:
         parent[reindex(nu, eps, h.shape.root)] = nu
     shape = ShapeTree(tuple(indices), g.s_prime.root, parent, labels)
 
-    nodes = set(g.base.nodes)
-    sort = dict(g.base.sort)
-    level = dict(g.base.level)
-    order = set(g.base.order)
-    meet = dict(g.base.meet)
-    suc = dict(g.base.suc)
-    pre = dict(g.base.pre)
-    lim = dict(g.base.lim)
-    gmap = {e: dict(t) for e, t in g.base.gmap.items()}
-    constants = dict(g.base.constants)
-
+    b = FragmentBuilder(g.base)
     for (nu, eps), h in sorted(g.boundary.items()):
-        nodes |= set(h.nodes)
-        for n, s in h.sort.items():
-            sort[n] = reindex(nu, eps, s)
-        level.update(h.level)
-        order |= set(h.order)
-        meet.update(h.meet)
-        suc.update(h.suc)
-        pre.update(h.pre)
-        lim.update(h.lim)
-        for (e1, e2), t in h.gmap.items():
-            gmap[(reindex(nu, eps, e1), reindex(nu, eps, e2))] = dict(t)
-        for (eta, i), c in h.constants.items():
-            constants[(reindex(nu, eps, eta), i)] = c
+        b.absorb(h, lambda eta, nu=nu, eps=eps: reindex(nu, eps, eta))
 
     for (nu, eps), table in sorted(g.connectors.items()):
         if (nu, eps) not in g.boundary:
@@ -117,16 +95,15 @@ def star_construct(g: GlueSpec) -> Fragment:
         h = g.boundary[(nu, eps)]
         edge = (nu, reindex(nu, eps, h.shape.root))
         for x, y in table.items():
-            if x not in level or y not in level:
+            if x not in b.level or y not in b.level:
                 raise AxiomViolated("connector %r uses unknown node" % (x,))
-            if not level[y] < level[x]:
+            if not b.level[y] < b.level[x]:
                 raise AxiomViolated(
                     "connector not regressive: %r at %s -> %r at %s"
-                    % (x, level[x], y, level[y]))
-        gmap[edge] = dict(table)
+                    % (x, b.level[x], y, b.level[y]))
+        b.gmap[edge] = dict(table)
 
-    return Fragment(shape, tuple(sorted(nodes)), sort, level, order, meet,
-                    suc, pre, lim, gmap, constants, "theta")
+    return b.freeze(shape, "theta")
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +272,9 @@ def build_witness(case: str, **params):
         q, ids = q_enumerate(p, min(2, len(sl)), colors)
         # two-sort base: the triple's chain and the guess-sequence tree
         shape2 = chain_shape(2)
-        nodes = set(p.tree.nodes) | set(q.tree.nodes)
-        sort = {n: "0" for n in p.tree.nodes if p.tree.sort.get(n)}
-        sort.update({n: "1" for n in q.tree.nodes if q.tree.sort.get(n)})
-        level = dict(p.tree.level)
-        level.update(q.tree.level)
-        order = set(p.tree.order) | set(q.tree.order)
-        meet = dict(p.tree.meet)
-        meet.update(q.tree.meet)
-        suc = dict(p.tree.suc)
-        suc.update(q.tree.suc)
-        pre = dict(p.tree.pre)
-        pre.update(q.tree.pre)
-        lim = dict(p.tree.lim)
-        lim.update(q.tree.lim)
+        b = FragmentBuilder()
+        b.absorb(p.tree, lambda eta: "0")
+        b.absorb(q.tree, lambda eta: "1")
         by_node = {}
         for nid, a in ids.items():
             by_node[(a.eta, tuple(sorted((i, tuple(sorted(g.eqs.items())))
@@ -332,9 +298,8 @@ def build_witness(case: str, **params):
                 g01[x] = nid
             else:
                 g01[x] = root_q
-        base = Fragment(shape2, tuple(sorted(nodes)), sort, level, order,
-                        meet, suc, pre, lim, {("0", "1"): g01}, {}, "theta")
-        base = complete(base)
+        b.gmap[("0", "1")] = g01
+        base = complete(b.freeze(shape2, "theta"))
         conn = {}
         for x in sl:
             conn[x] = a_names[classes.index(p.e[x])]

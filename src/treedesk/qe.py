@@ -21,9 +21,9 @@ import itertools
 
 from .ordinal import Ordinal
 from .shape import ShapeTree, decompose
-from .structure import (Fragment, Term, closure, complete, eval_term,
-                        validate, CannotComplete, SortError, UndefinedTerm,
-                        _mk)
+from .structure import (Fragment, FragmentBuilder, Term, closure, complete,
+                        eval_term, validate, CannotComplete, SortError,
+                        UndefinedTerm, _mk)
 from .types import BudgetExceeded, equiv_k, tp_code
 
 K_BUDGET = 8
@@ -217,16 +217,9 @@ def _build_extension(fa, fb, x_set, mapping, fresh_ids, budget_nodes,
                      bias: int = 0):
     if len(fb.nodes) + len(fresh_ids) > budget_nodes:
         raise BudgetExceeded("extension exceeds node budget")
-    nodes = set(fb.nodes) | {nid for _, nid in fresh_ids}
-    sort = dict(fb.sort)
-    level = dict(fb.level)
-    order = set(fb.order)
-    meet = dict(fb.meet)
-    suc = dict(fb.suc)
-    pre = dict(fb.pre)
-    lim = dict(fb.lim)
-    gmap = {e: dict(t) for e, t in fb.gmap.items()}
-
+    b = FragmentBuilder(fb)
+    nodes, sort, level, order = b.nodes, b.sort, b.level, b.order
+    nodes.update(nid for _, nid in fresh_ids)
     for x, nid in fresh_ids:
         if fa.sort.get(x) is not None:
             sort[nid] = fa.sort[x]
@@ -289,23 +282,22 @@ def _build_extension(fa, fb, x_set, mapping, fresh_ids, budget_nodes,
     im = mapping
     for (x, y), v in fa.meet.items():
         if x in im and y in im and v in im:
-            copy_entry(meet, _mk(im[x], im[y]), im[v], "meet")
+            copy_entry(b.meet, _mk(im[x], im[y]), im[v], "meet")
     for (x, y), v in fa.suc.items():
         if x in im and y in im and v in im:
-            copy_entry(suc, (im[x], im[y]), im[v], "suc")
+            copy_entry(b.suc, (im[x], im[y]), im[v], "suc")
     for x, v in fa.pre.items():
         if x in im and v in im:
-            copy_entry(pre, im[x], im[v], "pre")
+            copy_entry(b.pre, im[x], im[v], "pre")
     for x, v in fa.lim.items():
         if x in im and v in im:
-            copy_entry(lim, im[x], im[v], "lim")
+            copy_entry(b.lim, im[x], im[v], "lim")
     for edge, table in fa.gmap.items():
         for x, v in table.items():
             if x in im and v in im:
-                copy_entry(gmap.setdefault(edge, {}), im[x], im[v], "gmap")
+                copy_entry(b.gmap.setdefault(edge, {}), im[x], im[v], "gmap")
 
-    return Fragment(fb.shape, nodes, sort, level, order, meet, suc, pre,
-                    lim, gmap, fb.constants, fb.mode)
+    return b.freeze(fb.shape, fb.mode)
 
 
 def _assign_levels(fa, fb, x_set, mapping, fresh_ids, level, order,

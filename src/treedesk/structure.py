@@ -175,6 +175,56 @@ class Fragment:
             len(self.nodes), len(self.shape), self.mode)
 
 
+class FragmentBuilder:
+    """Mutable working copy of the fragment tables.
+
+    Callers edit the tables directly and `freeze` them into a new
+    Fragment; the builder is the one place that copies or merges all
+    the tables of a fragment.
+    """
+
+    def __init__(self, f: Fragment | None = None):
+        self.nodes: set[str] = set()
+        self.sort: dict[str, str] = {}
+        self.level: dict[str, Ordinal] = {}
+        self.order: set[tuple[str, str]] = set()
+        self.meet: dict[tuple[str, str], str] = {}
+        self.suc: dict[tuple[str, str], str] = {}
+        self.pre: dict[str, str] = {}
+        self.lim: dict[str, str] = {}
+        self.gmap: dict[tuple[str, str], dict[str, str]] = {}
+        self.constants: dict[tuple[str, int], str] = {}
+        if f is not None:
+            self.absorb(f, lambda eta: eta)
+
+    def absorb(self, f: Fragment, sort_of) -> None:
+        """Add f's tables, renaming its sorts, level-map edges and
+        constant keys through sort_of; f's entries win on clashes."""
+        self.nodes.update(f.nodes)
+        for n, eta in f.sort.items():
+            self.sort[n] = sort_of(eta)
+        self.level.update(f.level)
+        self.order |= f.order
+        self.meet.update(f.meet)
+        self.suc.update(f.suc)
+        self.pre.update(f.pre)
+        self.lim.update(f.lim)
+        for (e1, e2), table in f.gmap.items():
+            self.gmap[(sort_of(e1), sort_of(e2))] = dict(table)
+        for (eta, i), c in f.constants.items():
+            self.constants[(sort_of(eta), i)] = c
+
+    def add_node(self, n: str, sort: str, level: Ordinal) -> None:
+        self.nodes.add(n)
+        self.sort[n] = sort
+        self.level[n] = level
+
+    def freeze(self, shape: ShapeTree, mode: str) -> Fragment:
+        return Fragment(shape, self.nodes, self.sort, self.level, self.order,
+                        self.meet, self.suc, self.pre, self.lim, self.gmap,
+                        self.constants, mode)
+
+
 # ---------------------------------------------------------------------------
 # construction from a plain level-labelled tree
 
@@ -425,35 +475,21 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     rep = validate(f)
     if rep:
         raise CannotComplete("fragment invalid: %s" % rep[0])
-    nodes = set(f.nodes)
-    sort = dict(f.sort)
-    level = dict(f.level)
-    order = set(f.order)
-    meet = dict(f.meet)
-    suc = dict(f.suc)
-    pre = dict(f.pre)
-    lim = dict(f.lim)
-    gmap = {e: dict(t) for e, t in f.gmap.items()}
+    b = FragmentBuilder(f)
     counter = itertools.count()
 
     def fresh() -> str:
         while True:
             n = "_c%03d" % next(counter)
-            if n not in nodes:
+            if n not in b.nodes:
                 return n
 
-    def current() -> Fragment:
-        return Fragment(f.shape, nodes, sort, level, order, meet, suc, pre,
-                        lim, gmap, f.constants, f.mode)
-
     while True:
-        if len(nodes) > budget_nodes:
+        if len(b.nodes) > budget_nodes:
             raise CannotComplete("node budget %d exceeded" % budget_nodes)
-        cur = current()
-        if not _step(cur, nodes, sort, level, order, meet, suc, pre, lim,
-                     gmap, fresh):
+        if not _step(b.freeze(f.shape, f.mode), b, fresh):
             break
-    out = current()
+    out = b.freeze(f.shape, f.mode)
     rep = validate(out)
     if rep:
         raise CannotComplete("completion produced invalid fragment: %s"
@@ -461,9 +497,25 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     return out
 
 
-def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
-          gmap, fresh) -> bool:
-    """Fix the first deficiency in priority order; True if changed."""
+def _mint_below(cur: Fragment, b: FragmentBuilder, fresh, x: str,
+                lv: Ordinal) -> str:
+    """New node at level lv on the chain below x."""
+    w = fresh()
+    b.add_node(w, b.sort[x], lv)
+    b.order.add((w, x))
+    for u in cur.strictly_below(x):
+        if b.level[u] < lv:
+            b.order.add((u, w))
+        elif lv < b.level[u]:
+            b.order.add((w, u))
+    return w
+
+
+def _step(cur: Fragment, b: FragmentBuilder, fresh) -> bool:
+    """Fix the first deficiency of cur (b's current freeze) in priority
+    order by editing b; True if changed."""
+    level, order, meet, suc, pre, lim = \
+        b.level, b.order, b.meet, b.suc, b.pre, b.lim
     sorted_nodes = sorted(n for n in cur.nodes if n in cur.sort)
 
     # lim: total on sorted nodes
@@ -479,16 +531,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
         if anc:
             lim[x] = anc[0]
             return True
-        w = fresh()
-        nodes.add(w)
-        sort[w] = sort[x]
-        level[w] = lam
-        order.add((w, x))
-        for u in cur.strictly_below(x):
-            if level[u] < lam:
-                order.add((u, w))
-            elif lam < level[u]:
-                order.add((w, u))
+        w = _mint_below(cur, b, fresh, x, lam)
         lim[x] = w
         lim[w] = w
         return True
@@ -503,16 +546,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
             pre[x] = anc[0]
             suc.setdefault((anc[0], x), x)
             return True
-        w = fresh()
-        nodes.add(w)
-        sort[w] = sort[x]
-        level[w] = lp
-        order.add((w, x))
-        for u in cur.strictly_below(x):
-            if level[u] < lp:
-                order.add((u, w))
-            elif lp < level[u]:
-                order.add((w, u))
+        w = _mint_below(cur, b, fresh, x, lp)
         pre[x] = w
         suc[(w, x)] = x
         return True
@@ -542,9 +576,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
                 raise CannotComplete(
                     "meet of %r,%r forced below a level-0 node" % (x, y))
             z = fresh()
-            nodes.add(z)
-            sort[z] = eta
-            level[z] = Ordinal()
+            b.add_node(z, eta, Ordinal())
             order.add((z, rx))
             order.add((z, ry))
             meet[_mk(x, y)] = z
@@ -567,9 +599,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
             if not _finite_gap(level[x], level[y]):
                 continue
             z = fresh()
-            nodes.add(z)
-            sort[z] = eta
-            level[z] = target
+            b.add_node(z, eta, target)
             order.add((x, z))
             for v in ns:
                 if cur.lt(x, v) and cur.leq(v, y):
@@ -585,7 +615,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
     # G: total on declared successors along each shape edge
     for edge in cur.shape.suc_pairs():
         e1, e2 = edge
-        table = gmap.setdefault(edge, {})
+        table = b.gmap.setdefault(edge, {})
         missing = [x for x in sorted(cur.suc_members(e1)) if x not in table]
         if not missing:
             continue
@@ -599,9 +629,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
         ns2 = cur.nodes_of_sort(e2)
         if not ns2:
             r = fresh()
-            nodes.add(r)
-            sort[r] = e2
-            level[r] = Ordinal()
+            b.add_node(r, e2, Ordinal())
             lim[r] = r
             parent = r
         else:
@@ -610,9 +638,7 @@ def _step(cur: Fragment, nodes, sort, level, order, meet, suc, pre, lim,
                 continue  # meets will merge the components first
             parent = mins[0]
         t = fresh()
-        nodes.add(t)
-        sort[t] = e2
-        level[t] = level[parent].plus(1)
+        b.add_node(t, e2, level[parent].plus(1))
         order.add((parent, t))
         if parent in cur.nodes:
             for u in cur.strictly_below(parent):

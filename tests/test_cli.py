@@ -52,7 +52,8 @@ def test_global_flags_after_subcommand(capsys, chain_file):
 
 
 def test_validate_reports_violations(capsys, tmp_path, chain_file):
-    doc = json.loads(open(chain_file).read())
+    with open(chain_file) as fh:
+        doc = json.load(fh)
     doc["order"].append(["n03", "n00"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

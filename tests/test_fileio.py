@@ -18,7 +18,7 @@ from treedesk.glue import star_construct
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
 from treedesk.qe import eval_formula, extend_one_point
-from treedesk.shape import EMPTY_SHAPE
+from treedesk.shape import EMPTY_SHAPE, validate_shape
 from treedesk.structure import Fragment, Term, complete, from_standard_tree
 
 
@@ -203,6 +203,54 @@ def test_fragment_short_order_row_reports_location():
     with pytest.raises(InputError) as exc:
         fragment_from_dict(doc)
     assert exc.value.location == "fragment.order[0]"
+
+
+@pytest.mark.parametrize("shape", [
+    {"indices": ["a", 1], "root": "a"},
+    {"indices": ["a"], "root": "a", "parent": [["a"]]},
+    {"indices": ["a", "b"], "root": "a", "parent": {"a": "b", "b": "a"}},
+    {"indices": ["a"], "root": "b"},
+])
+def test_malformed_shape_reports_location(shape):
+    doc = fragment_to_dict(_chain(2))
+    doc["shape"] = shape
+    with pytest.raises(InputError) as exc:
+        fragment_from_dict(doc)
+    assert exc.value.location == "fragment.shape"
+
+
+@st.composite
+def _shape_mutation(draw, doc):
+    """Copy of doc with one field of its shape section, or one entry of
+    that field, dropped or replaced."""
+    out = copy.deepcopy(doc)
+    shape = out["shape"]
+    key = draw(st.sampled_from(sorted(shape)))
+    names = st.sampled_from(sorted(shape["indices"]) + ["x"])
+    value = (_JSON | names | st.lists(names | _JSON, max_size=4)
+             | st.dictionaries(names, names | _JSON, max_size=3))
+    field = shape[key]
+    op = draw(st.sampled_from(("drop", "replace", "entry")))
+    if op == "drop":
+        del shape[key]
+    elif op == "replace" or not field or isinstance(field, str):
+        shape[key] = draw(value)
+    elif isinstance(field, list):
+        field[draw(st.integers(0, len(field) - 1))] = draw(value)
+    else:
+        field[draw(names)] = draw(value)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzz_fragment_shape(data):
+    doc = data.draw(_shape_mutation(_FRAGMENT_DOC))
+    try:
+        f = fragment_from_dict(doc)
+    except InputError:
+        return
+    assert validate_shape(f.shape) == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gen import random_tripod
 from oracles import closure_oracle
 
+from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (
     random_closed_fragment, random_standard_fragment, three_sort_step_fixture,
 )
@@ -146,6 +148,20 @@ def test_closure_matches_oracle(seed, k):
     pool = sorted(n for n in f.nodes if f.sort.get(n) is not None)
     a = tuple(rng.sample(pool, min(2, len(pool))))
     assert closure(f, a, k) == closure_oracle(f, a, k)
+
+
+_IDEMPOTENCE_INPUTS = {
+    **{"random-%d" % seed: (lambda seed=seed: random_standard_fragment(
+        random.Random(seed), 30)) for seed in range(20)},
+    "three-sort": lambda: three_sort_step_fixture()[0],
+    "tripod": lambda: random_tripod(random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IDEMPOTENCE_INPUTS))
+def test_complete_is_idempotent(name):
+    once = complete(_IDEMPOTENCE_INPUTS[name]())
+    assert fragment_to_dict(complete(once)) == fragment_to_dict(once)
 
 
 def test_fragment_replace_is_nondestructive():
