@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 from .ordinal import Ordinal
-from .qe import eval_formula
-from .structure import Fragment, from_standard_tree, validate
+from .qe import atom_holds
+from .structure import (Fragment, SortError, UndefinedTerm,
+                        from_standard_tree, term_step, validate)
 from .types import BudgetExceeded, atomic_basis, tp_code
 
 
@@ -143,31 +144,105 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
                            arity: int | None = None) -> Coloring:
     """Coloring of index tuples of the sequence: odd lengths get 0; a
     tuple of length 2m gets 0 when its halves have equal rank-k types,
-    else 1 plus the index of the least separating atomic formula."""
+    else 1 plus the index of the least separating atomic formula.
+
+    Atoms reading an undefined term are false.  The basis for length 2m
+    is built on the sorts of the first left half that needs one, so when
+    the halves' sorts differ from those, SortError is raised by the
+    first ill-sorted atom reached: atoms are read in basis order, on the
+    left half before the right.
+    """
     seq = list(seq)
     n = len(seq)
     if arity is None:
         arity = n
     table = {}
-    basis_cache = {}
+    bases = {}
+    codes = {}
+
+    def code(half):
+        if half not in codes:
+            codes[half] = tp_code(f, half, (), k)
+        return codes[half]
+
     for m in range(1, arity // 2 + 1):
         for idxs in itertools.combinations(range(n), 2 * m):
             left = tuple(seq[i] for i in idxs[:m])
             right = tuple(seq[i] for i in idxs[m:])
-            if tp_code(f, left, (), k) == tp_code(f, right, (), k):
+            if code(left) == code(right):
                 continue
-            if m not in basis_cache:
+            if m not in bases:
                 sorts = tuple(f.sort[x] for x in left)
-                basis_cache[m] = atomic_basis(m, k, f.shape, sorts)
-            basis = basis_cache[m]
-            col = 1 + len(basis)
-            for i, (rel, t1, t2) in enumerate(basis):
-                phi = ("atom", rel, t1, t2)
-                if eval_formula(f, phi, left) != eval_formula(f, phi, right):
-                    col = 1 + i
-                    break
-            table[idxs] = col
+                bases[m] = _IndexedBasis(
+                    f, atomic_basis(m, k, f.shape, sorts))
+            table[idxs] = 1 + bases[m].first_difference(left, right)
     return Coloring(n, arity, table, 0)
+
+
+class _IndexedBasis:
+    """An atomic basis over one fragment with its terms in slots,
+    bottom-up: each distinct term once, after its arguments.  A tuple's
+    slot values are computed once and shared by every atom and pair
+    that reads them."""
+
+    def __init__(self, f: Fragment, basis):
+        self.f = f
+        self.terms = []          # (term, slots of its arguments)
+        self.slots = {}          # tuple -> its slot values
+        slot_of = {}             # id(term) -> slot; basis keeps terms alive
+        self.atoms = [(rel, self._index(t1, slot_of),
+                       self._index(t2, slot_of)) for rel, t1, t2 in basis]
+
+    def _index(self, t, slot_of) -> int:
+        """Slot of t, placing t after its arguments on first sight."""
+        s = slot_of.get(id(t))
+        if s is None:
+            args = tuple(self._index(a, slot_of) for a in t.args)
+            s = slot_of[id(t)] = len(self.terms)
+            self.terms.append((t, args))
+        return s
+
+    def values(self, assignment: tuple) -> list:
+        """Each term's value under the assignment, or the error its
+        evaluation raises (its first failing argument's, if any)."""
+        vals = self.slots.get(assignment)
+        if vals is not None:
+            return vals
+        vals = self.slots[assignment] = []
+        for t, args in self.terms:
+            argv = [vals[j] for j in args]
+            err = next((v for v in argv if isinstance(v, Exception)), None)
+            if err is None:
+                try:
+                    vals.append(term_step(self.f, t, argv, assignment))
+                except (SortError, UndefinedTerm) as e:
+                    # its traceback would keep this frame, hence every
+                    # slot list, alive until the cyclic collector runs
+                    vals.append(e.with_traceback(None))
+            else:
+                vals.append(err)
+        return vals
+
+    def first_difference(self, left: tuple, right: tuple) -> int:
+        """Index of the first atom whose truth differs between the two
+        tuples, or the number of atoms."""
+        lvals, rvals = self.values(left), self.values(right)
+        for i, (rel, s1, s2) in enumerate(self.atoms):
+            if (_atom_value(self.f, rel, lvals, s1, s2)
+                    != _atom_value(self.f, rel, rvals, s1, s2)):
+                return i
+        return len(self.atoms)
+
+
+def _atom_value(f: Fragment, rel: str, vals, s1: int, s2: int) -> bool:
+    """eval_formula on the atom from the slot values: false once a term
+    is undefined, reading t1 first; a stored SortError is raised."""
+    for v in (vals[s1], vals[s2]):
+        if isinstance(v, UndefinedTerm):
+            return False
+        if isinstance(v, Exception):
+            raise v
+    return atom_holds(f, rel, vals[s1], vals[s2])
 
 
 # ---------------------------------------------------------------------------

@@ -400,12 +400,7 @@ def eval_formula(f: Fragment, phi, assignment) -> bool:
             v2 = eval_term(f, t2, assignment)
         except UndefinedTerm:
             return False
-        if rel == "=":
-            return v1 == v2
-        if rel == "<":
-            return (f.sort.get(v1) is not None
-                    and f.sort.get(v1) == f.sort.get(v2) and f.lt(v1, v2))
-        raise ValueError("unknown relation %r" % rel)
+        return atom_holds(f, rel, v1, v2)
     if tag == "not":
         return not eval_formula(f, phi[1], assignment)
     if tag == "and":
@@ -413,6 +408,17 @@ def eval_formula(f: Fragment, phi, assignment) -> bool:
     if tag == "or":
         return any(eval_formula(f, p, assignment) for p in phi[1:])
     raise ValueError("unknown connective %r" % tag)
+
+
+def atom_holds(f: Fragment, rel: str, v1: str, v2: str) -> bool:
+    """Truth of the atom rel(v1, v2) on the values of its two terms:
+    "=" is equality; "<" needs two nodes of one sort in the order."""
+    if rel == "=":
+        return v1 == v2
+    if rel == "<":
+        return (f.sort.get(v1) is not None
+                and f.sort.get(v1) == f.sort.get(v2) and f.lt(v1, v2))
+    raise ValueError("unknown relation %r" % rel)
 
 
 def qe_candidate(phi, nvars: int, corpus, m: int,

@@ -79,9 +79,10 @@ def validate_shape(s: ShapeTree) -> list[str]:
     roots = [i for i in s.indices if i not in s.parent]
     if s.root not in idxset:
         report.append("shape-root: root %r not an index" % s.root)
-    if len(roots) != 1:
+    # no parentless index means a cycle or an unknown parent, reported below
+    if len(roots) > 1:
         report.append("shape-multiple-roots: parentless indices %r" % (roots,))
-    elif roots[0] != s.root:
+    elif roots and roots[0] != s.root:
         report.append("shape-root: declared root %r, parentless index %r" % (s.root, roots[0]))
     for i, p in s.parent.items():
         if i not in idxset:

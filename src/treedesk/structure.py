@@ -851,8 +851,16 @@ def eval_term(f: Fragment, t: Term, assignment) -> str:
     assignment: sequence or map from variable index to node id.
     Raises SortError on ill-sorted arguments, UndefinedTerm when a
     required table entry is missing (including arguments outside an
-    operator's intended domain).
+    operator's intended domain).  Arguments are evaluated in order, so
+    the first failing argument's error is the one raised.
     """
+    return term_step(f, t, [eval_term(f, a, assignment) for a in t.args],
+                     assignment)
+
+
+def term_step(f: Fragment, t: Term, vals, assignment) -> str:
+    """Value of t given the values of its arguments, in argument order:
+    one step of eval_term, raising as it does."""
     if t.op == "var":
         try:
             return assignment[t.data]
@@ -863,7 +871,6 @@ def eval_term(f: Fragment, t: Term, assignment) -> str:
         if v is None:
             raise UndefinedTerm("constant %r not declared" % (t.data,))
         return v
-    vals = [eval_term(f, a, assignment) for a in t.args]
     sorts = [f.sort.get(v) for v in vals]
     if any(s is None for s in sorts):
         raise SortError("unsorted argument in %s" % t)

@@ -269,12 +269,19 @@ def atomic_basis(n: int, k: int, shape: ShapeTree,
     terms = _symbolic_closure(n, k, shape, var_sorts)
     out = []
     for (t1, s1), (t2, s2) in itertools.combinations_with_replacement(
-            sorted(terms, key=lambda p: str(p[0])), 2):
+            sorted(terms, key=_term_key), 2):
         if s1 == s2:
             out.append(("=", t1, t2))
             out.append(("<", t1, t2))
             out.append(("<", t2, t1))
     return out
+
+
+def _term_key(p):
+    """Sort key of a (term, sort) pair.  G terms over sibling edges
+    print alike, and each index has one parent, so the sort breaks
+    every tie (else set iteration order, hence the hash seed, would)."""
+    return (str(p[0]), p[1])
 
 
 def _symbolic_closure(n, k, shape, var_sorts):
@@ -285,7 +292,7 @@ def _symbolic_closure(n, k, shape, var_sorts):
         for _ in range(shape.longest_branch()):
             s |= {(Term.wedge(t1, t2), s1)
                   for (t1, s1), (t2, s2) in itertools.combinations(sorted(
-                      s, key=lambda p: str(p[0])), 2) if s1 == s2}
+                      s, key=_term_key), 2) if s1 == s2}
             s |= {(Term.lim(t), st) for t, st in s}
             s |= {(Term.g(t, e), e[1]) for t, st in s
                   for e in shape.suc_pairs() if e[0] == st}
@@ -294,7 +301,7 @@ def _symbolic_closure(n, k, shape, var_sorts):
     def suc_layer(s):
         extra = {(Term.suc(t1, t2), s1)
                  for (t1, s1), (t2, s2) in itertools.permutations(sorted(
-                     s, key=lambda p: str(p[0])), 2) if s1 == s2}
+                     s, key=_term_key), 2) if s1 == s2}
         extra |= {(Term.pre(t), st) for t, st in s}
         return s | extra
 

@@ -219,6 +219,16 @@ def test_malformed_shape_reports_location(shape):
     assert exc.value.location == "fragment.shape"
 
 
+def test_shape_cycle_is_named():
+    doc = fragment_to_dict(_chain(2))
+    doc["shape"] = {"indices": ["a", "b"], "root": "a",
+                    "parent": {"a": "b", "b": "a"}}
+    with pytest.raises(InputError) as exc:
+        fragment_from_dict(doc)
+    assert exc.value.location == "fragment.shape"
+    assert "shape-cycle" in str(exc.value)
+
+
 @st.composite
 def _shape_mutation(draw, doc):
     """Copy of doc with one field of its shape section, or one entry of

@@ -1,10 +1,17 @@
-"""Byte-identity pins for the fragment builders.
+"""Byte-identity pins for the fragment builders and derived colorings.
 
-Each case serializes a built fragment with `fragment_to_dict` and pins
-the SHA-256 of its sorted JSON.  The digests were recorded on the code
-that copied the fragment tables by hand at each construction site, so
-they hold every builder (completion, one-point extension, star gluing,
-sort merging) to that output, fresh `_cNNN`/`_dNNN` ids included.
+Each builder case serializes a built fragment with `fragment_to_dict`
+and pins the SHA-256 of its sorted JSON.  The digests were recorded on
+the code that copied the fragment tables by hand at each construction
+site, so they hold every builder (completion, one-point extension, star
+gluing, sort merging) to that output, fresh `_cNNN`/`_dNNN` ids
+included.
+
+Each coloring case pins the SHA-256 of the sorted table of
+`coloring_from_sequence`, recorded on the code that evaluated every
+atom of the basis with `qe.eval_formula`.  Only single-sort shapes are
+pinned: there the basis order never depended on the hash seed.
+
 Never re-record them to make a refactor pass.
 """
 
@@ -19,11 +26,14 @@ import pytest
 from gen import random_tripod, rename
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (family_fragment, random_closed_fragment,
+                               random_sequence_fixture,
                                random_standard_fragment,
                                three_sort_step_fixture)
 from treedesk.glue import build_witness
+from treedesk.ordinal import Ordinal
+from treedesk.partition import coloring_from_sequence
 from treedesk.qe import extend_one_point
-from treedesk.structure import complete
+from treedesk.structure import complete, from_standard_tree
 
 
 def _digest(payload) -> str:
@@ -103,3 +113,64 @@ def test_builder_output_is_pinned(name):
     out = CASES[name]()
     payload = out if isinstance(out, list) else fragment_to_dict(out)
     assert _digest(payload) == PINNED[name]
+
+
+def _sequence_coloring(s):
+    f, seq = random_sequence_fixture(random.Random(s))
+    return coloring_from_sequence(f, seq, k=1, arity=2)
+
+
+def _chain_tail_coloring():
+    levels = {"n%02d" % i: Ordinal.nat(i) for i in range(8)}
+    names = sorted(levels)
+    edges = {(names[i], names[j]) for i in range(8)
+             for j in range(i + 1, 8)}
+    f = from_standard_tree(levels, edges)
+    return coloring_from_sequence(f, names, k=0, arity=2)
+
+
+def _arity4_coloring(s):
+    f = random_closed_fragment(random.Random(s), 18)
+    pool = sorted(x for x in f.nodes if f.sort.get(x) is not None)
+    return coloring_from_sequence(f, pool[:7], k=0, arity=4)
+
+
+COLORING_CASES = {
+    **{"sequence-%d" % s: (lambda s=s: _sequence_coloring(s))
+       for s in range(8)},
+    "chain-tail": _chain_tail_coloring,
+    **{"closed-arity4-%d" % s: (lambda s=s: _arity4_coloring(s))
+       for s in (0, 2)},
+}
+
+COLORING_PINNED = {
+    "sequence-0":
+        "245cf6d043cede5e4c41293aaa4fa0cfc69b232782e9203ca8def3adc81f6751",
+    "sequence-1":
+        "a62636ab237fdb776488c6c4da983ae3ae9e06d32e2508b89aa6cc3b0f9a8ae6",
+    "sequence-2":
+        "d2035716268a60937c4c3953c91b3bd723a394395b52a91422831bc3e493e38c",
+    "sequence-3":
+        "e24f6e85f394d9b96d93b9e4c3a839b1e7e217713cd2e6f9f190dad0c9bd86c8",
+    "sequence-4":
+        "39e14b5d6f491637bba3efdfb1471bd42aa561f43c32352cbfb23968ef85a81b",
+    "sequence-5":
+        "cbb637f10296722ef8e8ee2ddf5481c0fea551f1736d7cf35de6ed1c02d8df80",
+    "sequence-6":
+        "719dc79266db030461b69d20be9577e72cfd48d03ae45c85e64e6ae288ffce10",
+    "sequence-7":
+        "69b993e8b911edee7309366eb8f62fe944d77d6461b24d4254a02697b04902d6",
+    "chain-tail":
+        "016f3d543ec942bcb836eaa5fcd443a4f0d580579c49703093fbf5266748124b",
+    "closed-arity4-0":
+        "257f771efc72903a06b59d8fad07c95dce315fe92e01c7c683b1534879ab1bbc",
+    "closed-arity4-2":
+        "723536954be1f0d926b52c9f4d3a462aaeca97476694c6eace7dbc09e9e5ea27",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLORING_CASES))
+def test_coloring_table_is_pinned(name):
+    table = COLORING_CASES[name]().table
+    rows = sorted([list(key), c] for key, c in table.items())
+    assert _digest(rows) == COLORING_PINNED[name]

@@ -1,9 +1,15 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from treedesk.fixtures import hard_six, six_chain_base
+import treedesk
+from gen import random_tripod
+from treedesk.fixtures import hard_six, random_closed_fragment, six_chain_base
 from treedesk.ordinal import Ordinal
 from treedesk.partition import (
     Coloring, DType, PTriple, coloring_from_sequence, d_q, dtp,
@@ -11,7 +17,9 @@ from treedesk.partition import (
     p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
     validate_ptriple, validate_qnode,
 )
-from treedesk.types import BudgetExceeded
+from treedesk.qe import eval_formula
+from treedesk.structure import SortError, UndefinedTerm, eval_term
+from treedesk.types import BudgetExceeded, atomic_basis
 
 
 @given(st.integers(0, 500), st.integers(0, 500))
@@ -101,6 +109,88 @@ def test_coloring_from_sequence_homogeneous_on_chain_tail():
     assert tail == {0}
     with_root = {col.color((0, j)) for j in range(1, 8)}
     assert 0 not in with_root
+
+
+def _scan_color(f, left, right, k):
+    """Reference color of a pair of halves with distinct types: scan the
+    basis with eval_formula.  Also returns how many atoms before the
+    separating one read an undefined term on either half."""
+    sorts = tuple(f.sort[x] for x in left)
+    basis = atomic_basis(len(left), k, f.shape, sorts)
+    undefined = 0
+    for i, (rel, t1, t2) in enumerate(basis):
+        phi = ("atom", rel, t1, t2)
+        if eval_formula(f, phi, left) != eval_formula(f, phi, right):
+            return 1 + i, undefined
+        for half in (left, right):
+            try:
+                eval_term(f, t1, half), eval_term(f, t2, half)
+            except UndefinedTerm:
+                undefined += 1
+    return 1 + len(basis), undefined
+
+
+def _one_sort_sequences():
+    """(fragment, one-sort sequence, k): rank 0 on closed fragments and
+    tripods, rank 1 on two closed fragments."""
+    for s in range(3):
+        f = random_closed_fragment(random.Random(s), 18)
+        seq = sorted(x for x in f.nodes if f.sort.get(x) is not None)[:8]
+        yield from ((f, seq, k) for k in ((0, 1) if s < 2 else (0,)))
+    for s in range(2):
+        f = random_tripod(random.Random(s))
+        yield f, sorted(x for x in f.nodes if f.sort.get(x) == "r")[:8], 0
+
+
+def test_coloring_from_sequence_matches_basis_scan():
+    undefined = 0
+    for f, seq, k in _one_sort_sequences():
+        col = coloring_from_sequence(f, seq, k=k, arity=2)
+        assert col.table
+        for (i, j), c in col.table.items():
+            want, u = _scan_color(f, (seq[i],), (seq[j],), k)
+            assert c == want
+            undefined += u
+    assert undefined > 0
+
+
+def test_coloring_from_sequence_mixed_sorts_raise():
+    f = random_tripod(random.Random(2))
+    seq = sorted(x for x in f.nodes if f.sort.get(x) is not None)[:8]
+    assert len({f.sort[x] for x in seq}) > 1
+    with pytest.raises(SortError, match="level-map edge"):
+        coloring_from_sequence(f, seq, k=0, arity=2)
+
+
+_TRIPOD_COLORINGS = """
+import hashlib, json, random
+from gen import random_tripod
+from treedesk.partition import coloring_from_sequence
+h = hashlib.sha256()
+for s in range(12):
+    f = random_tripod(random.Random(s))
+    seq = sorted(x for x in f.nodes if f.sort.get(x) == "r")[:8]
+    col = coloring_from_sequence(f, seq, k=0, arity=2)
+    h.update(json.dumps(sorted([list(k), c]
+                               for k, c in col.table.items())).encode())
+print(h.hexdigest())
+"""
+
+
+def test_coloring_from_sequence_ignores_hash_seed():
+    # G terms over sibling edges print alike; their order in the basis
+    # must not come from set iteration order
+    paths = [os.path.dirname(os.path.dirname(treedesk.__file__)),
+             os.path.dirname(__file__)]
+    out = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", _TRIPOD_COLORINGS],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        out.add(run.stdout)
+    assert len(out) == 1
 
 
 def test_p_from_coloring_and_validate():

@@ -57,3 +57,8 @@ def test_validate_catches_bad_parent():
 def test_validate_catches_two_roots():
     s = ShapeTree(("a", "b"), "a", {})
     assert validate_shape(s)
+
+
+def test_validate_names_a_cycle_without_parentless_index():
+    s = ShapeTree(("a", "b"), "a", {"a": "b", "b": "a"})
+    assert validate_shape(s) == ["shape-cycle: at 'a'", "shape-cycle: at 'b'"]
