@@ -23,7 +23,7 @@ from .ordinal import Ordinal
 from .shape import ShapeTree, decompose
 from .structure import (Fragment, FragmentBuilder, Term, closure, complete,
                         eval_term, validate, CannotComplete, SortError,
-                        UndefinedTerm, _mk)
+                        UndefinedTerm, _complete_valid, _mk)
 from .types import BudgetExceeded, equiv_k, tp_code
 
 K_BUDGET = 8
@@ -115,7 +115,7 @@ def extend_one_point(fa: Fragment, abar, c: str, fb: Fragment, bbar,
             last_err = CannotComplete("extension invalid: %s" % rep[0])
             continue
         try:
-            done = complete(ext, budget_nodes)
+            done = _complete_valid(ext, budget_nodes)
         except CannotComplete as err:
             last_err = err
             continue

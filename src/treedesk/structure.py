@@ -53,7 +53,41 @@ def _mk(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
-class Fragment:
+class _OrderQueries:
+    """Order and sort queries over `nodes`, `sort`, `lim` and the strict
+    down-sets `_below`.  Fragment and completion's working state both
+    answer them here, so the two can never disagree."""
+
+    def lt(self, x: str, y: str) -> bool:
+        return x in self._below.get(y, ())
+
+    def leq(self, x: str, y: str) -> bool:
+        return x == y or self.lt(x, y)
+
+    def comparable(self, x: str, y: str) -> bool:
+        return self.leq(x, y) or self.lt(y, x)
+
+    def strictly_below(self, y: str) -> set[str]:
+        return set(self._below.get(y, ()))
+
+    def nodes_of_sort(self, eta: str) -> list[str]:
+        """Nodes of sort eta, in the order of `nodes`."""
+        return [n for n in self.nodes if self.sort.get(n) == eta]
+
+    def is_successor(self, x: str) -> bool:
+        """Declared successor: lim(x) is declared and strictly below x."""
+        l = self.lim.get(x)
+        return l is not None and l != x
+
+    def suc_members(self, eta: str) -> list[str]:
+        return [n for n in self.nodes_of_sort(eta) if self.is_successor(n)]
+
+    def minimal_nodes(self, eta: str) -> list[str]:
+        ns = set(self.nodes_of_sort(eta))
+        return sorted(n for n in ns if not (self._below[n] & ns))
+
+
+class Fragment(_OrderQueries):
     """Immutable-by-convention partial model.  Build once, then query."""
 
     def __init__(
@@ -104,18 +138,6 @@ class Fragment:
                     changed = True
         return below
 
-    def lt(self, x: str, y: str) -> bool:
-        return x in self._below.get(y, ())
-
-    def leq(self, x: str, y: str) -> bool:
-        return x == y or self.lt(x, y)
-
-    def comparable(self, x: str, y: str) -> bool:
-        return self.leq(x, y) or self.lt(y, x)
-
-    def strictly_below(self, y: str) -> set[str]:
-        return set(self._below.get(y, ()))
-
     def has_cycle(self) -> bool:
         return any(n in self._below[n] for n in self.nodes)
 
@@ -126,9 +148,6 @@ class Fragment:
 
     def level_of(self, x: str) -> Ordinal | None:
         return self.level.get(x)
-
-    def nodes_of_sort(self, eta: str) -> list[str]:
-        return [n for n in self.nodes if self.sort.get(n) == eta]
 
     def meet_of(self, x: str, y: str) -> str | None:
         return self.meet.get(_mk(x, y))
@@ -144,18 +163,6 @@ class Fragment:
 
     def g_of(self, edge: tuple[str, str], x: str) -> str | None:
         return self.gmap.get(edge, {}).get(x)
-
-    def is_successor(self, x: str) -> bool:
-        """Declared successor: lim(x) is declared and strictly below x."""
-        l = self.lim.get(x)
-        return l is not None and l != x
-
-    def suc_members(self, eta: str) -> list[str]:
-        return [n for n in self.nodes_of_sort(eta) if self.is_successor(n)]
-
-    def minimal_nodes(self, eta: str) -> list[str]:
-        ns = set(self.nodes_of_sort(eta))
-        return sorted(n for n in ns if not (self._below[n] & ns))
 
     def replace(self, **kw) -> "Fragment":
         args = dict(
@@ -333,6 +340,9 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
                 rep.append("order-level: %r < %r but levels %s >= %s"
                            % (a, y, f.level[a], f.level[y]))
 
+    of_sort: dict[str | None, list[str]] = {}
+    for n in f.nodes:
+        of_sort.setdefault(f.sort.get(n), []).append(n)
     for (x, y), m in sorted(f.meet.items()):
         sx = f.sort.get(x)
         if sx is None or f.sort.get(y) != sx or f.sort.get(m) != sx:
@@ -340,7 +350,7 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
             continue
         if not (f.leq(m, x) and f.leq(m, y)):
             rep.append("meet-lower-bound: (%r,%r)->%r" % (x, y, m))
-        for z in f.nodes_of_sort(sx):
+        for z in of_sort.get(sx, ()):
             if f.leq(z, x) and f.leq(z, y) and not f.leq(z, m):
                 rep.append("meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
 
@@ -354,7 +364,7 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
             continue
         if f.level[s] != f.level[x].plus(1):
             rep.append("suc-level: (%r,%r)->%r at %s" % (x, y, s, f.level[s]))
-        for z in f.nodes_of_sort(sx):
+        for z in of_sort.get(sx, ()):
             if f.lt(x, z) and f.lt(z, s):
                 rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
         lx, ls = f.lim.get(x), f.lim.get(s)
@@ -471,25 +481,67 @@ def _finite_gap(lx: Ordinal, ly: Ordinal) -> bool:
 
 def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     """Smallest extension (under the fixed materialization policy) on
-    which all tables are total over their intended domains."""
+    which all tables are total over their intended domains.
+
+    Raises CannotComplete when f fails `validate` ("fragment invalid"),
+    when the working fragment grows past budget_nodes nodes ("node
+    budget exceeded"), when a meet would have to be minted below a
+    level-0 node, and when the result fails `validate` ("completion
+    produced invalid fragment").
+    """
     rep = validate(f)
     if rep:
         raise CannotComplete("fragment invalid: %s" % rep[0])
-    b = FragmentBuilder(f)
+    return _complete_valid(f, budget_nodes)
+
+
+class _Completion(FragmentBuilder, _OrderQueries):
+    """complete's working state: f's tables in a builder, plus down-sets
+    that `mint` keeps exact.  Completion adds order edges only through
+    `mint`, and every such edge touches the node being minted."""
+
+    def __init__(self, f: Fragment):
+        super().__init__(f)
+        self.shape = f.shape
+        self._below = {n: set(d) for n, d in f._below.items()}
+
+    def mint(self, n: str, sort: str, level: Ordinal, below=(),
+             above=()) -> None:
+        """Add node n with order edges from each node of `below` and to
+        each node of `above`."""
+        self.add_node(n, sort, level)
+        down = set()
+        for u in below:
+            self.order.add((u, n))
+            down |= self._below[u]
+            down.add(u)
+        above = set(above)
+        for u in above:
+            self.order.add((n, u))
+        gain = down | {n}
+        for y, d in self._below.items():
+            if y in above or not d.isdisjoint(above):
+                d |= gain
+        self._below[n] = down
+
+
+def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
+    """complete for an f that already passed `validate`."""
+    w = _Completion(f)
     counter = itertools.count()
 
     def fresh() -> str:
         while True:
             n = "_c%03d" % next(counter)
-            if n not in b.nodes:
+            if n not in w.nodes:
                 return n
 
     while True:
-        if len(b.nodes) > budget_nodes:
+        if len(w.nodes) > budget_nodes:
             raise CannotComplete("node budget %d exceeded" % budget_nodes)
-        if not _step(b.freeze(f.shape, f.mode), b, fresh):
+        if not _step(w, fresh):
             break
-    out = b.freeze(f.shape, f.mode)
+    out = w.freeze(f.shape, f.mode)
     rep = validate(out)
     if rep:
         raise CannotComplete("completion produced invalid fragment: %s"
@@ -497,26 +549,19 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     return out
 
 
-def _mint_below(cur: Fragment, b: FragmentBuilder, fresh, x: str,
-                lv: Ordinal) -> str:
+def _mint_below(w: _Completion, fresh, x: str, lv: Ordinal) -> str:
     """New node at level lv on the chain below x."""
-    w = fresh()
-    b.add_node(w, b.sort[x], lv)
-    b.order.add((w, x))
-    for u in cur.strictly_below(x):
-        if b.level[u] < lv:
-            b.order.add((u, w))
-        elif lv < b.level[u]:
-            b.order.add((w, u))
-    return w
+    down = w.strictly_below(x)
+    n = fresh()
+    w.mint(n, w.sort[x], lv, below=[u for u in down if w.level[u] < lv],
+           above=[x] + [u for u in down if lv < w.level[u]])
+    return n
 
 
-def _step(cur: Fragment, b: FragmentBuilder, fresh) -> bool:
-    """Fix the first deficiency of cur (b's current freeze) in priority
-    order by editing b; True if changed."""
-    level, order, meet, suc, pre, lim = \
-        b.level, b.order, b.meet, b.suc, b.pre, b.lim
-    sorted_nodes = sorted(n for n in cur.nodes if n in cur.sort)
+def _step(w: _Completion, fresh) -> bool:
+    """Fix the first deficiency of w in priority order; True if changed."""
+    level, meet, suc, pre, lim = w.level, w.meet, w.suc, w.pre, w.lim
+    sorted_nodes = sorted(n for n in w.nodes if n in w.sort)
 
     # lim: total on sorted nodes
     for x in sorted_nodes:
@@ -527,13 +572,13 @@ def _step(cur: Fragment, b: FragmentBuilder, fresh) -> bool:
             lim[x] = x
             return True
         lam = lx.limb()
-        anc = [u for u in cur.strictly_below(x) if level[u] == lam]
+        anc = [u for u in w.strictly_below(x) if level[u] == lam]
         if anc:
             lim[x] = anc[0]
             return True
-        w = _mint_below(cur, b, fresh, x, lam)
-        lim[x] = w
-        lim[w] = w
+        n = _mint_below(w, fresh, x, lam)
+        lim[x] = n
+        lim[n] = n
         return True
 
     # pre: total on nodes at successor levels
@@ -541,69 +586,64 @@ def _step(cur: Fragment, b: FragmentBuilder, fresh) -> bool:
         if x in pre or level[x].is_limit:
             continue
         lp = level[x].predecessor()
-        anc = [u for u in cur.strictly_below(x) if level[u] == lp]
+        anc = [u for u in w.strictly_below(x) if level[u] == lp]
         if anc:
             pre[x] = anc[0]
             suc.setdefault((anc[0], x), x)
             return True
-        w = _mint_below(cur, b, fresh, x, lp)
-        pre[x] = w
-        suc[(w, x)] = x
+        n = _mint_below(w, fresh, x, lp)
+        pre[x] = n
+        suc[(n, x)] = x
         return True
 
     # meet: total on same-sort pairs
-    for eta in cur.shape.indices:
-        ns = cur.nodes_of_sort(eta)
+    for eta in w.shape.indices:
+        ns = w.nodes_of_sort(eta)
         for x, y in itertools.combinations_with_replacement(sorted(ns), 2):
             if _mk(x, y) in meet:
                 continue
-            if cur.leq(x, y):
+            if w.leq(x, y):
                 meet[_mk(x, y)] = x
                 return True
-            if cur.leq(y, x):
+            if w.leq(y, x):
                 meet[_mk(x, y)] = y
                 return True
-            common = cur.strictly_below(x) & cur.strictly_below(y)
+            common = w.strictly_below(x) & w.strictly_below(y)
             if common:
-                m = max(common, key=lambda c: len(cur.strictly_below(c)))
+                m = max(common, key=lambda c: len(w.strictly_below(c)))
                 meet[_mk(x, y)] = m
                 return True
-            rx = min(cur.strictly_below(x) | {x},
-                     key=lambda c: len(cur.strictly_below(c)))
-            ry = min(cur.strictly_below(y) | {y},
-                     key=lambda c: len(cur.strictly_below(c)))
+            rx = min(w.strictly_below(x) | {x},
+                     key=lambda c: len(w.strictly_below(c)))
+            ry = min(w.strictly_below(y) | {y},
+                     key=lambda c: len(w.strictly_below(c)))
             if level[rx].is_zero or level[ry].is_zero:
                 raise CannotComplete(
                     "meet of %r,%r forced below a level-0 node" % (x, y))
             z = fresh()
-            b.add_node(z, eta, Ordinal())
-            order.add((z, rx))
-            order.add((z, ry))
+            w.mint(z, eta, Ordinal(), above=(rx, ry))
             meet[_mk(x, y)] = z
             lim[z] = z
             return True
 
     # suc: total on finite-gap comparable pairs; declared on crossing
     # pairs whenever the required node already exists
-    for eta in cur.shape.indices:
-        ns = sorted(cur.nodes_of_sort(eta))
+    for eta in w.shape.indices:
+        ns = sorted(w.nodes_of_sort(eta))
         for x, y in itertools.permutations(ns, 2):
-            if (x, y) in suc or not cur.lt(x, y):
+            if (x, y) in suc or not w.lt(x, y):
                 continue
             target = level[x].plus(1)
             cands = [z for z in ns
-                     if level[z] == target and cur.lt(x, z) and cur.leq(z, y)]
+                     if level[z] == target and w.lt(x, z) and w.leq(z, y)]
             if cands:
                 suc[(x, y)] = cands[0]
                 return True
             if not _finite_gap(level[x], level[y]):
                 continue
             z = fresh()
-            b.add_node(z, eta, target)
-            order.add((x, z))
-            for v in ns:
-                if cur.lt(x, v) and cur.leq(v, y):
-                    order.add((z, v))
+            w.mint(z, eta, target, below=(x,),
+                   above=[v for v in ns if w.lt(x, v) and w.leq(v, y)])
             suc[(x, y)] = z
             suc[(x, z)] = z
             pre[z] = x
@@ -613,36 +653,31 @@ def _step(cur: Fragment, b: FragmentBuilder, fresh) -> bool:
             return True
 
     # G: total on declared successors along each shape edge
-    for edge in cur.shape.suc_pairs():
+    for edge in w.shape.suc_pairs():
         e1, e2 = edge
-        table = b.gmap.setdefault(edge, {})
-        missing = [x for x in sorted(cur.suc_members(e1)) if x not in table]
+        table = w.gmap.setdefault(edge, {})
+        missing = [x for x in sorted(w.suc_members(e1)) if x not in table]
         if not missing:
             continue
         x = missing[0]
-        cls = _regressive_class(cur, e1, x)
+        cls = _regressive_class(w, e1, x)
         declared = sorted({table[y] for y in cls if y in table})
         if declared:
             for y in cls:
                 table.setdefault(y, declared[0])
             return True
-        ns2 = cur.nodes_of_sort(e2)
-        if not ns2:
-            r = fresh()
-            b.add_node(r, e2, Ordinal())
-            lim[r] = r
-            parent = r
+        if not w.nodes_of_sort(e2):
+            parent = fresh()
+            w.mint(parent, e2, Ordinal())
+            lim[parent] = parent
         else:
-            mins = cur.minimal_nodes(e2)
+            mins = w.minimal_nodes(e2)
             if len(mins) > 1:
                 continue  # meets will merge the components first
             parent = mins[0]
         t = fresh()
-        b.add_node(t, e2, level[parent].plus(1))
-        order.add((parent, t))
-        if parent in cur.nodes:
-            for u in cur.strictly_below(parent):
-                order.add((u, t))
+        w.mint(t, e2, level[parent].plus(1),
+               below=[parent, *w.strictly_below(parent)])
         pre[t] = parent
         suc[(parent, t)] = t
         if level[parent].is_limit:
@@ -654,7 +689,7 @@ def _step(cur: Fragment, b: FragmentBuilder, fresh) -> bool:
     return False
 
 
-def _regressive_class(f: Fragment, eta: str, x: str) -> list[str]:
+def _regressive_class(f: _OrderQueries, eta: str, x: str) -> list[str]:
     """Connected component of x under "comparable successors sharing lim"."""
     members = {x}
     frontier = [x]

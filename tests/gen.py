@@ -7,8 +7,9 @@ system under test, and `oracles` provides the independent ground truth.
 from __future__ import annotations
 
 from treedesk.fixtures import merge_fragments, random_standard_fragment
-from treedesk.shape import EMPTY_SHAPE, ShapeTree
-from treedesk.structure import Fragment, complete
+from treedesk.ordinal import Ordinal
+from treedesk.shape import EMPTY_SHAPE, ShapeTree, chain_shape
+from treedesk.structure import Fragment, complete, from_standard_tree
 
 TRIPOD = ShapeTree(("r", "r0", "r1"), "r", {"r0": "r", "r1": "r"},
                    {"r": "r", "r0": "0", "r1": "1"})
@@ -71,3 +72,22 @@ def random_unsorted(rng, max_nodes: int = 6) -> Fragment:
     """Fragment over the empty shape: bare points, no structure."""
     n = rng.randint(2, max_nodes)
     return Fragment(EMPTY_SHAPE, tuple("x%d" % i for i in range(n)))
+
+
+def top_sort_only(rng) -> Fragment:
+    """Random tree in the top sort of a two-sort chain, lower sort
+    empty: completing it mints the lower sort's root and a G image."""
+    top = random_standard_fragment(rng, 12)
+    return merge_fragments(chain_shape(2), {"0": top})
+
+
+def two_root_forest() -> Fragment:
+    """Two trees over limit roots in the top sort of a two-sort chain,
+    lower sort empty: completing it mints a level-0 meet of the roots,
+    then the lower sort's root and a G image."""
+    w, w2 = Ordinal.omega(), Ordinal.omega(1, 2)
+    levels = {"a": w, "a1": w.plus(2), "b": w2, "b1": w2.plus(1),
+              "b2": w2.plus(3)}
+    edges = {("a", "a1"), ("b", "b1"), ("b", "b2"), ("b1", "b2")}
+    top = from_standard_tree(levels, edges, index="0", shape=chain_shape(2))
+    return merge_fragments(chain_shape(2), {"0": top})

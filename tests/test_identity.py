@@ -5,7 +5,10 @@ and pins the SHA-256 of its sorted JSON.  The digests were recorded on
 the code that copied the fragment tables by hand at each construction
 site, so they hold every builder (completion, one-point extension, star
 gluing, sort merging) to that output, fresh `_cNNN`/`_dNNN` ids
-included.
+included.  The tripod, top-sort-only and forest completions were
+recorded on the code that rebuilt a Fragment after every completion
+step; between them they mint a lim, a pre, a meet root and a lower
+sort's root with its G image.
 
 Each coloring case pins the SHA-256 of the sorted table of
 `coloring_from_sequence`, recorded on the code that evaluated every
@@ -23,7 +26,7 @@ import random
 
 import pytest
 
-from gen import random_tripod, rename
+from gen import random_tripod, rename, top_sort_only, two_root_forest
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (family_fragment, random_closed_fragment,
                                random_sequence_fixture,
@@ -60,13 +63,24 @@ CASES = {
     "family-chain-16": lambda: family_fragment("chain", 16),
     "family-binary-16": lambda: family_fragment("binary", 16),
     "three-sort": lambda: complete(three_sort_step_fixture()[0]),
-    "tripod-0": lambda: random_tripod(random.Random(0)),
+    **{"tripod-%d" % s: (lambda s=s: random_tripod(random.Random(s)))
+       for s in range(6)},
+    **{"complete-top-sort-only-%d" % s: (
+        lambda s=s: complete(top_sort_only(random.Random(s))))
+       for s in range(2)},
+    "complete-forest": lambda: complete(two_root_forest()),
     **{"witness-%s" % case: (lambda case=case: build_witness(case)[0])
        for case in ("theta", "singular", "regular", "inaccessible")},
     **{"extend-%d" % s: (lambda s=s: _extension(s)) for s in range(3)},
 }
 
 PINNED = {
+    "complete-forest":
+        "3d4740d8a293fd0438c8b570f037334400ecadbe39fa85a38b4cdfa4dee7772d",
+    "complete-top-sort-only-0":
+        "e66b0fe5d438c00da3c05c0994114f1400d8af110187a87f1ce43b8778e8ef0d",
+    "complete-top-sort-only-1":
+        "fd568cbc26bb22e61e4f732065145c8f9395f49beae455770a9bca8b482e5d12",
     "complete-random-0":
         "9a4a9441ad107b2d596c1cc47c34a5d6db6a859b5d21771fc01936e0fa6d59f2",
     "complete-random-1":
@@ -97,6 +111,16 @@ PINNED = {
         "ed78052ca5159cca6d0aabd5d384984f4016bc6f1b206fb65c6884e790c20131",
     "tripod-0":
         "5946a4000622daf8a0874738fd6ea8101eecd9c857405612f8299bd3b96d7efa",
+    "tripod-1":
+        "f4fc75d6027c7aaf1a6ad19f41690a7eadd02985b51cf13a7ee9f516c5ce7774",
+    "tripod-2":
+        "f2ce3d9e336e7683b1f79044104adf65af57cb879a0e982d7f0bf1ef0937013c",
+    "tripod-3":
+        "a3d77d3ae665a5ba1bc6ff709c1ec9680e54e1f2825da3ecfedb235fa63f7988",
+    "tripod-4":
+        "53adfb93b3f49b33afeb7b5b3f5ef7ccc790cf72538c1233715a6607896a11a3",
+    "tripod-5":
+        "59cdba7df1cfa50f458ea497dc5155bf6a5fcd883f79fd9700ba5a08ee045265",
     "witness-inaccessible":
         "eb138ae0c20c57b606e6acf97b43933b66cdb515b9c8760e57cccebda80509f0",
     "witness-regular":

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import random_tripod
+from gen import random_tripod, top_sort_only, two_root_forest
 from oracles import closure_oracle
+
+from treedesk import structure
 
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (
@@ -162,6 +164,61 @@ _IDEMPOTENCE_INPUTS = {
 def test_complete_is_idempotent(name):
     once = complete(_IDEMPOTENCE_INPUTS[name]())
     assert fragment_to_dict(complete(once)) == fragment_to_dict(once)
+
+
+def _down_sets(nodes, order):
+    """Strict down-set of every node: a search over the order's edges."""
+    parents = {n: [] for n in nodes}
+    for a, b in order:
+        parents[b].append(a)
+    out = {}
+    for n in nodes:
+        seen, todo = set(), list(parents[n])
+        while todo:
+            a = todo.pop()
+            if a not in seen:
+                seen.add(a)
+                todo.extend(parents[a])
+        out[n] = seen
+    return out
+
+
+def test_completion_down_sets_stay_exact(monkeypatch):
+    """After every completion step the maintained down-sets equal the
+    transitive closure of the working order."""
+    real_step = structure._step
+    minted = []
+
+    def checked_step(w, fresh):
+        before = len(w.nodes)
+        changed = real_step(w, fresh)
+        assert w._below == _down_sets(w.nodes, w.order)
+        minted.append(len(w.nodes) - before)
+        return changed
+
+    monkeypatch.setattr(structure, "_step", checked_step)
+    for seed in range(40):
+        complete(random_standard_fragment(random.Random(seed), 30))
+    for seed in range(10):
+        random_tripod(random.Random(seed))
+    complete(top_sort_only(random.Random(0)))
+    complete(two_root_forest())
+    assert sum(minted) > 100 and 2 in minted
+
+
+def test_complete_freezes_once(monkeypatch):
+    f = random_standard_fragment(random.Random(0), 30)
+    built = []
+    init = Fragment.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Fragment, "__init__", counting_init)
+    out = complete(f)
+    assert len(out.nodes) > len(f.nodes)
+    assert built == [out]
 
 
 def test_fragment_replace_is_nondestructive():
