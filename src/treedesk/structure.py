@@ -332,17 +332,21 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
 
     for y in f.nodes:
         down = sorted(f.strictly_below(y))
-        for a, b in itertools.combinations(down, 2):
-            if not f.comparable(a, b):
-                rep.append("order-downset-chain: %r,%r below %r" % (a, b, y))
+        # down is a chain iff its members' down-sets (inside down, as the
+        # order is transitive and acyclic) differ in size
+        if len({len(f._below[a]) for a in down}) < len(down):
+            for a, b in itertools.combinations(down, 2):
+                if not f.comparable(a, b):
+                    rep.append("order-downset-chain: %r,%r below %r"
+                               % (a, b, y))
         for a in down:
             if not f.level[a] < f.level[y]:
                 rep.append("order-level: %r < %r but levels %s >= %s"
                            % (a, y, f.level[a], f.level[y]))
 
-    of_sort: dict[str | None, list[str]] = {}
-    for n in f.nodes:
-        of_sort.setdefault(f.sort.get(n), []).append(n)
+    def downset(v):
+        return f.strictly_below(v) | {v}
+
     for (x, y), m in sorted(f.meet.items()):
         sx = f.sort.get(x)
         if sx is None or f.sort.get(y) != sx or f.sort.get(m) != sx:
@@ -350,8 +354,9 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
             continue
         if not (f.leq(m, x) and f.leq(m, y)):
             rep.append("meet-lower-bound: (%r,%r)->%r" % (x, y, m))
-        for z in of_sort.get(sx, ()):
-            if f.leq(z, x) and f.leq(z, y) and not f.leq(z, m):
+        missed = () if m in (x, y) else downset(x) & downset(y) - downset(m)
+        for z in sorted(missed):
+            if z in nodeset:
                 rep.append("meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
 
     for (x, y), s in sorted(f.suc.items()):
@@ -364,9 +369,8 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
             continue
         if f.level[s] != f.level[x].plus(1):
             rep.append("suc-level: (%r,%r)->%r at %s" % (x, y, s, f.level[s]))
-        for z in of_sort.get(sx, ()):
-            if f.lt(x, z) and f.lt(z, s):
-                rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
+        for z in sorted(z for z in f._below[s] if f.lt(x, z)):
+            rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
         lx, ls = f.lim.get(x), f.lim.get(s)
         if lx is not None and ls is not None and lx != ls:
             rep.append("lim-of-suc: lim(%r)=%r but lim(suc)=%r" % (x, lx, ls))
@@ -384,9 +388,9 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
         if f.lim.get(l) not in (None, l):
             rep.append("lim-idempotent: lim(%r)=%r, lim(%r)=%r"
                        % (x, l, l, f.lim[l]))
-    for x, y in itertools.permutations(sorted(f.lim), 2):
-        if f.lt(x, y) and not f.leq(f.lim[x], f.lim[y]):
-            rep.append("lim-monotone: %r < %r" % (x, y))
+    for x, y in sorted((x, y) for y in f.lim for x in f._below.get(y, ())
+                       if x in f.lim and not f.leq(f.lim[x], f.lim[y])):
+        rep.append("lim-monotone: %r < %r" % (x, y))
 
     for x, p in sorted(f.pre.items()):
         if f.sort.get(p) != f.sort.get(x) or f.sort.get(x) is None:
@@ -419,11 +423,12 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
                 if f.lim.get(y) == y:
                     rep.append("classT-successor-image: G%r(%r)=%r"
                                % (edge, x, y))
-        for x, y in itertools.combinations(sorted(table), 2):
-            if (f.comparable(x, y) and f.is_successor(x) and f.is_successor(y)
-                    and f.lim.get(x) == f.lim.get(y)
-                    and table[x] != table[y]):
-                rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
+        for x, y in sorted(_mk(x, y) for y in table
+                           for x in f._below.get(y, ()) if x in table
+                           and f.is_successor(x) and f.is_successor(y)
+                           and f.lim.get(x) == f.lim.get(y)
+                           and table[x] != table[y]):
+            rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
 
     if mode == "theta":
         rep.extend(_validate_theta(f))
@@ -507,17 +512,13 @@ class _Completion(FragmentBuilder, _OrderQueries):
 
     def mint(self, n: str, sort: str, level: Ordinal, below=(),
              above=()) -> None:
-        """Add node n with order edges from each node of `below` and to
-        each node of `above`."""
+        """Add node n with order edges from each node of `below`, which
+        must be closed downwards, and to each node of `above`."""
         self.add_node(n, sort, level)
-        down = set()
-        for u in below:
-            self.order.add((u, n))
-            down |= self._below[u]
-            down.add(u)
+        down = set(below)
+        self.order.update((u, n) for u in down)
         above = set(above)
-        for u in above:
-            self.order.add((n, u))
+        self.order.update((n, u) for u in above)
         gain = down | {n}
         for y, d in self._below.items():
             if y in above or not d.isdisjoint(above):
@@ -526,7 +527,9 @@ class _Completion(FragmentBuilder, _OrderQueries):
 
 
 def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
-    """complete for an f that already passed `validate`."""
+    """complete for an f that already passed `validate`: scans of
+    `_fixes`, a new one after each fix that mints, with the node budget
+    checked before each scan."""
     w = _Completion(f)
     counter = itertools.count()
 
@@ -539,7 +542,7 @@ def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
     while True:
         if len(w.nodes) > budget_nodes:
             raise CannotComplete("node budget %d exceeded" % budget_nodes)
-        if not _step(w, fresh):
+        if not any(_fixes(w, fresh)):
             break
     out = w.freeze(f.shape, f.mode)
     rep = validate(out)
@@ -558,8 +561,19 @@ def _mint_below(w: _Completion, fresh, x: str, lv: Ordinal) -> str:
     return n
 
 
-def _step(w: _Completion, fresh) -> bool:
-    """Fix the first deficiency of w in priority order; True if changed."""
+def _fixes(w: _Completion, fresh):
+    """Scan w once in priority order (lim, pre, meet, suc, G), fixing
+    each deficiency in place and yielding after each fix whether it
+    minted a node.
+
+    The scan resumes after a fix that mints nothing.  Such a fix only
+    fills missing table entries, so it makes no deficiency in an earlier
+    phase or at an earlier position.  The scan's inputs (the sorted
+    nodes, `lt`, the suc candidates, the minimal nodes of each sort)
+    change only by a mint.  After a mint the scan is stale: it stops,
+    and the caller starts a new one.  So the fixes, and the fresh ids,
+    are those of a scan restarted from the lim phase after every fix.
+    """
     level, meet, suc, pre, lim = w.level, w.meet, w.suc, w.pre, w.lim
     sorted_nodes = sorted(n for n in w.nodes if n in w.sort)
 
@@ -567,19 +581,18 @@ def _step(w: _Completion, fresh) -> bool:
     for x in sorted_nodes:
         if x in lim:
             continue
-        lx = level[x]
-        if lx.is_limit:
+        lam = level[x].limb()
+        if level[x].is_limit:
             lim[x] = x
-            return True
-        lam = lx.limb()
-        anc = [u for u in w.strictly_below(x) if level[u] == lam]
-        if anc:
+        elif anc := [u for u in w.strictly_below(x) if level[u] == lam]:
             lim[x] = anc[0]
-            return True
-        n = _mint_below(w, fresh, x, lam)
-        lim[x] = n
-        lim[n] = n
-        return True
+        else:
+            n = _mint_below(w, fresh, x, lam)
+            lim[x] = n
+            lim[n] = n
+            yield True
+            return
+        yield False
 
     # pre: total on nodes at successor levels
     for x in sorted_nodes:
@@ -587,14 +600,11 @@ def _step(w: _Completion, fresh) -> bool:
             continue
         lp = level[x].predecessor()
         anc = [u for u in w.strictly_below(x) if level[u] == lp]
-        if anc:
-            pre[x] = anc[0]
-            suc.setdefault((anc[0], x), x)
-            return True
-        n = _mint_below(w, fresh, x, lp)
-        pre[x] = n
-        suc[(n, x)] = x
-        return True
+        pre[x] = p = anc[0] if anc else _mint_below(w, fresh, x, lp)
+        suc.setdefault((p, x), x)
+        yield not anc
+        if not anc:
+            return
 
     # meet: total on same-sort pairs
     for eta in w.shape.indices:
@@ -604,30 +614,30 @@ def _step(w: _Completion, fresh) -> bool:
                 continue
             if w.leq(x, y):
                 meet[_mk(x, y)] = x
-                return True
-            if w.leq(y, x):
+            elif w.leq(y, x):
                 meet[_mk(x, y)] = y
-                return True
-            common = w.strictly_below(x) & w.strictly_below(y)
-            if common:
-                m = max(common, key=lambda c: len(w.strictly_below(c)))
-                meet[_mk(x, y)] = m
-                return True
-            rx = min(w.strictly_below(x) | {x},
-                     key=lambda c: len(w.strictly_below(c)))
-            ry = min(w.strictly_below(y) | {y},
-                     key=lambda c: len(w.strictly_below(c)))
-            if level[rx].is_zero or level[ry].is_zero:
-                raise CannotComplete(
-                    "meet of %r,%r forced below a level-0 node" % (x, y))
-            z = fresh()
-            w.mint(z, eta, Ordinal(), above=(rx, ry))
-            meet[_mk(x, y)] = z
-            lim[z] = z
-            return True
+            elif common := w.strictly_below(x) & w.strictly_below(y):
+                meet[_mk(x, y)] = max(
+                    common, key=lambda c: len(w.strictly_below(c)))
+            else:
+                rx = min(w.strictly_below(x) | {x},
+                         key=lambda c: len(w.strictly_below(c)))
+                ry = min(w.strictly_below(y) | {y},
+                         key=lambda c: len(w.strictly_below(c)))
+                if level[rx].is_zero or level[ry].is_zero:
+                    raise CannotComplete(
+                        "meet of %r,%r forced below a level-0 node" % (x, y))
+                z = fresh()
+                w.mint(z, eta, Ordinal(), above=(rx, ry))
+                meet[_mk(x, y)] = z
+                lim[z] = z
+                yield True
+                return
+            yield False
 
-    # suc: total on finite-gap comparable pairs; declared on crossing
-    # pairs whenever the required node already exists
+    # suc: declared on comparable pairs whenever the required node
+    # exists, which makes it total on finite-gap pairs x < y: pre is
+    # total by now, and y's pre chain passes through level(x)+1 above x
     for eta in w.shape.indices:
         ns = sorted(w.nodes_of_sort(eta))
         for x, y in itertools.permutations(ns, 2):
@@ -638,55 +648,40 @@ def _step(w: _Completion, fresh) -> bool:
                      if level[z] == target and w.lt(x, z) and w.leq(z, y)]
             if cands:
                 suc[(x, y)] = cands[0]
-                return True
-            if not _finite_gap(level[x], level[y]):
-                continue
-            z = fresh()
-            w.mint(z, eta, target, below=(x,),
-                   above=[v for v in ns if w.lt(x, v) and w.leq(v, y)])
-            suc[(x, y)] = z
-            suc[(x, z)] = z
-            pre[z] = x
-            lx = lim.get(x)
-            if lx is not None:
-                lim[z] = lx if level[x] != level[x].limb() else x
-            return True
+                yield False
 
     # G: total on declared successors along each shape edge
     for edge in w.shape.suc_pairs():
         e1, e2 = edge
         table = w.gmap.setdefault(edge, {})
-        missing = [x for x in sorted(w.suc_members(e1)) if x not in table]
-        if not missing:
-            continue
-        x = missing[0]
-        cls = _regressive_class(w, e1, x)
-        declared = sorted({table[y] for y in cls if y in table})
-        if declared:
+        for x in sorted(w.suc_members(e1)):
+            if x in table:
+                continue
+            cls = _regressive_class(w, e1, x)
+            declared = sorted({table[y] for y in cls if y in table})
+            if declared:
+                for y in cls:
+                    table.setdefault(y, declared[0])
+                yield False
+                continue
+            if not w.nodes_of_sort(e2):
+                parent = fresh()
+                w.mint(parent, e2, Ordinal())
+                lim[parent] = parent
+            else:
+                # meets are total by now, so e2 has one minimal node
+                parent, = w.minimal_nodes(e2)
+            t = fresh()
+            w.mint(t, e2, level[parent].plus(1),
+                   below=[parent, *w.strictly_below(parent)])
+            pre[t] = parent
+            suc[(parent, t)] = t
+            if level[parent].is_limit:
+                lim[t] = parent
             for y in cls:
-                table.setdefault(y, declared[0])
-            return True
-        if not w.nodes_of_sort(e2):
-            parent = fresh()
-            w.mint(parent, e2, Ordinal())
-            lim[parent] = parent
-        else:
-            mins = w.minimal_nodes(e2)
-            if len(mins) > 1:
-                continue  # meets will merge the components first
-            parent = mins[0]
-        t = fresh()
-        w.mint(t, e2, level[parent].plus(1),
-               below=[parent, *w.strictly_below(parent)])
-        pre[t] = parent
-        suc[(parent, t)] = t
-        if level[parent].is_limit:
-            lim[t] = parent
-        for y in cls:
-            table[y] = t
-        return True
-
-    return False
+                table[y] = t
+            yield True
+            return
 
 
 def _regressive_class(f: _OrderQueries, eta: str, x: str) -> list[str]:

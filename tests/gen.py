@@ -91,3 +91,25 @@ def two_root_forest() -> Fragment:
     edges = {("a", "a1"), ("b", "b1"), ("b", "b2"), ("b1", "b2")}
     top = from_standard_tree(levels, edges, index="0", shape=chain_shape(2))
     return merge_fragments(chain_shape(2), {"0": top})
+
+
+def corrupted_fragment(rng) -> Fragment:
+    """Completed random tree with three random edits, each an order edge
+    up the levels, a meet, lim or pre value redrawn, or a suc value
+    moved to the top of its pair.  Usually invalid, with reports from
+    every family of order and table axioms."""
+    f = complete(random_standard_fragment(rng, 14))
+    nodes = list(f.nodes)
+    for _ in range(3):
+        kind = rng.choice(("order", "meet", "suc", "lim", "pre"))
+        if kind == "order":
+            x, v = rng.sample(nodes, 2)
+            if f.level[v] < f.level[x]:
+                x, v = v, x
+            f = f.replace(order=f.order | {(x, v)})
+            continue
+        table = dict(getattr(f, kind))
+        key = rng.choice(sorted(table))
+        table[key] = key[1] if kind == "suc" else rng.choice(nodes)
+        f = f.replace(**{kind: table})
+    return f

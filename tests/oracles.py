@@ -2,7 +2,8 @@
 
 Deliberately written from the definitions, not from the library code:
 a fixpoint term-value closure, a backtracking isomorphism counter, and
-small brute-force helpers.
+small brute-force helpers.  The one exception is a reference copy of
+five of the validator's loops, kept to check their faster form.
 """
 
 from __future__ import annotations
@@ -145,3 +146,59 @@ def count_isomorphisms(fa, ca, fb, cb, base, cap: int = 2) -> int:
 
     rec(dict(base), 0)
     return found[0]
+
+
+SET_CHECKED = ("order-downset-chain", "meet-not-max", "suc-between",
+               "lim-monotone", "regressive")
+
+
+def set_checked_reports(f):
+    """The reports of the SET_CHECKED axioms that `validate` makes, in
+    its order, by the pairwise and cubic loops it used before it checked
+    them with set operations on the down-sets.  Empty when validate
+    stops at the order checks: an unknown node or a cross-sort edge in
+    the order, a cycle, or a sorted node without a level."""
+    nodes = set(f.nodes)
+    if (any(n not in f.level for n in f.sort)
+            or any(a not in nodes or b not in nodes or f.sort.get(a) is None
+                   or f.sort.get(a) != f.sort.get(b) for a, b in f.order)
+            or any(f.lt(n, n) for n in f.nodes)):
+        return []
+    rep = []
+    for y in f.nodes:
+        down = sorted(f.strictly_below(y))
+        for a, b in itertools.combinations(down, 2):
+            if not f.comparable(a, b):
+                rep.append("order-downset-chain: %r,%r below %r" % (a, b, y))
+    of_sort = {}
+    for n in f.nodes:
+        of_sort.setdefault(f.sort.get(n), []).append(n)
+    for (x, y), m in sorted(f.meet.items()):
+        sx = f.sort.get(x)
+        if sx is None or f.sort.get(y) != sx or f.sort.get(m) != sx:
+            continue
+        for z in of_sort.get(sx, ()):
+            if f.leq(z, x) and f.leq(z, y) and not f.leq(z, m):
+                rep.append("meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
+    for (x, y), s in sorted(f.suc.items()):
+        sx = f.sort.get(x)
+        if sx is None or f.sort.get(y) != sx or f.sort.get(s) != sx:
+            continue
+        if not (f.lt(x, y) and f.lt(x, s) and f.leq(s, y)):
+            continue
+        for z in of_sort.get(sx, ()):
+            if f.lt(x, z) and f.lt(z, s):
+                rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
+    for x, y in itertools.permutations(sorted(f.lim), 2):
+        if f.lt(x, y) and not f.leq(f.lim[x], f.lim[y]):
+            rep.append("lim-monotone: %r < %r" % (x, y))
+    shape_edges = set(f.shape.suc_pairs())
+    for edge, table in sorted(f.gmap.items()):
+        if edge not in shape_edges:
+            continue
+        for x, y in itertools.combinations(sorted(table), 2):
+            if (f.comparable(x, y) and f.is_successor(x) and f.is_successor(y)
+                    and f.lim.get(x) == f.lim.get(y)
+                    and table[x] != table[y]):
+                rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
+    return rep

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import SET_CHECKED, set_checked_reports
 from treedesk.fileio import (
     InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
     fragment_from_dict, fragment_to_dict, load_coloring, load_fragment,
@@ -19,7 +20,8 @@ from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
 from treedesk.qe import eval_formula, extend_one_point
 from treedesk.shape import EMPTY_SHAPE, validate_shape
-from treedesk.structure import Fragment, Term, complete, from_standard_tree
+from treedesk.structure import (Fragment, Term, complete, from_standard_tree,
+                                validate)
 
 
 def _chain(n):
@@ -195,6 +197,35 @@ def test_fuzz_fragment_rows(data):
     section, i, doc = data.draw(_row_mutation(_FRAGMENT_DOC,
                                               _FRAGMENT_SECTIONS))
     _loads_or_names_row(fragment_from_dict, doc, section, i)
+
+
+@st.composite
+def _id_swap(draw, doc):
+    """Copy of doc with one node id in one row of the order, meet, suc,
+    pre or lim section replaced by another node id.  Unlike most row
+    mutations, such documents load, and they often fail validation."""
+    out = copy.deepcopy(doc)
+    rows = out[draw(st.sampled_from(("order", "meet", "suc", "pre", "lim")))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    row[draw(st.integers(0, len(row) - 1))] = draw(
+        st.sampled_from(sorted(n["id"] for n in doc["nodes"])))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _row_mutation(_FRAGMENT_DOC, _FRAGMENT_SECTIONS).map(lambda m: m[2]),
+    _id_swap(_FRAGMENT_DOC)))
+def test_fuzz_validate_matches_reference_loops(doc):
+    """On every row mutation or id swap that loads, validate's reports of
+    the SET_CHECKED axioms equal the reference loops', in full and in
+    order."""
+    try:
+        f = fragment_from_dict(doc)
+    except InputError:
+        return
+    rep = [r for r in validate(f) if r.split(":")[0] in SET_CHECKED]
+    assert rep == set_checked_reports(f)
 
 
 def test_fragment_short_order_row_reports_location():

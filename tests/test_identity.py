@@ -1,14 +1,17 @@
 """Byte-identity pins for the fragment builders and derived colorings.
 
 Each builder case serializes a built fragment with `fragment_to_dict`
-and pins the SHA-256 of its sorted JSON.  The digests were recorded on
-the code that copied the fragment tables by hand at each construction
-site, so they hold every builder (completion, one-point extension, star
-gluing, sort merging) to that output, fresh `_cNNN`/`_dNNN` ids
-included.  The tripod, top-sort-only and forest completions were
+(a case that returns a list is taken as it is) and pins the SHA-256 of
+its sorted JSON.  The digests were recorded on the code that copied the
+fragment tables by hand at each construction site, so they hold every
+builder (completion, one-point extension, star gluing, sort merging) to
+that output, fresh `_cNNN`/`_dNNN` ids included.  The tripod, top-sort-only and forest completions were
 recorded on the code that rebuilt a Fragment after every completion
 step; between them they mint a lim, a pre, a meet root and a lower
-sort's root with its G image.
+sort's root with its G image.  The random completions past seed 7, the
+extensions at each m1 and the validator reports on corrupted trees were
+recorded on the code that restarted completion's scan after every fix
+and checked down-sets with pairwise loops.
 
 Each coloring case pins the SHA-256 of the sorted table of
 `coloring_from_sequence`, recorded on the code that evaluated every
@@ -26,7 +29,8 @@ import random
 
 import pytest
 
-from gen import random_tripod, rename, top_sort_only, two_root_forest
+from gen import (corrupted_fragment, random_tripod, rename, top_sort_only,
+                 two_root_forest)
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (family_fragment, random_closed_fragment,
                                random_sequence_fixture,
@@ -36,7 +40,7 @@ from treedesk.glue import build_witness
 from treedesk.ordinal import Ordinal
 from treedesk.partition import coloring_from_sequence
 from treedesk.qe import extend_one_point
-from treedesk.structure import complete, from_standard_tree
+from treedesk.structure import complete, from_standard_tree, validate
 
 
 def _digest(payload) -> str:
@@ -48,18 +52,23 @@ def _complete_random(s):
     return complete(random_standard_fragment(random.Random(s), 30))
 
 
-def _extension(s):
-    fa = random_closed_fragment(random.Random(100 + s), 18)
+def _extension(fa, m1=1, middle=False):
+    """Extension of fa's renamed copy at rank m1 by the image of fa's
+    last (or middle) node, over its first node."""
     fb, r = rename(fa, "y_")
     pool = sorted(fa.nodes)
-    ext, d = extend_one_point(fa, (pool[0],), pool[-1], fb,
-                              (r[pool[0]],), 1)
+    c = pool[len(pool) // 2] if middle else pool[-1]
+    ext, d = extend_one_point(fa, (pool[0],), c, fb, (r[pool[0]],), m1)
     return [fragment_to_dict(ext), d]
+
+
+def _closed(s):
+    return random_closed_fragment(random.Random(100 + s), 18)
 
 
 CASES = {
     **{"complete-random-%d" % s: (lambda s=s: _complete_random(s))
-       for s in range(8)},
+       for s in range(40)},
     "family-chain-16": lambda: family_fragment("chain", 16),
     "family-binary-16": lambda: family_fragment("binary", 16),
     "three-sort": lambda: complete(three_sort_step_fixture()[0]),
@@ -71,24 +80,89 @@ CASES = {
     "complete-forest": lambda: complete(two_root_forest()),
     **{"witness-%s" % case: (lambda case=case: build_witness(case)[0])
        for case in ("theta", "singular", "regular", "inaccessible")},
-    **{"extend-%d" % s: (lambda s=s: _extension(s)) for s in range(3)},
+    **{"extend-%d" % s: (lambda s=s: _extension(_closed(s)))
+       for s in range(3)},
+    **{"extend-m%d-closed" % m1: (lambda m1=m1: _extension(_closed(3), m1))
+       for m1 in range(3)},
+    **{"extend-m%d-tripod" % m1: (lambda m1=m1: _extension(
+        random_tripod(random.Random(2)), m1, middle=True))
+       for m1 in range(3)},
+    **{"validate-corrupted-%d" % s: (
+        lambda s=s: validate(corrupted_fragment(random.Random(s))))
+       for s in range(10)},
 }
 
 PINNED = {
     "complete-forest":
         "3d4740d8a293fd0438c8b570f037334400ecadbe39fa85a38b4cdfa4dee7772d",
-    "complete-top-sort-only-0":
-        "e66b0fe5d438c00da3c05c0994114f1400d8af110187a87f1ce43b8778e8ef0d",
-    "complete-top-sort-only-1":
-        "fd568cbc26bb22e61e4f732065145c8f9395f49beae455770a9bca8b482e5d12",
     "complete-random-0":
         "9a4a9441ad107b2d596c1cc47c34a5d6db6a859b5d21771fc01936e0fa6d59f2",
     "complete-random-1":
         "d9b267e8a98f7c2b392ca58b8ef95347b265ba609ab9d176d05391008ceba5b3",
+    "complete-random-10":
+        "b973dca4f1d2f7a910e52ed998e3b9a712825587f524e51f7ead38ec08b9a0db",
+    "complete-random-11":
+        "292fcf19519afe93633e67e154b11178c3f81da1e62cb6a800ab3677513dced0",
+    "complete-random-12":
+        "37e39b877681e42e3cd7070b3311b4c8a84fd0692cbe44ad99e67fd7c63d1e49",
+    "complete-random-13":
+        "0aab0d03d1bdccc716fab1fec5cd9fa71786eb5afd4c79aa3f38a7a97858b5ca",
+    "complete-random-14":
+        "ad75a9f7d9b082b6157d38240ae44bbeeab8a86fba266d02297e21411ef963f1",
+    "complete-random-15":
+        "dfb2c76645f8705e554c405408fa345be5bf831c5fa107537fa4dfcb27044056",
+    "complete-random-16":
+        "7677c022b6130a77e048719f4c1d9f9300664acc8083d6d5004fe6279270f309",
+    "complete-random-17":
+        "cf8c9787dfde732bc37ffe640aa70a196e9aa81f1c5ae5c2ba8c948d833f9956",
+    "complete-random-18":
+        "27e0eb22559b886f1595a83a83750d7a9c515ddc641609daf5819272acdfb8b2",
+    "complete-random-19":
+        "9bc2703f96e410fbf9bb6ff82ff398740ccb4e02e2d70f2c0d6470c8126cd8bf",
     "complete-random-2":
         "fcc29868295acdfca6ddba9088dad7666cbd06c69a766b8dd5fe5f78e7ebdd14",
+    "complete-random-20":
+        "9daa7f302481f6b4d5e132129bc8f8ba158dc6b52a5fd66568288b0cf4c57f0a",
+    "complete-random-21":
+        "21ea3a273bd0dfa42056bce54ed69687414af849a0c1183239cbf3d511a2735f",
+    "complete-random-22":
+        "53be715d3dcf052bfb8b3e71804bd6b79c2a0bc5c108d5fe97878b39702b153b",
+    "complete-random-23":
+        "f4d29ba0e565ec890791b04442feed599d74085bfa2bc547681a14b26bd817b7",
+    "complete-random-24":
+        "39737dd84a2e6b4d197e026c3894d4a4270ebcfb3e428c27c1527d2e150dadcf",
+    "complete-random-25":
+        "5688e494e45f3800c762c4d946b2a1e341add19f1c5e1c7c53e1d381bf2ca811",
+    "complete-random-26":
+        "f15089f89aa64b51e921f7ff401028b3f6742805d4dd30171fc09b931a8b6987",
+    "complete-random-27":
+        "48f73ae81e4999f73d7f9fee91aba434d3e21f2823204fd57b7cd2b4944a6f0e",
+    "complete-random-28":
+        "e57c4eff9d49e72c306987b09da039328c119682918f5765e8411fea4c294846",
+    "complete-random-29":
+        "b470ceac1e686dce94f7abcf3f95a87b8f4a4f307432837f3a32ca11eb41a64a",
     "complete-random-3":
         "ac9fe91b205c5e68c941da72fe49e5c8bdc8da4ba6f8efb59d83fa5abcbcaf52",
+    "complete-random-30":
+        "29b67f11c4d8361445ea0b9d544f91743aebb83b28b41d623754538b00ba5c28",
+    "complete-random-31":
+        "b622e13d72e130cbcfdd4fbd02f5d08695ce1f0358035816ce5e1f938feafc4a",
+    "complete-random-32":
+        "9998f80aa02c59adef09e22e619dfa6fbba888d4106d16bfc3367cd3c065786b",
+    "complete-random-33":
+        "3374f25f0d25e383f615bf22556749451e3844d1a60b006b900547d962dcd5b5",
+    "complete-random-34":
+        "78a9091ccbe80eae232e03bbc90824ee60fe92d235dc48424db5a817bd99308f",
+    "complete-random-35":
+        "f89442a365122d0aa7d52ca6d84c54669dac5f5669d98e7faa358e67bf3467f4",
+    "complete-random-36":
+        "adf4e1a49bde9e2abc605f3680b773a48e9e7bbdd3a371a5a4d5752201d72492",
+    "complete-random-37":
+        "68129614e4ff51a8da4006bbfed70c211d763b72301b77e5d68a8023451fd239",
+    "complete-random-38":
+        "1c311a661e79ce7f2565813e1017629f7dc48ea4041ec172e1a71f0fa017264d",
+    "complete-random-39":
+        "341e2195c762cc7955d79fc6a148898fec189ad48e447c7d75731ae278bc7a3a",
     "complete-random-4":
         "4fc4e79bb4aa8f6d22e6f6153dde297afd8437ae2d23ee16c4745d4d84a29a82",
     "complete-random-5":
@@ -97,12 +171,32 @@ PINNED = {
         "244ce377bc3e7807e0c18d52855da15e9aa5f389f5d83d79a1464446877fe5cf",
     "complete-random-7":
         "392d570c72d8617244ae6edea54b275ef60ea76da53b01520386edfdfce2c14f",
+    "complete-random-8":
+        "1803190b4f26de6ee3fd4c1ee644035fa9e284962d047c238ab649fad2d794ea",
+    "complete-random-9":
+        "4615017ff281165f6856196eaa10326b9792994de5444f047cf980f358c3c314",
+    "complete-top-sort-only-0":
+        "e66b0fe5d438c00da3c05c0994114f1400d8af110187a87f1ce43b8778e8ef0d",
+    "complete-top-sort-only-1":
+        "fd568cbc26bb22e61e4f732065145c8f9395f49beae455770a9bca8b482e5d12",
     "extend-0":
         "9753c9ee56e60225dfe16918d08e58f185cb880603d9373633dd0870adf799b0",
     "extend-1":
         "34332f34f5b668b39407db33c21776ae6edb1630e090882e3e56f0b2271967cb",
     "extend-2":
         "ba2fbf211d75ddaae15fba73b3b5e1ef8ee58567adecc5614177c525f626cb15",
+    "extend-m0-closed":
+        "9af7f3f2760b1aacbe0bb824054acbf65cfa99f40efc7f4d6eebfc03711d492c",
+    "extend-m0-tripod":
+        "cc6c82993c67b120e073d6b70957f5de44681a6440e13a75b255ecd9e3ebf6ca",
+    "extend-m1-closed":
+        "ab6f5375dc18dfbe3378f45a19d6ff5f087c7695969c7a299544a91cadc4f559",
+    "extend-m1-tripod":
+        "f90e9b95ed76752aca5b9e3263a019d352c0a0fc8e9cabfe95b92335a5785129",
+    "extend-m2-closed":
+        "ab6f5375dc18dfbe3378f45a19d6ff5f087c7695969c7a299544a91cadc4f559",
+    "extend-m2-tripod":
+        "f90e9b95ed76752aca5b9e3263a019d352c0a0fc8e9cabfe95b92335a5785129",
     "family-binary-16":
         "f83860c23866451c6e1cf90974e65726fbedff6cb38a62a5c90d209b9fd596be",
     "family-chain-16":
@@ -121,6 +215,26 @@ PINNED = {
         "53adfb93b3f49b33afeb7b5b3f5ef7ccc790cf72538c1233715a6607896a11a3",
     "tripod-5":
         "59cdba7df1cfa50f458ea497dc5155bf6a5fcd883f79fd9700ba5a08ee045265",
+    "validate-corrupted-0":
+        "07d45a7ec1bbe62b4dd7fb7804ee0cc8c09ff89694b1f8fcbc441114232bbb98",
+    "validate-corrupted-1":
+        "37623600861888558f1353e8426b3e6b9c7e2c15ca293bf2f08e6444c48781db",
+    "validate-corrupted-2":
+        "49f22c556d86524c40554f3b1872555f9aaa01b9d827b09ddb49939e1fa3f137",
+    "validate-corrupted-3":
+        "06e084044354849ef026c8142294f3f8a45e2246339c3c2125acff0aacb12501",
+    "validate-corrupted-4":
+        "e4b805753b861a662c722bc5621261886816a7a5b921bb99781808a596cbca79",
+    "validate-corrupted-5":
+        "012c3737d6d79b076b4d649d9c0a758cb1c7d5986c671dbd24f7544002aa7224",
+    "validate-corrupted-6":
+        "939e5c7ed968b0575c69daca5c2e7dc3b26c5734f3627f97462c9acb9e229bbe",
+    "validate-corrupted-7":
+        "aea81fa3821dcaa16e27fd01df5ee35f3834aecba259077fae92b4640d22ea75",
+    "validate-corrupted-8":
+        "1d6b350671485f3c95bd4d2261d835afbca65d5864461bb241fa9775d5e7405d",
+    "validate-corrupted-9":
+        "224c7fcf8e52eb97af76852044b48536aaf04b44671897cbfd01723498e16736",
     "witness-inaccessible":
         "eb138ae0c20c57b606e6acf97b43933b66cdb515b9c8760e57cccebda80509f0",
     "witness-regular":

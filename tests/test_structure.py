@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import random_tripod, top_sort_only, two_root_forest
-from oracles import closure_oracle
+from gen import (corrupted_fragment, random_tripod, top_sort_only,
+                 two_root_forest)
+from oracles import SET_CHECKED, closure_oracle, set_checked_reports
 
 from treedesk import structure
 
@@ -152,6 +153,50 @@ def test_closure_matches_oracle(seed, k):
     assert closure(f, a, k) == closure_oracle(f, a, k)
 
 
+def assert_set_checked_reports_match(f):
+    """validate's reports of the SET_CHECKED axioms equal the reference
+    loops', in full and in order."""
+    rep = [r for r in validate(f) if r.split(":")[0] in SET_CHECKED]
+    assert rep == set_checked_reports(f)
+
+
+def _set_checked_faults():
+    f, _ = three_sort_step_fixture()
+    order = set(f.order)
+    g01 = {**f.gmap[("0", "1")], "a_s3": "b_v0", "a_s2": "b_v1"}
+    return {
+        "downset-chain": f.replace(order=order | {("a_s0", "a_s1")}),
+        "downset-chains": f.replace(
+            order=order | {("a_s0", "a_s1"), ("a_s0", "a_s3")}),
+        "meet-not-max": f.replace(meet={**f.meet, ("a_p0", "a_s0"): "a_r"}),
+        "meet-misses-several": f.replace(
+            meet={**f.meet, ("a_s2", "a_s3"): "a_m0"}),
+        "suc-between": f.replace(suc={**f.suc, ("a_r", "a_m1"): "a_m1"}),
+        "lim-monotone": f.replace(lim={**f.lim, "a_m2": "a_m0"}),
+        "regressive": f.replace(gmap={**f.gmap, ("0", "1"): g01}),
+        "all": f.replace(
+            order=order | {("a_s0", "a_s1")},
+            meet={**f.meet, ("a_s2", "a_s3"): "a_m0"},
+            suc={**f.suc, ("a_r", "a_m2"): "a_m2"},
+            lim={**f.lim, "a_p1": "a_m0"},
+            gmap={**f.gmap, ("0", "1"): g01}),
+    }
+
+
+def test_validate_matches_reference_loops_by_hand():
+    seen = set()
+    for f in _set_checked_faults().values():
+        seen |= {r.split(":")[0] for r in validate(f)}
+        assert_set_checked_reports_match(f)
+    assert set(SET_CHECKED) <= seen
+
+
+def test_validate_matches_reference_loops_on_corrupted_trees():
+    for seed in range(60):
+        f = corrupted_fragment(random.Random(seed))
+        assert_set_checked_reports_match(f)
+
+
 _IDEMPOTENCE_INPUTS = {
     **{"random-%d" % seed: (lambda seed=seed: random_standard_fragment(
         random.Random(seed), 30)) for seed in range(20)},
@@ -183,27 +228,62 @@ def _down_sets(nodes, order):
     return out
 
 
-def test_completion_down_sets_stay_exact(monkeypatch):
-    """After every completion step the maintained down-sets equal the
-    transitive closure of the working order."""
-    real_step = structure._step
-    minted = []
+def _watch_fixes(monkeypatch):
+    """Wrap completion's scans: count the scans started, and after every
+    fix check the maintained down-sets against the transitive closure of
+    the working order and record how many nodes the fix minted."""
+    real_fixes = structure._fixes
+    scans, minted = [], []
 
-    def checked_step(w, fresh):
+    def checked_fixes(w, fresh):
+        scans.append(len(w.nodes))
         before = len(w.nodes)
-        changed = real_step(w, fresh)
-        assert w._below == _down_sets(w.nodes, w.order)
-        minted.append(len(w.nodes) - before)
-        return changed
+        for did_mint in real_fixes(w, fresh):
+            assert w._below == _down_sets(w.nodes, w.order)
+            minted.append(len(w.nodes) - before)
+            assert did_mint == (minted[-1] > 0)
+            before = len(w.nodes)
+            yield did_mint
 
-    monkeypatch.setattr(structure, "_step", checked_step)
+    monkeypatch.setattr(structure, "_fixes", checked_fixes)
+    return scans, minted
+
+
+def _completion_inputs():
     for seed in range(40):
-        complete(random_standard_fragment(random.Random(seed), 30))
+        yield random_standard_fragment(random.Random(seed), 30)
+    yield top_sort_only(random.Random(0))
+    yield two_root_forest()
+
+
+def test_completion_down_sets_stay_exact(monkeypatch):
+    """After every completion fix the maintained down-sets equal the
+    transitive closure of the working order."""
+    _, minted = _watch_fixes(monkeypatch)
+    for f in _completion_inputs():
+        complete(f)
     for seed in range(10):
         random_tripod(random.Random(seed))
-    complete(top_sort_only(random.Random(0)))
-    complete(two_root_forest())
     assert sum(minted) > 100 and 2 in minted
+
+
+def test_completion_restarts_only_after_mints(monkeypatch):
+    """A scan resumes after each fix that mints nothing, so completion
+    starts one scan, plus one more after each minting fix."""
+    scans, minted = _watch_fixes(monkeypatch)
+    complete(random_standard_fragment(random.Random(0), 30))
+    mints = sum(1 for n in minted if n)
+    assert len(scans) == mints + 1
+    assert len(minted) > len(scans)
+
+
+def test_completion_is_closed():
+    """No suc is minted and no sort has two minimal nodes in the G
+    phase, yet every completion is closed."""
+    for f in _completion_inputs():
+        assert is_closed(complete(f))
+    for seed in range(10):
+        assert is_closed(random_tripod(random.Random(seed)))
 
 
 def test_complete_freezes_once(monkeypatch):
