@@ -643,11 +643,13 @@ def _fixes(w: _Completion, fresh):
         for x, y in itertools.permutations(ns, 2):
             if (x, y) in suc or not w.lt(x, y):
                 continue
+            # the candidates lie on the chain below(y) + y, and the
+            # least id among them is the first in the sorted ns
             target = level[x].plus(1)
-            cands = [z for z in ns
-                     if level[z] == target and w.lt(x, z) and w.leq(z, y)]
+            cands = [z for z in w._below[y] | {y} if w.sort.get(z) == eta
+                     and level[z] == target and w.lt(x, z)]
             if cands:
-                suc[(x, y)] = cands[0]
+                suc[(x, y)] = min(cands)
                 yield False
 
     # G: total on declared successors along each shape edge
@@ -783,12 +785,26 @@ def closure(f: Fragment, a, variant="zero") -> frozenset[str]:
     The rank-k variant applies the one-step closure k times on top of
     the rank-0 closure, so it contains every term value of successor
     rank at most k over the generators.
+
+    Raises NotClosed unless f is closed, then KeyError for a node of
+    `a` that is not in f.
     """
+    _require_closed(f)
+    return _closure(f, a, variant)
+
+
+def _require_closed(f: Fragment) -> None:
+    """Raise NotClosed unless f is closed (see `is_closed`)."""
     if not is_closed(f):
         raise NotClosed("closure requires a completed fragment")
+
+
+def _closure(f: Fragment, a, variant="zero") -> frozenset[str]:
+    """`closure` for an f already known to be closed."""
     s = frozenset(a)
+    nodes = set(f.nodes)
     for x in s:
-        if x not in set(f.nodes):
+        if x not in nodes:
             raise KeyError("unknown node %r" % x)
     if variant == "wedge":
         return _cl_wedge(f, s)

@@ -9,6 +9,16 @@ compute it by color refinement seeded with the generator positions,
 with individualization as a fallback for the rare unbroken ties.
 Serializing the induced structure along the canonical ordering gives a
 code whose equality is equivalence.
+
+Closures are defined only on closed fragments.  Each public entry point
+checks closedness once, at its start, and raises NotClosed on an
+unclosed fragment; the private `_tp_code` and `_canon` below it assume
+a closed fragment.  So `count_type_classes` checks once per call, not
+once per tuple.  A node that is not in the fragment raises KeyError,
+after the closedness check, and a tuple count over budget raises
+BudgetExceeded, before it.  Refinement indexes the closure's order,
+lim, meet and G relations once per call, so each round reads only an
+element's own neighbours.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ import itertools
 import math
 
 from .shape import ShapeTree
-from .structure import Fragment, Term, closure, distance
+from .structure import (Fragment, Term, _closure, _require_closed, closure,
+                        distance)
 
 
 class BudgetExceeded(RuntimeError):
@@ -58,36 +69,63 @@ def _ranks(colors):
 
 
 def _refine(f: Fragment, elems, colors):
-    """1-dimensional refinement over the reduced-language structure."""
-    elems = list(elems)
+    """1-dimensional refinement over the reduced-language structure.
+
+    The order, lim, meet and G relations are indexed once, restricted to
+    elems, so each round builds an element's signature from its own
+    neighbours only."""
+    elems = sorted(elems)
     es = set(elems)
-    meets = [(x, y, m) for (x, y), m in f.meet.items()
-             if x in es and y in es and m in es]
-    gs = [(e, x, y) for e, t in f.gmap.items()
-          for x, y in t.items() if x in es and y in es]
+    below = {x: f.strictly_below(x) & es for x in elems}
+    above = {x: [] for x in elems}
+    lim_from = {x: [] for x in elems}
+    marg = {x: [] for x in elems}
+    mval = {x: [] for x in elems}
+    garg = {x: [] for x in elems}
+    gval = {x: [] for x in elems}
+    for y in elems:
+        for x in below[y]:
+            above[x].append(y)
+        if (l := f.lim.get(y)) in es:
+            lim_from[l].append(y)
+    for a, b, m in _closure_meets(f, elems, es):
+        marg[a].append((b, m))
+        if b != a:
+            marg[b].append((a, m))
+        mval[m].append((a, b))
+    for e, table in f.gmap.items():
+        for x in elems:
+            if (y := table.get(x)) in es:
+                garg[x].append((e, y))
+                gval[y].append((e, x))
     ranks = _ranks(colors)
     while True:
         new = {}
         for x in elems:
-            below = tuple(sorted(ranks[y] for y in elems if f.lt(y, x)))
-            above = tuple(sorted(ranks[y] for y in elems if f.lt(x, y)))
             l = f.lim.get(x)
-            lim_to = ranks[l] if l in es else -1
-            lim_from = tuple(sorted(ranks[y] for y in elems
-                                    if f.lim.get(y) == x))
-            marg = tuple(sorted((ranks[b] if x == a else ranks[a],
-                                 ranks[m])
-                                for a, b, m in meets if x in (a, b)))
-            mval = tuple(sorted((ranks[a], ranks[b])
-                                for a, b, m in meets if m == x))
-            garg = tuple(sorted((e, ranks[y]) for e, a, y in gs if a == x))
-            gval = tuple(sorted((e, ranks[a]) for e, a, y in gs if y == x))
-            new[x] = (ranks[x], below, above, lim_to, lim_from,
-                      marg, mval, garg, gval)
+            new[x] = (
+                ranks[x],
+                tuple(sorted(ranks[y] for y in below[x])),
+                tuple(sorted(ranks[y] for y in above[x])),
+                ranks[l] if l in es else -1,
+                tuple(sorted(ranks[y] for y in lim_from[x])),
+                tuple(sorted((ranks[y], ranks[m]) for y, m in marg[x])),
+                tuple(sorted((ranks[a], ranks[b]) for a, b in mval[x])),
+                tuple(sorted((e, ranks[y]) for e, y in garg[x])),
+                tuple(sorted((e, ranks[a]) for e, a in gval[x])))
         nr = _ranks(new)
         if nr == ranks:
             return ranks
         ranks = nr
+
+
+def _closure_meets(f: Fragment, elems, es):
+    """(x, y, meet) for each pair x <= y of the sorted elems whose meet is
+    declared and lies in es: the meet table restricted to es."""
+    for i, x in enumerate(elems):
+        for y in elems[i:]:
+            if (m := f.meet.get((x, y))) in es:
+                yield x, y, m
 
 
 def _structure_record(f: Fragment, listed):
@@ -97,15 +135,13 @@ def _structure_record(f: Fragment, listed):
                   if f.lt(listed[i], listed[j]))
     meet = tuple(sorted(
         (min(pos[x], pos[y]), max(pos[x], pos[y]), pos[m])
-        for (x, y), m in f.meet.items()
-        if x in pos and y in pos and m in pos))
+        for x, y, m in _closure_meets(f, sorted(listed), pos)))
     lim = tuple(sorted(
-        (pos[x], pos[l]) for x, l in f.lim.items()
-        if x in pos and l in pos))
+        (pos[x], pos[l]) for x in listed if (l := f.lim.get(x)) in pos))
     g = tuple(sorted(
         (edge, pos[x], pos[y])
         for edge, table in f.gmap.items()
-        for x, y in table.items() if x in pos and y in pos))
+        for x in listed if (y := table.get(x)) in pos))
     consts = tuple(sorted(
         (key, pos[v]) for key, v in f.constants.items() if v in pos))
     sorts = tuple(_sort_key(f.sort.get(x)) for x in listed)
@@ -132,14 +168,24 @@ def _canon_order(f: Fragment, elems, colors):
 
 
 def _canon(f: Fragment, gens: tuple[str, ...], k: int):
-    c = closure(f, set(gens), k)
+    """Canonical listing of the rank-k closure of gens, for a closed f."""
+    c = _closure(f, set(gens), k)
     listed = _canon_order(f, c, _initial_colors(f, c, gens))
     pos = {x: i for i, x in enumerate(listed)}
     return listed, pos
 
 
 def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
-    """Canonical code of the rank-k type of the tuple over the set."""
+    """Canonical code of the rank-k type of the tuple over the set.
+
+    Raises NotClosed unless f is closed, then KeyError for a node of
+    the tuple or the set that is not in f."""
+    _require_closed(f)
+    return _tp_code(f, abar, a_set, k)
+
+
+def _tp_code(f: Fragment, abar, a_set, k: int) -> bytes:
+    """`tp_code` for an f already known to be closed."""
     abar = tuple(abar)
     gens = abar + tuple(sorted(a_set))
     listed, pos = _canon(f, gens, k)
@@ -153,7 +199,10 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
     """Witness map between rank-k closures, or None.
 
     Parameter sets are aligned after sorting; over a shared set within
-    one fragment pass the same set twice.
+    one fragment pass the same set twice.  Tuples or sets of different
+    lengths, or different shapes, give None before any check; then fa
+    and, after it, fb must be closed (NotClosed) and contain their
+    nodes (KeyError).
     """
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) != len(bbar) or len(tuple(a_set)) != len(tuple(b_set)):
@@ -162,7 +211,9 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
         return None
     ga = abar + tuple(sorted(a_set))
     gb = bbar + tuple(sorted(b_set))
+    _require_closed(fa)
     la, pa = _canon(fa, ga, k)
+    _require_closed(fb)
     lb, pb = _canon(fb, gb, k)
     if tuple(pa[x] for x in ga) != tuple(pb[x] for x in gb):
         return None
@@ -173,15 +224,20 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
 
 def count_type_classes(f: Fragment, a_set, k: int, n: int,
                        budget_tuples: int = 250000) -> int:
-    """Number of rank-k type codes over the set among all n-tuples."""
+    """Number of rank-k type codes over the set among all n-tuples.
+
+    Raises BudgetExceeded when f has more than budget_tuples n-tuples,
+    then NotClosed unless f is closed (checked once per call, not per
+    tuple), then KeyError for a node of the set that is not in f."""
     total = len(f.nodes) ** n
     if total > budget_tuples:
         raise BudgetExceeded("%d tuples exceed budget %d"
                              % (total, budget_tuples))
+    _require_closed(f)
     a_set = tuple(sorted(a_set))
     codes = set()
     for tup in itertools.product(f.nodes, repeat=n):
-        codes.add(tp_code(f, tup, a_set, k))
+        codes.add(_tp_code(f, tup, a_set, k))
     return len(codes)
 
 
@@ -201,6 +257,7 @@ def questionnaire_code(f: Fragment, a: str, a_set, k: int):
         raise WrongShape("questionnaire applies to single-sort fragments")
     gens = tuple(sorted(a_set))
     if gens:
+        _require_closed(f)
         b_list, _ = _canon(f, gens, 0)
     else:
         b_list = sorted(closure(f, (), 0)) if f.constants else []

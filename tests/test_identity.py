@@ -18,6 +18,14 @@ Each coloring case pins the SHA-256 of the sorted table of
 atom of the basis with `qe.eval_formula`.  Only single-sort shapes are
 pinned: there the basis order never depended on the hash seed.
 
+Each type case pins the SHA-256 of a sweep over one closed fragment:
+for every rank and parameter prefix, the `tp_code` of every node, the
+`count_type_classes` count, the `equiv_k` maps from each node to its
+first equal-coded node and to its predecessor in a renamed copy, and,
+on single-sort fragments, every `questionnaire_code` record.  They were
+recorded on the code that checked closedness in every `closure` call
+and refined by scanning the whole meet and G tables for each element.
+
 Never re-record them to make a refactor pass.
 """
 
@@ -32,7 +40,8 @@ import pytest
 from gen import (corrupted_fragment, random_tripod, rename, top_sort_only,
                  two_root_forest)
 from treedesk.fileio import fragment_to_dict
-from treedesk.fixtures import (family_fragment, random_closed_fragment,
+from treedesk.fixtures import (family_fragment, family_parameter_pool,
+                               random_closed_fragment,
                                random_sequence_fixture,
                                random_standard_fragment,
                                three_sort_step_fixture)
@@ -41,6 +50,8 @@ from treedesk.ordinal import Ordinal
 from treedesk.partition import coloring_from_sequence
 from treedesk.qe import extend_one_point
 from treedesk.structure import complete, from_standard_tree, validate
+from treedesk.types import (count_type_classes, equiv_k, questionnaire_code,
+                            tp_code)
 
 
 def _digest(payload) -> str:
@@ -312,3 +323,84 @@ def test_coloring_table_is_pinned(name):
     table = COLORING_CASES[name]().table
     rows = sorted([list(key), c] for key, c in table.items())
     assert _digest(rows) == COLORING_PINNED[name]
+
+
+def _type_sweep(f, pool, ks, prefixes=range(4)):
+    g, r = rename(f, "y_")
+    nodes = sorted(f.nodes)
+    rows = []
+    for k in ks:
+        for p in prefixes:
+            a_set, b_set = pool[:p], [r[x] for x in pool[:p]]
+            codes = [tp_code(f, (x,), a_set, k).decode() for x in nodes]
+            first = {}
+            for x, c in zip(nodes, codes):
+                first.setdefault(c, x)
+            maps = []
+            for i, x in enumerate(nodes):
+                for y in (first[codes[i]], nodes[i - 1]):
+                    m = equiv_k(f, (x,), g, (r[y],), k, a_set, b_set)
+                    maps.append(None if m is None else sorted(m.items()))
+            row = [k, p, codes, count_type_classes(f, a_set, k, 1), maps]
+            if len(f.shape) == 1:
+                row.append([questionnaire_code(f, x, a_set, k)
+                            for x in nodes])
+            rows.append(row)
+    return rows
+
+
+def _family_sweep(family):
+    f = family_fragment(family, 16)
+    return _type_sweep(f, family_parameter_pool(f, family), range(3))
+
+
+def _sorted_pool(f):
+    return sorted(x for x in f.nodes if f.sort.get(x) is not None)
+
+
+def _tripod_sweep(s):
+    f = random_tripod(random.Random(s))
+    return _type_sweep(f, _sorted_pool(f), range(2))
+
+
+def _closed_sweep(s):
+    f = random_closed_fragment(random.Random(200 + s), 18)
+    return _type_sweep(f, _sorted_pool(f), range(3))
+
+
+TYPE_CASES = {
+    **{"family-%s-16" % fam: (lambda fam=fam: _family_sweep(fam))
+       for fam in ("chain", "binary")},
+    **{"tripod-%d" % s: (lambda s=s: _tripod_sweep(s)) for s in range(5)},
+    **{"closed-%d" % s: (lambda s=s: _closed_sweep(s)) for s in range(4)},
+}
+
+TYPE_PINNED = {
+    "closed-0":
+        "0f399b620716c97ff6f31c8269f800cc55be294ba0ca7a9c24a40c9aa12e2ef0",
+    "closed-1":
+        "5ae9c1efb3d4e9185d314a1cd9db28d26058ec492677fa6b1a52f1236bce8beb",
+    "closed-2":
+        "fda81f84cb4415929faed3c3255a1c0a94c619ab8bad9ddc9fd43be0227f7a7a",
+    "closed-3":
+        "bf1a1adb78d150f424baa0fe37ec3bd8c14bdcbc14e79416cc73d608d33ac280",
+    "family-binary-16":
+        "83eaab87237b4cd0ddb86715c2c476a911a5a00f7202149c55abe28e8e3795fe",
+    "family-chain-16":
+        "aff11b68aa39b3c910f17050d4b1f2ce708c23b036eba078e7ec526f00a2c88e",
+    "tripod-0":
+        "2433ae7b82ea7fa5a0a6efb1a67939990fd594ba0abded4854556103b6a35b5c",
+    "tripod-1":
+        "341f42d271455b75aaffb7acb6482f92b2f226fe47ee4203475cf1bfac1255de",
+    "tripod-2":
+        "2751ebb9419df1a7e1626e36ce81908b19091916a9d36576116e16019bbb6665",
+    "tripod-3":
+        "3a9ccea2ef134860ae9ddd2ed3c4c0e6fbcccefc351d5c7efc3ebd744c255e38",
+    "tripod-4":
+        "2b23f56fdb6bc5e1aa6e20fbaa9f1779fcfd1c2c19d665666b934475b3bf3d5c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_CASES))
+def test_type_sweep_is_pinned(name):
+    assert _digest(TYPE_CASES[name]()) == TYPE_PINNED[name]

@@ -166,7 +166,11 @@ _TRIPOD_COLORINGS = """
 import hashlib, json, random
 from gen import random_tripod
 from treedesk.partition import coloring_from_sequence
+from treedesk.types import tp_code
 h = hashlib.sha256()
+f = random_tripod(random.Random(0))
+for x in sorted(f.nodes):
+    h.update(tp_code(f, (x,), (), 1))
 for s in range(12):
     f = random_tripod(random.Random(s))
     seq = sorted(x for x in f.nodes if f.sort.get(x) == "r")[:8]

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 from gen import rename
 from oracles import count_isomorphisms
 
-from treedesk.fixtures import random_closed_fragment, three_sort_step_fixture
+from treedesk import structure
+from treedesk.fixtures import (random_closed_fragment,
+                               random_standard_fragment,
+                               three_sort_step_fixture)
 from treedesk.ordinal import Ordinal
-from treedesk.structure import closure, complete, from_standard_tree
+from treedesk.structure import NotClosed, closure, complete, from_standard_tree
 from treedesk.types import (
     BadSeries, WrongShape, count_type_classes, equiv_k, estimate_degree,
     questionnaire_code, tp_code,
@@ -130,3 +133,70 @@ def test_code_equality_matches_unique_isomorphism(seed, k):
     assert same == (n_iso > 0)
     if same:
         assert n_iso == 1
+
+
+# Closedness is checked once per public call, before any unknown node
+# raises KeyError.
+
+_NOT_CLOSED = "closure requires a completed fragment"
+
+
+def _unclosed():
+    f = random_standard_fragment(random.Random(3), 12)
+    assert not structure.validate(f) and not structure.is_closed(f)
+    return f
+
+
+def test_count_type_classes_checks_closedness_once(monkeypatch):
+    calls = []
+    is_closed = structure.is_closed
+
+    def counted(f):
+        calls.append(f)
+        return is_closed(f)
+
+    monkeypatch.setattr(structure, "is_closed", counted)
+    f = _chain(5)
+    assert count_type_classes(f, ("n02",), 1, 1) == 5
+    assert count_type_classes(f, ("n02",), 0, 2) > 0
+    assert calls == [f, f]
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, x: tp_code(f, (x,), (), 1),
+    lambda f, x: count_type_classes(f, (x,), 0, 1),
+    lambda f, x: equiv_k(f, (x,), f, (x,), 0),
+    lambda f, x: questionnaire_code(f, x, (x,), 0),
+    lambda f, x: tp_code(f, ("nowhere",), (), 0),
+    lambda f, x: count_type_classes(f, ("nowhere",), 0, 1),
+    lambda f, x: equiv_k(f, ("nowhere",), f, ("nowhere",), 0),
+])
+def test_unclosed_fragment_raises_not_closed_first(call):
+    f = _unclosed()
+    with pytest.raises(NotClosed, match=_NOT_CLOSED):
+        call(f, f.nodes[0])
+
+
+def test_unknown_node_raises_key_error_on_closed_fragment():
+    f = _chain(5)
+    with pytest.raises(KeyError, match="nowhere"):
+        tp_code(f, ("nowhere",), (), 0)
+    with pytest.raises(KeyError, match="nowhere"):
+        tp_code(f, ("n01",), ("nowhere",), 0)
+    with pytest.raises(KeyError, match="nowhere"):
+        count_type_classes(f, ("nowhere",), 0, 1)
+    with pytest.raises(KeyError, match="nowhere"):
+        questionnaire_code(f, "n01", ("nowhere",), 0)
+
+
+def test_equiv_k_checks_fa_before_fb():
+    closed, unclosed = _chain(5), _unclosed()
+    x, y = closed.nodes[0], unclosed.nodes[0]
+    with pytest.raises(NotClosed, match=_NOT_CLOSED):
+        equiv_k(unclosed, (y,), closed, ("nowhere",), 0)
+    with pytest.raises(KeyError, match="nowhere"):
+        equiv_k(closed, ("nowhere",), unclosed, (y,), 0)
+    with pytest.raises(NotClosed, match=_NOT_CLOSED):
+        equiv_k(closed, (x,), unclosed, (y,), 0)
+    with pytest.raises(KeyError, match="nowhere"):
+        equiv_k(closed, (x,), closed, ("nowhere",), 0)
