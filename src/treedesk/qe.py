@@ -8,22 +8,27 @@ existential formulas.
 
 The one-point extension is a transfer construction: the rank-m1
 closure of the source tuple with the new point is mapped into the
-target fragment, reusing target structure wherever the declared tables
-force it and minting fresh nodes for the genuinely new part.  Levels
-for fresh nodes are fitted into the target's level geometry, choosing
-the minimal admissible distance from the lower endpoint.  The result
-is verified post-hoc by the independent equivalence checker.
+target fragment.  One propagation settles every image the target's
+tables force: values of lim, pre, suc, meet and the level maps, and
+level-map values shared along a chain by the regressive axiom.  The
+other nodes are fitted into the target's level geometry at the least
+admissible level; one that lands on a level its chain in the target
+already holds is that node, unless the identification ends in a
+conflict, and then it goes above.  Fresh nodes are minted for the
+rest, and the extension is built once, validated, completed and
+verified post-hoc by the independent equivalence checker.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .ordinal import Ordinal
 from .shape import ShapeTree, decompose
-from .structure import (Fragment, FragmentBuilder, Term, closure, complete,
-                        eval_term, validate, CannotComplete, SortError,
-                        UndefinedTerm, _complete_valid, _mk)
+from .structure import (Fragment, Term, eval_term, validate, CannotComplete,
+                        SortError, UndefinedTerm, _closure, _complete_valid,
+                        _Completion, _mk)
 from .types import BudgetExceeded, equiv_k, tp_code
 
 K_BUDGET = 8
@@ -67,8 +72,14 @@ def extend_one_point(fa: Fragment, abar, c: str, fb: Fragment, bbar,
     """Extend fb by one point d matching c, so that the tuple c·ā in fa
     and d·b̄ in the extension are equivalent at rank m1.
 
-    Requires ā and b̄ equivalent at rank m2(m1,1,shape).  Returns
-    (extension, d); the extension restricted to fb's nodes is fb.
+    Returns (extension, d); the extension restricted to fb's nodes is fb.
+    Raises SortError when the fragments have different shapes, RankTooLow
+    when ā and b̄ are not equivalent at rank m2(m1, 1, shape) (and, from
+    that check, NotClosed unless both fragments are closed),
+    BudgetExceeded when fb and the fresh nodes exceed budget_nodes, and
+    CannotComplete when no placement of the fresh nodes agrees with fb's
+    tables, when the extension fails `validate` or its completion, or
+    when the completed extension fails the rank-m1 check.
     """
     abar, bbar = tuple(abar), tuple(bbar)
     if fa.shape.indices != fb.shape.indices:
@@ -77,310 +88,262 @@ def extend_one_point(fa: Fragment, abar, c: str, fb: Fragment, bbar,
     w = equiv_k(fa, abar, fb, bbar, req)
     if w is None:
         raise RankTooLow(req)
-    x_set = closure(fa, set(abar) | {c}, m1)
-    # Two nested searches.  Inner: a fresh copy that lands below an
-    # existing node at an occupied level must coincide with the occupant
-    # (below any node the order is a chain); such forced identifications
-    # are pinned and the build retried until the mapping stabilizes.
-    # Outer: the level shift of each fresh chain is a free choice, and
-    # the minimal shift can force the *wrong* identification (a chain
-    # aligned too low coincides with the wrong occupants), so shifts are
-    # tried smallest-first until the transfer verifies.
-    last_err: Exception | None = None
-    for bias in range(len(fb.nodes) + 2):
-        pins: dict[str, str] = {}
-        ext = None
-        for _ in range(len(x_set) + 1):
-            mapping = {x: w[x] for x in x_set if x in w}
-            mapping.update(pins)
-            try:
-                mapping = _derive_images(fa, fb, x_set, mapping)
-                fresh_ids = _mint_fresh(fa, fb, x_set, mapping)
-                ext = _build_extension(fa, fb, x_set, mapping, fresh_ids,
-                                       budget_nodes, bias)
-                break
-            except _ForcedReuse as pin:
-                pins[pin.source] = pin.target
-            except CannotComplete as err:
-                last_err = err
-                break
-        else:
-            last_err = CannotComplete(
-                "forced identifications did not stabilize")
-        if ext is None:
-            continue
-        d = mapping[c]
-        rep = validate(ext)
-        if rep:
-            last_err = CannotComplete("extension invalid: %s" % rep[0])
-            continue
-        try:
-            done = _complete_valid(ext, budget_nodes)
-        except CannotComplete as err:
-            last_err = err
-            continue
-        if equiv_k(fa, (c,) + abar, done, (d,) + bbar, m1) is not None:
-            return done, d
-        last_err = CannotComplete(
-            "transfer verification failed at rank %d" % m1)
-    raise last_err or CannotComplete("no admissible placement found")
+    # the rank-m1 closure (equiv_k found fa closed), and the rank-(m1-1)
+    # one, whose pairs' successors it takes
+    x_prev, x_set = frozenset(), _closure(fa, set(abar) | {c}, 0)
+    for _ in range(m1):
+        x_prev, x_set = x_set, _closure(fa, x_set, "one")
+    settled = _settle(fa, fb, x_set, x_prev,
+                      {x: w[x] for x in x_set if x in w}, frozenset())
+    if settled is None:
+        raise CannotComplete("no placement of the fresh nodes agrees with "
+                             "the target's tables")
+    image, level = settled
+    fresh = _mint_fresh(fa, fb, x_set, image)
+    if len(fb.nodes) + len(fresh) > budget_nodes:
+        raise BudgetExceeded("extension exceeds node budget")
+    image.update(fresh)
+    ext = _build_extension(fa, fb, x_set, image, fresh, level)
+    rep = validate(ext)
+    if rep:
+        raise CannotComplete("extension invalid: %s" % rep[0])
+    done = _complete_valid(ext, budget_nodes)
+    d = image[c]
+    if equiv_k(fa, (c,) + abar, done, (d,) + bbar, m1) is None:
+        raise CannotComplete("transfer verification failed at rank %d" % m1)
+    return done, d
 
 
-class _ForcedReuse(Exception):
-    def __init__(self, source: str, target: str):
-        super().__init__(source, target)
-        self.source = source
-        self.target = target
+def _settle(fa, fb, x_set, x_prev, image, refused):
+    """Images in fb for the nodes of x_set, and levels for the rest.
+
+    `image` is closed under the images that fb's tables force; then the
+    other nodes get the least levels `_assign_levels` allows.  A node
+    whose level its chain in fb already holds is that level's occupant:
+    the identification is tried first, and when it ends in a conflict
+    the pair is refused, so the node is placed above it.  Returns
+    (image, levels), or None when no placement is consistent.
+    """
+    image = _propagate(fa, fb, x_set, image)
+    if image is None:
+        return None
+    placed = _assign_levels(fa, fb, x_set, image, refused)
+    if placed is None:
+        return None
+    level, hit = placed
+    if hit is None:
+        # the rank-m1 closure takes no successor outside the images
+        kept = set(image.values()) | {None}
+        return (image, level) if all(
+            fb.suc.get((image[y], image[z])) in kept
+            for y in x_prev if y in image
+            for z in x_prev if z in image) else None
+    return (_settle(fa, fb, x_set, x_prev, {**image, hit[0]: hit[1]},
+                    refused)
+            or _settle(fa, fb, x_set, x_prev, image, refused | {hit}))
 
 
-def _derive_images(fa, fb, x_set, mapping):
-    """Images forced by fb's declared tables, propagated to fixpoint."""
-    derived = dict(mapping)
-    used = set(derived.values())
+def _propagate(fa, fb, x_set, image):
+    """`image` closed under the images forced by fb's tables, or None on
+    a conflict (two images for one node, one image for two nodes, or a
+    pair whose order the images change).
 
-    def put(x, v):
-        if x in derived:
-            if derived[x] != v:
-                raise CannotComplete("conflicting forced images for %r" % x)
-            return False
-        if v in used:
-            raise CannotComplete("forced image %r already taken" % v)
-        derived[x] = v
-        used.add(v)
-        return True
+    A source entry of x_set whose arguments have images forces its value
+    to fb's entry on those images.  A successor with no image whose limit
+    has one lies on the chain of each image above it, so by the
+    regressive axiom it shares its level-map values with fb's successors
+    of that limit on the chain.
+    """
+    image = dict(image)
+    owner = {v: x for x, v in image.items()}
+    if len(owner) < len(image):
+        return None
+
+    def holder(x):
+        """The fb node whose level-map values x's image takes."""
+        if x in image or not fa.is_successor(x):
+            return image.get(x)
+        l = image.get(fa.lim[x])
+        return min((s for y in x_set if y in image and fa.lt(x, y)
+                    for s in fb.strictly_below(image[y]) | {image[y]}
+                    if s != l and fb.lim.get(s) == l), default=None)
+
+    # (arguments, value, fb's table, argument images) per source entry
+    entries = [((x, y), v, fb.meet_of, image.get)
+               for (x, y), v in fa.meet.items()]
+    entries += [((x, y), v, fb.suc_of, image.get)
+                for (x, y), v in fa.suc.items()]
+    entries += [((x,), v, fb.pre_of, image.get) for x, v in fa.pre.items()]
+    entries += [((x,), v, fb.lim_of, image.get) for x, v in fa.lim.items()]
+    for edge, table in fa.gmap.items():
+        entries += [((x,), v, functools.partial(fb.g_of, edge), holder)
+                    for x, v in table.items()]
+    entries = [e for e in entries
+               if e[1] in x_set and all(x in x_set for x in e[0])]
 
     changed = True
     while changed:
         changed = False
-        for x in sorted(x_set):
-            if x in derived:
+        for args, v, look, key in entries:
+            keys = [key(x) for x in args]
+            t = None if None in keys else look(*keys)
+            if t is None:
                 continue
-            for y in sorted(x_set):
-                if fa.lim.get(y) == x and y in derived:
-                    v = fb.lim.get(derived[y])
-                    if v is not None:
-                        changed |= put(x, v)
-                        break
-                if fa.pre.get(y) == x and y in derived:
-                    v = fb.pre.get(derived[y])
-                    if v is not None:
-                        changed |= put(x, v)
-                        break
-            if x in derived:
-                continue
-            for (u, v2), val in fa.suc.items():
-                if val == x and u in derived and v2 in derived:
-                    tv = fb.suc.get((derived[u], derived[v2]))
-                    if tv is not None:
-                        changed |= put(x, tv)
-                        break
-            if x in derived:
-                continue
-            for (u, v2), val in fa.meet.items():
-                if val == x and u in derived and v2 in derived:
-                    tv = fb.meet_of(derived[u], derived[v2])
-                    if tv is not None:
-                        changed |= put(x, tv)
-                        break
-            if x in derived:
-                continue
-            for edge, table in fa.gmap.items():
-                for u, val in table.items():
-                    if val == x and u in derived:
-                        tv = fb.g_of(edge, derived[u])
-                        if tv is not None:
-                            changed |= put(x, tv)
-                            break
-                if x in derived:
-                    break
-    return derived
+            if v in image:
+                if image[v] != t:
+                    return None
+            elif t in owner:
+                return None
+            else:
+                image[v] = t
+                owner[t] = v
+                changed = True
+    if any(fa.lt(x, y) != fb.lt(image[x], image[y])
+           for x, y in itertools.permutations(image, 2)):
+        return None
+    return image
 
 
-def _mint_fresh(fa, fb, x_set, mapping):
-    taken = set(fb.nodes) | set(mapping.values())
+def _mint_order(fa, nodes):
+    """Nodes in the order fresh ids are minted: by source level text."""
+    return sorted(nodes, key=lambda n: (str(fa.level.get(n, Ordinal())), n))
+
+
+def _mint_fresh(fa, fb, x_set, image):
+    """Fresh ids for the nodes of x_set without an image, in minting
+    order, skipping ids that fb or the images use."""
+    taken = set(fb.nodes) | set(image.values())
     counter = itertools.count()
     fresh = []
-    for x in sorted(x_set, key=lambda n: (str(fa.level.get(n, Ordinal())), n)):
-        if x in mapping:
-            continue
+    for x in _mint_order(fa, set(x_set) - set(image)):
         while True:
             nid = "_d%03d" % next(counter)
             if nid not in taken:
                 break
-        taken.add(nid)
-        mapping[x] = nid
         fresh.append((x, nid))
     return fresh
 
 
-def _build_extension(fa, fb, x_set, mapping, fresh_ids, budget_nodes,
-                     bias: int = 0):
-    if len(fb.nodes) + len(fresh_ids) > budget_nodes:
-        raise BudgetExceeded("extension exceeds node budget")
-    b = FragmentBuilder(fb)
-    nodes, sort, level, order = b.nodes, b.sort, b.level, b.order
-    nodes.update(nid for _, nid in fresh_ids)
-    for x, nid in fresh_ids:
-        if fa.sort.get(x) is not None:
-            sort[nid] = fa.sort[x]
+def _assign_levels(fa, fb, x_set, image, refused):
+    """Fit the nodes without an image into fb's level geometry.
 
-    # order among images
-    for x, y in itertools.permutations(sorted(x_set), 2):
-        if fa.lt(x, y):
-            ix, iy = mapping[x], mapping[y]
-            if ix in fb.nodes and iy in fb.nodes:
-                if not fb.lt(ix, iy):
-                    raise CannotComplete("order not preserved on %r,%r"
-                                         % (x, y))
-            else:
-                order.add((ix, iy))
-
-    _assign_levels(fa, fb, x_set, mapping, fresh_ids, level, order, bias)
-
-    # make forced chains total: fresh node x and target node u both below
-    # a common upper node must be comparable; levels decide the direction
-    back = {nid: x for x, nid in fresh_ids}
-    # meets are total per sort, so levels strictly increase above a
-    # single bottom: a fresh level-0 node must be the sort's bottom
-    zero_of = {}
+    Limit nodes get the least limit level above everything below them;
+    successor nodes keep their offsets from the source and each class
+    sharing a limit is shifted by the least amount that keeps it above
+    the chain below, or exactly by a predecessor pin next to fb.  No
+    node lands on a refused occupant: the least level or shift past
+    those is taken.  Returns (levels, hit), where hit is the first node
+    in minting order on a level that fb occupies on its chain (the
+    sort's bottom at level 0), paired with the occupant; or None when a
+    node has no admissible level (below its upper bounds, past its
+    refused occupants and agreeing with its predecessor pins).
+    """
+    level = {x: fb.level[v] for x, v in image.items() if v in fb.level}
+    fresh = [x for x in _mint_order(fa, set(x_set) - set(image))
+             if fa.sort.get(x) is not None]
+    below = {x: [y for y in x_set if fa.lt(y, x)] for x in fresh}
+    above = {x: [y for y in x_set if fa.lt(x, y)] for x in fresh}
+    bottom = {}
     for u in fb.nodes:
-        if fb.sort.get(u) is not None and not fb.level[u].terms:
-            zero_of.setdefault(fb.sort[u], u)
-    for _, nid in fresh_ids:
-        if sort.get(nid) is None or level[nid].terms:
+        if fb.sort.get(u) is not None and fb.level[u].is_zero:
+            bottom.setdefault(fb.sort[u], u)
+
+    def known(ys):
+        return [level[y] for y in ys if y in level]
+
+    def occupant(x, lv):
+        if lv.is_zero:
+            return bottom.get(fa.sort[x])
+        return next((u for y in above[x] if y in image
+                     for u in fb.strictly_below(image[y])
+                     if fb.level[u] == lv), None)
+
+    def fits(x, lv):
+        return all(lv < h for h in known(above[x]))
+
+    for x in fresh:
+        if fa.level[x].is_limit:
+            lows = known(below[x])
+            lv = max(lows).next_limit() if lows else Ordinal()
+            while (x, occupant(x, lv)) in refused:
+                lv = lv.next_limit()
+            if not fits(x, lv):
+                return None
+            level[x] = lv
+
+    classes: dict[str, list[str]] = {}
+    for x in fresh:
+        if not fa.level[x].is_limit:
+            classes.setdefault(fa.lim[x], []).append(x)
+    for anchor, members in classes.items():
+        lam = level[anchor]
+        offs = {x: fa.level[x].mod_omega() for x in members}
+        pins = set()
+        for x in members:
+            if fa.pre.get(x) in image:
+                pins.add(level[fa.pre[x]].mod_omega() + 1 - offs[x])
+            pins.update(level[y].mod_omega() - 1 - offs[x] for y in x_set
+                        if fa.pre.get(y) == x and y in image)
+        t = max([1 - min(offs.values())] + [
+            l.mod_omega() + 1 - offs[x] for x in members
+            for l in known(below[x]) if l.limb() == lam.limb()])
+        if len(pins) > 1 or pins and min(pins) < t:
+            return None
+        t = min(pins, default=t)
+        while any((x, occupant(x, lam.plus(offs[x] + t))) in refused
+                  for x in members):
+            if pins:
+                return None
+            t += 1
+        for x in members:
+            if not fits(x, lam.plus(offs[x] + t)):
+                return None
+            level[x] = lam.plus(offs[x] + t)
+
+    hit = next(((x, u) for x in fresh
+                if (u := occupant(x, level[x])) is not None), None)
+    return level, hit
+
+
+def _build_extension(fa, fb, x_set, im, fresh, level):
+    """fb plus the fresh nodes at their levels, where im maps every node
+    of x_set to its image or fresh id.  Images keep x_set's order, each
+    fresh node is made comparable with fb's nodes on the chains it lies
+    on, and x_set's table entries are copied."""
+    w = _Completion(fb)
+    old = set(fb.nodes)
+    for x, nid in fresh:
+        w.nodes.add(nid)
+        w._below[nid] = set()
+        if x in level:
+            w.add_node(nid, fa.sort[x], level[x])
+    for x, y in itertools.permutations(sorted(x_set), 2):
+        if fa.lt(x, y) and not (im[x] in old and im[y] in old):
+            w.relate(im[x], im[y])
+    # below any node the order is a chain; levels decide the direction
+    for x, nid in fresh:
+        if x not in level:
             continue
-        u = zero_of.get(sort[nid])
-        if u is not None:
-            raise _ForcedReuse(back[nid], u)
-
-    probe = Fragment(fb.shape, nodes, sort, level, order, mode=fb.mode)
-    for _, nid in fresh_ids:
-        if sort.get(nid) is None:
-            continue
-        uppers = {z for z in nodes if probe.lt(nid, z)}
-        mates = set()
-        for z in uppers:
-            mates |= {u for u in fb.nodes if fb.lt(u, z)}
-        for u in mates:
-            if u == nid or probe.comparable(nid, u):
-                continue
-            if level[u] == level[nid]:
-                raise _ForcedReuse(back[nid], u)
-            if level[u] < level[nid]:
-                order.add((u, nid))
-            else:
-                order.add((nid, u))
-        probe = Fragment(fb.shape, nodes, sort, level, order, mode=fb.mode)
-
-    def copy_entry(table, key, value, label):
-        if key in table:
-            if table[key] != value:
-                raise CannotComplete("%s table conflict at %r" % (label, key))
-        else:
-            table[key] = value
-
-    im = mapping
+        mates = set().union(*(fb.strictly_below(z) for z in fb.nodes
+                              if w.lt(nid, z)))
+        for u in [u for u in mates if not w.comparable(nid, u)]:
+            w.relate(*((u, nid) if w.level[u] < w.level[nid]
+                       else (nid, u)))
     for (x, y), v in fa.meet.items():
         if x in im and y in im and v in im:
-            copy_entry(b.meet, _mk(im[x], im[y]), im[v], "meet")
+            w.meet.setdefault(_mk(im[x], im[y]), im[v])
     for (x, y), v in fa.suc.items():
         if x in im and y in im and v in im:
-            copy_entry(b.suc, (im[x], im[y]), im[v], "suc")
-    for x, v in fa.pre.items():
-        if x in im and v in im:
-            copy_entry(b.pre, im[x], im[v], "pre")
-    for x, v in fa.lim.items():
-        if x in im and v in im:
-            copy_entry(b.lim, im[x], im[v], "lim")
+            w.suc.setdefault((im[x], im[y]), im[v])
+    for table, mine in ((fa.pre, w.pre), (fa.lim, w.lim)):
+        for x, v in table.items():
+            if x in im and v in im:
+                mine.setdefault(im[x], im[v])
     for edge, table in fa.gmap.items():
         for x, v in table.items():
             if x in im and v in im:
-                copy_entry(b.gmap.setdefault(edge, {}), im[x], im[v], "gmap")
-
-    return b.freeze(fb.shape, fb.mode)
-
-
-def _assign_levels(fa, fb, x_set, mapping, fresh_ids, level, order,
-                   bias: int = 0):
-    """Fit fresh nodes into the target's level geometry.
-
-    Limit nodes get the least limit level above everything below them;
-    successor-class nodes keep their relative offsets from the source
-    and the whole class is shifted by the least admissible amount plus
-    the caller's bias, with exact pins from predecessor/successor
-    entries adjacent to existing target nodes.
-    """
-    im = mapping
-    below_of = {}
-    above_of = {}
-    for x, nid in fresh_ids:
-        below_of[nid] = {im[y] for y in x_set if fa.lt(y, x)}
-        above_of[nid] = {im[y] for y in x_set if fa.lt(x, y)}
-
-    def known_levels(ids):
-        return [level[i] for i in ids if i in level]
-
-    # limit nodes first, in increasing source level order
-    for x, nid in fresh_ids:
-        if fa.sort.get(x) is None or not fa.level[x].is_limit:
-            continue
-        lows = known_levels(below_of[nid])
-        cand = max(lows).next_limit() if lows else Ordinal()
-        while any(l == cand for l in known_levels(
-                below_of[nid] | above_of[nid])):
-            cand = cand.next_limit()
-        highs = known_levels(above_of[nid])
-        if highs and not all(cand < h for h in highs):
-            raise CannotComplete("no limit level fits fresh node %r" % nid)
-        level[nid] = cand
-
-    # successor-class nodes, grouped by the image of their limit anchor
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for x, nid in fresh_ids:
-        if fa.sort.get(x) is None or fa.level[x].is_limit:
-            continue
-        anchor = fa.lim.get(x)
-        if anchor is None or anchor not in im:
-            raise CannotComplete("fresh successor %r has no limit anchor" % x)
-        groups.setdefault(im[anchor], []).append((x, nid))
-
-    for anchor_id, members in sorted(groups.items()):
-        lam = level.get(anchor_id)
-        if lam is None:
-            raise CannotComplete("anchor %r has no level" % anchor_id)
-        offs = {nid: fa.level[x].mod_omega() for x, nid in members}
-        pins = []
-        for x, nid in members:
-            p = fa.pre.get(x)
-            if p is not None and p in im and im[p] in fb.nodes:
-                pins.append(level[im[p]].mod_omega() + 1 - offs[nid])
-            for y in x_set:
-                if fa.pre.get(y) == x and y in im and im[y] in fb.nodes:
-                    pins.append(level[im[y]].mod_omega() - 1 - offs[nid])
-        lo = None
-        for x, nid in members:
-            for l in known_levels(below_of[nid]):
-                if l.limb() == lam.limb():
-                    need = l.mod_omega() + 1 - offs[nid]
-                    lo = need if lo is None else max(lo, need)
-        t_min = 1 - min(offs.values())
-        lo = max(lo, t_min) if lo is not None else t_min
-        if pins:
-            if len(set(pins)) > 1:
-                raise CannotComplete("conflicting level pins near %r"
-                                     % anchor_id)
-            t = pins[0]
-            if t < lo:
-                raise CannotComplete("pinned level below occupied chain")
-        else:
-            t = lo + bias
-        for x, nid in members:
-            lv = lam.plus(offs[nid] + t)
-            for h in known_levels(above_of[nid]):
-                if not lv < h:
-                    raise CannotComplete("fresh node %r does not fit below "
-                                         "its upper bounds" % nid)
-            level[nid] = lv
+                w.gmap.setdefault(edge, {}).setdefault(im[x], im[v])
+    return w.freeze(fb.shape, fb.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +400,8 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
     configs = set()
     spent = 0
     for f in corpus:
-        fc = f if not validate(f) else None
-        comp = _completed(f)
+        valid, comp = _completed(f)
+        fc = f if valid else None
         coded = f if comp is None else comp
         for xs in itertools.product(f.nodes, repeat=nvars):
             spent += 1
@@ -459,16 +422,20 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
     return configs
 
 
-def _completed(f: Fragment) -> Fragment | None:
+def _completed(f: Fragment) -> tuple[bool, Fragment | None]:
+    """Whether f is valid, and its completion (under `complete`'s node
+    budget) when it has one; f is validated once."""
+    if validate(f):
+        return False, None
     try:
-        return complete(f)
+        return True, _complete_valid(f, 2000)
     except CannotComplete:
-        return None
+        return True, None
 
 
 def qe_matches(configs, f: Fragment, xs, m: int) -> bool:
     """Does the tuple satisfy the corpus-derived quantifier-free
     equivalent?  Codes are taken in the completion when it exists, as
     in `qe_candidate`."""
-    comp = _completed(f)
+    comp = _completed(f)[1]
     return tp_code(f if comp is None else comp, tuple(xs), (), m) in configs

@@ -502,8 +502,9 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
 
 class _Completion(FragmentBuilder, _OrderQueries):
     """complete's working state: f's tables in a builder, plus down-sets
-    that `mint` keeps exact.  Completion adds order edges only through
-    `mint`, and every such edge touches the node being minted."""
+    that `mint` and `relate` keep exact.  Completion adds order edges
+    only through `mint`, and every such edge touches the node being
+    minted; the one-point extension builds with `relate`."""
 
     def __init__(self, f: Fragment):
         super().__init__(f)
@@ -524,6 +525,14 @@ class _Completion(FragmentBuilder, _OrderQueries):
             if y in above or not d.isdisjoint(above):
                 d |= gain
         self._below[n] = down
+
+    def relate(self, lo: str, hi: str) -> None:
+        """Add the order edge lo < hi between two present nodes."""
+        self.order.add((lo, hi))
+        gain = self._below[lo] | {lo}
+        for y, d in self._below.items():
+            if y == hi or hi in d:
+                d |= gain
 
 
 def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:

@@ -6,7 +6,8 @@ system under test, and `oracles` provides the independent ground truth.
 
 from __future__ import annotations
 
-from treedesk.fixtures import merge_fragments, random_standard_fragment
+from treedesk.fixtures import (merge_fragments, random_closed_fragment,
+                               random_standard_fragment)
 from treedesk.ordinal import Ordinal
 from treedesk.shape import EMPTY_SHAPE, ShapeTree, chain_shape
 from treedesk.structure import Fragment, complete, from_standard_tree
@@ -72,6 +73,29 @@ def random_unsorted(rng, max_nodes: int = 6) -> Fragment:
     """Fragment over the empty shape: bare points, no structure."""
     n = rng.randint(2, max_nodes)
     return Fragment(EMPTY_SHAPE, tuple("x%d" % i for i in range(n)))
+
+
+def transfer_instances(rng):
+    """Criterion 05's one-point extensions: 80 point trees, 80 tripods of
+    at most 40 nodes and 40 bare-point fragments, each extended against
+    its renamed copy.  Yields (kind, fa, fb, a, b, c, m1)."""
+    for kind, count in (("point", 80), ("tripod", 80), ("empty", 40)):
+        done = 0
+        while done < count:
+            if kind == "point":
+                fa = random_closed_fragment(rng)
+            elif kind == "tripod":
+                fa = random_tripod(rng)
+                if len(fa.nodes) > 40:
+                    continue
+            else:
+                fa = random_unsorted(rng)
+            fb, r = rename(fa, "y")
+            pool = sorted(fa.nodes)
+            m1 = rng.choice((0, 1))
+            a = tuple(rng.sample(pool, rng.randint(1, 2)))
+            yield kind, fa, fb, a, tuple(r[x] for x in a), rng.choice(pool), m1
+            done += 1
 
 
 def top_sort_only(rng) -> Fragment:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from gen import TRIPOD, random_tripod, random_unsorted, rename
+from gen import rename, transfer_instances
 from oracles import closure_oracle, count_isomorphisms
 
 from treedesk.fixtures import (
@@ -291,44 +291,24 @@ def test_criterion_05_extension_transfer():
     if not ok_m2:
         print("  single-sort rank bound is not 2*m1+1")
     runs = 0
-    plan = [("point", 80), ("tripod", 80), ("empty", 40)]
-    rng = random.Random(5)
-    for kind, count in plan:
-        done = 0
-        while done < count:
-            if kind == "point":
-                fa = random_closed_fragment(rng)
-            elif kind == "tripod":
-                fa = random_tripod(rng)
-                if len(fa.nodes) > 40:
-                    continue
-            else:
-                fa = random_unsorted(rng)
-            fb, r = rename(fa, "y")
-            pool = sorted(fa.nodes)
-            m1 = rng.choice((0, 1))
-            a = tuple(rng.sample(pool, rng.randint(1, 2)))
-            b = tuple(r[x] for x in a)
-            c = rng.choice(pool)
-            try:
-                ext, d = extend_one_point(fa, a, c, fb, b, m1)
-            except Exception as exc:
-                ok = False
-                print("  extension failed (%s): %s" % (kind, exc))
-                done += 1
-                continue
-            ca = closure(fa, (c,) + a, m1)
-            cb = closure(ext, (d,) + b, m1)
-            base = dict(zip((c,) + a, (d,) + b))
-            if len(ca) != len(cb) or \
-                    count_isomorphisms(fa, ca, ext, cb, base, cap=1) < 1:
-                ok = False
-                print("  transfer not verified (%s, m1=%d)" % (kind, m1))
-            if validate(ext):
-                ok = False
-                print("  extension fails validation (%s)" % kind)
-            done += 1
-            runs += 1
+    for kind, fa, fb, a, b, c, m1 in transfer_instances(random.Random(5)):
+        try:
+            ext, d = extend_one_point(fa, a, c, fb, b, m1)
+        except Exception as exc:
+            ok = False
+            print("  extension failed (%s): %s" % (kind, exc))
+            continue
+        ca = closure(fa, (c,) + a, m1)
+        cb = closure(ext, (d,) + b, m1)
+        base = dict(zip((c,) + a, (d,) + b))
+        if len(ca) != len(cb) or \
+                count_isomorphisms(fa, ca, ext, cb, base, cap=1) < 1:
+            ok = False
+            print("  transfer not verified (%s, m1=%d)" % (kind, m1))
+        if validate(ext):
+            ok = False
+            print("  extension fails validation (%s)" % kind)
+        runs += 1
     ok = ok and runs == 200
     _report(5, "one-point extensions transfer at the stated rank and "
                "re-validate on 200 instances over three shapes",

@@ -1,9 +1,16 @@
+import functools
+import itertools
+import json
+import os
 import random
 
 import pytest
 
-from gen import TRIPOD, random_tripod, rename
+from gen import TRIPOD, random_tripod, rename, transfer_instances
+from oracles import closure_oracle, count_isomorphisms
 
+from treedesk import qe, structure
+from treedesk.fileio import fragment_from_dict
 from treedesk.fixtures import random_closed_fragment, random_standard_fragment
 from treedesk.ordinal import Ordinal
 from treedesk.qe import (
@@ -11,9 +18,21 @@ from treedesk.qe import (
 )
 from treedesk.shape import EMPTY_SHAPE, POINT_SHAPE
 from treedesk.structure import (
-    Term, closure, from_standard_tree, is_closed, validate,
+    SortError, Term, closure, complete, from_standard_tree, is_closed,
+    validate,
 )
-from treedesk.types import equiv_k
+from treedesk.types import BudgetExceeded, equiv_k
+
+
+@functools.cache
+def _two_sort_draws():
+    """Raw two-sort fragment documents with a tuple a and a point c, as
+    drawn by `two_sort_draw(d, m1)` in bench/workloads.py (the draw does
+    not depend on m1), keyed by d."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "two_sort_draws.json")
+    with open(path) as fh:
+        return {int(d): rec for d, rec in json.load(fh).items()}
 
 
 def _chain(n, prefix="n"):
@@ -85,6 +104,94 @@ def test_extend_unsorted_point_is_fresh():
     assert d in ext.nodes
 
 
+def _assert_transfers(fa, a, c, fb, b, m1):
+    """The extension is valid, and the oracles carry c·a to d·b by an
+    isomorphism of rank-m1 closures."""
+    ext, d = extend_one_point(fa, a, c, fb, b, m1)
+    assert not validate(ext)
+    ca = closure_oracle(fa, (c,) + a, m1)
+    cb = closure_oracle(ext, (d,) + b, m1)
+    base = dict(zip((c,) + a, (d,) + b))
+    assert len(ca) == len(cb)
+    assert count_isomorphisms(fa, ca, ext, cb, base, cap=1) == 1
+
+
+def _extend_two_sort(d, m1):
+    """Extend draw d's completed fragment's renamed copy at rank m1."""
+    rec = _two_sort_draws()[d]
+    fa = complete(fragment_from_dict(rec["doc"]))
+    fb, r = rename(fa, "y")
+    a = tuple(rec["a"])
+    _assert_transfers(fa, a, rec["c"], fb, tuple(r[x] for x in a), m1)
+
+
+@pytest.mark.parametrize("m1", range(3))
+@pytest.mark.parametrize("d", (340, 478, 1334))
+def test_extend_two_sort_limit_below_two_occupied_limits(d, m1):
+    # A fresh limit node lies below an image whose chain holds limit
+    # nodes at levels 0 and w.  At the bottom, the regressive axiom would
+    # give its successors a level-map value that conflicts with the
+    # source's tables, so it is the node at w.
+    _extend_two_sort(d, m1)
+
+
+@pytest.mark.parametrize("d", (452, 547))
+def test_extend_two_sort_shift_past_wrong_occupant(d):
+    # The least shift of a successor class puts a node on an occupied
+    # level whose successor table would add a node to the closure.
+    _extend_two_sort(d, 1)
+
+
+def test_extend_point_shift_past_three_wrong_occupants():
+    # criterion 05's 36th instance: the class is shifted three times
+    kind, fa, fb, a, b, c, m1 = next(itertools.islice(
+        transfer_instances(random.Random(5)), 35, None))
+    assert (kind, m1, len(fa.nodes)) == ("point", 1, 14)
+    _assert_transfers(fa, a, c, fb, b, m1)
+
+
+@pytest.mark.parametrize("d", range(0, 1600, 40))
+def test_extend_two_sort_strided_sample(d):
+    for m1 in range(3):
+        _extend_two_sort(d, m1)
+
+
+def test_extend_builds_once(monkeypatch):
+    calls = []
+    for name in ("validate", "_complete_valid", "equiv_k"):
+        real = getattr(qe, name)
+
+        def counted(*args, real=real, name=name, **kw):
+            calls.append(name)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(qe, name, counted)
+    for _, fa, fb, a, b, c, m1 in transfer_instances(random.Random(5)):
+        del calls[:]
+        qe.extend_one_point(fa, a, c, fb, b, m1)
+        # equiv_k checks the rank of a, b and then verifies the result
+        assert sorted(calls) == ["_complete_valid", "equiv_k", "equiv_k",
+                                 "validate"]
+
+
+def test_extend_budget_counts_settled_nodes():
+    fa = random_closed_fragment(random.Random(3))
+    fb, r = rename(fa, "y")
+    pool = sorted(fa.nodes)
+    args = (fa, (pool[0],), pool[-1], fb, (r[pool[0]],), 1)
+    ext, _ = extend_one_point(*args, budget_nodes=18)
+    assert len(ext.nodes) == 18
+    with pytest.raises(BudgetExceeded):
+        extend_one_point(*args, budget_nodes=17)
+
+
+def test_extend_rejects_mismatched_shapes():
+    fa = _chain(3)
+    fb = random_tripod(random.Random(0))
+    with pytest.raises(SortError):
+        extend_one_point(fa, ("n00",), "n01", fb, (sorted(fb.nodes)[0],), 0)
+
+
 def test_eval_formula():
     f = _chain(4)
     lt = ("atom", "<", Term.var(0), Term.var(1))
@@ -124,6 +231,21 @@ def test_qe_candidate_on_unclosed_fragment():
     for x in f.nodes:
         assert qe_matches(configs, f, (x,), 0) == any(
             f.lt(y, x) for y in f.nodes)
+
+
+def test_qe_candidate_validates_each_fragment_once(monkeypatch):
+    seen = []
+    real = structure.validate
+
+    def counted(f, *args):
+        seen.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(qe, "validate", counted)
+    monkeypatch.setattr(structure, "validate", counted)
+    corpus = [_chain(4), random_standard_fragment(random.Random(3), 12)]
+    qe_candidate(("atom", "<", Term.var(0), Term.var(1)), 1, corpus, 0)
+    assert [sum(g is f for g in seen) for f in corpus] == [1, 1]
 
 
 def test_qe_candidate_empty_corpus():
