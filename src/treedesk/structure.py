@@ -740,13 +740,24 @@ def is_closed(f: Fragment) -> bool:
 # closure operators
 
 
-def _cl_wedge(f: Fragment, s: frozenset[str]) -> frozenset[str]:
+def _cl_wedge(f: Fragment, s: frozenset[str],
+              done: frozenset[str] = frozenset()) -> frozenset[str]:
+    """s plus the meets of its same-sort pairs with a member outside
+    done.  The caller vouches that the meets of pairs inside done are
+    in s already, so the default pairs all of s."""
+    by_sort: dict[str, tuple[list[str], list[str]]] = {}
+    for x in sorted(s):
+        if (eta := f.sort.get(x)) is not None:
+            by_sort.setdefault(eta, ([], []))[x in done].append(x)
     extra = set()
-    for x, y in itertools.combinations_with_replacement(sorted(s), 2):
-        if f.sort.get(x) is not None and f.sort.get(x) == f.sort.get(y):
-            m = f.meet_of(x, y)
-            if m is not None:
-                extra.add(m)
+    meet = f.meet
+    for new, old in by_sort.values():
+        for i, x in enumerate(new):
+            for y in new[i:]:
+                extra.add(meet.get((x, y)))
+            for y in old:
+                extra.add(meet.get(_mk(x, y)))
+    extra.discard(None)
     return s | extra
 
 
@@ -764,27 +775,39 @@ def _cl_lim(f: Fragment, s: frozenset[str]) -> frozenset[str]:
     return s | {f.lim[x] for x in s if x in f.lim}
 
 
-def _cl_suc(f: Fragment, s: frozenset[str]) -> frozenset[str]:
-    extra = set()
-    for x, y in itertools.permutations(sorted(s), 2):
-        v = f.suc.get((x, y))
-        if v is not None:
-            extra.add(v)
-    for x in s:
-        if x in f.pre:
-            extra.add(f.pre[x])
+def _cl_suc(f: Fragment, s: frozenset[str],
+            done: frozenset[str] = frozenset()) -> frozenset[str]:
+    """s plus the successors of its ordered pairs with a member outside
+    done and the predecessors of its members outside done.  The caller
+    vouches for the values of pairs and members inside done."""
+    suc, new = f.suc, s - done
+    extra = {f.pre[x] for x in new if x in f.pre}
+    for x in new:
+        for y in s:
+            if y != x:
+                extra.add(suc.get((x, y)))
+                if y in done:
+                    extra.add(suc.get((y, x)))
+    extra.discard(None)
     return s | extra
 
 
-def _cl_zero(f: Fragment, s: frozenset[str]) -> frozenset[str]:
+def _cl_zero(f: Fragment, s: frozenset[str],
+             done: frozenset[str] = frozenset()) -> frozenset[str]:
+    """Rank-0 closure: the constants, then longest_branch() rounds of
+    meets, lim and G, each pairing only what the round before added.
+    The meets of pairs inside done are in s already."""
     s = s | frozenset(f.constants.values())
     for _ in range(f.shape.longest_branch()):
-        s = _cl_g(f, _cl_lim(f, _cl_wedge(f, s)))
+        s, done = _cl_g(f, _cl_lim(f, _cl_wedge(f, s, done))), s
     return s
 
 
-def _cl_one(f: Fragment, s: frozenset[str]) -> frozenset[str]:
-    return _cl_zero(f, _cl_suc(f, s))
+def _cl_one(f: Fragment, s: frozenset[str],
+            done: frozenset[str] = frozenset()) -> frozenset[str]:
+    """One rank step: successors and predecessors, then `_cl_zero`.  The
+    successors and meets of pairs inside done are in s already."""
+    return _cl_zero(f, _cl_suc(f, s, done), done)
 
 
 def closure(f: Fragment, a, variant="zero") -> frozenset[str]:
@@ -793,7 +816,10 @@ def closure(f: Fragment, a, variant="zero") -> frozenset[str]:
     variant: "wedge" | "g" | "lim" | "suc" | "zero" | "one" | natural k.
     The rank-k variant applies the one-step closure k times on top of
     the rank-0 closure, so it contains every term value of successor
-    rank at most k over the generators.
+    rank at most k over the generators.  Each rank step, and each round
+    of meets, lim and G inside the rank-0 closure, takes the meets and
+    successors only of pairs with a member new since the step before:
+    the older pairs' values are already in the set.
 
     Raises NotClosed unless f is closed, then KeyError for a node of
     `a` that is not in f.
@@ -828,12 +854,12 @@ def _closure(f: Fragment, a, variant="zero") -> frozenset[str]:
     if variant == "one":
         return _cl_one(f, s)
     if isinstance(variant, int) and variant >= 0:
-        s = _cl_zero(f, s)
+        s, done = _cl_zero(f, s), frozenset()
         for _ in range(variant):
-            nxt = _cl_one(f, s)
+            nxt = _cl_one(f, s, done)
             if nxt == s:
                 break
-            s = nxt
+            s, done = nxt, s
         return s
     raise ValueError("unknown closure variant %r" % (variant,))
 

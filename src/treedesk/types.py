@@ -16,15 +16,22 @@ unclosed fragment; the private `_tp_code` and `_canon` below it assume
 a closed fragment.  So `count_type_classes` checks once per call, not
 once per tuple.  A node that is not in the fragment raises KeyError,
 after the closedness check, and a tuple count over budget raises
-BudgetExceeded, before it.  Refinement indexes the closure's order,
-lim, meet and G relations once per call, so each round reads only an
-element's own neighbours.
+BudgetExceeded, before it.
+
+One code builds the closure once and lists its meets once; refinement,
+every individualization branch and the serialized record all read that
+list.  Refinement indexes the closure's order, lim and G relations once
+per call, so each round reads only an element's own neighbours, gives
+an element alone in its cell the signature (rank,) and stops as soon as
+every cell is a singleton.  The record takes its order pairs from the
+closure's down-sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from .shape import ShapeTree
 from .structure import (Fragment, Term, _closure, _require_closed, closure,
@@ -68,13 +75,15 @@ def _ranks(colors):
     return {x: idx[c] for x, c in colors.items()}
 
 
-def _refine(f: Fragment, elems, colors):
+def _refine(f: Fragment, elems, meets, colors):
     """1-dimensional refinement over the reduced-language structure.
 
-    The order, lim, meet and G relations are indexed once, restricted to
-    elems, so each round builds an element's signature from its own
-    neighbours only."""
-    elems = sorted(elems)
+    The order, lim and G relations are indexed once, restricted to the
+    sorted closure elems, and the meets come from the closure's shared
+    list, so each round builds an element's signature from its own
+    neighbours only.  A settled element, alone in its cell, gets the
+    signature (rank,), and refinement stops once every cell is settled:
+    a signature starts with the old rank, so neither changes a rank."""
     es = set(elems)
     below = {x: f.strictly_below(x) & es for x in elems}
     above = {x: [] for x in elems}
@@ -88,7 +97,7 @@ def _refine(f: Fragment, elems, colors):
             above[x].append(y)
         if (l := f.lim.get(y)) in es:
             lim_from[l].append(y)
-    for a, b, m in _closure_meets(f, elems, es):
+    for a, b, m in meets:
         marg[a].append((b, m))
         if b != a:
             marg[b].append((a, m))
@@ -100,8 +109,14 @@ def _refine(f: Fragment, elems, colors):
                 gval[y].append((e, x))
     ranks = _ranks(colors)
     while True:
+        size = Counter(ranks.values())
+        if len(size) == len(elems):
+            return ranks
         new = {}
         for x in elems:
+            if size[ranks[x]] == 1:
+                new[x] = (ranks[x],)
+                continue
             l = f.lim.get(x)
             new[x] = (
                 ranks[x],
@@ -122,20 +137,20 @@ def _refine(f: Fragment, elems, colors):
 def _closure_meets(f: Fragment, elems, es):
     """(x, y, meet) for each pair x <= y of the sorted elems whose meet is
     declared and lies in es: the meet table restricted to es."""
-    for i, x in enumerate(elems):
-        for y in elems[i:]:
-            if (m := f.meet.get((x, y))) in es:
-                yield x, y, m
+    return [(x, y, m) for i, x in enumerate(elems) for y in elems[i:]
+            if (m := f.meet.get((x, y))) in es]
 
 
-def _structure_record(f: Fragment, listed):
+def _structure_record(f: Fragment, listed, meets):
+    """The structure induced on the listed closure, by list position;
+    meets is the closure's meet list."""
     pos = {x: i for i, x in enumerate(listed)}
     n = len(listed)
-    order = tuple((i, j) for i in range(n) for j in range(n)
-                  if f.lt(listed[i], listed[j]))
+    order = tuple(sorted((pos[x], j) for j, y in enumerate(listed)
+                         for x in f.strictly_below(y) & pos.keys()))
     meet = tuple(sorted(
         (min(pos[x], pos[y]), max(pos[x], pos[y]), pos[m])
-        for x, y, m in _closure_meets(f, sorted(listed), pos)))
+        for x, y, m in meets))
     lim = tuple(sorted(
         (pos[x], pos[l]) for x in listed if (l := f.lim.get(x)) in pos))
     g = tuple(sorted(
@@ -148,8 +163,8 @@ def _structure_record(f: Fragment, listed):
     return (n, sorts, order, meet, lim, g, consts)
 
 
-def _canon_order(f: Fragment, elems, colors):
-    ranks = _refine(f, elems, colors)
+def _canon_order(f: Fragment, elems, meets, colors):
+    ranks = _refine(f, elems, meets, colors)
     classes: dict[int, list[str]] = {}
     for x in elems:
         classes.setdefault(ranks[x], []).append(x)
@@ -160,19 +175,22 @@ def _canon_order(f: Fragment, elems, colors):
     best = None
     for x in sorted(classes[r]):
         c2 = {y: (ranks[y], 1 if y == x else 0) for y in elems}
-        order = _canon_order(f, elems, c2)
-        rec = _structure_record(f, order)
+        order = _canon_order(f, elems, meets, c2)
+        rec = _structure_record(f, order, meets)
         if best is None or rec < best[0]:
             best = (rec, order)
     return best[1]
 
 
 def _canon(f: Fragment, gens: tuple[str, ...], k: int):
-    """Canonical listing of the rank-k closure of gens, for a closed f."""
+    """Canonical listing of the rank-k closure of gens, for a closed f,
+    with its positions and the closure's meet list."""
     c = _closure(f, set(gens), k)
-    listed = _canon_order(f, c, _initial_colors(f, c, gens))
+    elems = sorted(c)
+    meets = _closure_meets(f, elems, c)
+    listed = _canon_order(f, elems, meets, _initial_colors(f, elems, gens))
     pos = {x: i for i, x in enumerate(listed)}
-    return listed, pos
+    return listed, pos, meets
 
 
 def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
@@ -188,9 +206,9 @@ def _tp_code(f: Fragment, abar, a_set, k: int) -> bytes:
     """`tp_code` for an f already known to be closed."""
     abar = tuple(abar)
     gens = abar + tuple(sorted(a_set))
-    listed, pos = _canon(f, gens, k)
+    listed, pos, meets = _canon(f, gens, k)
     rec = (len(abar), tuple(pos[x] for x in gens),
-           _structure_record(f, listed))
+           _structure_record(f, listed, meets))
     return repr(rec).encode()
 
 
@@ -212,12 +230,12 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
     ga = abar + tuple(sorted(a_set))
     gb = bbar + tuple(sorted(b_set))
     _require_closed(fa)
-    la, pa = _canon(fa, ga, k)
+    la, pa, ma = _canon(fa, ga, k)
     _require_closed(fb)
-    lb, pb = _canon(fb, gb, k)
+    lb, pb, mb = _canon(fb, gb, k)
     if tuple(pa[x] for x in ga) != tuple(pb[x] for x in gb):
         return None
-    if _structure_record(fa, la) != _structure_record(fb, lb):
+    if _structure_record(fa, la, ma) != _structure_record(fb, lb, mb):
         return None
     return {la[i]: lb[i] for i in range(len(la))}
 
@@ -258,11 +276,11 @@ def questionnaire_code(f: Fragment, a: str, a_set, k: int):
     gens = tuple(sorted(a_set))
     if gens:
         _require_closed(f)
-        b_list, _ = _canon(f, gens, 0)
+        b_list = _canon(f, gens, 0)[0]
     else:
         b_list = sorted(closure(f, (), 0)) if f.constants else []
         if b_list:
-            b_list, _ = _canon(f, (), 0)
+            b_list = _canon(f, (), 0)[0]
     return _record(f, a, list(b_list), k)
 
 

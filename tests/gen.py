@@ -16,9 +16,15 @@ TRIPOD = ShapeTree(("r", "r0", "r1"), "r", {"r0": "r", "r1": "r"},
                    {"r": "r", "r0": "0", "r1": "1"})
 
 
-def rename(f: Fragment, pref: str):
-    """Isomorphic copy with every node id prefixed, plus the node map."""
-    r = {n: pref + n for n in f.nodes}
+def rename(f: Fragment, pref: str, reverse: bool = False):
+    """Isomorphic copy with every node id prefixed, plus the node map.
+    With reverse, each id becomes pref and a number instead, numbered so
+    that the sorted order of the ids is reversed."""
+    if reverse:
+        ns = sorted(f.nodes)
+        r = {n: "%s%04d" % (pref, len(ns) - i) for i, n in enumerate(ns)}
+    else:
+        r = {n: pref + n for n in f.nodes}
     g = Fragment(
         f.shape, tuple(sorted(r.values())),
         {r[n]: s for n, s in f.sort.items()},

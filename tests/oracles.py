@@ -2,8 +2,9 @@
 
 Deliberately written from the definitions, not from the library code:
 a fixpoint term-value closure, a backtracking isomorphism counter, and
-small brute-force helpers.  The one exception is a reference copy of
-five of the validator's loops, kept to check their faster form.
+small brute-force helpers.  The exceptions are reference copies of
+five of the validator's loops and of the one-step closure operators,
+kept to check their faster forms.
 """
 
 from __future__ import annotations
@@ -52,6 +53,39 @@ def closure_oracle(f, a, k):
             break
         vals = new
     return frozenset(vals)
+
+
+def closure_step_reference(f, s, variant):
+    """The "wedge", "suc", "zero" and "one" closure operators as the
+    library defined them before its rounds paired only new members:
+    each step pairs the whole set."""
+    s = frozenset(s)
+
+    def wedge(s):
+        extra = set()
+        for x, y in itertools.combinations_with_replacement(sorted(s), 2):
+            if f.sort.get(x) is not None and f.sort.get(x) == f.sort.get(y):
+                m = f.meet_of(x, y)
+                if m is not None:
+                    extra.add(m)
+        return s | extra
+
+    def suc(s):
+        extra = {f.suc[p] for p in itertools.permutations(sorted(s), 2)
+                 if p in f.suc}
+        return s | extra | {f.pre[x] for x in s if x in f.pre}
+
+    def zero(s):
+        s = s | frozenset(f.constants.values())
+        for _ in range(f.shape.longest_branch()):
+            s = wedge(s)
+            s = s | {f.lim[x] for x in s if x in f.lim}
+            s = s | {f.gmap.get(e, {})[x] for e in f.shape.suc_pairs()
+                     for x in s if x in f.gmap.get(e, {})}
+        return s
+
+    return {"wedge": wedge, "suc": suc, "zero": zero,
+            "one": lambda s: zero(suc(s))}[variant](s)
 
 
 def _induced(f, elems):

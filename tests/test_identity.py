@@ -25,6 +25,12 @@ first equal-coded node and to its predecessor in a renamed copy, and,
 on single-sort fragments, every `questionnaire_code` record.  They were
 recorded on the code that checked closedness in every `closure` call
 and refined by scanning the whole meet and G tables for each element.
+The 64-node family cases pin the `tp_code` of every node and the
+`count_type_classes` count at ranks 0-2 and parameter prefixes 1, 4
+and 8; they were recorded, under PYTHONHASHSEED 0 and 2, on the code
+that paired the whole set at every closure round, listed the closure's
+meets once for refinement and again for the record, and refined
+settled cells with full signatures.
 
 Never re-record them to make a refactor pass.
 """
@@ -368,8 +374,19 @@ def _closed_sweep(s):
     return _type_sweep(f, _sorted_pool(f), range(3))
 
 
+def _family_code_sweep(family):
+    f = family_fragment(family, 64)
+    pool = family_parameter_pool(f, family)
+    nodes = sorted(f.nodes)
+    return [[k, p, [tp_code(f, (x,), pool[:p], k).decode() for x in nodes],
+             count_type_classes(f, pool[:p], k, 1)]
+            for k in range(3) for p in (1, 4, 8)]
+
+
 TYPE_CASES = {
     **{"family-%s-16" % fam: (lambda fam=fam: _family_sweep(fam))
+       for fam in ("chain", "binary")},
+    **{"family-%s-64-codes" % fam: (lambda fam=fam: _family_code_sweep(fam))
        for fam in ("chain", "binary")},
     **{"tripod-%d" % s: (lambda s=s: _tripod_sweep(s)) for s in range(5)},
     **{"closed-%d" % s: (lambda s=s: _closed_sweep(s)) for s in range(4)},
@@ -386,8 +403,12 @@ TYPE_PINNED = {
         "bf1a1adb78d150f424baa0fe37ec3bd8c14bdcbc14e79416cc73d608d33ac280",
     "family-binary-16":
         "83eaab87237b4cd0ddb86715c2c476a911a5a00f7202149c55abe28e8e3795fe",
+    "family-binary-64-codes":
+        "c4483129f475cef761b9a9334707d11d159fd0ddfa89eabf131dd56cd5d4a97b",
     "family-chain-16":
         "aff11b68aa39b3c910f17050d4b1f2ce708c23b036eba078e7ec526f00a2c88e",
+    "family-chain-64-codes":
+        "455868dcd663fa2b6d6326593cef5be0ef929e3d0e0dbfb73cfce775100b06e7",
     "tripod-0":
         "2433ae7b82ea7fa5a0a6efb1a67939990fd594ba0abded4854556103b6a35b5c",
     "tripod-1":

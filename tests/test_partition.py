@@ -165,12 +165,17 @@ def test_coloring_from_sequence_mixed_sorts_raise():
 _TRIPOD_COLORINGS = """
 import hashlib, json, random
 from gen import random_tripod
+from treedesk.fixtures import family_fragment, family_parameter_pool
 from treedesk.partition import coloring_from_sequence
 from treedesk.types import tp_code
 h = hashlib.sha256()
 f = random_tripod(random.Random(0))
 for x in sorted(f.nodes):
     h.update(tp_code(f, (x,), (), 1))
+f = family_fragment("binary", 64)
+pool = family_parameter_pool(f, "binary")
+for x in sorted(f.nodes):
+    h.update(tp_code(f, (x,), pool[:4], 2))
 for s in range(12):
     f = random_tripod(random.Random(s))
     seq = sorted(x for x in f.nodes if f.sort.get(x) == "r")[:8]

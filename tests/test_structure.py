@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from gen import (corrupted_fragment, random_tripod, top_sort_only,
                  two_root_forest)
-from oracles import SET_CHECKED, closure_oracle, set_checked_reports
+from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
+                     set_checked_reports)
 
 from treedesk import structure
 
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (
-    random_closed_fragment, random_standard_fragment, three_sort_step_fixture,
+    family_fragment, family_parameter_pool, random_closed_fragment,
+    random_standard_fragment, three_sort_step_fixture,
 )
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE
@@ -151,6 +153,99 @@ def test_closure_matches_oracle(seed, k):
     pool = sorted(n for n in f.nodes if f.sort.get(n) is not None)
     a = tuple(rng.sample(pool, min(2, len(pool))))
     assert closure(f, a, k) == closure_oracle(f, a, k)
+
+
+# Closures over several rounds and rank steps.  The rank loop and the
+# rounds of the rank-0 closure pair only members that are new since the
+# step before; these inputs run up to three rank steps, and the tripods,
+# the three-sort step and the two-sort completions also two rounds of
+# meets, lim and G per step (random_closed_fragment is single-sort, one
+# round and no G).
+
+ROUNDS_CASES = {
+    **{"family-%s-64" % fam: (lambda fam=fam: family_fragment(fam, 64))
+       for fam in ("chain", "binary")},
+    **{"tripod-%d" % s: (lambda s=s: random_tripod(random.Random(s)))
+       for s in range(10)},
+    "three-sort": lambda: complete(three_sort_step_fixture()[0]),
+    **{"top-sort-only-%d" % s: (
+        lambda s=s: complete(top_sort_only(random.Random(s))))
+       for s in range(2)},
+    **{"closed-%d" % s: (lambda s=s: random_closed_fragment(random.Random(s)))
+       for s in range(6)},
+}
+
+
+def _generator_sets(name, f):
+    """Generator sets of one to four nodes: parameter-pool prefixes on
+    the families, seeded samples of the sorted nodes elsewhere."""
+    if name.startswith("family"):
+        pool = family_parameter_pool(f, name.split("-")[1])
+        return [pool[:m] for m in (1, 2, 4)] + [pool[5:7]]
+    rng = random.Random(name)
+    nodes = sorted(f.nodes)
+    return [rng.sample(nodes, rng.randint(1, 4)) for _ in range(6)]
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDS_CASES))
+def test_closure_over_several_rounds_matches_oracle(name):
+    f = ROUNDS_CASES[name]()
+    for a in _generator_sets(name, f):
+        for k in range(4):
+            assert closure(f, a, k) == closure_oracle(f, a, k), (a, k)
+
+
+@pytest.mark.parametrize("seed, a", [
+    (45, ("q_n000", "q_n003", "q1_n003")),
+    (105, ("_c003", "_c020", "q1_n005")),
+])
+def test_rank_step_pairs_old_members_with_new(seed, a):
+    """The successor from a member of the previous step towards a new
+    member can be new itself: these rank-2 closures need it."""
+    f = random_tripod(random.Random(seed))
+    assert closure(f, a, 2) == closure_oracle(f, a, 2)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDS_CASES))
+def test_closure_steps_match_reference(name):
+    f = ROUNDS_CASES[name]()
+    sets = _generator_sets(name, f)
+    for s in sets + [closure(f, a, 1) for a in sets] + [f.nodes]:
+        for variant in ("wedge", "suc", "zero", "one"):
+            assert closure(f, s, variant) == \
+                closure_step_reference(f, s, variant), (s, variant)
+
+
+def _metamorphic_fragments():
+    return ([random_closed_fragment(random.Random(s)) for s in range(12)]
+            + [random_tripod(random.Random(s)) for s in range(6)])
+
+
+def test_closure_is_idempotent_and_composes():
+    """closure(closure(a, k), j) == closure(a, j + k): idempotent at rank
+    0 and for "zero".  A rank-k closure with k >= 1 is in general not
+    idempotent, since each call adds k more successor steps."""
+    for f in _metamorphic_fragments():
+        rng = random.Random(len(f.nodes))
+        for _ in range(4):
+            a = rng.sample(sorted(f.nodes), 2)
+            zero = closure(f, a, "zero")
+            assert closure(f, zero, "zero") == zero
+            for k in range(3):
+                c = closure(f, a, k)
+                for j in range(3):
+                    assert closure(f, c, j) == closure(f, a, j + k)
+
+
+def test_closure_is_monotone():
+    for f in _metamorphic_fragments():
+        rng = random.Random(len(f.nodes))
+        nodes = sorted(f.nodes)
+        for _ in range(4):
+            a = set(rng.sample(nodes, 2))
+            b = a | set(rng.sample(nodes, 3))
+            for variant in ("zero", "one", 0, 1, 2):
+                assert closure(f, a, variant) <= closure(f, b, variant)
 
 
 def assert_set_checked_reports_match(f):

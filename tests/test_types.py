@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import rename
+from gen import random_tripod, rename
 from oracles import count_isomorphisms
 
-from treedesk import structure
+from treedesk import structure, types
 from treedesk.fixtures import (random_closed_fragment,
                                random_standard_fragment,
                                three_sort_step_fixture)
@@ -200,3 +200,33 @@ def test_equiv_k_checks_fa_before_fb():
         equiv_k(closed, (x,), unclosed, (y,), 0)
     with pytest.raises(KeyError, match="nowhere"):
         equiv_k(closed, (x,), closed, ("nowhere",), 0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_codes_invariant_under_renaming(reverse):
+    """A parameter set is aligned by its sorted ids, so under an
+    order-reversing rename the sets hold at most one node."""
+    for f in ([random_closed_fragment(random.Random(s)) for s in range(8)]
+              + [random_tripod(random.Random(s)) for s in range(4)]):
+        g, r = rename(f, "w_", reverse)
+        rng = random.Random(len(f.nodes))
+        nodes = sorted(f.nodes)
+        for _ in range(6):
+            abar = tuple(rng.sample(nodes, rng.randint(1, 2)))
+            a_set = rng.sample(nodes, rng.randint(0, 2 - reverse))
+            for k in range(3):
+                assert tp_code(f, abar, a_set, k) == tp_code(
+                    g, [r[x] for x in abar], [r[x] for x in a_set], k)
+
+
+def test_one_code_lists_the_closure_meets_once(monkeypatch):
+    calls = []
+    closure_meets = types._closure_meets
+
+    def counted(f, elems, es):
+        calls.append(elems)
+        return closure_meets(f, elems, es)
+
+    monkeypatch.setattr(types, "_closure_meets", counted)
+    tp_code(_chain(6), ("n04",), ("n01",), 1)
+    assert len(calls) == 1
