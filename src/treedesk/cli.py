@@ -17,11 +17,14 @@ import time
 from dataclasses import dataclass, field
 
 from .shape import EMPTY_SHAPE, POINT_SHAPE, binary_shape, chain_shape
-from .structure import CannotComplete, NotClosed, closure, complete, validate
-from .types import BadSeries, BudgetExceeded, count_type_classes, tp_code
+from .structure import (CannotComplete, NotClosed, SortError, UndefinedTerm,
+                        closure, complete, validate)
+from .types import (BadSeries, BudgetExceeded, WrongShape, count_type_classes,
+                    tp_code)
 from . import qe as qe_mod
-from .indis import (SequenceWindow, classify, h_iterate, is_HNI, is_NI,
-                    is_indiscernible, search_indiscernible)
+from .indis import (NotAlmostIncreasing, SequenceWindow, ShapeExhausted,
+                    classify, h_iterate, is_HNI, is_NI, is_indiscernible,
+                    search_indiscernible)
 from .partition import (find_homogeneous, is_hard, lift_element,
                         q_enumerate, validate_ptriple, validate_qnode)
 from .glue import (AxiomViolated, DisjointnessViolated,
@@ -434,7 +437,8 @@ def main(argv=None) -> int:
                         status=2)
     except (CannotComplete, NotClosed, BudgetExceeded, BadSeries,
             DisjointnessViolated, AxiomViolated, InsufficientSubwitness,
-            qe_mod.RankTooLow, ValueError, KeyError) as exc:
+            qe_mod.RankTooLow, SortError, WrongShape, UndefinedTerm,
+            NotAlmostIncreasing, ShapeExhausted, ValueError, KeyError) as exc:
         rep = RunReport(command=args.command,
                         violations=["%s: %s" % (type(exc).__name__, exc)],
                         status=2)

@@ -745,10 +745,16 @@ def _cl_wedge(f: Fragment, s: frozenset[str],
     """s plus the meets of its same-sort pairs with a member outside
     done.  The caller vouches that the meets of pairs inside done are
     in s already, so the default pairs all of s."""
+    sort = f.sort
     by_sort: dict[str, tuple[list[str], list[str]]] = {}
-    for x in sorted(s):
-        if (eta := f.sort.get(x)) is not None:
-            by_sort.setdefault(eta, ([], []))[x in done].append(x)
+    for x in sorted(s - done):
+        if (eta := sort.get(x)) is not None:
+            by_sort.setdefault(eta, ([], []))[0].append(x)
+    if not by_sort:
+        return s
+    for y in s & done:
+        if (pair := by_sort.get(sort.get(y))) is not None:
+            pair[1].append(y)
     extra = set()
     meet = f.meet
     for new, old in by_sort.values():
@@ -761,18 +767,23 @@ def _cl_wedge(f: Fragment, s: frozenset[str],
     return s | extra
 
 
-def _cl_g(f: Fragment, s: frozenset[str]) -> frozenset[str]:
+def _cl_g(f: Fragment, s: frozenset[str],
+          done: frozenset[str] = frozenset()) -> frozenset[str]:
+    """s plus the G images of its members outside done."""
     extra = set()
+    new = s - done
     for edge in f.shape.suc_pairs():
         table = f.gmap.get(edge, {})
-        for x in s:
+        for x in new:
             if x in table:
                 extra.add(table[x])
     return s | extra
 
 
-def _cl_lim(f: Fragment, s: frozenset[str]) -> frozenset[str]:
-    return s | {f.lim[x] for x in s if x in f.lim}
+def _cl_lim(f: Fragment, s: frozenset[str],
+            done: frozenset[str] = frozenset()) -> frozenset[str]:
+    """s plus the lim values of its members outside done."""
+    return s | {f.lim[x] for x in s - done if x in f.lim}
 
 
 def _cl_suc(f: Fragment, s: frozenset[str],
@@ -795,19 +806,19 @@ def _cl_suc(f: Fragment, s: frozenset[str],
 def _cl_zero(f: Fragment, s: frozenset[str],
              done: frozenset[str] = frozenset()) -> frozenset[str]:
     """Rank-0 closure: the constants, then longest_branch() rounds of
-    meets, lim and G, each pairing only what the round before added.
-    The meets of pairs inside done are in s already."""
+    meets, lim and G, each round pairing, and taking the lim and G
+    images of, only what the round before added.  The caller vouches
+    that done is rank-0 closed: the meets of its pairs and its lim and G
+    images are in s already."""
     s = s | frozenset(f.constants.values())
     for _ in range(f.shape.longest_branch()):
-        s, done = _cl_g(f, _cl_lim(f, _cl_wedge(f, s, done))), s
+        s, done = _cl_g(f, _cl_lim(f, _cl_wedge(f, s, done), done), done), s
     return s
 
 
-def _cl_one(f: Fragment, s: frozenset[str],
-            done: frozenset[str] = frozenset()) -> frozenset[str]:
-    """One rank step: successors and predecessors, then `_cl_zero`.  The
-    successors and meets of pairs inside done are in s already."""
-    return _cl_zero(f, _cl_suc(f, s, done), done)
+def _cl_one(f: Fragment, s: frozenset[str]) -> frozenset[str]:
+    """One rank step: successors and predecessors, then `_cl_zero`."""
+    return _cl_zero(f, _cl_suc(f, s))
 
 
 def closure(f: Fragment, a, variant="zero") -> frozenset[str]:
@@ -834,13 +845,20 @@ def _require_closed(f: Fragment) -> None:
         raise NotClosed("closure requires a completed fragment")
 
 
+def _known(f: Fragment, a) -> frozenset[str]:
+    """The node set a, or KeyError for a node that is not in f."""
+    s = frozenset(a)
+    for x in s:
+        if x not in f._below:
+            raise KeyError("unknown node %r" % x)
+    return s
+
+
 def _closure(f: Fragment, a, variant="zero") -> frozenset[str]:
     """`closure` for an f already known to be closed."""
-    s = frozenset(a)
-    nodes = set(f.nodes)
-    for x in s:
-        if x not in nodes:
-            raise KeyError("unknown node %r" % x)
+    if isinstance(variant, int) and variant >= 0:
+        return _chain(f, a, variant)[-1]
+    s = _known(f, a)
     if variant == "wedge":
         return _cl_wedge(f, s)
     if variant == "g":
@@ -853,15 +871,44 @@ def _closure(f: Fragment, a, variant="zero") -> frozenset[str]:
         return _cl_zero(f, s)
     if variant == "one":
         return _cl_one(f, s)
-    if isinstance(variant, int) and variant >= 0:
-        s, done = _cl_zero(f, s), frozenset()
-        for _ in range(variant):
-            nxt = _cl_one(f, s, done)
-            if nxt == s:
-                break
-            s, done = nxt, s
-        return s
     raise ValueError("unknown closure variant %r" % (variant,))
+
+
+def _chain(f: Fragment, a, k: int, base=None) -> list[frozenset[str]]:
+    """The rank-i closures of the node set a, for a closed f, from i = 0
+    up to k or to the first rank that adds nothing, whichever comes
+    first: the last entry is the rank-k closure, and so is every rank
+    past it.
+
+    With base, the chain of a parameter set P, the result is the chain
+    of a | P, and each rank pays only for what a adds to P:
+        S_0     = zero(B_0 | a)               pairing outside B_0
+        S_{i+1} = zero(suc(S_i) | B_{i+1})    pairing outside B_{i+1}
+    where suc(S_i) pairs only members outside B_i.  This is exact
+    because B_i's successors and predecessors lie in B_{i+1}, and
+    B_{i+1} is closed under the rank-0 operators, as every rank-0
+    closure is.  Without base, a set's own rank i-1 and rank i closures
+    serve as B_i and B_{i+1}, so each rank pairs only the members that
+    the rank before it added.  Raises KeyError for a node of a that is
+    not in f.
+    """
+    empty = frozenset()
+    s = _known(f, a)
+    if base is None:
+        b0 = empty
+    else:
+        b0, last = base[0], len(base) - 1
+    tops = [_cl_zero(f, b0 | s, b0)]
+    for i in range(k):
+        if base is None:
+            b, b1 = tops[i - 1] if i else empty, tops[i]
+        else:
+            b, b1 = base[min(i, last)], base[min(i + 1, last)]
+        nxt = _cl_zero(f, _cl_suc(f, tops[i], b) | b1, b1)
+        if nxt == tops[i]:
+            break
+        tops.append(nxt)
+    return tops
 
 
 # ---------------------------------------------------------------------------

@@ -18,24 +18,30 @@ once per tuple.  A node that is not in the fragment raises KeyError,
 after the closedness check, and a tuple count over budget raises
 BudgetExceeded, before it.
 
-One code builds the closure once and lists its meets once; refinement,
-every individualization branch and the serialized record all read that
-list.  Refinement indexes the closure's order, lim and G relations once
-per call, so each round reads only an element's own neighbours, gives
-an element alone in its cell the signature (rank,) and stops as soon as
-every cell is a singleton.  The record takes its order pairs from the
-closure's down-sets.
+One code builds the closure once and then one index of it (`_Index`):
+the closure's down-sets, up-lists, lim, meets, G edges and constants.
+Refinement, every individualization branch and the serialized record
+all read that index, so no branch rebuilds it.  Each refinement round
+reads only an element's own neighbours, computes a signature part only
+for elements that still tie on the parts before it, and refinement
+stops as soon as every cell is a singleton.
+
+`count_type_classes` pays once per call for what all its tuples share.
+It builds the parameter set's closure chain (`structure._chain`) and
+the meet list of its rank-k closure once; each tuple's closure then
+continues that chain, pairing only members the tuple adds, and lists
+only the meets of pairs with such a member.  The count collects the
+tuples' records (`_tp_record`), not their serialized codes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 from .shape import ShapeTree
-from .structure import (Fragment, Term, _closure, _require_closed, closure,
-                        distance)
+from .structure import (Fragment, Term, _chain, _closure, _require_closed,
+                        closure, distance)
 
 
 class BudgetExceeded(RuntimeError):
@@ -58,139 +64,197 @@ def _sort_key(s):
     return ("s", s) if s is not None else ("n",)
 
 
-def _initial_colors(f: Fragment, elems, gens):
-    colors = {}
-    for x in elems:
-        colors[x] = (
-            _sort_key(f.sort.get(x)),
-            tuple(i for i, g in enumerate(gens) if g == x),
-            tuple(sorted(k for k, v in f.constants.items() if v == x)),
-        )
-    return colors
-
-
 def _ranks(colors):
     order = sorted(set(colors.values()))
     idx = {c: i for i, c in enumerate(order)}
     return {x: idx[c] for x, c in colors.items()}
 
 
-def _refine(f: Fragment, elems, meets, colors):
-    """1-dimensional refinement over the reduced-language structure.
+class _Index:
+    """The structure a code reads, restricted to one closure and built
+    once: the sorted elements with their sorts, strict down-sets and
+    up-lists, lim, meets and G edges, and the constants in the closure.
+    Refinement, every individualization branch and the record all read
+    it.  meet[x] maps each partner y of x to their meet, and mval[m]
+    lists the pairs (x, y), x <= y, that meet at m."""
 
-    The order, lim and G relations are indexed once, restricted to the
-    sorted closure elems, and the meets come from the closure's shared
-    list, so each round builds an element's signature from its own
-    neighbours only.  A settled element, alone in its cell, gets the
-    signature (rank,), and refinement stops once every cell is settled:
-    a signature starts with the old rank, so neither changes a rank."""
-    es = set(elems)
-    below = {x: f.strictly_below(x) & es for x in elems}
-    above = {x: [] for x in elems}
-    lim_from = {x: [] for x in elems}
-    marg = {x: [] for x in elems}
-    mval = {x: [] for x in elems}
-    garg = {x: [] for x in elems}
-    gval = {x: [] for x in elems}
-    for y in elems:
-        for x in below[y]:
-            above[x].append(y)
-        if (l := f.lim.get(y)) in es:
-            lim_from[l].append(y)
-    for a, b, m in meets:
-        marg[a].append((b, m))
-        if b != a:
-            marg[b].append((a, m))
-        mval[m].append((a, b))
-    for e, table in f.gmap.items():
-        for x in elems:
-            if (y := table.get(x)) in es:
-                garg[x].append((e, y))
-                gval[y].append((e, x))
+    def __init__(self, f: Fragment, c, meets):
+        self.elems = elems = sorted(c)
+        self.sorts = {x: _sort_key(f.sort.get(x)) for x in elems}
+        self.below = below = {x: f._below[x] & c for x in elems}
+        self.above = above = {x: [] for x in elems}
+        self.lim = {}
+        self.lim_from = lim_from = {x: [] for x in elems}
+        self.meet = meet = {x: {} for x in elems}
+        self.mval = mval = {x: [] for x in elems}
+        self.garg = garg = {x: [] for x in elems}
+        self.gval = gval = {x: [] for x in elems}
+        self.g = []
+        for y in elems:
+            for x in below[y]:
+                above[x].append(y)
+            if (l := f.lim.get(y)) in c:
+                self.lim[y] = l
+                lim_from[l].append(y)
+        for a, b, m in meets:
+            meet[a][b] = meet[b][a] = m
+            mval[m].append((a, b))
+        for e, table in f.gmap.items():
+            for x in elems:
+                if (y := table.get(x)) in c:
+                    garg[x].append((e, y))
+                    gval[y].append((e, x))
+                    self.g.append((e, x, y))
+        self.consts = [(key, v) for key, v in f.constants.items() if v in c]
+
+    def parts(self, ranks):
+        """The parts of an element's refinement signature after its
+        rank, in order, each a function of the element."""
+        rank = ranks.__getitem__
+        return (
+            lambda x: tuple(sorted(map(rank, self.below[x]))),
+            lambda x: tuple(sorted(map(rank, self.above[x]))),
+            lambda x: ranks[self.lim[x]] if x in self.lim else -1,
+            lambda x: tuple(sorted(map(rank, self.lim_from[x]))),
+            lambda x: tuple(sorted([(ranks[y], ranks[m])
+                                    for y, m in self.meet[x].items()])),
+            lambda x: tuple(sorted([(ranks[a], ranks[b])
+                                    for a, b in self.mval[x]])),
+            lambda x: tuple(sorted([(e, ranks[y]) for e, y in self.garg[x]])),
+            lambda x: tuple(sorted([(e, ranks[a]) for e, a in self.gval[x]])))
+
+
+def _initial_colors(ix: _Index, gens):
+    """Each element's sort, its positions among gens and the keys of the
+    constants naming it."""
+    at = {x: [] for x in ix.elems}
+    for i, g in enumerate(gens):
+        at[g].append(i)
+    named = {x: [] for x in ix.elems}
+    for key, v in ix.consts:
+        named[v].append(key)
+    return {x: (ix.sorts[x], tuple(at[x]), tuple(sorted(named[x])))
+            for x in ix.elems}
+
+
+def _refine(ix: _Index, colors):
+    """1-dimensional refinement over the reduced-language structure of
+    the index.  Each round ranks the elements by their signatures: the
+    old rank, then the parts of `_Index.parts`, which read an element's
+    own neighbours only.  Signatures compare part by part, so a part is
+    computed only for the elements that still tie on every part before
+    it, and not at all for an element alone in its cell.  Refinement
+    stops once every cell is a singleton or a round changes no rank."""
     ranks = _ranks(colors)
     while True:
-        size = Counter(ranks.values())
-        if len(size) == len(elems):
+        cells: dict[int, list[str]] = {}
+        for x in ix.elems:
+            cells.setdefault(ranks[x], []).append(x)
+        if len(cells) == len(ix.elems):
             return ranks
-        new = {}
-        for x in elems:
-            if size[ranks[x]] == 1:
-                new[x] = (ranks[x],)
-                continue
-            l = f.lim.get(x)
-            new[x] = (
-                ranks[x],
-                tuple(sorted(ranks[y] for y in below[x])),
-                tuple(sorted(ranks[y] for y in above[x])),
-                ranks[l] if l in es else -1,
-                tuple(sorted(ranks[y] for y in lim_from[x])),
-                tuple(sorted((ranks[y], ranks[m]) for y, m in marg[x])),
-                tuple(sorted((ranks[a], ranks[b]) for a, b in mval[x])),
-                tuple(sorted((e, ranks[y]) for e, y in garg[x])),
-                tuple(sorted((e, ranks[a]) for e, a in gval[x])))
-        nr = _ranks(new)
-        if nr == ranks:
+        parts, groups = ix.parts(ranks), []
+        for r in sorted(cells):
+            _split(cells[r], parts, 0, groups)
+        new = {x: i for i, group in enumerate(groups) for x in group}
+        if new == ranks:
             return ranks
-        ranks = nr
+        ranks = new
 
 
-def _closure_meets(f: Fragment, elems, es):
-    """(x, y, meet) for each pair x <= y of the sorted elems whose meet is
-    declared and lies in es: the meet table restricted to es."""
-    return [(x, y, m) for i, x in enumerate(elems) for y in elems[i:]
-            if (m := f.meet.get((x, y))) in es]
+def _split(xs, parts, i, groups):
+    """Append to groups the elements xs, equal on every signature part
+    before parts[i], as classes of equal signature in signature order."""
+    if len(xs) == 1 or i == len(parts):
+        groups.append(xs)
+        return
+    by: dict = {}
+    for x in xs:
+        by.setdefault(parts[i](x), []).append(x)
+    for key in sorted(by):
+        _split(by[key], parts, i + 1, groups)
 
 
-def _structure_record(f: Fragment, listed, meets):
-    """The structure induced on the listed closure, by list position;
-    meets is the closure's meet list."""
+def _closure_meets(f: Fragment, c, done=frozenset()):
+    """(x, y, meet) for each pair x <= y of c with a member outside done
+    whose meet is declared and lies in c: the meet table restricted to
+    c, less the pairs inside done."""
+    meet = f.meet
+    new, old = sorted(c - done), sorted(done)
+    out = []
+    for i, x in enumerate(new):
+        for y in new[i:]:
+            if (m := meet.get((x, y))) in c:
+                out.append((x, y, m))
+        for y in old:
+            key = (x, y) if x <= y else (y, x)
+            if (m := meet.get(key)) in c:
+                out.append(key + (m,))
+    return out
+
+
+def _structure_record(ix: _Index, listed):
+    """The structure induced on the listed closure, by list position."""
     pos = {x: i for i, x in enumerate(listed)}
-    n = len(listed)
     order = tuple(sorted((pos[x], j) for j, y in enumerate(listed)
-                         for x in f.strictly_below(y) & pos.keys()))
-    meet = tuple(sorted(
-        (min(pos[x], pos[y]), max(pos[x], pos[y]), pos[m])
-        for x, y, m in meets))
-    lim = tuple(sorted(
-        (pos[x], pos[l]) for x in listed if (l := f.lim.get(x)) in pos))
-    g = tuple(sorted(
-        (edge, pos[x], pos[y])
-        for edge, table in f.gmap.items()
-        for x in listed if (y := table.get(x)) in pos))
-    consts = tuple(sorted(
-        (key, pos[v]) for key, v in f.constants.items() if v in pos))
-    sorts = tuple(_sort_key(f.sort.get(x)) for x in listed)
-    return (n, sorts, order, meet, lim, g, consts)
+                         for x in ix.below[y]))
+    meet = []
+    for i, x in enumerate(listed):
+        row = ix.meet[x]
+        for j in range(i, len(listed)):
+            if (m := row.get(listed[j])) is not None:
+                meet.append((i, j, pos[m]))
+    lim = tuple(sorted((pos[x], pos[l]) for x, l in ix.lim.items()))
+    g = tuple(sorted((edge, pos[x], pos[y]) for edge, x, y in ix.g))
+    consts = tuple(sorted((key, pos[v]) for key, v in ix.consts))
+    sorts = tuple(ix.sorts[x] for x in listed)
+    return (len(listed), sorts, order, tuple(meet), lim, g, consts)
 
 
-def _canon_order(f: Fragment, elems, meets, colors):
-    ranks = _refine(f, elems, meets, colors)
+def _canon_order(ix: _Index, colors):
+    ranks = _refine(ix, colors)
     classes: dict[int, list[str]] = {}
-    for x in elems:
+    for x in ix.elems:
         classes.setdefault(ranks[x], []).append(x)
     tied = sorted(r for r, xs in classes.items() if len(xs) > 1)
     if not tied:
-        return sorted(elems, key=lambda x: ranks[x])
+        return sorted(ix.elems, key=lambda x: ranks[x])
     r = tied[0]
     best = None
     for x in sorted(classes[r]):
-        c2 = {y: (ranks[y], 1 if y == x else 0) for y in elems}
-        order = _canon_order(f, elems, meets, c2)
-        rec = _structure_record(f, order, meets)
+        c2 = {y: (ranks[y], 1 if y == x else 0) for y in ix.elems}
+        order = _canon_order(ix, c2)
+        rec = _structure_record(ix, order)
         if best is None or rec < best[0]:
             best = (rec, order)
     return best[1]
 
 
-def _canon(f: Fragment, gens: tuple[str, ...], k: int):
-    """Canonical listing of the rank-k closure of gens, for a closed f,
-    with its positions and the closure's meet list."""
-    c = _closure(f, set(gens), k)
-    elems = sorted(c)
-    meets = _closure_meets(f, elems, c)
-    listed = _canon_order(f, elems, meets, _initial_colors(f, elems, gens))
+def _params(f: Fragment, a_set, k: int):
+    """The parameter chain of a_set for rank-k codes over it: its rank
+    closures (`structure._chain`) and the meet list of its rank-k
+    closure.  Raises KeyError for a node that is not in f."""
+    tops = _chain(f, a_set, k)
+    return tops, _closure_meets(f, tops[-1])
+
+
+def _canon(f: Fragment, abar: tuple[str, ...], a_set: tuple[str, ...],
+           k: int, params=None):
+    """Canonical listing of the rank-k closure of abar + a_set (a_set
+    sorted), for a closed f, with its positions and index.  With params,
+    `_params(f, a_set, k)`, the closure continues the parameter chain by
+    abar and lists only the meets of pairs with a member outside it."""
+    gens = abar + a_set
+    if params is None:
+        c = _closure(f, gens, k)
+        meets = _closure_meets(f, c)
+    else:
+        tops, top_meets = params
+        c = _chain(f, abar, k, tops)[-1]
+        meets = top_meets + _closure_meets(f, c, tops[-1])
+    ix = _Index(f, c, meets)
+    listed = _canon_order(ix, _initial_colors(ix, gens))
     pos = {x: i for i, x in enumerate(listed)}
-    return listed, pos, meets
+    return listed, pos, ix
 
 
 def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
@@ -204,12 +268,19 @@ def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
 
 def _tp_code(f: Fragment, abar, a_set, k: int) -> bytes:
     """`tp_code` for an f already known to be closed."""
-    abar = tuple(abar)
-    gens = abar + tuple(sorted(a_set))
-    listed, pos, meets = _canon(f, gens, k)
-    rec = (len(abar), tuple(pos[x] for x in gens),
-           _structure_record(f, listed, meets))
-    return repr(rec).encode()
+    return repr(_tp_record(f, abar, a_set, k)).encode()
+
+
+def _tp_record(f: Fragment, abar, a_set, k: int, params=None):
+    """The tuple `_tp_code` serializes: the tuple's length, the list
+    positions of the generators and the structure record.  repr is
+    injective on these nested tuples of ints and strings, so two
+    records are equal exactly when their codes are.  params, when
+    given, is `_params(f, a_set, k)`."""
+    abar, a_set = tuple(abar), tuple(sorted(a_set))
+    listed, pos, ix = _canon(f, abar, a_set, k, params)
+    return (len(abar), tuple(pos[x] for x in abar + a_set),
+            _structure_record(ix, listed))
 
 
 def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
@@ -227,15 +298,15 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
         return None
     if fa.shape.indices != fb.shape.indices:
         return None
-    ga = abar + tuple(sorted(a_set))
-    gb = bbar + tuple(sorted(b_set))
+    a_set, b_set = tuple(sorted(a_set)), tuple(sorted(b_set))
     _require_closed(fa)
-    la, pa, ma = _canon(fa, ga, k)
+    la, pa, ia = _canon(fa, abar, a_set, k)
     _require_closed(fb)
-    lb, pb, mb = _canon(fb, gb, k)
-    if tuple(pa[x] for x in ga) != tuple(pb[x] for x in gb):
+    lb, pb, ib = _canon(fb, bbar, b_set, k)
+    if (tuple(pa[x] for x in abar + a_set)
+            != tuple(pb[x] for x in bbar + b_set)):
         return None
-    if _structure_record(fa, la, ma) != _structure_record(fb, lb, mb):
+    if _structure_record(ia, la) != _structure_record(ib, lb):
         return None
     return {la[i]: lb[i] for i in range(len(la))}
 
@@ -246,17 +317,22 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
 
     Raises BudgetExceeded when f has more than budget_tuples n-tuples,
     then NotClosed unless f is closed (checked once per call, not per
-    tuple), then KeyError for a node of the set that is not in f."""
+    tuple), then KeyError for a node of the set that is not in f; a
+    fragment without n-tuples gives 0.  The parameter set's closure
+    chain and meet list are built once per call, each tuple's closure
+    continues that chain, and the count collects the tuples' records
+    (`_tp_record`), not their serialized codes."""
     total = len(f.nodes) ** n
     if total > budget_tuples:
         raise BudgetExceeded("%d tuples exceed budget %d"
                              % (total, budget_tuples))
     _require_closed(f)
+    if not total:
+        return 0
     a_set = tuple(sorted(a_set))
-    codes = set()
-    for tup in itertools.product(f.nodes, repeat=n):
-        codes.add(_tp_code(f, tup, a_set, k))
-    return len(codes)
+    params = _params(f, a_set, k)
+    return len({_tp_record(f, tup, a_set, k, params)
+                for tup in itertools.product(f.nodes, repeat=n)})
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +352,11 @@ def questionnaire_code(f: Fragment, a: str, a_set, k: int):
     gens = tuple(sorted(a_set))
     if gens:
         _require_closed(f)
-        b_list = _canon(f, gens, 0)[0]
+        b_list = _canon(f, (), gens, 0)[0]
     else:
         b_list = sorted(closure(f, (), 0)) if f.constants else []
         if b_list:
-            b_list = _canon(f, (), 0)[0]
+            b_list = _canon(f, (), (), 0)[0]
     return _record(f, a, list(b_list), k)
 
 

@@ -75,6 +75,39 @@ def random_tripod(rng) -> Fragment:
     return complete(merge_fragments(TRIPOD, parts, gmap))
 
 
+def theta_single_sort() -> Fragment:
+    """Closed theta-mode tree whose three successors of a limit are the
+    constants of sort r."""
+    w = Ordinal.omega()
+    g = from_standard_tree(
+        {"r": Ordinal(), "L": w,
+         "d0": w.plus(1), "d1": w.plus(1), "d2": w.plus(1)},
+        {("r", "L"), ("r", "d0"), ("r", "d1"), ("r", "d2"),
+         ("L", "d0"), ("L", "d1"), ("L", "d2")},
+        mode="theta")
+    return g.replace(constants={("r", 0): "d0", ("r", 1): "d1",
+                                ("r", 2): "d2"})
+
+
+def theta_two_sort() -> Fragment:
+    """Closed theta-mode fragment over a two-sort chain: two such trees,
+    the constants of each sort, and a G map between the constants."""
+    w = Ordinal.omega()
+    s0 = from_standard_tree(
+        {"r": Ordinal(), "L": w, "d0": w.plus(1), "d1": w.plus(1)},
+        {("r", "L"), ("r", "d0"), ("r", "d1"), ("L", "d0"), ("L", "d1")},
+        index="0", shape=chain_shape(2))
+    s1 = from_standard_tree(
+        {"s": Ordinal(), "M": w, "e0": w.plus(1), "e1": w.plus(1)},
+        {("s", "M"), ("s", "e0"), ("s", "e1"), ("M", "e0"), ("M", "e1")},
+        index="1", shape=chain_shape(2))
+    h = merge_fragments(chain_shape(2), {"0": s0, "1": s1},
+                        gmap={("0", "1"): {"d0": "e0", "d1": "e1"}},
+                        mode="theta")
+    return h.replace(constants={("0", 0): "d0", ("0", 1): "d1",
+                                ("1", 0): "e0", ("1", 1): "e1"})
+
+
 def random_unsorted(rng, max_nodes: int = 6) -> Fragment:
     """Fragment over the empty shape: bare points, no structure."""
     n = rng.randint(2, max_nodes)

@@ -3,13 +3,14 @@
 Deliberately written from the definitions, not from the library code:
 a fixpoint term-value closure, a backtracking isomorphism counter, and
 small brute-force helpers.  The exceptions are reference copies of
-five of the validator's loops and of the one-step closure operators,
-kept to check their faster forms.
+five of the validator's loops, of the one-step closure operators and of
+the canonical ordering of a closure, kept to check their faster forms.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 
 def closure_oracle(f, a, k):
@@ -86,6 +87,125 @@ def closure_step_reference(f, s, variant):
 
     return {"wedge": wedge, "suc": suc, "zero": zero,
             "one": lambda s: zero(suc(s))}[variant](s)
+
+
+def canon_reference(f, c, gens, colors=None):
+    """(listing, record) of the closure c with generators gens, by the
+    refinement, individualization and record the library used when each
+    refinement round and each branch rebuilt its own index of c and
+    every element's signature was built in full.  colors, when given,
+    replaces the initial colours."""
+    elems = sorted(c)
+    meets = [(x, y, m) for i, x in enumerate(elems) for y in elems[i:]
+             if (m := f.meet.get((x, y))) in c]
+    if colors is None:
+        colors = {x: (_sort_key(f.sort.get(x)),
+                      tuple(i for i, g in enumerate(gens) if g == x),
+                      tuple(sorted(k for k, v in f.constants.items()
+                                   if v == x)))
+                  for x in elems}
+    listed = _canon_order_reference(f, elems, meets, colors)
+    return listed, _record_reference(f, listed, meets)
+
+
+def _sort_key(s):
+    return ("s", s) if s is not None else ("n",)
+
+
+def _ranks(colors):
+    order = sorted(set(colors.values()))
+    idx = {c: i for i, c in enumerate(order)}
+    return {x: idx[c] for x, c in colors.items()}
+
+
+def _refine_reference(f, elems, meets, colors):
+    es = set(elems)
+    below = {x: f.strictly_below(x) & es for x in elems}
+    above = {x: [] for x in elems}
+    lim_from = {x: [] for x in elems}
+    marg = {x: [] for x in elems}
+    mval = {x: [] for x in elems}
+    garg = {x: [] for x in elems}
+    gval = {x: [] for x in elems}
+    for y in elems:
+        for x in below[y]:
+            above[x].append(y)
+        if (l := f.lim.get(y)) in es:
+            lim_from[l].append(y)
+    for a, b, m in meets:
+        marg[a].append((b, m))
+        if b != a:
+            marg[b].append((a, m))
+        mval[m].append((a, b))
+    for e, table in f.gmap.items():
+        for x in elems:
+            if (y := table.get(x)) in es:
+                garg[x].append((e, y))
+                gval[y].append((e, x))
+    ranks = _ranks(colors)
+    while True:
+        size = Counter(ranks.values())
+        if len(size) == len(elems):
+            return ranks
+        new = {}
+        for x in elems:
+            if size[ranks[x]] == 1:
+                new[x] = (ranks[x],)
+                continue
+            l = f.lim.get(x)
+            new[x] = (
+                ranks[x],
+                tuple(sorted(ranks[y] for y in below[x])),
+                tuple(sorted(ranks[y] for y in above[x])),
+                ranks[l] if l in es else -1,
+                tuple(sorted(ranks[y] for y in lim_from[x])),
+                tuple(sorted((ranks[y], ranks[m]) for y, m in marg[x])),
+                tuple(sorted((ranks[a], ranks[b]) for a, b in mval[x])),
+                tuple(sorted((e, ranks[y]) for e, y in garg[x])),
+                tuple(sorted((e, ranks[a]) for e, a in gval[x])))
+        nr = _ranks(new)
+        if nr == ranks:
+            return ranks
+        ranks = nr
+
+
+def _record_reference(f, listed, meets):
+    pos = {x: i for i, x in enumerate(listed)}
+    n = len(listed)
+    order = tuple(sorted((pos[x], j) for j, y in enumerate(listed)
+                         for x in f.strictly_below(y) & pos.keys()))
+    meet = tuple(sorted(
+        (min(pos[x], pos[y]), max(pos[x], pos[y]), pos[m])
+        for x, y, m in meets))
+    lim = tuple(sorted(
+        (pos[x], pos[l]) for x in listed if (l := f.lim.get(x)) in pos))
+    g = tuple(sorted(
+        (edge, pos[x], pos[y])
+        for edge, table in f.gmap.items()
+        for x in listed if (y := table.get(x)) in pos))
+    consts = tuple(sorted(
+        (key, pos[v]) for key, v in f.constants.items() if v in pos))
+    sorts = tuple(_sort_key(f.sort.get(x)) for x in listed)
+    return (n, sorts, order, meet, lim, g, consts)
+
+
+def _canon_order_reference(f, elems, meets, colors):
+    ranks = _refine_reference(f, elems, meets, colors)
+    classes = {}
+    for x in elems:
+        classes.setdefault(ranks[x], []).append(x)
+    tied = sorted(r for r, xs in classes.items() if len(xs) > 1)
+    if not tied:
+        return sorted(elems, key=lambda x: ranks[x])
+    r = tied[0]
+    best = None
+    for x in sorted(classes[r]):
+        c2 = {y: (ranks[y], 1 if y == x else 0) for y in elems}
+        order = _canon_order_reference(f, elems, meets, c2)
+        rec = _record_reference(f, order, meets)
+        if best is None or rec < best[0]:
+            best = (rec, order)
+    return best[1]
 
 
 def _induced(f, elems):

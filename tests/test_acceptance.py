@@ -14,11 +14,11 @@ import time
 
 import pytest
 
-from gen import rename, transfer_instances
+from gen import rename, theta_single_sort, theta_two_sort, transfer_instances
 from oracles import closure_oracle, count_isomorphisms
 
 from treedesk.fixtures import (
-    comb_and_fan_fixture, fan_pair_fixture, merge_fragments,
+    comb_and_fan_fixture, fan_pair_fixture,
     random_closed_fragment, random_sequence_fixture,
     random_standard_fragment, six_chain_base, three_sort_step_fixture,
 )
@@ -33,9 +33,9 @@ from treedesk.partition import (
     pi1, q_enumerate, satisfies, validate_ptriple, validate_qnode,
 )
 from treedesk.qe import extend_one_point, m2
-from treedesk.shape import POINT_SHAPE, chain_shape
+from treedesk.shape import POINT_SHAPE
 from treedesk.structure import (
-    Fragment, closure, complete, from_standard_tree, validate,
+    Fragment, closure, complete, validate,
 )
 from treedesk.types import count_type_classes, equiv_k, estimate_degree, tp_code
 
@@ -59,35 +59,6 @@ def _upd(d, **kw):
 
 def _violation_names(rep):
     return {r.split(":")[0] for r in rep}
-
-
-def _theta_single_sort():
-    w = Ordinal.omega()
-    g = from_standard_tree(
-        {"r": Ordinal(), "L": w,
-         "d0": w.plus(1), "d1": w.plus(1), "d2": w.plus(1)},
-        {("r", "L"), ("r", "d0"), ("r", "d1"), ("r", "d2"),
-         ("L", "d0"), ("L", "d1"), ("L", "d2")},
-        mode="theta")
-    return g.replace(constants={("r", 0): "d0", ("r", 1): "d1",
-                                ("r", 2): "d2"})
-
-
-def _theta_two_sort():
-    w = Ordinal.omega()
-    s0 = from_standard_tree(
-        {"r": Ordinal(), "L": w, "d0": w.plus(1), "d1": w.plus(1)},
-        {("r", "L"), ("r", "d0"), ("r", "d1"), ("L", "d0"), ("L", "d1")},
-        index="0", shape=chain_shape(2))
-    s1 = from_standard_tree(
-        {"s": Ordinal(), "M": w, "e0": w.plus(1), "e1": w.plus(1)},
-        {("s", "M"), ("s", "e0"), ("s", "e1"), ("M", "e0"), ("M", "e1")},
-        index="1", shape=chain_shape(2))
-    h = merge_fragments(chain_shape(2), {"0": s0, "1": s1},
-                        gmap={("0", "1"): {"d0": "e0", "d1": "e1"}},
-                        mode="theta")
-    return h.replace(constants={("0", 0): "d0", ("0", 1): "d1",
-                                ("1", 0): "e0", ("1", 1): "e1"})
 
 
 def test_criterion_01_axiom_validator():
@@ -141,8 +112,8 @@ def test_criterion_01_axiom_validator():
         ("regressive", f.replace(
             gmap={**f.gmap, ("0", "1"): {**g01, "a_s3": "b_v0"}})),
     ]
-    g = _theta_single_sort()
-    h = _theta_two_sort()
+    g = theta_single_sort()
+    h = theta_two_sort()
     ok = ok and not validate(g) and not validate(h)
     mutations += [
         ("constants-sort",

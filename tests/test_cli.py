@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,7 +7,8 @@ from treedesk.cli import main
 from treedesk.fileio import (
     save_coloring, save_fragment, save_ptriple,
 )
-from treedesk.fixtures import six_chain_base, three_sort_step_fixture
+from treedesk.fixtures import (random_closed_fragment, six_chain_base,
+                               three_sort_step_fixture)
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
 from treedesk.structure import complete, from_standard_tree
@@ -127,6 +129,20 @@ def test_qe_extend(capsys, tmp_path, chain_file):
     assert rc == 0
     assert doc["payload"]["d"] == "n01"
     assert out.exists()
+
+
+def test_qe_extend_across_shapes_is_usage_error(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_fragment(three_sort_step_fixture()[0], str(a))
+    save_fragment(random_closed_fragment(random.Random(1), 16), str(b))
+    rc = main(["qe", "extend", str(a), str(b), "--abar", "", "--bbar", "",
+               "--c", "a_m0", "--m1", "0"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert "Traceback" not in cap.out + cap.err
+    assert [line for line in cap.out.splitlines()
+            if line.startswith("violation:")] == [
+        "violation: SortError: fragments must share a shape"]
 
 
 def test_qe_table(capsys, chain_file):

@@ -30,7 +30,13 @@ The 64-node family cases pin the `tp_code` of every node and the
 and 8; they were recorded, under PYTHONHASHSEED 0 and 2, on the code
 that paired the whole set at every closure round, listed the closure's
 meets once for refinement and again for the record, and refined
-settled cells with full signatures.
+settled cells with full signatures.  The theta cases sweep the two
+constant-carrying theta-mode fragments of `gen` at ranks 0-2, the only
+pins whose constants feed the initial colours, the closure and the
+record; they were recorded, under PYTHONHASHSEED 0 and 2, on the code
+that closed each tuple's generators from scratch, rebuilt the
+refinement index in every individualization branch and counted type
+classes by their code bytes.
 
 Never re-record them to make a refactor pass.
 """
@@ -43,8 +49,8 @@ import random
 
 import pytest
 
-from gen import (corrupted_fragment, random_tripod, rename, top_sort_only,
-                 two_root_forest)
+from gen import (corrupted_fragment, random_tripod, rename, theta_single_sort,
+                 theta_two_sort, top_sort_only, two_root_forest)
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (family_fragment, family_parameter_pool,
                                random_closed_fragment,
@@ -374,6 +380,10 @@ def _closed_sweep(s):
     return _type_sweep(f, _sorted_pool(f), range(3))
 
 
+def _constants_sweep(f):
+    return _type_sweep(f, _sorted_pool(f), range(3))
+
+
 def _family_code_sweep(family):
     f = family_fragment(family, 64)
     pool = family_parameter_pool(f, family)
@@ -390,6 +400,9 @@ TYPE_CASES = {
        for fam in ("chain", "binary")},
     **{"tripod-%d" % s: (lambda s=s: _tripod_sweep(s)) for s in range(5)},
     **{"closed-%d" % s: (lambda s=s: _closed_sweep(s)) for s in range(4)},
+    **{"theta-%s" % name: (lambda fix=fix: _constants_sweep(fix()))
+       for name, fix in (("single-sort", theta_single_sort),
+                         ("two-sort", theta_two_sort))},
 }
 
 TYPE_PINNED = {
@@ -409,6 +422,10 @@ TYPE_PINNED = {
         "aff11b68aa39b3c910f17050d4b1f2ce708c23b036eba078e7ec526f00a2c88e",
     "family-chain-64-codes":
         "455868dcd663fa2b6d6326593cef5be0ef929e3d0e0dbfb73cfce775100b06e7",
+    "theta-single-sort":
+        "963c9fcfa51293c8e03b8dd3b2bce3c88220da0d2f3ae198c1962649a48f1a16",
+    "theta-two-sort":
+        "68c785221674107b3cd1538736578b38036602dbed974c0b67f764412c7d5958",
     "tripod-0":
         "2433ae7b82ea7fa5a0a6efb1a67939990fd594ba0abded4854556103b6a35b5c",
     "tripod-1":

@@ -195,6 +195,43 @@ def test_closure_over_several_rounds_matches_oracle(name):
             assert closure(f, a, k) == closure_oracle(f, a, k), (a, k)
 
 
+@pytest.mark.parametrize("name", sorted(ROUNDS_CASES))
+def test_chain_continued_from_parameters_matches_oracle(name):
+    """A tuple's chain continued from a parameter set's chain is, rank by
+    rank, the closure of the tuple and the set together.  A chain stops
+    at the first rank that adds nothing."""
+    f = ROUNDS_CASES[name]()
+    rng = random.Random(name)
+    nodes = sorted(f.nodes)
+
+    def assert_chain(tops, a):
+        assert all(tops[i] != tops[i + 1] for i in range(len(tops) - 1))
+        assert [tops[min(i, len(tops) - 1)] for i in range(4)] == \
+            [closure_oracle(f, a, i) for i in range(4)], a
+
+    for params in _generator_sets(name, f)[:3]:
+        base = structure._chain(f, params, 3)
+        assert_chain(base, params)
+        for a in (rng.sample(nodes, 1), rng.sample(nodes, 2), params[:1]):
+            assert_chain(structure._chain(f, a, 3, base), set(a) | set(params))
+
+
+def test_rank_loop_stops_once_a_rank_adds_nothing(monkeypatch):
+    f = random_tripod(random.Random(3))
+    a = sorted(f.nodes)[:2]
+    calls = []
+    zero = structure._cl_zero
+
+    def counted(*args):
+        calls.append(args)
+        return zero(*args)
+
+    monkeypatch.setattr(structure, "_cl_zero", counted)
+    top = closure(f, a, 1000)
+    assert len(calls) <= 5
+    assert top == closure_oracle(f, a, len(calls))
+
+
 @pytest.mark.parametrize("seed, a", [
     (45, ("q_n000", "q_n003", "q1_n003")),
     (105, ("_c003", "_c020", "q1_n005")),

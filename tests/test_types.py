@@ -1,20 +1,23 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import random_tripod, rename
-from oracles import count_isomorphisms
+from gen import random_tripod, rename, theta_two_sort
+from oracles import canon_reference, count_isomorphisms
 
 from treedesk import structure, types
 from treedesk.fixtures import (random_closed_fragment,
                                random_standard_fragment,
                                three_sort_step_fixture)
 from treedesk.ordinal import Ordinal
-from treedesk.structure import NotClosed, closure, complete, from_standard_tree
+from treedesk.shape import POINT_SHAPE
+from treedesk.structure import (Fragment, NotClosed, closure, complete,
+                                from_standard_tree)
 from treedesk.types import (
-    BadSeries, WrongShape, count_type_classes, equiv_k, estimate_degree,
-    questionnaire_code, tp_code,
+    BadSeries, BudgetExceeded, WrongShape, count_type_classes, equiv_k,
+    estimate_degree, questionnaire_code, tp_code,
 )
 
 
@@ -220,13 +223,129 @@ def test_codes_invariant_under_renaming(reverse):
 
 
 def test_one_code_lists_the_closure_meets_once(monkeypatch):
+    """A code lists its closure's meets once.  A count lists the
+    parameter set's once, then each tuple's only for the pairs with a
+    member outside the set's closure."""
     calls = []
     closure_meets = types._closure_meets
 
-    def counted(f, elems, es):
-        calls.append(elems)
-        return closure_meets(f, elems, es)
+    def counted(f, c, done=frozenset()):
+        calls.append(done)
+        return closure_meets(f, c, done)
 
     monkeypatch.setattr(types, "_closure_meets", counted)
-    tp_code(_chain(6), ("n04",), ("n01",), 1)
-    assert len(calls) == 1
+    f = _chain(6)
+    tp_code(f, ("n04",), ("n01",), 1)
+    assert calls == [frozenset()]
+    calls.clear()
+    count_type_classes(f, ("n01",), 1, 1)
+    assert calls == [frozenset()] + [closure(f, ("n01",), 1)] * len(f.nodes)
+
+
+# Counting continues each tuple from its parameter set's chain, and a
+# code builds one index of its closure, which every individualization
+# branch reads.
+
+def _fan():
+    """A root with three children and two children under each, at
+    uniform levels: refinement splits no level, so a code over it
+    individualizes."""
+    levels, edges = {"r": Ordinal.nat(0)}, set()
+    for i in range(3):
+        c = "c%d" % i
+        levels[c] = Ordinal.nat(1)
+        edges.add(("r", c))
+        for j in range(2):
+            g = "g%d%d" % (i, j)
+            levels[g] = Ordinal.nat(2)
+            edges |= {("r", g), (c, g)}
+    return complete(from_standard_tree(levels, edges))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of types.<name>, a function or a class."""
+    calls = []
+    target = getattr(types, name)
+
+    def counted(*args):
+        calls.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(types, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("f, gens", [
+    (_fan(), ()),
+    (_fan(), ("c0",)),
+    (theta_two_sort().replace(constants={}), ()),
+    (theta_two_sort(), ()),
+], ids=["fan", "fan-c0", "theta-two-sort-bare", "theta-two-sort"])
+def test_branching_code_matches_reference(monkeypatch, f, gens):
+    """With the whole fragment for a closure, refinement leaves tied
+    cells, and the listing and record are still those of the reference
+    copy, which rebuilt its index in every branch."""
+    c = frozenset(f.nodes)
+    monkeypatch.setattr(types, "_closure", lambda f, a, k: c)
+    indexes = _counting(monkeypatch, "_Index")
+    orders = _counting(monkeypatch, "_canon_order")
+    listed, pos, ix = types._canon(f, gens, (), 0)
+    assert (listed, types._structure_record(ix, listed)) == \
+        canon_reference(f, c, gens)
+    assert len(indexes) == 1
+    if f.constants:
+        assert len(orders) == 1
+    else:
+        assert len(orders) > 1
+
+
+def test_count_builds_the_chain_once_and_one_index_per_code(monkeypatch):
+    chains = _counting(monkeypatch, "_chain")
+    indexes = _counting(monkeypatch, "_Index")
+    f = _chain(6)
+    count_type_classes(f, ("n02", "n04"), 2, 2)
+    params, *tuples = chains
+    assert params == (f, ("n02", "n04"), 2)
+    assert len(tuples) == 36 and all(len(args) == 4 for args in tuples)
+    assert len(indexes) == 36
+
+
+COUNT_CASES = {
+    **{"closed-%d" % s: (lambda s=s: random_closed_fragment(random.Random(s)))
+       for s in range(4)},
+    "tripod-5": lambda: random_tripod(random.Random(5)),
+    "three-sort": lambda: complete(three_sort_step_fixture()[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_count_is_the_number_of_distinct_codes(name):
+    """Each tuple's record, continued from the parameter chain, is its
+    code's, and the count is the number of distinct codes."""
+    f = COUNT_CASES[name]()
+    rng = random.Random(name)
+    nodes = sorted(f.nodes)
+    for k in range(4):
+        a_set = rng.sample(nodes, rng.randint(0, 3))
+        params = types._params(f, a_set, k)
+        for n in (1, 2):
+            codes = set()
+            for t in itertools.product(nodes, repeat=n):
+                code = tp_code(f, t, a_set, k)
+                assert repr(types._tp_record(
+                    f, t, a_set, k, params)).encode() == code, (t, a_set, k)
+                codes.add(code)
+            assert count_type_classes(f, a_set, k, n) == len(codes), \
+                (a_set, k, n)
+
+
+def test_count_raises_budget_then_not_closed_then_key_error():
+    unclosed = _unclosed()
+    with pytest.raises(BudgetExceeded):
+        count_type_classes(unclosed, ("nowhere",), 0, 2, budget_tuples=1)
+    with pytest.raises(NotClosed, match=_NOT_CLOSED):
+        count_type_classes(unclosed, ("nowhere",), 0, 1)
+    with pytest.raises(KeyError, match="nowhere"):
+        count_type_classes(_chain(5), ("nowhere",), 0, 1)
+    empty = Fragment(POINT_SHAPE, ())
+    assert count_type_classes(empty, ("nowhere",), 2, 1) == 0
