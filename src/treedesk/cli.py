@@ -348,7 +348,11 @@ def _run_qe(args, rep: RunReport) -> RunReport:
         corpus = [fileio.load_fragment(p) for p in args.files]
         for p in args.files:
             rep.inputs[p] = _digest(p)
-        phi = fileio.formula_from_list(json.loads(args.phi), "--phi")
+        try:
+            doc = json.loads(args.phi)
+        except json.JSONDecodeError as exc:
+            raise InputError("not valid JSON: %s" % exc, "--phi")
+        phi = fileio.formula_from_list(doc, "--phi")
         configs = qe_mod.qe_candidate(phi, args.nvars, corpus, args.m,
                                       args.budget_tuples)
         rep.payload = {"configs": len(configs)}

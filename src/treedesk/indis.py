@@ -18,7 +18,7 @@ from functools import partial
 
 from .partition import budgeted, length_colors, sub_tuples
 from .structure import (Fragment, SortError, Term, complete, eval_term,
-                        UndefinedTerm)
+                        UndefinedTerm, _known)
 from .types import tp_code
 
 
@@ -42,6 +42,9 @@ class SequenceWindow:
         self.seq = tuple(self.seq)
         if len(self.seq) < 2:
             raise ValueError("window needs at least two entries")
+        for s in self.seq:
+            if s not in self.fragment._below:
+                raise ValueError("unknown node %r in window" % s)
         sorts = {self.fragment.sort.get(s) for s in self.seq}
         if len(sorts) != 1 or None in sorts:
             raise ValueError("window entries must share one sort")
@@ -207,8 +210,12 @@ def search_indiscernible(f: Fragment, a_set, length: int, k: int, r: int,
                          budget: int = 200000):
     """Lexicographically least non-constant injective sequence of the
     given length from the set that passes is_indiscernible at (k, r),
-    or None.  Backtracking over prefixes with incremental type checks."""
-    pool = sorted(a_set)
+    or None.  Backtracking over prefixes with incremental type checks.
+    Raises ValueError for a length below 2 and KeyError for a node of
+    the set that is not in f."""
+    if length < 2:
+        raise ValueError("window needs at least two entries")
+    pool = sorted(_known(f, a_set))
     sortable = [x for x in pool if f.sort.get(x) is not None]
 
     def codes_ok(prefix):

@@ -119,7 +119,7 @@ def budgeted(fn, budget: int, what: str):
         nonlocal spent
         spent += 1
         if spent > budget:
-            raise BudgetExceeded(what)
+            raise BudgetExceeded(what, spent, budget)
         return fn(arg)
     return counted
 
@@ -407,9 +407,9 @@ def enumerate_complete_dtypes(p: PTriple, a_set, colors: int,
         if not f.lt(x, y):
             raise ValueError("support not linearly ordered")
     keys = _support_keys(support)
-    if len(keys) * math.log2(max(colors, 2)) > budget_bits:
+    if (bits := len(keys) * math.log2(max(colors, 2))) > budget_bits:
         raise BudgetExceeded("type space too large: %d keys, %d colors"
-                             % (len(keys), colors))
+                             % (len(keys), colors), bits, budget_bits)
     out = []
     for assignment in itertools.product(range(colors), repeat=len(keys)):
         out.append(DType(support, dict(zip(keys, assignment))))
@@ -515,7 +515,7 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int,
     sl = p.suc_lim()
     if len(sl) > 6:
         raise BudgetExceeded("base triple too large: %d candidate nodes"
-                             % len(sl))
+                             % len(sl), len(sl), 6)
     if alpha_max > len(sl):
         raise ValueError("alpha_max exceeds the candidate count")
     f = p.tree
@@ -537,7 +537,8 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int,
                     if not validate_qnode(p, cand):
                         layer.append(cand)
         if len(layer) > budget:
-            raise BudgetExceeded("guess-sequence layer too large")
+            raise BudgetExceeded("guess-sequence layer too large",
+                                 len(layer), budget)
         by_len.append(layer)
     qnodes = [a for layer in by_len for a in layer]
     qnodes.sort(key=_qnode_key)

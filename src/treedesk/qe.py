@@ -26,10 +26,10 @@ import itertools
 
 from .ordinal import Ordinal
 from .shape import ShapeTree, decompose
-from .structure import (Fragment, Term, eval_term, validate, CannotComplete,
-                        SortError, UndefinedTerm, _closure, _complete_valid,
-                        _Completion, _mk)
-from .types import BudgetExceeded, equiv_k, tp_code
+from .structure import (Fragment, Term, eval_term, is_closed, validate,
+                        CannotComplete, SortError, UndefinedTerm, _closure,
+                        _complete_valid, _Completion, _mk)
+from .types import BudgetExceeded, _tp_code, equiv_k, tp_code
 
 K_BUDGET = 8
 
@@ -59,7 +59,8 @@ def m2(m1: int, k: int, s: ShapeTree, cap: int = 10 ** 9) -> int:
     else:
         v = m2(m2(m1, k - 1, s, cap), 1, s, cap)
     if v > cap:
-        raise BudgetExceeded("extension rank %d exceeds cap %d" % (v, cap))
+        raise BudgetExceeded("extension rank %d exceeds cap %d" % (v, cap),
+                             v, cap)
     return v
 
 
@@ -100,8 +101,9 @@ def extend_one_point(fa: Fragment, abar, c: str, fb: Fragment, bbar,
                              "the target's tables")
     image, level = settled
     fresh = _mint_fresh(fa, fb, x_set, image)
-    if len(fb.nodes) + len(fresh) > budget_nodes:
-        raise BudgetExceeded("extension exceeds node budget")
+    if (nodes := len(fb.nodes) + len(fresh)) > budget_nodes:
+        raise BudgetExceeded("extension exceeds node budget", nodes,
+                             budget_nodes)
     image.update(fresh)
     ext = _build_extension(fa, fb, x_set, image, fresh, level)
     rep = validate(ext)
@@ -406,7 +408,8 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
         for xs in itertools.product(f.nodes, repeat=nvars):
             spent += 1
             if spent > budget_tuples:
-                raise BudgetExceeded("tuple budget exhausted")
+                raise BudgetExceeded("tuple budget exhausted", spent,
+                                     budget_tuples)
             found = False
             for host in (fc, comp):
                 if host is None:
@@ -436,6 +439,9 @@ def _completed(f: Fragment) -> tuple[bool, Fragment | None]:
 def qe_matches(configs, f: Fragment, xs, m: int) -> bool:
     """Does the tuple satisfy the corpus-derived quantifier-free
     equivalent?  Codes are taken in the completion when it exists, as
-    in `qe_candidate`."""
+    in `qe_candidate`.  A closed f is its own completion, so it is coded
+    as it is, and only an unclosed f is validated and completed."""
+    if is_closed(f):
+        return _tp_code(f, tuple(xs), (), m) in configs
     comp = _completed(f)[1]
     return tp_code(f if comp is None else comp, tuple(xs), (), m) in configs

@@ -26,12 +26,22 @@ reads only an element's own neighbours, computes a signature part only
 for elements that still tie on the parts before it, and refinement
 stops as soon as every cell is a singleton.
 
-`count_type_classes` pays once per call for what all its tuples share.
-It builds the parameter set's closure chain (`structure._chain`) and
-the meet list of its rank-k closure once; each tuple's closure then
-continues that chain, pairing only members the tuple adds, and lists
-only the meets of pairs with such a member.  The count collects the
-tuples' records (`_tp_record`), not their serialized codes.
+`count_type_classes` codes each tuple relative to the parameter set's
+rank-k closure B, which all its tuples share.  A witness between two
+tuples' closures carries the parameters to themselves, so it fixes every
+member of B: each is the value of a term of successor rank at most k over
+the parameters, and the witness preserves every such value.  Meets, lim,
+G and the constants are structure it preserves; suc(x, y) is the least
+element of the closure in (x, y], and pre(x) the greatest element below
+x, so it preserves those too.  Hence the tuples' codes are equal exactly
+when their closures C have equal structure relative to B, with B fixed
+pointwise.  The count builds the parameter chain (`structure._chain`) and
+each node's neighbourhood in B once per call (`_Params`).  Each tuple's
+closure continues that chain, and only the elements it adds, N = C - B,
+are indexed, refined and listed (`_RelIndex`).  An element's
+neighbourhood in B is its initial colour, so refinement reads only its
+neighbours in N, as in individualization-refinement with a fixed vertex
+set.  The count collects these relative records, not serialized codes.
 """
 
 from __future__ import annotations
@@ -45,7 +55,12 @@ from .structure import (Fragment, Term, _chain, _closure, _require_closed,
 
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """Work stopped at a budget: spent is the amount the work asked for
+    when it stopped, which exceeds limit."""
+
+    def __init__(self, message: str, spent, limit):
+        super().__init__(message)
+        self.spent, self.limit = spent, limit
 
 
 class WrongShape(TypeError):
@@ -70,6 +85,24 @@ def _ranks(colors):
     return {x: idx[c] for x, c in colors.items()}
 
 
+def _structure_record(ix: "_Index", listed):
+    """The structure induced on the listed closure, by list position."""
+    pos = {x: i for i, x in enumerate(listed)}
+    order = tuple(sorted((pos[x], j) for j, y in enumerate(listed)
+                         for x in ix.below[y]))
+    meet = []
+    for i, x in enumerate(listed):
+        row = ix.meet[x]
+        for j in range(i, len(listed)):
+            if (m := row.get(listed[j])) is not None:
+                meet.append((i, j, pos[m]))
+    lim = tuple(sorted((pos[x], pos[l]) for x, l in ix.lim.items()))
+    g = tuple(sorted((edge, pos[x], pos[y]) for edge, x, y in ix.g))
+    consts = tuple(sorted((key, pos[v]) for key, v in ix.consts))
+    sorts = tuple(ix.sorts[x] for x in listed)
+    return (len(listed), sorts, order, tuple(meet), lim, g, consts)
+
+
 class _Index:
     """The structure a code reads, restricted to one closure and built
     once: the sorted elements with their sorts, strict down-sets and
@@ -77,6 +110,8 @@ class _Index:
     Refinement, every individualization branch and the record all read
     it.  meet[x] maps each partner y of x to their meet, and mval[m]
     lists the pairs (x, y), x <= y, that meet at m."""
+
+    record = _structure_record
 
     def __init__(self, f: Fragment, c, meets):
         self.elems = elems = sorted(c)
@@ -174,40 +209,13 @@ def _split(xs, parts, i, groups):
         _split(by[key], parts, i + 1, groups)
 
 
-def _closure_meets(f: Fragment, c, done=frozenset()):
-    """(x, y, meet) for each pair x <= y of c with a member outside done
-    whose meet is declared and lies in c: the meet table restricted to
-    c, less the pairs inside done."""
+def _closure_meets(f: Fragment, c):
+    """(x, y, meet) for each pair x <= y of c whose meet is declared and
+    lies in c: the meet table restricted to c."""
     meet = f.meet
-    new, old = sorted(c - done), sorted(done)
-    out = []
-    for i, x in enumerate(new):
-        for y in new[i:]:
-            if (m := meet.get((x, y))) in c:
-                out.append((x, y, m))
-        for y in old:
-            key = (x, y) if x <= y else (y, x)
-            if (m := meet.get(key)) in c:
-                out.append(key + (m,))
-    return out
-
-
-def _structure_record(ix: _Index, listed):
-    """The structure induced on the listed closure, by list position."""
-    pos = {x: i for i, x in enumerate(listed)}
-    order = tuple(sorted((pos[x], j) for j, y in enumerate(listed)
-                         for x in ix.below[y]))
-    meet = []
-    for i, x in enumerate(listed):
-        row = ix.meet[x]
-        for j in range(i, len(listed)):
-            if (m := row.get(listed[j])) is not None:
-                meet.append((i, j, pos[m]))
-    lim = tuple(sorted((pos[x], pos[l]) for x, l in ix.lim.items()))
-    g = tuple(sorted((edge, pos[x], pos[y]) for edge, x, y in ix.g))
-    consts = tuple(sorted((key, pos[v]) for key, v in ix.consts))
-    sorts = tuple(ix.sorts[x] for x in listed)
-    return (len(listed), sorts, order, tuple(meet), lim, g, consts)
+    elems = sorted(c)
+    return [(x, y, m) for i, x in enumerate(elems) for y in elems[i:]
+            if (m := meet.get((x, y))) in c]
 
 
 def _canon_order(ix: _Index, colors):
@@ -223,35 +231,19 @@ def _canon_order(ix: _Index, colors):
     for x in sorted(classes[r]):
         c2 = {y: (ranks[y], 1 if y == x else 0) for y in ix.elems}
         order = _canon_order(ix, c2)
-        rec = _structure_record(ix, order)
+        rec = ix.record(order)
         if best is None or rec < best[0]:
             best = (rec, order)
     return best[1]
 
 
-def _params(f: Fragment, a_set, k: int):
-    """The parameter chain of a_set for rank-k codes over it: its rank
-    closures (`structure._chain`) and the meet list of its rank-k
-    closure.  Raises KeyError for a node that is not in f."""
-    tops = _chain(f, a_set, k)
-    return tops, _closure_meets(f, tops[-1])
-
-
 def _canon(f: Fragment, abar: tuple[str, ...], a_set: tuple[str, ...],
-           k: int, params=None):
+           k: int):
     """Canonical listing of the rank-k closure of abar + a_set (a_set
-    sorted), for a closed f, with its positions and index.  With params,
-    `_params(f, a_set, k)`, the closure continues the parameter chain by
-    abar and lists only the meets of pairs with a member outside it."""
+    sorted), for a closed f, with its positions and index."""
     gens = abar + a_set
-    if params is None:
-        c = _closure(f, gens, k)
-        meets = _closure_meets(f, c)
-    else:
-        tops, top_meets = params
-        c = _chain(f, abar, k, tops)[-1]
-        meets = top_meets + _closure_meets(f, c, tops[-1])
-    ix = _Index(f, c, meets)
+    c = _closure(f, gens, k)
+    ix = _Index(f, c, _closure_meets(f, c))
     listed = _canon_order(ix, _initial_colors(ix, gens))
     pos = {x: i for i, x in enumerate(listed)}
     return listed, pos, ix
@@ -267,20 +259,14 @@ def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
 
 
 def _tp_code(f: Fragment, abar, a_set, k: int) -> bytes:
-    """`tp_code` for an f already known to be closed."""
-    return repr(_tp_record(f, abar, a_set, k)).encode()
-
-
-def _tp_record(f: Fragment, abar, a_set, k: int, params=None):
-    """The tuple `_tp_code` serializes: the tuple's length, the list
-    positions of the generators and the structure record.  repr is
-    injective on these nested tuples of ints and strings, so two
-    records are equal exactly when their codes are.  params, when
-    given, is `_params(f, a_set, k)`."""
+    """`tp_code` for an f already known to be closed: the tuple's
+    length, the list positions of the generators and the structure
+    record, serialized by repr, which is injective on these nested
+    tuples of ints and strings."""
     abar, a_set = tuple(abar), tuple(sorted(a_set))
-    listed, pos, ix = _canon(f, abar, a_set, k, params)
-    return (len(abar), tuple(pos[x] for x in abar + a_set),
-            _structure_record(ix, listed))
+    listed, pos, ix = _canon(f, abar, a_set, k)
+    return repr((len(abar), tuple(pos[x] for x in abar + a_set),
+                 ix.record(listed))).encode()
 
 
 def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
@@ -306,9 +292,131 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
     if (tuple(pa[x] for x in abar + a_set)
             != tuple(pb[x] for x in bbar + b_set)):
         return None
-    if _structure_record(ia, la) != _structure_record(ib, lb):
+    if ia.record(la) != ib.record(lb):
         return None
     return {la[i]: lb[i] for i in range(len(la))}
+
+
+# ---------------------------------------------------------------------------
+# type codes relative to the parameter closure
+
+
+class _Params:
+    """What every tuple of one count shares: the parameter set's rank
+    closures `tops` (`structure._chain`), its rank-k closure B, a name
+    for each member of B (a negative int, so that no name is a position
+    in N), and for each node x outside B the part of its neighbourhood
+    in B, built once per call:
+      side[x]  its sort, and the names of its strict down-set and
+               up-set in B, its lim in B (0 if it lies outside), its
+               meets (partner, meet) inside B and its G edges into B;
+      out[x]   what reaches outside B: its strict down-set there, its
+               lim, its meets (partner, meet) with a partner in B,
+               and its G edges.
+    Raises KeyError for a node of a_set that is not in f."""
+
+    def __init__(self, f: Fragment, a_set, k: int):
+        self.f, self.k = f, k
+        self.tops = _chain(f, a_set, k)
+        self.b = b = self.tops[-1]
+        self.name = name = {x: -1 - i for i, x in enumerate(sorted(b))}
+        up = {x: [] for x in f.nodes}
+        for y in b:
+            for x in f._below[y]:
+                up[x].append(name[y])
+        meet = f.meet
+        self.side, self.out = {}, {}
+        for x in f.nodes:
+            if x in b:
+                continue
+            l, bb, bn, gb, gn = f.lim.get(x), [], [], [], []
+            for y in b:
+                if (m := meet.get((x, y) if x <= y else (y, x))) in b:
+                    bb.append((name[y], name[m]))
+                elif m is not None:
+                    bn.append((y, m))
+            for e, table in f.gmap.items():
+                if (y := table.get(x)) in b:
+                    gb.append((e, name[y]))
+                elif y is not None:
+                    gn.append((e, y))
+            self.side[x] = (_sort_key(f.sort.get(x)),
+                            tuple(sorted(name[y] for y in f._below[x] & b)),
+                            tuple(sorted(up[x])), name.get(l, 0),
+                            tuple(sorted(bb)), tuple(sorted(gb)))
+            self.out[x] = (f._below[x] - b, l, bn, gn)
+
+
+class _RelIndex(_Index):
+    """The index of a tuple's closure C relative to the parameter
+    closure B: its elements are only N = C - B, each with its colour
+    (its `_Params.side` part and its positions in abar), and its
+    tables keep only the relations with another member in N.  A member
+    of B is written by its name, so the signature parts and the record
+    read positions in N and names in B alike.  mval[m] lists each pair
+    meeting at m in both orientations, so that no part depends on the
+    order of node ids."""
+
+    def __init__(self, p: _Params, c, abar):
+        f, name, n_set = p.f, p.name, c - p.b
+        self.name = name
+        self.elems = elems = sorted(n_set)
+        self.below = {}
+        self.above = above = {x: [] for x in elems}
+        self.lim = {}
+        self.lim_from = lim_from = {x: [] for x in elems}
+        self.meet = meet = {x: {} for x in elems}
+        self.mval = mval = {x: [] for x in elems}
+        self.garg = garg = {x: [] for x in elems}
+        self.gval = gval = {x: [] for x in elems}
+        at = {x: [] for x in elems}
+        for i, x in enumerate(abar):
+            if x in n_set:
+                at[x].append(i)
+        self.colors = {x: (p.side[x], tuple(at[x])) for x in elems}
+        for i, x in enumerate(elems):
+            down, l, bn, gn = p.out[x]
+            self.below[x] = down = down & n_set
+            for y in down:
+                above[y].append(x)
+            if l in n_set:
+                self.lim[x] = l
+                lim_from[l].append(x)
+            for y, m in bn:
+                if m in n_set:
+                    meet[x][y] = m
+                    mval[m] += [(x, y), (y, x)]
+            for y in elems[i:]:
+                if (m := f.meet.get((x, y))) in c:
+                    meet[x][y] = meet[y][x] = m
+                    if m in n_set:
+                        mval[m] += [(x, y), (y, x)] if x != y else [(x, y)]
+            for e, y in gn:
+                if y in n_set:
+                    garg[x].append((e, y))
+                    gval[y].append((e, x))
+
+    def parts(self, ranks):
+        return super().parts(self.name | ranks)
+
+    def record(self, listed):
+        """Each listed element's colour and signature parts, with
+        positions in the list for members of N."""
+        parts = self.parts({x: i for i, x in enumerate(listed)})
+        return tuple((self.colors[x],) + tuple(part(x) for part in parts)
+                     for x in listed)
+
+
+def _relative_record(p: _Params, abar):
+    """A record of the rank-k type of abar over the parameter set, for
+    comparison within one count: the names or list positions of abar's
+    members and the record of N = C - B in canonical order.  Two tuples
+    get equal records exactly when their `tp_code`s are equal."""
+    c = _chain(p.f, abar, p.k, p.tops)[-1]
+    ix = _RelIndex(p, c, abar)
+    listed = _canon_order(ix, ix.colors)
+    ref = p.name | {x: i for i, x in enumerate(listed)}
+    return tuple(ref[x] for x in abar), ix.record(listed)
 
 
 def count_type_classes(f: Fragment, a_set, k: int, n: int,
@@ -319,19 +427,19 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
     then NotClosed unless f is closed (checked once per call, not per
     tuple), then KeyError for a node of the set that is not in f; a
     fragment without n-tuples gives 0.  The parameter set's closure
-    chain and meet list are built once per call, each tuple's closure
-    continues that chain, and the count collects the tuples' records
-    (`_tp_record`), not their serialized codes."""
+    chain and each node's neighbourhood in its rank-k closure B are
+    built once per call (`_Params`); each tuple's closure continues that
+    chain, and only what the tuple adds to B is indexed and ranked
+    (`_relative_record`)."""
     total = len(f.nodes) ** n
     if total > budget_tuples:
         raise BudgetExceeded("%d tuples exceed budget %d"
-                             % (total, budget_tuples))
+                             % (total, budget_tuples), total, budget_tuples)
     _require_closed(f)
     if not total:
         return 0
-    a_set = tuple(sorted(a_set))
-    params = _params(f, a_set, k)
-    return len({_tp_record(f, tup, a_set, k, params)
+    p = _Params(f, tuple(sorted(a_set)), k)
+    return len({_relative_record(p, tup)
                 for tup in itertools.product(f.nodes, repeat=n)})
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from treedesk.cli import main
 from treedesk.fileio import (
-    save_coloring, save_fragment, save_ptriple,
+    fragment_to_dict, save_coloring, save_fragment, save_ptriple,
 )
-from treedesk.fixtures import (random_closed_fragment, six_chain_base,
+from treedesk.fixtures import (random_closed_fragment,
+                               random_standard_fragment, six_chain_base,
                                three_sort_step_fixture)
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
@@ -250,3 +251,141 @@ def test_text_format_default(capsys, chain_file):
     assert rc == 0
     assert out.startswith("command: validate")
     assert "OK" in out
+
+
+# Every subcommand on wrong input: exit 2, one violation line naming the
+# fault, no traceback.  Each case is (argv, text the violation names);
+# {name} stands for the path of one of the files that the fixture
+# `wrong_input_files` writes.
+
+WRONG_INPUTS = {
+    "validate-unknown-sort": (["validate", "{badsort}"], "unknown sort 'zz'"),
+    "validate-dangling-node": (["validate", "{dangling}"],
+                               "dangling node reference 'zz'"),
+    "complete-zero-budget": (["complete", "{unclosed}", "--budget-nodes", "0"],
+                             "node budget 0 exceeded"),
+    "complete-zero-global-budget": (
+        ["--budget-nodes", "0", "complete", "{unclosed}"],
+        "node budget 0 exceeded"),
+    "close-unknown-node": (["close", "{chain}", "--nodes", "zz"],
+                           "unknown node 'zz'"),
+    "close-unclosed": (["close", "{unclosed}", "--nodes", "n000"],
+                       "NotClosed"),
+    "types-code-unknown-node": (["types", "code", "{chain}", "--tuple", "zz"],
+                                "unknown node 'zz'"),
+    "types-code-unclosed": (["types", "code", "{unclosed}", "--tuple",
+                             "n000"], "NotClosed"),
+    "types-count-zero-budget": (["--budget-tuples", "0", "types", "count",
+                                 "{chain}"], "6 tuples exceed budget 0"),
+    "types-count-unclosed": (["types", "count", "{unclosed}"], "NotClosed"),
+    "types-count-unknown-node": (["types", "count", "{chain}", "--set", "zz"],
+                                 "unknown node 'zz'"),
+    "types-vc-degree-zero-budget": (["types", "vc-degree", "--budget-tuples",
+                                     "0"], "exceed budget 0"),
+    "qe-m2-unknown-shape": (["qe", "m2", "--m1", "1", "--shape", "nope"],
+                            "unknown shape spec 'nope'"),
+    "qe-m2-negative": (["qe", "m2", "--m1", "-1"], "naturals expected"),
+    "qe-extend-mismatched-shapes": (
+        ["qe", "extend", "{step}", "{chain}", "--abar", "", "--bbar", "",
+         "--c", "a_m0"], "fragments must share a shape"),
+    "qe-extend-unknown-node": (
+        ["qe", "extend", "{chain}", "{chain}", "--abar", "n01", "--bbar",
+         "n01", "--c", "zz"], "unknown node 'zz'"),
+    "qe-extend-unclosed": (
+        ["qe", "extend", "{unclosed}", "{unclosed}", "--abar", "n000",
+         "--bbar", "n000", "--c", "n001"], "NotClosed"),
+    "qe-extend-zero-budget": (
+        ["--budget-nodes", "0", "qe", "extend", "{chain}", "{chain}",
+         "--abar", "n01", "--bbar", "n01", "--c", "n02"],
+        "extension exceeds node budget"),
+    "qe-table-zero-budget": (
+        ["qe", "table", "{chain}", "--phi", '["atom","<",["var",0],["var",1]]',
+         "--nvars", "1", "--budget-tuples", "0"], "tuple budget exhausted"),
+    "qe-table-malformed-formula": (
+        ["qe", "table", "{chain}", "--phi", "notjson", "--nvars", "1"],
+        "not valid JSON"),
+    "qe-table-unbound-variable": (
+        ["qe", "table", "{chain}", "--phi", '["atom","<",["var",0],["var",3]]',
+         "--nvars", "1"], "unbound variable x3"),
+    **{"indis-%s-unknown-node" % cmd: (
+        ["indis", cmd, "{chain}", "--seq", "zz,n01"], "unknown node 'zz'")
+       for cmd in ("check", "ni", "hni", "classify", "h-iter")},
+    **{"indis-%s-wrong-sort" % cmd: (
+        ["indis", cmd, "{step}", "--seq", "a_s0,b_q0"], "share one sort")
+       for cmd in ("check", "ni", "hni", "classify", "h-iter")},
+    **{"indis-%s-unclosed" % cmd: (
+        ["indis", cmd, "{unclosed}", "--seq", "n000,n001,n002"], "NotClosed")
+       for cmd in ("check", "ni", "hni")},
+    "indis-search-unknown-node": (
+        ["indis", "search", "{chain}", "--set", "zz,n01", "--L", "2"],
+        "unknown node 'zz'"),
+    "indis-search-zero-budget": (
+        ["--budget-tuples", "0", "indis", "search", "{chain}", "--set",
+         "n00,n01,n02", "--L", "3"], "search budget exhausted"),
+    "indis-search-short-window": (
+        ["indis", "search", "{chain}", "--set", "n00,n01", "--L", "1"],
+        "at least two entries"),
+    "indis-search-unclosed": (
+        ["indis", "search", "{unclosed}", "--set", "n000,n001", "--L", "2"],
+        "NotClosed"),
+    "ramsey-homog-not-a-coloring": (["ramsey", "homog", "{chain}", "--delta",
+                                     "2"], "malformed coloring"),
+    "ramsey-homog-delta-too-large": (["ramsey", "homog", "{coloring}",
+                                      "--delta", "9"], "delta exceeds"),
+    "pspace-validate-not-a-triple": (["pspace", "validate", "{chain}"],
+                                     "malformed shape section"),
+    "pspace-hard-zero-budget": (["pspace", "hard", "{ptriple}", "--delta",
+                                 "3", "--budget-tuples", "0"],
+                                "hardness search budget"),
+    "pspace-q-build-too-long": (["pspace", "q-build", "{ptriple}",
+                                 "--alpha-max", "9"],
+                                "alpha_max exceeds the candidate count"),
+    "pspace-lift-unknown-node": (["pspace", "lift", "{ptriple}", "--t", "zz"],
+                                 "'zz'"),
+    "glue-star-not-a-spec": (["glue", "star", "{chain}"],
+                             "malformed shape section"),
+    "demo-zero-budget": (["demo", "case1", "--budget-tuples", "0"],
+                         "search budget exhausted"),
+    "demo-short-window": (["demo", "case1", "--L", "1"],
+                          "at least two entries"),
+}
+
+
+@pytest.fixture(scope="module")
+def wrong_input_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("wrong")
+    levels = {"n%02d" % i: Ordinal.nat(i) for i in range(6)}
+    names = sorted(levels)
+    chain = from_standard_tree(levels, {(names[i], names[j])
+                                        for i in range(6)
+                                        for j in range(i + 1, 6)})
+    unclosed = random_standard_fragment(random.Random(3), 12)
+    assert unclosed.nodes[:3] == ("n000", "n001", "n002")
+    docs = {"badsort": fragment_to_dict(chain),
+            "dangling": fragment_to_dict(chain)}
+    docs["badsort"]["nodes"][0]["sort"] = "zz"
+    docs["dangling"]["order"].append(["n00", "zz"])
+    paths = {name: str(d / ("%s.json" % name)) for name in
+             ("chain", "unclosed", "step", "coloring", "ptriple", *docs)}
+    save_fragment(chain, paths["chain"])
+    save_fragment(unclosed, paths["unclosed"])
+    save_fragment(complete(three_sort_step_fixture()[0]), paths["step"])
+    save_coloring(Coloring(5, 2, {}, 0), paths["coloring"])
+    save_ptriple(six_chain_base(), paths["ptriple"])
+    for name, doc in docs.items():
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_INPUTS))
+def test_wrong_input_exits_2_naming_the_fault(capsys, wrong_input_files,
+                                              case):
+    argv, fault = WRONG_INPUTS[case]
+    rc = main([arg.format(**wrong_input_files) for arg in argv])
+    out, err = capsys.readouterr()
+    violations = [line for line in out.splitlines()
+                  if line.startswith("violation: ")]
+    assert rc == 2, out
+    assert len(violations) == 1 and fault in violations[0], out
+    assert "Traceback" not in out + err

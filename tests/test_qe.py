@@ -10,7 +10,7 @@ from gen import TRIPOD, random_tripod, rename, transfer_instances
 from oracles import closure_oracle, count_isomorphisms
 
 from treedesk import qe, structure
-from treedesk.fileio import fragment_from_dict
+from treedesk.fileio import fragment_from_dict, fragment_to_dict
 from treedesk.fixtures import random_closed_fragment, random_standard_fragment
 from treedesk.ordinal import Ordinal
 from treedesk.qe import (
@@ -21,7 +21,8 @@ from treedesk.structure import (
     SortError, Term, closure, complete, from_standard_tree, is_closed,
     validate,
 )
-from treedesk.types import BudgetExceeded, equiv_k
+from treedesk.types import (BudgetExceeded, count_type_classes, equiv_k,
+                            tp_code)
 
 
 @functools.cache
@@ -246,6 +247,57 @@ def test_qe_candidate_validates_each_fragment_once(monkeypatch):
     corpus = [_chain(4), random_standard_fragment(random.Random(3), 12)]
     qe_candidate(("atom", "<", Term.var(0), Term.var(1)), 1, corpus, 0)
     assert [sum(g is f for g in seen) for f in corpus] == [1, 1]
+
+
+def _closed_corpus():
+    """The closed, valid fragments this file queries."""
+    out = [_chain(n) for n in (2, 3, 4, 6)] + [_chain(5, prefix="p")]
+    out += [random_closed_fragment(random.Random(s)) for s in range(4)]
+    out += [random_tripod(random.Random(s)) for s in range(2)]
+    out.append(complete(random_standard_fragment(random.Random(3), 12)))
+    return out
+
+
+def test_closed_valid_fragment_completes_to_itself():
+    """So `qe_matches` codes a closed fragment as it is, with the same
+    answers as when it coded the completion."""
+    for f in _closed_corpus():
+        assert is_closed(f) and not validate(f)
+        assert fragment_to_dict(complete(f)) == fragment_to_dict(f)
+
+
+def test_qe_matches_completes_no_closed_fragment(monkeypatch):
+    f = complete(random_standard_fragment(random.Random(3), 12))
+    phi = ("atom", "<", Term.var(0), Term.var(1))
+    configs = qe_candidate(phi, 1, [f], 0)
+    queries = sorted(f.nodes)[:8]
+    assert len(queries) == 8
+    comp = complete(f)
+    expected = [tp_code(comp, (x,), (), 0) in configs for x in queries]
+    completions = []
+    real = qe._complete_valid
+
+    def counted(*args):
+        completions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qe, "_complete_valid", counted)
+    answers = [qe_matches(configs, f, (x,), 0) for x in queries]
+    assert completions == []
+    assert answers == expected
+
+
+def test_budget_exceeded_says_how_far_the_work_got():
+    f = _chain(4)
+    with pytest.raises(BudgetExceeded) as info:
+        count_type_classes(f, (), 0, 2, budget_tuples=1)
+    assert (info.value.spent, info.value.limit) == (16, 1)
+    assert str(info.value) == "16 tuples exceed budget 1"
+    phi = ("atom", "<", Term.var(0), Term.var(1))
+    with pytest.raises(BudgetExceeded) as info:
+        qe_candidate(phi, 1, [f], 0, budget_tuples=3)
+    assert (info.value.spent, info.value.limit) == (4, 3)
+    assert str(info.value) == "tuple budget exhausted"
 
 
 def test_qe_candidate_empty_corpus():

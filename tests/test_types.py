@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import random_tripod, rename, theta_two_sort
+from gen import (random_tripod, rename, theta_single_sort, theta_two_sort,
+                 top_sort_only, two_root_forest)
 from oracles import canon_reference, count_isomorphisms
 
 from treedesk import structure, types
@@ -223,28 +224,29 @@ def test_codes_invariant_under_renaming(reverse):
 
 
 def test_one_code_lists_the_closure_meets_once(monkeypatch):
-    """A code lists its closure's meets once.  A count lists the
-    parameter set's once, then each tuple's only for the pairs with a
-    member outside the set's closure."""
+    """A code lists its closure's meets once.  A count lists none: it
+    reads each node's meets with the parameter closure once per call,
+    and each tuple's other meets as it indexes what the tuple adds."""
     calls = []
     closure_meets = types._closure_meets
 
-    def counted(f, c, done=frozenset()):
-        calls.append(done)
-        return closure_meets(f, c, done)
+    def counted(f, c):
+        calls.append(c)
+        return closure_meets(f, c)
 
     monkeypatch.setattr(types, "_closure_meets", counted)
     f = _chain(6)
     tp_code(f, ("n04",), ("n01",), 1)
-    assert calls == [frozenset()]
+    assert calls == [closure(f, ("n04", "n01"), 1)]
     calls.clear()
     count_type_classes(f, ("n01",), 1, 1)
-    assert calls == [frozenset()] + [closure(f, ("n01",), 1)] * len(f.nodes)
+    assert calls == []
 
 
-# Counting continues each tuple from its parameter set's chain, and a
-# code builds one index of its closure, which every individualization
-# branch reads.
+# Counting continues each tuple from its parameter set's chain and
+# indexes only what the tuple adds to the parameter closure; a code
+# builds one index of its closure, which every individualization branch
+# reads.
 
 def _fan():
     """A root with three children and two children under each, at
@@ -300,14 +302,43 @@ def test_branching_code_matches_reference(monkeypatch, f, gens):
 
 
 def test_count_builds_the_chain_once_and_one_index_per_code(monkeypatch):
-    chains = _counting(monkeypatch, "_chain")
-    indexes = _counting(monkeypatch, "_Index")
+    """The parameter chain is built once per count and continued for
+    each tuple.  Each tuple builds one index, of the members it adds to
+    the parameter closure B only, and no refinement ranks a member of
+    B."""
     f = _chain(6)
+    b = closure(f, ("n02", "n04"), 2)
+    chains = _counting(monkeypatch, "_chain")
+    full = _counting(monkeypatch, "_Index")
+    relative = _counting(monkeypatch, "_RelIndex")
+    ranked = _counting(monkeypatch, "_canon_order")
     count_type_classes(f, ("n02", "n04"), 2, 2)
     params, *tuples = chains
     assert params == (f, ("n02", "n04"), 2)
     assert len(tuples) == 36 and all(len(args) == 4 for args in tuples)
-    assert len(indexes) == 36
+    assert not full and len(relative) == 36
+    assert any(ix.elems for ix, _ in ranked)
+    assert all(not b & (set(ix.elems) | set(colors)) for ix, colors in ranked)
+
+
+@pytest.mark.parametrize("gens", [(), ("c0",)])
+def test_relative_branching_is_canonical(monkeypatch, gens):
+    """With the whole fragment added to an empty parameter closure,
+    refinement leaves tied cells among the added elements, and the
+    individualization branches still give a record that does not depend
+    on the node ids."""
+    records = []
+    for f, r in ((_fan(), None), rename(_fan(), "w_", reverse=True)):
+        params = types._Params(f, (), 0)
+        assert not params.b
+        c = frozenset(f.nodes)
+        monkeypatch.setattr(types, "_chain", lambda *args: [c])
+        orders = _counting(monkeypatch, "_canon_order")
+        records.append(types._relative_record(
+            params, gens if r is None else tuple(r[x] for x in gens)))
+        assert len(orders) > 1
+        monkeypatch.undo()
+    assert records[0] == records[1]
 
 
 COUNT_CASES = {
@@ -317,26 +348,61 @@ COUNT_CASES = {
     "three-sort": lambda: complete(three_sort_step_fixture()[0]),
 }
 
+RELATIVE_CASES = {
+    **COUNT_CASES,
+    "theta-single-sort": theta_single_sort,
+    "theta-two-sort": theta_two_sort,
+    "top-sort-only": lambda: complete(top_sort_only(random.Random(2))),
+    "two-root-forest": lambda: complete(two_root_forest()),
+}
 
-@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+
+def _classes(keys):
+    """The partition of the dict's tuples by their value."""
+    out = {}
+    for t, key in keys.items():
+        out.setdefault(key, set()).add(t)
+    return sorted(map(sorted, out.values()))
+
+
+@pytest.mark.parametrize("name", sorted(RELATIVE_CASES))
 def test_count_is_the_number_of_distinct_codes(name):
-    """Each tuple's record, continued from the parameter chain, is its
-    code's, and the count is the number of distinct codes."""
-    f = COUNT_CASES[name]()
+    """Two tuples get equal records relative to the parameter closure
+    exactly when their codes are equal, and the count is the number of
+    distinct codes."""
+    f = RELATIVE_CASES[name]()
     rng = random.Random(name)
     nodes = sorted(f.nodes)
     for k in range(4):
-        a_set = rng.sample(nodes, rng.randint(0, 3))
-        params = types._params(f, a_set, k)
+        a_set = tuple(sorted(rng.sample(nodes, rng.randint(0, 3))))
+        params = types._Params(f, a_set, k)
         for n in (1, 2):
-            codes = set()
-            for t in itertools.product(nodes, repeat=n):
-                code = tp_code(f, t, a_set, k)
-                assert repr(types._tp_record(
-                    f, t, a_set, k, params)).encode() == code, (t, a_set, k)
-                codes.add(code)
-            assert count_type_classes(f, a_set, k, n) == len(codes), \
-                (a_set, k, n)
+            tuples = list(itertools.product(nodes, repeat=n))
+            codes = {t: tp_code(f, t, a_set, k) for t in tuples}
+            records = {t: types._relative_record(params, t) for t in tuples}
+            assert _classes(records) == _classes(codes), (a_set, k, n)
+            assert count_type_classes(f, a_set, k, n) == \
+                len(set(codes.values())), (a_set, k, n)
+
+
+def test_relative_records_inside_the_parameter_closure_and_constants():
+    """A tuple inside the parameter closure adds nothing to it, so its
+    record lists no added element.  The constants lie in every closure,
+    so tuples that differ only in which constant they hit are told apart
+    by the constants' names."""
+    f = theta_single_sort()
+    assert f.constants
+    params = types._Params(f, ("L",), 0)
+    assert set(f.constants.values()) <= params.b
+    inside = {t: types._relative_record(params, t)
+              for t in itertools.product(sorted(params.b), repeat=2)}
+    assert all(record[1] == () for record in inside.values())
+    codes = {t: tp_code(f, t, ("L",), 0) for t in inside}
+    assert _classes(inside) == _classes(codes)
+    assert len(set(codes.values())) == len(inside)
+    outside = [x for x in f.nodes if x not in params.b]
+    assert outside and all(types._relative_record(params, (x,))[1]
+                           for x in outside)
 
 
 def test_count_raises_budget_then_not_closed_then_key_error():
