@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = psub.add_parser("lift")
     q.add_argument("file")
     q.add_argument("--t", required=True)
-    q.add_argument("--colors", type=int, default=2)
 
     p = sub.add_parser("glue")
     gsub = p.add_subparsers(dest="glue_command", required=True, parser_class=pc)
@@ -419,7 +418,7 @@ def _run_pspace(args, rep: RunReport) -> RunReport:
         if args.out:
             fileio.save_ptriple(q, args.out)
     else:  # lift
-        a = lift_element(p, args.t, args.colors)
+        a = lift_element(p, args.t)
         bad = validate_qnode(p, a)
         rep.violations = bad
         rep.payload = {"eta": list(a.eta), "lg": a.lg}

@@ -315,43 +315,75 @@ def load_gluespec(path: str) -> GlueSpec:
 # terms and formulas (for the quantifier-free evaluator)
 
 
+_TERM_ARITY = {"var": (1,), "const": (1,), "wedge": (2,), "suc": (2,),
+               "pre": (1,), "lim": (1,), "g": (1, 2)}
+
+
+def _arguments(doc, arity, location: str) -> list:
+    """doc[1:], or InputError unless there are as many as arity allows."""
+    if len(doc) - 1 not in arity:
+        raise InputError("%r takes %s argument(s), not %d"
+                         % (doc[0], " or ".join(map(str, arity)),
+                            len(doc) - 1), location)
+    return doc[1:]
+
+
 def term_from_list(doc, location: str = "term") -> Term:
+    """The term [op, args...]: ["var", i] with i a natural number,
+    ["const", [sort, i]], ["wedge" | "suc", t1, t2], ["pre" | "lim", t]
+    or ["g", t] with an optional edge [sort, sort].  Raises InputError
+    at the location of the fault, the argument at position i of a list
+    at location L being at "L[i]"."""
     if not isinstance(doc, list) or not doc:
         raise InputError("malformed term %r" % (doc,), location)
     op = doc[0]
+    if not isinstance(op, str) or op not in _TERM_ARITY:
+        raise InputError("unknown term operator %r" % (op,), location)
+    args = _arguments(doc, _TERM_ARITY[op], location)
     if op == "var":
-        return Term.var(int(doc[1]))
+        if not (type(args[0]) is int and args[0] >= 0):
+            raise InputError("variable index %r is not a natural number"
+                             % (args[0],), location + "[1]")
+        return Term.var(args[0])
     if op == "const":
-        return Term.const(doc[1][0], int(doc[1][1]))
-    if op == "wedge":
-        return Term.wedge(term_from_list(doc[1], location),
-                          term_from_list(doc[2], location))
-    if op == "suc":
-        return Term.suc(term_from_list(doc[1], location),
-                        term_from_list(doc[2], location))
-    if op == "pre":
-        return Term.pre(term_from_list(doc[1], location))
-    if op == "lim":
-        return Term.lim(term_from_list(doc[1], location))
-    if op == "g":
-        edge = tuple(doc[2]) if len(doc) > 2 else None
-        return Term.g(term_from_list(doc[1], location), edge)
-    raise InputError("unknown term operator %r" % op, location)
+        key = args[0]
+        if not (isinstance(key, list) and len(key) == 2
+                and isinstance(key[0], str) and type(key[1]) is int):
+            raise InputError("constant %r is not [sort, index]" % (key,),
+                             location + "[1]")
+        return Term.const(key[0], key[1])
+    if op == "g" and len(args) == 2:
+        edge = args[1]
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(isinstance(e, str) for e in edge)):
+            raise InputError("edge %r is not [sort, sort]" % (edge,),
+                             location + "[2]")
+        return Term.g(term_from_list(args[0], location + "[1]"), tuple(edge))
+    subs = [term_from_list(t, "%s[%d]" % (location, i))
+            for i, t in enumerate(args, 1)]
+    return getattr(Term, op)(*subs)
 
 
 def formula_from_list(doc, location: str = "formula"):
+    """The formula ["atom", rel, t1, t2], ["not", phi] or
+    ["and" | "or", phi...]; faults are located as in `term_from_list`."""
     if not isinstance(doc, list) or not doc:
         raise InputError("malformed formula %r" % (doc,), location)
     tag = doc[0]
     if tag == "atom":
-        return ("atom", doc[1], term_from_list(doc[2], location),
-                term_from_list(doc[3], location))
+        rel, t1, t2 = _arguments(doc, (3,), location)
+        if not isinstance(rel, str):
+            raise InputError("relation %r is not a string" % (rel,),
+                             location + "[1]")
+        return ("atom", rel, term_from_list(t1, location + "[2]"),
+                term_from_list(t2, location + "[3]"))
     if tag == "not":
-        return ("not", formula_from_list(doc[1], location))
+        phi, = _arguments(doc, (1,), location)
+        return ("not", formula_from_list(phi, location + "[1]"))
     if tag in ("and", "or"):
-        return (tag,) + tuple(formula_from_list(p, location)
-                              for p in doc[1:])
-    raise InputError("unknown connective %r" % tag, location)
+        return (tag,) + tuple(formula_from_list(p, "%s[%d]" % (location, i))
+                              for i, p in enumerate(doc[1:], 1))
+    raise InputError("unknown connective %r" % (tag,), location)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,6 @@ def comb_and_fan_fixture() -> Fragment:
         levels[tooth] = _o(j + 1, 1)
         for x in ["u_r"] + spine:
             edges.add((x, tooth))
-    # make the fan limit incomparable with the comb spine
-    edges.discard(("u_f", "u_m0"))
     return from_standard_tree(levels, edges, mode="classT")
 
 

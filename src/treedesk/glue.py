@@ -12,7 +12,10 @@ On top of the construction sit the witness builders: small fragments
 with a designated subset of the first sort containing no non-constant
 indiscernible window, one builder per case of the inductive argument
 (constant budget, singular size, regular size, and the assembly from
-the guess-sequence tree), plus an unconstrained control.
+the guess-sequence tree), plus an unconstrained control.  Their
+single-sort trees are given by levels, order edges and, for the
+constant fan, constants; `complete` declares their lim, pre, suc and
+meet tables.
 """
 
 from __future__ import annotations
@@ -110,54 +113,40 @@ def star_construct(g: GlueSpec) -> Fragment:
 # witness builders
 
 
-def _constant_fan(count: int, prefix: str, sort_id: str = "r") -> Fragment:
+def _tree(levels: dict[str, Ordinal], order, constants=None) -> Fragment:
+    """The completed single-sort theta-mode tree on the given levels and
+    order edges; completion declares its lim, pre, suc and meet tables."""
+    return complete(Fragment(POINT_SHAPE, levels, dict.fromkeys(levels, "r"),
+                             levels, order, constants=constants,
+                             mode="theta"))
+
+
+def _constant_fan(count: int, prefix: str) -> Fragment:
     """count distinct constants sitting as siblings directly above a
     limit root — the canonical constant-budget witness block."""
     root = prefix + "root"
     names = ["%sc%02d" % (prefix, i) for i in range(count)]
-    nodes = [root] + names
-    z, one = Ordinal(), Ordinal.nat(1)
-    level = {root: z}
-    level.update({n: one for n in names})
-    order = {(root, n) for n in names}
-    meet = {tuple(sorted((a, b))): root
-            for a, b in itertools.combinations(names, 2)}
-    suc = {(root, n): n for n in names}
-    pre = {n: root for n in names}
-    lim = {root: root}
-    lim.update({n: root for n in names})
-    constants = {(sort_id, i): n for i, n in enumerate(names)}
-    f = Fragment(POINT_SHAPE if sort_id == "r" else
-                 ShapeTree((sort_id,), sort_id),
-                 tuple(sorted(nodes)),
-                 {n: sort_id for n in nodes}, level, order, meet, suc, pre,
-                 lim, {}, constants, "theta")
-    return complete(f)
+    levels = {root: Ordinal(), **dict.fromkeys(names, Ordinal.nat(1))}
+    return _tree(levels, {(root, n) for n in names},
+                 {("r", i): n for i, n in enumerate(names)})
 
 
-def _limit_chain(n_limits: int, prefix: str, sort_id: str = "0"):
-    """Chain root < w < w+1 < w*2 < w*2+1 < ...; returns the fragment
-    pieces plus the successor-node list."""
-    root = prefix + "root"
-    level = {root: Ordinal()}
-    lim = {root: root}
-    pre = {}
-    order = set()
-    chain = [root]
+def _limit_chain(n_limits: int, prefix: str):
+    """Chain root < w < w+1 < w*2 < w*2+1 < ...; returns its levels,
+    its covering order edges and the successor-node list."""
+    top = prefix + "root"
+    levels = {top: Ordinal()}
+    edges = set()
     sucs = []
     for m in range(1, n_limits + 1):
         l = "%sl%02d" % (prefix, m)
         s = "%ss%02d" % (prefix, m)
-        level[l] = Ordinal.omega(1, m)
-        level[s] = Ordinal.omega(1, m).plus(1)
-        lim[l] = l
-        lim[s] = l
-        pre[s] = l
-        order.add((chain[-1], l))
-        order.add((l, s))
-        chain += [l, s]
+        levels[l] = Ordinal.omega(1, m)
+        levels[s] = Ordinal.omega(1, m).plus(1)
+        edges |= {(top, l), (l, s)}
+        top = s
         sucs.append(s)
-    return root, chain, sucs, level, order, lim, pre
+    return levels, edges, sucs
 
 
 def build_witness(case: str, **params):
@@ -188,12 +177,8 @@ def build_witness(case: str, **params):
         if len(b_names) < n_limits:
             raise InsufficientSubwitness("need %d position targets"
                                          % n_limits)
-        root, chain, sucs, level, order, lim, pre = \
-            _limit_chain(n_limits, "k_")
-        base = Fragment(POINT_SHAPE, tuple(sorted(chain)),
-                        {n: "r" for n in chain}, level, order, {}, {}, pre,
-                        lim, {}, {}, "theta")
-        base = complete(base)
+        levels, edges, sucs = _limit_chain(n_limits, "k_")
+        base = _tree(levels, edges)
         cum = list(itertools.accumulate(lambdas))
         conn0 = {}
         conn1 = {}
@@ -215,36 +200,23 @@ def build_witness(case: str, **params):
             raise InsufficientSubwitness("need targets for two limit levels")
         # meet-closed sample of a branching tree with levels 0,1,w,w+1
         root = "f_root"
-        level = {root: Ordinal()}
-        lim = {root: root}
-        pre = {}
-        order = set()
-        nodes = [root]
+        levels = {root: Ordinal()}
+        edges = set()
         low = []
         tops = []
         for b in range(branches):
             s = "f_s%d" % b
             l = "f_l%d" % b
-            level[s] = Ordinal.nat(1)
-            level[l] = Ordinal.omega()
-            lim[s] = root
-            lim[l] = l
-            pre[s] = root
-            order |= {(root, s), (s, l)}
-            nodes += [s, l]
+            levels[s] = Ordinal.nat(1)
+            levels[l] = Ordinal.omega()
+            edges |= {(root, s), (s, l)}
             low.append(s)
             for j in range(fan):
                 t = "f_t%d%d" % (b, j)
-                level[t] = Ordinal.omega().plus(1)
-                lim[t] = l
-                pre[t] = l
-                order.add((l, t))
-                nodes.append(t)
+                levels[t] = Ordinal.omega().plus(1)
+                edges.add((l, t))
                 tops.append(t)
-        base = Fragment(POINT_SHAPE, tuple(sorted(nodes)),
-                        {n: "r" for n in nodes}, level, order, {}, {}, pre,
-                        lim, {}, {}, "theta")
-        base = complete(base)
+        base = _tree(levels, edges)
         sub_root = sorted(n for n in sub_a.nodes
                           if sub_a.level[n] == Ordinal())[0]
         conn0 = {s: sub_root for s in low}
@@ -288,7 +260,7 @@ def build_witness(case: str, **params):
             if lv.is_limit:
                 continue
             if x in sl and lv.mod_omega() == 1:
-                a = lift_element(p, x, colors)
+                a = lift_element(p, x)
                 key = (a.eta, tuple(sorted(
                     (i, tuple(sorted(g.eqs.items())))
                     for i, g in a.gammas.items())))
@@ -314,11 +286,5 @@ def build_control(size: int = 6) -> tuple[Fragment, list[str]]:
     which does contain indiscernible windows."""
     root = "u_root"
     names = ["u_n%02d" % i for i in range(size)]
-    z, one = Ordinal(), Ordinal.nat(1)
-    level = {root: z}
-    level.update({n: one for n in names})
-    f = Fragment(POINT_SHAPE, tuple(sorted([root] + names)),
-                 {n: "r" for n in [root] + names}, level,
-                 {(root, n) for n in names}, {}, {}, {n: root for n in names},
-                 {root: root, **{n: root for n in names}}, {}, {}, "theta")
-    return complete(f), names
+    levels = {root: Ordinal(), **dict.fromkeys(names, Ordinal.nat(1))}
+    return _tree(levels, {(root, n) for n in names}), names

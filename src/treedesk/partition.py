@@ -511,7 +511,12 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int,
     """The complete bounded-length fragment of the guess-sequence
     triple: every QNode of length <= alpha_max passing all clauses,
     packaged as a PTriple (prefix order, level = length) together with
-    the node-id -> QNode map."""
+    the node-id -> QNode map.  Raises ValueError when colors < 1 or
+    alpha_max < 0."""
+    if colors < 1:
+        raise ValueError("colors must be at least 1, not %d" % colors)
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be non-negative, not %d" % alpha_max)
     sl = p.suc_lim()
     if len(sl) > 6:
         raise BudgetExceeded("base triple too large: %d candidate nodes"
@@ -623,7 +628,7 @@ def e_q(p: PTriple, a: QNode, b: QNode) -> bool:
     return True
 
 
-def lift_element(p: PTriple, t: str, colors: int = 2) -> QNode:
+def lift_element(p: PTriple, t: str) -> QNode:
     """Greedy guess sequence ending at t: extend below t with the least
     admissible successor-of-limit node while one exists, attaching the
     d-type of t over the support at the limit position."""

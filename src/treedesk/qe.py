@@ -27,7 +27,7 @@ import itertools
 from .ordinal import Ordinal
 from .shape import ShapeTree, decompose
 from .structure import (Fragment, Term, eval_term, is_closed, validate,
-                        CannotComplete, SortError, UndefinedTerm, _closure,
+                        CannotComplete, SortError, UndefinedTerm, _chain,
                         _complete_valid, _Completion, _mk)
 from .types import BudgetExceeded, _tp_code, equiv_k, tp_code
 
@@ -91,9 +91,9 @@ def extend_one_point(fa: Fragment, abar, c: str, fb: Fragment, bbar,
         raise RankTooLow(req)
     # the rank-m1 closure (equiv_k found fa closed), and the rank-(m1-1)
     # one, whose pairs' successors it takes
-    x_prev, x_set = frozenset(), _closure(fa, set(abar) | {c}, 0)
-    for _ in range(m1):
-        x_prev, x_set = x_set, _closure(fa, x_set, "one")
+    tops = _chain(fa, set(abar) | {c}, m1)
+    x_set = tops[-1]
+    x_prev = tops[min(m1, len(tops)) - 1] if m1 else frozenset()
     settled = _settle(fa, fb, x_set, x_prev,
                       {x: w[x] for x in x_set if x in w}, frozenset())
     if settled is None:

@@ -241,8 +241,10 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
                        mode: str = "base") -> Fragment:
     """Single-sort fragment induced by a level-labelled tree order.
 
-    `edges` generates the strict order; lim/pre/suc/meet are declared
-    wherever the labelled tree already contains the required node.
+    `edges` generates the strict order.  lim, pre and suc are read off
+    each node's chain (its down-set and itself) indexed by level, and
+    the meet of two incomparable nodes is their common lower bound with
+    the largest down-set: each value the tree already holds is declared.
     """
     if shape is None:
         shape = ShapeTree((index,), index)
@@ -253,52 +255,41 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
                  {(a, b) for a, b in edges}, mode=mode)
     if f.has_cycle():
         raise InvalidTree("order contains a cycle")
+    below = f._below
     for y in nodes:
-        down = sorted(f.strictly_below(y))
-        for a, b in itertools.combinations(down, 2):
-            if not f.comparable(a, b):
-                raise InvalidTree("down-set of %r is not a chain" % y)
+        down = sorted(below[y])
+        # a chain iff its members' down-sets differ in size (see validate)
+        if len({len(below.get(a, ())) for a in down}) < len(down):
+            raise InvalidTree("down-set of %r is not a chain" % y)
         for a in down:
             if not levels[a] < levels[y]:
                 raise InvalidTree(
                     "levels not strictly increasing on %r < %r" % (a, y))
-    lim: dict[str, str] = {}
-    pre: dict[str, str] = {}
-    suc: dict[tuple[str, str], str] = {}
-    meet: dict[tuple[str, str], str] = {}
-    by_level = {}
+    at = {y: {levels[u]: u for u in below[y] | {y}} for y in nodes}
+    lim, pre, suc, meet = {}, {}, {}, {}
     for x in nodes:
         lx = levels[x]
-        anc = f.strictly_below(x)
         if lx.is_limit:
             lim[x] = x
         else:
-            lam = lx.limb()
-            for u in anc:
-                if levels[u] == lam:
-                    lim[x] = u
-            for u in anc:
-                if levels[u] == lx.predecessor():
-                    pre[x] = u
-    for x, y in itertools.permutations(nodes, 2):
-        if not f.lt(x, y):
-            continue
-        target = levels[x].plus(1)
-        for z in nodes:
-            if levels[z] == target and f.lt(x, z) and f.leq(z, y):
-                suc[(x, y)] = z
-    for x, y in itertools.combinations(nodes, 2):
-        if f.leq(x, y):
-            meet[_mk(x, y)] = x
-        elif f.leq(y, x):
-            meet[_mk(x, y)] = y
-        else:
-            common = (f.strictly_below(x)) & (f.strictly_below(y))
-            if common:
-                meet[_mk(x, y)] = max(common, key=lambda c: sum(
-                    1 for d in common if f.leq(d, c)))
+            if lx.limb() in at[x]:
+                lim[x] = at[x][lx.limb()]
+            if lx.predecessor() in at[x]:
+                pre[x] = at[x][lx.predecessor()]
     for x in nodes:
-        meet[_mk(x, x)] = x
+        step = levels[x].plus(1)
+        for y in nodes:
+            if x in below[y] and step in at[y]:
+                suc[(x, y)] = at[y][step]
+    for x, y in itertools.combinations(nodes, 2):
+        if x in below[y]:
+            meet[(x, y)] = x
+        elif y in below[x]:
+            meet[(x, y)] = y
+        elif common := below[x] & below[y]:
+            meet[(x, y)] = max(common, key=lambda c: len(below[c]))
+    for x in nodes:
+        meet[(x, x)] = x
     return f.replace(meet=meet, suc=suc, pre=pre, lim=lim)
 
 

@@ -3,14 +3,18 @@
 Deliberately written from the definitions, not from the library code:
 a fixpoint term-value closure, a backtracking isomorphism counter, and
 small brute-force helpers.  The exceptions are reference copies of
-five of the validator's loops, of the one-step closure operators and of
-the canonical ordering of a closure, kept to check their faster forms.
+five of the validator's loops, of the one-step closure operators, of
+the canonical ordering of a closure and of the standard-tree builder,
+kept to check their faster forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+
+from treedesk.shape import ShapeTree
+from treedesk.structure import Fragment, InvalidTree, _mk
 
 
 def closure_oracle(f, a, k):
@@ -356,3 +360,62 @@ def set_checked_reports(f):
                     and table[x] != table[y]):
                 rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
     return rep
+
+
+def from_standard_tree_reference(levels, edges, index="r", shape=None,
+                                 mode="base"):
+    """`structure.from_standard_tree` as it was before it read its
+    tables off level-indexed chains: successors by a search over every
+    node for each comparable pair, meets by a nested count."""
+    if shape is None:
+        shape = ShapeTree((index,), index)
+    if index not in shape:
+        raise InvalidTree("index %r not in shape" % index)
+    nodes = sorted(levels)
+    f = Fragment(shape, nodes, {n: index for n in nodes}, dict(levels),
+                 {(a, b) for a, b in edges}, mode=mode)
+    if f.has_cycle():
+        raise InvalidTree("order contains a cycle")
+    for y in nodes:
+        down = sorted(f.strictly_below(y))
+        for a, b in itertools.combinations(down, 2):
+            if not f.comparable(a, b):
+                raise InvalidTree("down-set of %r is not a chain" % y)
+        for a in down:
+            if not levels[a] < levels[y]:
+                raise InvalidTree(
+                    "levels not strictly increasing on %r < %r" % (a, y))
+    lim, pre, suc, meet = {}, {}, {}, {}
+    for x in nodes:
+        lx = levels[x]
+        anc = f.strictly_below(x)
+        if lx.is_limit:
+            lim[x] = x
+        else:
+            lam = lx.limb()
+            for u in anc:
+                if levels[u] == lam:
+                    lim[x] = u
+            for u in anc:
+                if levels[u] == lx.predecessor():
+                    pre[x] = u
+    for x, y in itertools.permutations(nodes, 2):
+        if not f.lt(x, y):
+            continue
+        target = levels[x].plus(1)
+        for z in nodes:
+            if levels[z] == target and f.lt(x, z) and f.leq(z, y):
+                suc[(x, y)] = z
+    for x, y in itertools.combinations(nodes, 2):
+        if f.leq(x, y):
+            meet[_mk(x, y)] = x
+        elif f.leq(y, x):
+            meet[_mk(x, y)] = y
+        else:
+            common = (f.strictly_below(x)) & (f.strictly_below(y))
+            if common:
+                meet[_mk(x, y)] = max(common, key=lambda c: sum(
+                    1 for d in common if f.leq(d, c)))
+    for x in nodes:
+        meet[_mk(x, x)] = x
+    return f.replace(meet=meet, suc=suc, pre=pre, lim=lim)

@@ -74,6 +74,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_lift_has_no_colors_flag(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    save_ptriple(six_chain_base(), str(path))
+    t = six_chain_base().suc_lim()[-1]
+    assert main(["pspace", "lift", str(path), "--t", t]) == 0
+    assert main(["pspace", "lift", str(path), "--t", t,
+                 "--colors", "2"]) == 2
+
+
 def test_complete_writes_output(capsys, tmp_path):
     f, _ = three_sort_step_fixture()
     src = tmp_path / "raw.json"
@@ -307,6 +316,19 @@ WRONG_INPUTS = {
     "qe-table-unbound-variable": (
         ["qe", "table", "{chain}", "--phi", '["atom","<",["var",0],["var",3]]',
          "--nvars", "1"], "unbound variable x3"),
+    **{"qe-table-%s" % name: (
+        ["qe", "table", "{chain}", "--phi", phi, "--nvars", "1"], fault)
+       for name, phi, fault in (
+           ("var-without-index", '["atom","<",["var"],["var",1]]',
+            "takes 1 argument(s), not 0 (at --phi[2])"),
+           ("atom-without-terms", '["atom","<"]',
+            "takes 3 argument(s), not 1 (at --phi)"),
+           ("not-without-formula", '["not"]',
+            "takes 1 argument(s), not 0 (at --phi)"),
+           ("const-not-a-pair", '["atom","<",["const",5],["var",1]]',
+            "not [sort, index] (at --phi[2][1])"),
+           ("negative-variable", '["atom","<",["var",-1],["var",1]]',
+            "not a natural number (at --phi[2][1])"))},
     **{"indis-%s-unknown-node" % cmd: (
         ["indis", cmd, "{chain}", "--seq", "zz,n01"], "unknown node 'zz'")
        for cmd in ("check", "ni", "hni", "classify", "h-iter")},
@@ -340,6 +362,12 @@ WRONG_INPUTS = {
     "pspace-q-build-too-long": (["pspace", "q-build", "{ptriple}",
                                  "--alpha-max", "9"],
                                 "alpha_max exceeds the candidate count"),
+    **{"pspace-q-build-colors-%s" % n: (
+        ["pspace", "q-build", "{ptriple}", "--colors", n],
+        "colors must be at least 1") for n in ("0", "-1")},
+    "pspace-q-build-negative-length": (["pspace", "q-build", "{ptriple}",
+                                        "--alpha-max", "-1"],
+                                       "alpha_max must be non-negative"),
     "pspace-lift-unknown-node": (["pspace", "lift", "{ptriple}", "--t", "zz"],
                                  "'zz'"),
     "glue-star-not-a-spec": (["glue", "star", "{chain}"],

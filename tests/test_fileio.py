@@ -199,6 +199,66 @@ def test_fuzz_fragment_rows(data):
     _loads_or_names_row(fragment_from_dict, doc, section, i)
 
 
+# Formula reader fuzz: well-formed formulas, each at times damaged in
+# one list at any depth (cut short, lengthened or given a stray entry),
+# and arbitrary JSON values.
+_TERM_DOC = st.recursive(
+    st.builds(lambda i: ["var", i], st.integers(0, 3))
+    | st.builds(lambda eta, i: ["const", [eta, i]], st.sampled_from("r0"),
+                st.integers(0, 2)),
+    lambda t: st.builds(lambda op, a, b: [op, a, b],
+                        st.sampled_from(("wedge", "suc")), t, t)
+    | st.builds(lambda op, a: [op, a], st.sampled_from(("pre", "lim", "g")),
+                t)
+    | st.builds(lambda a: ["g", a, ["r", "0"]], t),
+    max_leaves=4)
+_FORMULA_DOC = st.recursive(
+    st.builds(lambda rel, a, b: ["atom", rel, a, b], st.sampled_from("<="),
+              _TERM_DOC, _TERM_DOC),
+    lambda phi: st.builds(lambda p: ["not", p], phi)
+    | st.builds(lambda op, ps: [op] + ps, st.sampled_from(("and", "or")),
+                st.lists(phi, max_size=3)),
+    max_leaves=4)
+_STRAY = st.sampled_from((None, True, -1, 0.5, "", "var", [], {}))
+
+
+@st.composite
+def _damaged(draw, doc):
+    lists = []
+
+    def walk(v):
+        if isinstance(v, list):
+            lists.append(v)
+            for x in v:
+                walk(x)
+
+    doc = copy.deepcopy(doc)
+    walk(doc)
+    target = draw(st.sampled_from(lists))
+    how = draw(st.sampled_from(("keep", "cut", "lengthen", "stray")))
+    if how == "cut":
+        target.pop()
+    elif how == "lengthen":
+        target.append(draw(_STRAY))
+    elif how == "stray":
+        target[draw(st.integers(0, len(target) - 1))] = draw(_STRAY)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FORMULA_DOC.flatmap(_damaged) | _JSON)
+def test_fuzz_formula_reader(doc):
+    """Every JSON value is a formula or an InputError, never another
+    exception."""
+    try:
+        phi = formula_from_list(doc, "--phi")
+    except InputError as exc:
+        assert exc.location.startswith("--phi")
+    else:
+        assert isinstance(phi, tuple) and phi[0] in ("atom", "not", "and",
+                                                     "or")
+
+
 @st.composite
 def _id_swap(draw, doc):
     """Copy of doc with one to three node ids, each in one row of the

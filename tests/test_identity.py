@@ -11,7 +11,10 @@ step; between them they mint a lim, a pre, a meet root and a lower
 sort's root with its G image.  The random completions past seed 7, the
 extensions at each m1 and the validator reports on corrupted trees were
 recorded on the code that restarted completion's scan after every fix
-and checked down-sets with pairwise loops.
+and checked down-sets with pairwise loops.  The controls of sizes 1-15
+and the witnesses built with non-default parameters were recorded on
+the code that declared the lim, pre, suc and meet tables of the
+witness and control trees by hand.
 
 Each coloring case pins the SHA-256 of the sorted table of
 `coloring_from_sequence`, recorded on the code that evaluated every
@@ -57,7 +60,7 @@ from treedesk.fixtures import (family_fragment, family_parameter_pool,
                                random_sequence_fixture,
                                random_standard_fragment,
                                three_sort_step_fixture)
-from treedesk.glue import build_witness
+from treedesk.glue import build_control, build_witness
 from treedesk.ordinal import Ordinal
 from treedesk.partition import coloring_from_sequence
 from treedesk.qe import extend_one_point
@@ -89,6 +92,12 @@ def _closed(s):
     return random_closed_fragment(random.Random(100 + s), 18)
 
 
+WITNESS_PARAMS = (
+    ("witness-theta-3", "theta", {"theta_bound": 3}),
+    ("witness-singular-2-2-3", "singular", {"lambdas": (2, 2, 3)}),
+    ("witness-regular-3-3", "regular", {"branches": 3, "fan": 3}),
+)
+
 CASES = {
     **{"complete-random-%d" % s: (lambda s=s: _complete_random(s))
        for s in range(40)},
@@ -103,6 +112,10 @@ CASES = {
     "complete-forest": lambda: complete(two_root_forest()),
     **{"witness-%s" % case: (lambda case=case: build_witness(case)[0])
        for case in ("theta", "singular", "regular", "inaccessible")},
+    **{name: (lambda case=case, kw=kw: build_witness(case, **kw)[0])
+       for name, case, kw in WITNESS_PARAMS},
+    **{"control-%d" % n: (lambda n=n: build_control(n)[0])
+       for n in range(1, 16)},
     **{"extend-%d" % s: (lambda s=s: _extension(_closed(s)))
        for s in range(3)},
     **{"extend-m%d-closed" % m1: (lambda m1=m1: _extension(_closed(3), m1))
@@ -116,6 +129,42 @@ CASES = {
 }
 
 PINNED = {
+    "control-1":
+        "8381a3d2d68b5d04c2e00de963a4e41b704cf630169279dc81de3a5b36377de7",
+    "control-2":
+        "c2ecbcd98456eb3504442b6c3167f4dfc44b63cc16af6370224e4dc6d05a7825",
+    "control-3":
+        "1e6fff78853765d3da95a7b6086a89bfdb84388f2cd5dc1adc87088486ba527f",
+    "control-4":
+        "9ecd3173158054ae8df18ced4487ba2deb58cbd35e445353fa3e8ccbec9ad152",
+    "control-5":
+        "4581b92026b62f7cc694960358e5e0ffd83f1a96ce652bcef2e03c1e6aa923fe",
+    "control-6":
+        "79ea4371d57005ab7ab431af5d9ee25de8f67775edeb3c128cede7d917b5c86f",
+    "control-7":
+        "598a1fec9fa6cd5e216b06dbfc00ef98b512e01ad34bd257cff2c75bca32affd",
+    "control-8":
+        "e7156e56904220890b129d719a512b3eb9647c021964da3b074f21bd44230379",
+    "control-9":
+        "2cf2d2c1da84deebcc3355ffbe6b8c08267498bd053cd3b1bf272c91ebe65426",
+    "control-10":
+        "010e07b0c93d48a5e023add2bbb0cce7f6c7e41f2a5db64ad24558bbc554c86e",
+    "control-11":
+        "2f521dbd96f41986cdb59f6155ac35cc2add6337febc87695e3ec12047bb3d1e",
+    "control-12":
+        "40338b5c73eb818113fabda18bdcac313963458fa3525d1fde66b90d2102fc49",
+    "control-13":
+        "1bc2d705fbaea9f6682cb27c0b7f1194995f0b1d597dcf31e811a3618629d8cb",
+    "control-14":
+        "bca0b2e5a8215099efb370634f9379abaaa1e30de0ede8218b81e3c6733fd90a",
+    "control-15":
+        "aee39e4924cefa1482ac40596905aa826868b53ec6801308fef33c9c1d69fe23",
+    "witness-theta-3":
+        "c928e2ae3e133313f04ce9213f5f2d821bfee525847f5cdfe47d6728341bf87e",
+    "witness-singular-2-2-3":
+        "52a5d6f5abfd5e52531c3507641ca1c883b0b6a2f3b04bf2b3b31fe43f9e09aa",
+    "witness-regular-3-3":
+        "45c015e94f68bff2e84521ce5e3f2fd1237e8b34933934dc5fa93808cddb9630",
     "complete-forest":
         "3d4740d8a293fd0438c8b570f037334400ecadbe39fa85a38b4cdfa4dee7772d",
     "complete-random-0":

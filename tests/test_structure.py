@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from gen import (corrupted_fragment, random_tripod, top_sort_only,
                  two_root_forest)
 from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
-                     set_checked_reports)
+                     from_standard_tree_reference, set_checked_reports)
 
 from treedesk import structure
 
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (
-    family_fragment, family_parameter_pool, random_closed_fragment,
-    random_standard_fragment, three_sort_step_fixture,
+    comb_and_fan_fixture, family_fragment, family_parameter_pool,
+    fan_pair_fixture, random_closed_fragment, random_standard_fragment,
+    three_sort_step_fixture,
 )
 from treedesk.ordinal import Ordinal
-from treedesk.shape import POINT_SHAPE
+from treedesk.shape import POINT_SHAPE, chain_shape
 from treedesk.structure import (
     CannotComplete, Fragment, Incomparable, InvalidTree, NotClosed, Term,
     UndefinedTerm, closure, complete, distance, eval_term,
@@ -59,6 +60,100 @@ def test_from_standard_tree_rejects_non_chain_downset():
               "c": Ordinal.nat(1)}
     with pytest.raises(InvalidTree):
         from_standard_tree(levels, {("a", "c"), ("b", "c")})
+
+
+def _ancestor_tree(rng, n):
+    """Levels and full strict order of a random tree on n nodes: each
+    node hangs one to three finite steps above a random earlier node, or
+    just past the next limit, below w*4."""
+    names = ["t%02d" % i for i in range(n)]
+    coords, parent = {names[0]: (0, 0)}, {}
+    for i in range(1, n):
+        p = names[rng.randrange(i)]
+        limbs, rest = coords[p]
+        if rng.random() < 0.35 and limbs < 3:
+            coords[names[i]] = (limbs + 1, rng.randint(0, 2))
+        else:
+            coords[names[i]] = (limbs, rest + rng.randint(1, 3))
+        parent[names[i]] = p
+    edges = set()
+    for x in names[1:]:
+        a = x
+        while a in parent:
+            a = parent[a]
+            edges.add((a, x))
+    levels = {x: Ordinal.omega(1, m).plus(r) if m else Ordinal.nat(r)
+              for x, (m, r) in coords.items()}
+    return levels, edges
+
+
+def _perturbed(rng, levels, edges, how):
+    """levels and edges as they are, with one new order edge, or with
+    the levels of two nodes swapped."""
+    levels, edges = dict(levels), set(edges)
+    names = sorted(levels)
+    a, b = rng.sample(names, 2)
+    if how == "edge":
+        edges.add((a, b))
+    elif how == "swap":
+        levels[a], levels[b] = levels[b], levels[a]
+    return levels, edges
+
+
+def _standard_tree_inputs():
+    """Over a thousand inputs to `from_standard_tree`: random standard
+    trees and random ancestor trees of up to 8, 16 and 64 nodes, each as
+    it is, with one added edge and with two levels swapped; the
+    dichotomy fixtures' trees; and the shape and index variants."""
+    cases = []
+    for n, seeds in ((8, 80), (16, 80), (64, 15)):
+        for s in range(seeds):
+            rng = random.Random(1000 * n + s)
+            f = random_standard_fragment(rng, n)
+            trees = [(f.level, f.order), _ancestor_tree(rng, n)]
+            for levels, edges in trees:
+                for how in ("as-is", "edge", "swap"):
+                    cases.append((_perturbed(rng, levels, edges, how), {}))
+    for fix in (fan_pair_fixture, comb_and_fan_fixture):
+        f = fix()
+        for how in ("as-is", "edge", "swap"):
+            rng = random.Random(how)
+            cases.append((_perturbed(rng, f.level, f.order, how),
+                          {"mode": "classT"}))
+    f = random_standard_fragment(random.Random(5), 12)
+    for kw in ({"index": "0", "shape": chain_shape(2)}, {"index": "q"},
+               {"index": "2", "shape": chain_shape(2)}):
+        cases.append(((f.level, f.order), kw))
+    return cases
+
+
+def _tables(f):
+    """Every table of f, dicts as lists in their insertion order."""
+    return (f.shape, f.nodes, f.mode, sorted(f.order),
+            sorted(f._below.items()),
+            *(list(t.items()) for t in (f.sort, f.level, f.lim, f.pre,
+                                        f.suc, f.meet, f.gmap, f.constants)))
+
+
+def test_from_standard_tree_matches_reference():
+    """Same tables in the same insertion order, or the same first
+    InvalidTree message, as the builder that searched every node for
+    each successor."""
+    cases = _standard_tree_inputs()
+    assert len(cases) >= 1000
+    outcomes = set()
+    for (levels, edges), kw in cases:
+        try:
+            want = _tables(from_standard_tree_reference(levels, edges, **kw))
+        except InvalidTree as e:
+            with pytest.raises(InvalidTree) as got:
+                from_standard_tree(levels, edges, **kw)
+            assert str(got.value) == str(e)
+            outcomes.add(str(e).split(" ")[0])
+            continue
+        assert _tables(from_standard_tree(levels, edges, **kw)) == want
+        outcomes.add("built")
+    assert outcomes == {"built", "order", "down-set", "levels", "index"}
 
 
 def test_accessors_and_distance():
