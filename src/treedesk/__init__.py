@@ -3,6 +3,7 @@ level maps: finite partial models, closure operators, type counting,
 one-point extensions, indiscernible-sequence analysis and partition
 calculus."""
 
+from .errors import TreedeskError, UnknownNode, BadArgument
 from .ordinal import Ordinal, NotASuccessor, OrdinalParseError, ZERO, OMEGA
 from .shape import (ShapeTree, validate_shape, decompose, chain_shape,
                     binary_shape, EMPTY_SHAPE, POINT_SHAPE)

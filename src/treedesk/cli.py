@@ -4,7 +4,10 @@ Thin wrappers over the library: each subcommand calls one module
 operation and emits a deterministic report.  Exit codes: 0 when the
 command succeeds and the checked property holds, 1 when a property
 fails (or a witness is found where none was expected), 2 on usage or
-input errors.
+input errors: a bad command line, a `TreedeskError` (the root of every
+error the library raises on purpose), an `OSError` or malformed JSON,
+each reported as one violation line.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -17,19 +20,15 @@ import time
 from dataclasses import dataclass, field
 
 from .shape import EMPTY_SHAPE, POINT_SHAPE, binary_shape, chain_shape
-from .structure import (CannotComplete, NotClosed, SortError, UndefinedTerm,
-                        closure, complete, validate)
-from .types import (BadSeries, BudgetExceeded, WrongShape, count_type_classes,
-                    tp_code)
+from .errors import TreedeskError
+from .structure import closure, complete, validate
+from .types import count_type_classes, tp_code
 from . import qe as qe_mod
-from .indis import (NotAlmostIncreasing, SequenceWindow, ShapeExhausted,
-                    classify, h_iterate, is_HNI, is_NI, is_indiscernible,
-                    search_indiscernible)
+from .indis import (SequenceWindow, classify, h_iterate, is_HNI, is_NI,
+                    is_indiscernible, search_indiscernible)
 from .partition import (find_homogeneous, is_hard, lift_element,
                         q_enumerate, validate_ptriple, validate_qnode)
-from .glue import (AxiomViolated, DisjointnessViolated,
-                   InsufficientSubwitness, build_control, build_witness,
-                   star_construct)
+from .glue import build_control, build_witness, star_construct
 from . import fileio
 from .fileio import InputError
 from .fixtures import vc_degree_experiment
@@ -79,11 +78,12 @@ def _shape_arg(text: str):
     if text == "point":
         return POINT_SHAPE
     kind, _, num = text.partition(":")
-    if kind == "chain":
-        return chain_shape(int(num))
-    if kind == "binary":
-        return binary_shape(int(num))
-    raise InputError("unknown shape spec %r" % text, "--shape")
+    if kind not in ("chain", "binary"):
+        raise InputError("unknown shape spec %r" % text, "--shape")
+    if not (num.isascii() and num.isdigit()):
+        raise InputError("shape size %r is not a natural number" % num,
+                         "--shape")
+    return (chain_shape if kind == "chain" else binary_shape)(int(num))
 
 
 def _nodes_arg(text: str):
@@ -438,10 +438,7 @@ def main(argv=None) -> int:
     except (InputError, OSError, json.JSONDecodeError) as exc:
         rep = RunReport(command=args.command, violations=[str(exc)],
                         status=2)
-    except (CannotComplete, NotClosed, BudgetExceeded, BadSeries,
-            DisjointnessViolated, AxiomViolated, InsufficientSubwitness,
-            qe_mod.RankTooLow, SortError, WrongShape, UndefinedTerm,
-            NotAlmostIncreasing, ShapeExhausted, ValueError, KeyError) as exc:
+    except TreedeskError as exc:
         rep = RunReport(command=args.command,
                         violations=["%s: %s" % (type(exc).__name__, exc)],
                         status=2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 
+from .errors import TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree, validate_shape
 from .structure import Fragment, Term
@@ -22,7 +23,7 @@ from .partition import Coloring, PTriple
 from .glue import GlueSpec
 
 
-class InputError(ValueError):
+class InputError(TreedeskError, ValueError):
     def __init__(self, message: str, location: str = ""):
         super().__init__("%s (at %s)" % (message, location) if location
                          else message)
@@ -365,16 +366,16 @@ def term_from_list(doc, location: str = "term") -> Term:
 
 
 def formula_from_list(doc, location: str = "formula"):
-    """The formula ["atom", rel, t1, t2], ["not", phi] or
-    ["and" | "or", phi...]; faults are located as in `term_from_list`."""
+    """The formula ["atom", rel, t1, t2] with rel "=" or "<", ["not", phi]
+    or ["and" | "or", phi...]; faults are located as in
+    `term_from_list`."""
     if not isinstance(doc, list) or not doc:
         raise InputError("malformed formula %r" % (doc,), location)
     tag = doc[0]
     if tag == "atom":
         rel, t1, t2 = _arguments(doc, (3,), location)
-        if not isinstance(rel, str):
-            raise InputError("relation %r is not a string" % (rel,),
-                             location + "[1]")
+        if rel not in ("=", "<"):
+            raise InputError("unknown relation %r" % (rel,), location + "[1]")
         return ("atom", rel, term_from_list(t1, location + "[2]"),
                 term_from_list(t2, location + "[3]"))
     if tag == "not":

@@ -23,21 +23,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree, POINT_SHAPE, chain_shape
 from .structure import Fragment, FragmentBuilder, complete, validate
 from .partition import PTriple, lift_element, p_from_coloring, q_enumerate
 
 
-class DisjointnessViolated(ValueError):
+class DisjointnessViolated(TreedeskError, ValueError):
     pass
 
 
-class AxiomViolated(ValueError):
+class AxiomViolated(TreedeskError, ValueError):
     pass
 
 
-class InsufficientSubwitness(ValueError):
+class InsufficientSubwitness(TreedeskError, ValueError):
     pass
 
 
@@ -278,7 +279,7 @@ def build_witness(case: str, **params):
         g = GlueSpec(shape2, base, {("0", 1): sub}, {("0", 1): conn})
         return star_construct(g), list(sl)
 
-    raise ValueError("unknown case %r" % case)
+    raise BadArgument("unknown case %r" % case)
 
 
 def build_control(size: int = 6) -> tuple[Fragment, list[str]]:

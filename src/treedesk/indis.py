@@ -16,17 +16,18 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import partial
 
+from .errors import BadArgument, TreedeskError
 from .partition import budgeted, length_colors, sub_tuples
 from .structure import (Fragment, SortError, Term, complete, eval_term,
                         UndefinedTerm, _known)
 from .types import tp_code
 
 
-class NotAlmostIncreasing(RuntimeError):
+class NotAlmostIncreasing(TreedeskError, RuntimeError):
     pass
 
 
-class ShapeExhausted(RuntimeError):
+class ShapeExhausted(TreedeskError, RuntimeError):
     pass
 
 
@@ -41,13 +42,13 @@ class SequenceWindow:
     def __post_init__(self):
         self.seq = tuple(self.seq)
         if len(self.seq) < 2:
-            raise ValueError("window needs at least two entries")
+            raise BadArgument("window needs at least two entries")
         for s in self.seq:
             if s not in self.fragment._below:
-                raise ValueError("unknown node %r in window" % s)
+                raise BadArgument("unknown node %r in window" % s)
         sorts = {self.fragment.sort.get(s) for s in self.seq}
         if len(sorts) != 1 or None in sorts:
-            raise ValueError("window entries must share one sort")
+            raise BadArgument("window entries must share one sort")
 
     @property
     def sort(self) -> str:
@@ -145,8 +146,8 @@ def classify(w: SequenceWindow) -> Classification:
     for i, j in itertools.combinations(range(len(w)), 2):
         m = f.meet_of(w.seq[i], w.seq[j])
         if m is None:
-            raise ValueError("pairwise meet (%r,%r) not declared"
-                             % (w.seq[i], w.seq[j]))
+            raise BadArgument("pairwise meet (%r,%r) not declared"
+                              % (w.seq[i], w.seq[j]))
         meets[(i, j)] = m
     values = set(meets.values())
     if len(values) == 1:
@@ -188,7 +189,10 @@ class TraceStep:
 
 def h_iterate(w: SequenceWindow, max_iter: int = 8) -> list[TraceStep]:
     """Iterate the step map until Fan, shape exhaustion or max_iter,
-    recording classifications and entry levels at each step."""
+    recording classifications and entry levels at each step.  Raises
+    BadArgument for a negative max_iter."""
+    if max_iter < 0:
+        raise BadArgument("max_iter must be non-negative, not %d" % max_iter)
     trace = []
     cur = w
     for step in range(max_iter + 1):
@@ -211,10 +215,10 @@ def search_indiscernible(f: Fragment, a_set, length: int, k: int, r: int,
     """Lexicographically least non-constant injective sequence of the
     given length from the set that passes is_indiscernible at (k, r),
     or None.  Backtracking over prefixes with incremental type checks.
-    Raises ValueError for a length below 2 and KeyError for a node of
+    Raises BadArgument for a length below 2 and UnknownNode for a node of
     the set that is not in f."""
     if length < 2:
-        raise ValueError("window needs at least two entries")
+        raise BadArgument("window needs at least two entries")
     pool = sorted(_known(f, a_set))
     sortable = [x for x in pool if f.sort.get(x) is not None]
 

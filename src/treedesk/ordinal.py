@@ -18,12 +18,14 @@ import re
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .errors import BadArgument, TreedeskError
 
-class NotASuccessor(ValueError):
+
+class NotASuccessor(TreedeskError, ValueError):
     """Raised when predecessor() is applied to a limit ordinal."""
 
 
-class OrdinalParseError(ValueError):
+class OrdinalParseError(TreedeskError, ValueError):
     """Raised on malformed ordinal literals."""
 
 
@@ -40,9 +42,9 @@ class Ordinal:
         last = None
         for e, c in self.terms:
             if e < 0 or c < 1:
-                raise ValueError("bad CNF term (%r, %r)" % (e, c))
+                raise BadArgument("bad CNF term (%r, %r)" % (e, c))
             if last is not None and e >= last:
-                raise ValueError("CNF exponents must strictly decrease")
+                raise BadArgument("CNF exponents must strictly decrease")
             last = e
 
     # -- constructors ------------------------------------------------
@@ -50,7 +52,7 @@ class Ordinal:
     @classmethod
     def nat(cls, n: int) -> "Ordinal":
         if n < 0:
-            raise ValueError("natural expected")
+            raise BadArgument("natural expected")
         return cls(() if n == 0 else ((0, n),))
 
     @classmethod
@@ -163,7 +165,7 @@ class Ordinal:
 
     def plus(self, n: int) -> "Ordinal":
         if n < 0:
-            raise ValueError("natural expected")
+            raise BadArgument("natural expected")
         if n == 0:
             return self
         if self.is_limit:

@@ -20,9 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .errors import BadArgument
 from .ordinal import Ordinal
 from .qe import atom_holds
-from .structure import (Fragment, SortError, UndefinedTerm,
+from .structure import (Fragment, SortError, UndefinedTerm, _known,
                         from_standard_tree, term_step, validate)
 from .types import BudgetExceeded, atomic_basis, tp_code
 
@@ -33,14 +34,14 @@ from .types import BudgetExceeded, atomic_basis, tp_code
 
 def pair(a: int, b: int) -> int:
     if a < 0 or b < 0:
-        raise ValueError("naturals expected")
+        raise BadArgument("naturals expected")
     s = a + b
     return s * (s + 1) // 2 + b
 
 
 def unpair(x: int) -> tuple[int, int]:
     if x < 0:
-        raise ValueError("natural expected")
+        raise BadArgument("natural expected")
     w = (math.isqrt(8 * x + 1) - 1) // 2
     b = x - w * (w + 1) // 2
     return (w - b, b)
@@ -71,19 +72,19 @@ class Coloring:
             self.check_key(key)
 
     def check_key(self, key: tuple) -> None:
-        """ValueError unless key is a strictly increasing tuple from [n]
+        """BadArgument unless key is a strictly increasing tuple from [n]
         no longer than the arity bound."""
         if len(key) > self.arity:
-            raise ValueError("tuple %r longer than arity bound" % (key,))
+            raise BadArgument("tuple %r longer than arity bound" % (key,))
         if any(not (0 <= i < self.n) for i in key):
-            raise ValueError("tuple %r outside ground set" % (key,))
+            raise BadArgument("tuple %r outside ground set" % (key,))
         if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-            raise ValueError("tuple %r not strictly increasing" % (key,))
+            raise BadArgument("tuple %r not strictly increasing" % (key,))
 
     def color(self, key) -> int:
         key = tuple(key)
         if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-            raise ValueError("tuple %r not strictly increasing" % (key,))
+            raise BadArgument("tuple %r not strictly increasing" % (key,))
         return self.table.get(key, self.default)
 
 
@@ -127,11 +128,14 @@ def budgeted(fn, budget: int, what: str):
 def find_homogeneous(c: Coloring, delta: int, budget: int = 10 ** 7):
     """Lexicographically least subsequence of [n] of length delta on
     whose increasing tuples the color depends only on tuple length, as
-    (indices, {length: color}), or None."""
+    (indices, {length: color}), or None.  Raises BadArgument for a delta
+    outside 0..n or an arity bound below 2."""
+    if delta < 0:
+        raise BadArgument("delta must be non-negative, not %d" % delta)
     if delta > c.n:
-        raise ValueError("delta exceeds the ground size")
+        raise BadArgument("delta exceeds the ground size")
     if c.arity < 2:
-        raise ValueError("arity bound must be at least 2")
+        raise BadArgument("arity bound must be at least 2")
     color = budgeted(c.color, budget, "homogeneity search budget")
     for idxs in itertools.combinations(range(c.n), delta):
         per_len = length_colors(sub_tuples(idxs, c.arity), color)
@@ -329,7 +333,7 @@ def p_from_coloring(c: Coloring, levels) -> PTriple:
     levels = list(levels)
     for a, b in zip(levels, levels[1:]):
         if not a < b:
-            raise ValueError("levels must be strictly increasing")
+            raise BadArgument("levels must be strictly increasing")
     width = max(3, len(str(len(levels))))
     names = ["n%0*d" % (width, i) for i in range(len(levels))]
     lv = dict(zip(names, levels))
@@ -386,7 +390,7 @@ def dtp(p: PTriple, t: str, a_set) -> DType:
     support = tuple(sorted(a_set, key=lambda x: (f.level[x].terms, x)))
     for x, y in zip(support, support[1:]):
         if not f.lt(x, y):
-            raise ValueError("support not linearly ordered")
+            raise BadArgument("support not linearly ordered")
     eqs = {}
     for key in _support_keys(support):
         if key and not f.lt(key[-1], t):
@@ -405,7 +409,7 @@ def enumerate_complete_dtypes(p: PTriple, a_set, colors: int,
     support = tuple(sorted(a_set, key=lambda x: (f.level[x].terms, x)))
     for x, y in zip(support, support[1:]):
         if not f.lt(x, y):
-            raise ValueError("support not linearly ordered")
+            raise BadArgument("support not linearly ordered")
     keys = _support_keys(support)
     if (bits := len(keys) * math.log2(max(colors, 2))) > budget_bits:
         raise BudgetExceeded("type space too large: %d keys, %d colors"
@@ -435,7 +439,7 @@ class QNode:
     @property
     def last(self) -> str:
         if not self.eta:
-            raise ValueError("the empty guess sequence has no last entry")
+            raise BadArgument("the empty guess sequence has no last entry")
         return self.eta[-1]
 
     def prefix(self, beta: int) -> "QNode":
@@ -511,18 +515,18 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int,
     """The complete bounded-length fragment of the guess-sequence
     triple: every QNode of length <= alpha_max passing all clauses,
     packaged as a PTriple (prefix order, level = length) together with
-    the node-id -> QNode map.  Raises ValueError when colors < 1 or
+    the node-id -> QNode map.  Raises BadArgument when colors < 1 or
     alpha_max < 0."""
     if colors < 1:
-        raise ValueError("colors must be at least 1, not %d" % colors)
+        raise BadArgument("colors must be at least 1, not %d" % colors)
     if alpha_max < 0:
-        raise ValueError("alpha_max must be non-negative, not %d" % alpha_max)
+        raise BadArgument("alpha_max must be non-negative, not %d" % alpha_max)
     sl = p.suc_lim()
     if len(sl) > 6:
         raise BudgetExceeded("base triple too large: %d candidate nodes"
                              % len(sl), len(sl), 6)
     if alpha_max > len(sl):
-        raise ValueError("alpha_max exceeds the candidate count")
+        raise BadArgument("alpha_max exceeds the candidate count")
     f = p.tree
     by_len: list[list[QNode]] = [[QNode(())]]
     for alpha in range(1, alpha_max + 1):
@@ -593,7 +597,7 @@ def d_q(p: PTriple, qnodes: tuple[QNode, ...],
     top = qnodes[-1]
     gpos = top.lg - 1
     if gpos not in top.gammas:
-        raise ValueError("top node is not at a successor-of-limit level")
+        raise BadArgument("top node is not at a successor-of-limit level")
     tkey = tuple(a.last for a in qnodes)
     eps = top.gammas[gpos].eqs[tkey]
     if c_levels is not None:
@@ -631,8 +635,10 @@ def e_q(p: PTriple, a: QNode, b: QNode) -> bool:
 def lift_element(p: PTriple, t: str) -> QNode:
     """Greedy guess sequence ending at t: extend below t with the least
     admissible successor-of-limit node while one exists, attaching the
-    d-type of t over the support at the limit position."""
+    d-type of t over the support at the limit position.  Raises
+    UnknownNode unless t is a node of the base tree."""
     f = p.tree
+    _known(f, (t,))
     sl = [s for s in p.suc_lim() if f.lt(s, t)]
     eta: list[str] = []
     gamma0: DType | None = None

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree, decompose
 from .structure import (Fragment, Term, eval_term, is_closed, validate,
@@ -34,7 +35,7 @@ from .types import BudgetExceeded, _tp_code, equiv_k, tp_code
 K_BUDGET = 8
 
 
-class RankTooLow(RuntimeError):
+class RankTooLow(TreedeskError, RuntimeError):
     def __init__(self, required: int):
         super().__init__("tuples must be equivalent at rank %d" % required)
         self.required = required
@@ -48,7 +49,7 @@ def m2(m1: int, k: int, s: ShapeTree, cap: int = 10 ** 9) -> int:
     """Rank needed on the given tuples so that k new points can be
     matched at rank m1 over the given shape."""
     if m1 < 0 or k < 0:
-        raise ValueError("naturals expected")
+        raise BadArgument("naturals expected")
     if k == 0 or len(s) == 0:
         return m1
     if k == 1:
@@ -372,7 +373,7 @@ def eval_formula(f: Fragment, phi, assignment) -> bool:
         return all(eval_formula(f, p, assignment) for p in phi[1:])
     if tag == "or":
         return any(eval_formula(f, p, assignment) for p in phi[1:])
-    raise ValueError("unknown connective %r" % tag)
+    raise BadArgument("unknown connective %r" % tag)
 
 
 def atom_holds(f: Fragment, rel: str, v1: str, v2: str) -> bool:
@@ -383,7 +384,7 @@ def atom_holds(f: Fragment, rel: str, v1: str, v2: str) -> bool:
     if rel == "<":
         return (f.sort.get(v1) is not None
                 and f.sort.get(v1) == f.sort.get(v2) and f.lt(v1, v2))
-    raise ValueError("unknown relation %r" % rel)
+    raise BadArgument("unknown relation %r" % rel)
 
 
 def qe_candidate(phi, nvars: int, corpus, m: int,
@@ -394,11 +395,14 @@ def qe_candidate(phi, nvars: int, corpus, m: int,
     Returns the set of rank-m configuration codes of x̄-tuples for which
     a witness exists in the corpus fragment or its completion, coded in
     the completion when it exists.  Use
-    `qe_matches` to evaluate the result on a tuple.
+    `qe_matches` to evaluate the result on a tuple.  Raises BadArgument
+    for a negative nvars or an empty corpus.
     """
+    if nvars < 0:
+        raise BadArgument("nvars must be non-negative, not %d" % nvars)
     corpus = list(corpus)
     if not corpus:
-        raise ValueError("empty corpus")
+        raise BadArgument("empty corpus")
     configs = set()
     spent = 0
     for f in corpus:

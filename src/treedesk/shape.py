@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import BadArgument, TreedeskError
 
-class UnknownIndex(KeyError):
+
+class UnknownIndex(TreedeskError, KeyError):
     pass
 
 
@@ -50,7 +52,7 @@ class ShapeTree:
         while out[-1] in self.parent:
             nxt = self.parent[out[-1]]
             if nxt in seen:
-                raise ValueError("parent cycle at %r" % idx)
+                raise BadArgument("parent cycle at %r" % idx)
             out.append(nxt)
             seen.add(nxt)
         return out
@@ -103,7 +105,7 @@ def validate_shape(s: ShapeTree) -> list[str]:
 def decompose(s: ShapeTree) -> tuple[str, list[ShapeTree]]:
     """The root together with the component subtrees above it."""
     if s.root is None:
-        raise ValueError("empty shape has no root")
+        raise BadArgument("empty shape has no root")
     comps = []
     for child in s.children(s.root):
         idxs = [i for i in s.indices if child in s.ancestors(i)]

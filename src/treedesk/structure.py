@@ -18,33 +18,34 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .errors import BadArgument, TreedeskError, UnknownNode
 from .ordinal import Ordinal
 from .shape import ShapeTree
 
 INF = math.inf
 
 
-class InvalidTree(ValueError):
+class InvalidTree(TreedeskError, ValueError):
     pass
 
 
-class CannotComplete(RuntimeError):
+class CannotComplete(TreedeskError, RuntimeError):
     pass
 
 
-class NotClosed(RuntimeError):
+class NotClosed(TreedeskError, RuntimeError):
     pass
 
 
-class SortError(TypeError):
+class SortError(TreedeskError, TypeError):
     pass
 
 
-class Incomparable(ValueError):
+class Incomparable(TreedeskError, ValueError):
     pass
 
 
-class UndefinedTerm(LookupError):
+class UndefinedTerm(TreedeskError, LookupError):
     """A term has no value under the fragment's declared tables."""
 
 
@@ -297,10 +298,10 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
 # validation
 
 
-def validate(f: Fragment, mode: str | None = None) -> list[str]:
+def validate(f: Fragment) -> list[str]:
     """Empty report iff every declared value satisfies every axiom of
-    the chosen mode.  Entries are "axiom-name: witnesses"."""
-    mode = mode or f.mode
+    f's mode.  Entries are "axiom-name: witnesses"."""
+    mode = f.mode
     rep: list[str] = []
     nodeset = set(f.nodes)
 
@@ -408,7 +409,7 @@ def validate(f: Fragment, mode: str | None = None) -> list[str]:
                 continue
             if f.lim.get(x) == x:
                 rep.append("gmap-domain: %r is not a successor" % x)
-            if f.mode == "classT" or mode == "classT":
+            if mode == "classT":
                 if not f.level[y] <= f.level[x]:
                     rep.append("classT-level: G%r(%r)=%r" % (edge, x, y))
                 if f.lim.get(y) == y:
@@ -807,27 +808,20 @@ def _cl_zero(f: Fragment, s: frozenset[str],
     return s
 
 
-def _cl_one(f: Fragment, s: frozenset[str]) -> frozenset[str]:
-    """One rank step: successors and predecessors, then `_cl_zero`."""
-    return _cl_zero(f, _cl_suc(f, s))
+def closure(f: Fragment, a, k: int = 0) -> frozenset[str]:
+    """Rank-k closure of the node set `a`: the rank-0 closure (the
+    constants, meets, lim and G images) with k rank steps (successors and
+    predecessors, then rank 0 again) on top, so it contains every term
+    value of successor rank at most k over the generators.  Each rank
+    step, and each round of meets, lim and G inside the rank-0 closure,
+    takes the meets and successors only of pairs with a member new since
+    the step before: the older pairs' values are already in the set.
 
-
-def closure(f: Fragment, a, variant="zero") -> frozenset[str]:
-    """Closure of the node set `a` under the chosen operator family.
-
-    variant: "wedge" | "g" | "lim" | "suc" | "zero" | "one" | natural k.
-    The rank-k variant applies the one-step closure k times on top of
-    the rank-0 closure, so it contains every term value of successor
-    rank at most k over the generators.  Each rank step, and each round
-    of meets, lim and G inside the rank-0 closure, takes the meets and
-    successors only of pairs with a member new since the step before:
-    the older pairs' values are already in the set.
-
-    Raises NotClosed unless f is closed, then KeyError for a node of
-    `a` that is not in f.
+    Raises NotClosed unless f is closed, then BadArgument unless k is a
+    natural number, then UnknownNode for a node of `a` that is not in f.
     """
     _require_closed(f)
-    return _closure(f, a, variant)
+    return _chain(f, a, k)[-1]
 
 
 def _require_closed(f: Fragment) -> None:
@@ -837,32 +831,12 @@ def _require_closed(f: Fragment) -> None:
 
 
 def _known(f: Fragment, a) -> frozenset[str]:
-    """The node set a, or KeyError for a node that is not in f."""
+    """The node set a, or UnknownNode for a node that is not in f."""
     s = frozenset(a)
     for x in s:
         if x not in f._below:
-            raise KeyError("unknown node %r" % x)
+            raise UnknownNode("unknown node %r" % x)
     return s
-
-
-def _closure(f: Fragment, a, variant="zero") -> frozenset[str]:
-    """`closure` for an f already known to be closed."""
-    if isinstance(variant, int) and variant >= 0:
-        return _chain(f, a, variant)[-1]
-    s = _known(f, a)
-    if variant == "wedge":
-        return _cl_wedge(f, s)
-    if variant == "g":
-        return _cl_g(f, s)
-    if variant == "lim":
-        return _cl_lim(f, s)
-    if variant == "suc":
-        return _cl_suc(f, s)
-    if variant == "zero":
-        return _cl_zero(f, s)
-    if variant == "one":
-        return _cl_one(f, s)
-    raise ValueError("unknown closure variant %r" % (variant,))
 
 
 def _chain(f: Fragment, a, k: int, base=None) -> list[frozenset[str]]:
@@ -880,9 +854,11 @@ def _chain(f: Fragment, a, k: int, base=None) -> list[frozenset[str]]:
     B_{i+1} is closed under the rank-0 operators, as every rank-0
     closure is.  Without base, a set's own rank i-1 and rank i closures
     serve as B_i and B_{i+1}, so each rank pairs only the members that
-    the rank before it added.  Raises KeyError for a node of a that is
-    not in f.
+    the rank before it added.  Raises BadArgument unless k is a natural
+    number, then UnknownNode for a node of a that is not in f.
     """
+    if not isinstance(k, int) or k < 0:
+        raise BadArgument("closure rank %r is not a natural number" % (k,))
     empty = frozenset()
     s = _known(f, a)
     if base is None:
@@ -1032,7 +1008,7 @@ def term_step(f: Fragment, t: Term, vals, assignment) -> str:
         if v is None:
             raise UndefinedTerm("G%r(%r) not declared" % (edge, vals[0]))
         return v
-    raise ValueError("unknown operator %r" % t.op)
+    raise BadArgument("unknown operator %r" % t.op)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ Closures are defined only on closed fragments.  Each public entry point
 checks closedness once, at its start, and raises NotClosed on an
 unclosed fragment; the private `_tp_code` and `_canon` below it assume
 a closed fragment.  So `count_type_classes` checks once per call, not
-once per tuple.  A node that is not in the fragment raises KeyError,
+once per tuple.  A node that is not in the fragment raises UnknownNode,
 after the closedness check, and a tuple count over budget raises
 BudgetExceeded, before it.
 
@@ -49,12 +49,13 @@ from __future__ import annotations
 import itertools
 import math
 
+from .errors import BadArgument, TreedeskError
 from .shape import ShapeTree
-from .structure import (Fragment, Term, _chain, _closure, _require_closed,
-                        closure, distance)
+from .structure import (Fragment, Term, _chain, _known, _require_closed,
+                        distance)
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(TreedeskError, RuntimeError):
     """Work stopped at a budget: spent is the amount the work asked for
     when it stopped, which exceeds limit."""
 
@@ -63,11 +64,11 @@ class BudgetExceeded(RuntimeError):
         self.spent, self.limit = spent, limit
 
 
-class WrongShape(TypeError):
+class WrongShape(TreedeskError, TypeError):
     pass
 
 
-class BadSeries(ValueError):
+class BadSeries(TreedeskError, ValueError):
     pass
 
 
@@ -242,7 +243,7 @@ def _canon(f: Fragment, abar: tuple[str, ...], a_set: tuple[str, ...],
     """Canonical listing of the rank-k closure of abar + a_set (a_set
     sorted), for a closed f, with its positions and index."""
     gens = abar + a_set
-    c = _closure(f, gens, k)
+    c = _chain(f, gens, k)[-1]
     ix = _Index(f, c, _closure_meets(f, c))
     listed = _canon_order(ix, _initial_colors(ix, gens))
     pos = {x: i for i, x in enumerate(listed)}
@@ -252,8 +253,9 @@ def _canon(f: Fragment, abar: tuple[str, ...], a_set: tuple[str, ...],
 def tp_code(f: Fragment, abar, a_set=(), k: int = 0) -> bytes:
     """Canonical code of the rank-k type of the tuple over the set.
 
-    Raises NotClosed unless f is closed, then KeyError for a node of
-    the tuple or the set that is not in f."""
+    Raises NotClosed unless f is closed, then BadArgument for a negative
+    k and UnknownNode for a node of the tuple or the set that is not in
+    f."""
     _require_closed(f)
     return _tp_code(f, abar, a_set, k)
 
@@ -277,7 +279,7 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
     one fragment pass the same set twice.  Tuples or sets of different
     lengths, or different shapes, give None before any check; then fa
     and, after it, fb must be closed (NotClosed) and contain their
-    nodes (KeyError).
+    nodes (UnknownNode).
     """
     abar, bbar = tuple(abar), tuple(bbar)
     if len(abar) != len(bbar) or len(tuple(a_set)) != len(tuple(b_set)):
@@ -313,7 +315,7 @@ class _Params:
       out[x]   what reaches outside B: its strict down-set there, its
                lim, its meets (partner, meet) with a partner in B,
                and its G edges.
-    Raises KeyError for a node of a_set that is not in f."""
+    Raises UnknownNode for a node of a_set that is not in f."""
 
     def __init__(self, f: Fragment, a_set, k: int):
         self.f, self.k = f, k
@@ -423,14 +425,17 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
                        budget_tuples: int = 250000) -> int:
     """Number of rank-k type codes over the set among all n-tuples.
 
-    Raises BudgetExceeded when f has more than budget_tuples n-tuples,
-    then NotClosed unless f is closed (checked once per call, not per
-    tuple), then KeyError for a node of the set that is not in f; a
-    fragment without n-tuples gives 0.  The parameter set's closure
+    Raises BadArgument for a negative n, then BudgetExceeded when f has
+    more than budget_tuples n-tuples, then NotClosed unless f is closed
+    (checked once per call, not per tuple), then BadArgument for a
+    negative k and UnknownNode for a node of the set that is not in f;
+    a fragment without n-tuples gives 0.  The parameter set's closure
     chain and each node's neighbourhood in its rank-k closure B are
     built once per call (`_Params`); each tuple's closure continues that
     chain, and only what the tuple adds to B is indexed and ranked
     (`_relative_record`)."""
+    if n < 0:
+        raise BadArgument("tuple length must be non-negative, not %d" % n)
     total = len(f.nodes) ** n
     if total > budget_tuples:
         raise BudgetExceeded("%d tuples exceed budget %d"
@@ -454,18 +459,15 @@ def _dk(f: Fragment, x: str, y: str, k: int) -> int:
 
 def questionnaire_code(f: Fragment, a: str, a_set, k: int):
     """Structured answer record determining the rank-k type of a single
-    node over a set, on single-sort fragments."""
+    node over a set, on single-sort fragments.  Raises WrongShape on
+    other fragments, then NotClosed unless f is closed, then UnknownNode
+    for a node or a member of the set that is not in f."""
     if len(f.shape) != 1:
         raise WrongShape("questionnaire applies to single-sort fragments")
-    gens = tuple(sorted(a_set))
-    if gens:
-        _require_closed(f)
-        b_list = _canon(f, (), gens, 0)[0]
-    else:
-        b_list = sorted(closure(f, (), 0)) if f.constants else []
-        if b_list:
-            b_list = _canon(f, (), (), 0)[0]
-    return _record(f, a, list(b_list), k)
+    _require_closed(f)
+    _known(f, (a,))
+    b_list = _canon(f, (), tuple(sorted(a_set)), 0)[0]
+    return _record(f, a, b_list, k)
 
 
 def _record(f: Fragment, a: str, b_list: list[str], k: int):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treedesk import cli
 from treedesk.cli import main
 from treedesk.fileio import (
     fragment_to_dict, save_coloring, save_fragment, save_ptriple,
@@ -168,6 +169,17 @@ def test_qe_table_bad_relation(capsys, chain_file):
                  "--nvars", "1"]) == 2
 
 
+def test_library_bug_propagates(monkeypatch, chain_file):
+    """Only documented errors exit 2: a bare KeyError from a library
+    call is a bug, and main lets it through."""
+    def bug(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "validate", bug)
+    with pytest.raises(KeyError, match="bug"):
+        main(["validate", chain_file])
+
+
 def test_indis_classify_and_iter(capsys, step_file):
     path, win = step_file
     seq = ",".join(win)
@@ -280,6 +292,13 @@ WRONG_INPUTS = {
                            "unknown node 'zz'"),
     "close-unclosed": (["close", "{unclosed}", "--nodes", "n000"],
                        "NotClosed"),
+    **{"%s-negative-rank" % name: (
+        argv + ["--k", "-1"], "closure rank -1 is not a natural number")
+       for name, argv in (
+           ("close", ["close", "{chain}", "--nodes", "n01"]),
+           ("types-code", ["types", "code", "{chain}", "--tuple", "n01"]),
+           ("types-count", ["types", "count", "{chain}"]),
+           ("types-vc-degree", ["types", "vc-degree"]))},
     "types-code-unknown-node": (["types", "code", "{chain}", "--tuple", "zz"],
                                 "unknown node 'zz'"),
     "types-code-unclosed": (["types", "code", "{unclosed}", "--tuple",
@@ -289,11 +308,19 @@ WRONG_INPUTS = {
     "types-count-unclosed": (["types", "count", "{unclosed}"], "NotClosed"),
     "types-count-unknown-node": (["types", "count", "{chain}", "--set", "zz"],
                                  "unknown node 'zz'"),
+    "types-count-negative-length": (["types", "count", "{chain}", "--n", "-1"],
+                                    "tuple length must be non-negative"),
     "types-vc-degree-zero-budget": (["types", "vc-degree", "--budget-tuples",
                                      "0"], "exceed budget 0"),
     "qe-m2-unknown-shape": (["qe", "m2", "--m1", "1", "--shape", "nope"],
                             "unknown shape spec 'nope'"),
     "qe-m2-negative": (["qe", "m2", "--m1", "-1"], "naturals expected"),
+    **{"qe-m2-shape-%s" % name: (
+        ["qe", "m2", "--m1", "1", "--shape", spec],
+        "shape size %r is not a natural number (at --shape)" % size)
+       for name, spec, size in (("not-a-number", "chain:x", "x"),
+                                ("negative", "chain:-1", "-1"),
+                                ("missing-size", "binary", ""))},
     "qe-extend-mismatched-shapes": (
         ["qe", "extend", "{step}", "{chain}", "--abar", "", "--bbar", "",
          "--c", "a_m0"], "fragments must share a shape"),
@@ -313,6 +340,9 @@ WRONG_INPUTS = {
     "qe-table-malformed-formula": (
         ["qe", "table", "{chain}", "--phi", "notjson", "--nvars", "1"],
         "not valid JSON"),
+    "qe-table-negative-nvars": (
+        ["qe", "table", "{chain}", "--phi", '["atom","=",["var",0],["var",0]]',
+         "--nvars", "-1"], "nvars must be non-negative"),
     "qe-table-unbound-variable": (
         ["qe", "table", "{chain}", "--phi", '["atom","<",["var",0],["var",3]]',
          "--nvars", "1"], "unbound variable x3"),
@@ -328,7 +358,9 @@ WRONG_INPUTS = {
            ("const-not-a-pair", '["atom","<",["const",5],["var",1]]',
             "not [sort, index] (at --phi[2][1])"),
            ("negative-variable", '["atom","<",["var",-1],["var",1]]',
-            "not a natural number (at --phi[2][1])"))},
+            "not a natural number (at --phi[2][1])"),
+           ("unknown-relation", '["atom","lt",["var",0],["var",1]]',
+            "unknown relation 'lt' (at --phi[1])"))},
     **{"indis-%s-unknown-node" % cmd: (
         ["indis", cmd, "{chain}", "--seq", "zz,n01"], "unknown node 'zz'")
        for cmd in ("check", "ni", "hni", "classify", "h-iter")},
@@ -338,6 +370,9 @@ WRONG_INPUTS = {
     **{"indis-%s-unclosed" % cmd: (
         ["indis", cmd, "{unclosed}", "--seq", "n000,n001,n002"], "NotClosed")
        for cmd in ("check", "ni", "hni")},
+    "indis-h-iter-negative-max-iter": (
+        ["indis", "h-iter", "{chain}", "--seq", "n01,n02", "--max-iter", "-1"],
+        "max_iter must be non-negative"),
     "indis-search-unknown-node": (
         ["indis", "search", "{chain}", "--set", "zz,n01", "--L", "2"],
         "unknown node 'zz'"),
@@ -354,6 +389,9 @@ WRONG_INPUTS = {
                                      "2"], "malformed coloring"),
     "ramsey-homog-delta-too-large": (["ramsey", "homog", "{coloring}",
                                       "--delta", "9"], "delta exceeds"),
+    "ramsey-homog-negative-delta": (["ramsey", "homog", "{coloring}",
+                                     "--delta", "-1"],
+                                    "delta must be non-negative"),
     "pspace-validate-not-a-triple": (["pspace", "validate", "{chain}"],
                                      "malformed shape section"),
     "pspace-hard-zero-budget": (["pspace", "hard", "{ptriple}", "--delta",
@@ -369,7 +407,7 @@ WRONG_INPUTS = {
                                         "--alpha-max", "-1"],
                                        "alpha_max must be non-negative"),
     "pspace-lift-unknown-node": (["pspace", "lift", "{ptriple}", "--t", "zz"],
-                                 "'zz'"),
+                                 "UnknownNode: \"unknown node 'zz'\""),
     "glue-star-not-a-spec": (["glue", "star", "{chain}"],
                              "malformed shape section"),
     "demo-zero-budget": (["demo", "case1", "--budget-tuples", "0"],

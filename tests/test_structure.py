@@ -11,6 +11,7 @@ from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
 
 from treedesk import structure
 
+from treedesk.errors import BadArgument
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (
     comb_and_fan_fixture, family_fragment, family_parameter_pool,
@@ -198,8 +199,8 @@ def test_closure_variants_and_rank():
     cl1 = closure(f, base, 1)
     cl2 = closure(f, base, 2)
     assert base <= cl0 <= cl1 <= cl2
-    assert closure(f, base, "zero") <= cl0
-    assert closure(f, base, "wedge") >= base
+    assert structure._cl_zero(f, base) <= cl0
+    assert structure._cl_wedge(f, base) >= base
 
 
 def test_closure_requires_closed_fragment():
@@ -213,6 +214,13 @@ def test_closure_unknown_node():
     f = _chain5()
     with pytest.raises(KeyError):
         closure(f, ("zz",), 0)
+
+
+@pytest.mark.parametrize("k", [-1, "zero", "one", 1.0, None])
+def test_closure_takes_a_natural_rank_only(k):
+    f = _chain5()
+    with pytest.raises(BadArgument, match="not a natural number"):
+        closure(f, ("n1",), k)
 
 
 def test_eval_term():
@@ -338,13 +346,22 @@ def test_rank_step_pairs_old_members_with_new(seed, a):
     assert closure(f, a, 2) == closure_oracle(f, a, 2)
 
 
+# The single closure operators, each applied once to the whole set.
+STEPS = {
+    "wedge": structure._cl_wedge,
+    "suc": structure._cl_suc,
+    "zero": structure._cl_zero,
+    "one": lambda f, s: structure._cl_zero(f, structure._cl_suc(f, s)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(ROUNDS_CASES))
 def test_closure_steps_match_reference(name):
     f = ROUNDS_CASES[name]()
     sets = _generator_sets(name, f)
     for s in sets + [closure(f, a, 1) for a in sets] + [f.nodes]:
-        for variant in ("wedge", "suc", "zero", "one"):
-            assert closure(f, s, variant) == \
+        for variant, step in STEPS.items():
+            assert step(f, frozenset(s)) == \
                 closure_step_reference(f, s, variant), (s, variant)
 
 
@@ -361,8 +378,8 @@ def test_closure_is_idempotent_and_composes():
         rng = random.Random(len(f.nodes))
         for _ in range(4):
             a = rng.sample(sorted(f.nodes), 2)
-            zero = closure(f, a, "zero")
-            assert closure(f, zero, "zero") == zero
+            zero = structure._cl_zero(f, frozenset(a))
+            assert structure._cl_zero(f, zero) == zero
             for k in range(3):
                 c = closure(f, a, k)
                 for j in range(3):
@@ -376,8 +393,10 @@ def test_closure_is_monotone():
         for _ in range(4):
             a = set(rng.sample(nodes, 2))
             b = a | set(rng.sample(nodes, 3))
-            for variant in ("zero", "one", 0, 1, 2):
-                assert closure(f, a, variant) <= closure(f, b, variant)
+            for step in (STEPS["zero"], STEPS["one"]):
+                assert step(f, frozenset(a)) <= step(f, frozenset(b))
+            for k in range(3):
+                assert closure(f, a, k) <= closure(f, b, k)
 
 
 def assert_set_checked_reports_match(f):

@@ -12,6 +12,7 @@ from treedesk import structure, types
 from treedesk.fixtures import (random_closed_fragment,
                                random_standard_fragment,
                                three_sort_step_fixture)
+from treedesk.errors import UnknownNode
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE
 from treedesk.structure import (Fragment, NotClosed, closure, complete,
@@ -102,6 +103,21 @@ def test_questionnaire_rejects_multi_sort():
     f = complete(f)
     with pytest.raises(WrongShape):
         questionnaire_code(f, "a_r", (), 0)
+
+
+@pytest.mark.parametrize("a_set", [(), ("n000",)])
+def test_questionnaire_requires_closed_fragment(a_set):
+    """With or without parameters, an unclosed fragment raises NotClosed
+    before any lookup of the node."""
+    f = random_standard_fragment(random.Random(3), 12)
+    with pytest.raises(NotClosed):
+        questionnaire_code(f, "n003", a_set, 1)
+
+
+@pytest.mark.parametrize("a, a_set", [("zz", ("n01",)), ("n01", ("zz",))])
+def test_questionnaire_rejects_unknown_nodes(a, a_set):
+    with pytest.raises(UnknownNode, match="'zz'"):
+        questionnaire_code(_chain(4), a, a_set, 1)
 
 
 def test_estimate_degree_examples():
@@ -288,7 +304,7 @@ def test_branching_code_matches_reference(monkeypatch, f, gens):
     cells, and the listing and record are still those of the reference
     copy, which rebuilt its index in every branch."""
     c = frozenset(f.nodes)
-    monkeypatch.setattr(types, "_closure", lambda f, a, k: c)
+    monkeypatch.setattr(types, "_chain", lambda f, a, k: [c])
     indexes = _counting(monkeypatch, "_Index")
     orders = _counting(monkeypatch, "_canon_order")
     listed, pos, ix = types._canon(f, gens, (), 0)
