@@ -65,7 +65,7 @@ def shape_from_dict(doc: dict, location: str = "shape") -> ShapeTree:
                          % (parent,), location)
     if not isinstance(labels, dict):
         raise InputError("labels %r is not an object" % (labels,), location)
-    shape = ShapeTree(tuple(idxs), root, dict(parent), dict(labels))
+    shape = ShapeTree(tuple(idxs), root, parent, labels)
     report = validate_shape(shape)
     if report:
         raise InputError("malformed shape: %s" % report[0], location)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .errors import BadArgument, TreedeskError
+from .errors import BadArgument, TreedeskError, UnknownNode
 from .partition import budgeted, length_colors, sub_tuples
 from .structure import (Fragment, SortError, Term, complete, eval_term,
                         UndefinedTerm, _known)
@@ -45,7 +45,7 @@ class SequenceWindow:
             raise BadArgument("window needs at least two entries")
         for s in self.seq:
             if s not in self.fragment._below:
-                raise BadArgument("unknown node %r in window" % s)
+                raise UnknownNode("unknown node %r in window" % s)
         sorts = {self.fragment.sort.get(s) for s in self.seq}
         if len(sorts) != 1 or None in sorts:
             raise BadArgument("window entries must share one sort")

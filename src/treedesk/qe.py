@@ -171,13 +171,16 @@ def _propagate(fa, fb, x_set, image):
                     for s in fb.strictly_below(image[y]) | {image[y]}
                     if s != l and fb.lim.get(s) == l), default=None)
 
+    def suc_of(x, y):
+        return fb.suc.get((x, y))
+
     # (arguments, value, fb's table, argument images) per source entry
     entries = [((x, y), v, fb.meet_of, image.get)
                for (x, y), v in fa.meet.items()]
-    entries += [((x, y), v, fb.suc_of, image.get)
+    entries += [((x, y), v, suc_of, image.get)
                 for (x, y), v in fa.suc.items()]
-    entries += [((x,), v, fb.pre_of, image.get) for x, v in fa.pre.items()]
-    entries += [((x,), v, fb.lim_of, image.get) for x, v in fa.lim.items()]
+    entries += [((x,), v, fb.pre.get, image.get) for x, v in fa.pre.items()]
+    entries += [((x,), v, fb.lim.get, image.get) for x, v in fa.lim.items()]
     for edge, table in fa.gmap.items():
         entries += [((x,), v, functools.partial(fb.g_of, edge), holder)
                     for x, v in table.items()]

@@ -9,7 +9,9 @@ is the degenerate base case of the extension-rank recursion.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import BadArgument, TreedeskError
 
@@ -20,13 +22,18 @@ class UnknownIndex(TreedeskError, KeyError):
 
 @dataclass(frozen=True)
 class ShapeTree:
+    """`parent` and `labels` are read-only views of copies; a shape
+    hashes by its indices and root, so equal shapes hash equal."""
+
     indices: tuple[str, ...]
     root: str | None
-    parent: dict[str, str] = field(default_factory=dict)
-    labels: dict[str, str] = field(default_factory=dict)
+    parent: Mapping[str, str] = field(default_factory=dict, hash=False)
+    labels: Mapping[str, str] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(sorted(self.indices)))
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
     # -- structure queries -------------------------------------------
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import BadArgument, TreedeskError, UnknownNode
 from .ordinal import Ordinal
@@ -89,7 +90,9 @@ class _OrderQueries:
 
 
 class Fragment(_OrderQueries):
-    """Immutable-by-convention partial model.  Build once, then query."""
+    """Read-only partial model: each table, and each G table in `gmap`,
+    is a read-only view of a copy taken here, and each down-set is a
+    frozenset.  Edits go through a `FragmentBuilder`."""
 
     def __init__(
         self,
@@ -108,72 +111,27 @@ class Fragment(_OrderQueries):
     ):
         self.shape = shape
         self.nodes = tuple(sorted(nodes))
-        self.sort = dict(sort or {})
-        self.level = dict(level or {})
+        self.sort = _frozen(sort)
+        self.level = _frozen(level)
         self.order = frozenset(order or ())
-        self.meet = {_mk(*k): v for k, v in (meet or {}).items()}
-        self.suc = dict(suc or {})
-        self.pre = dict(pre or {})
-        self.lim = dict(lim or {})
-        self.gmap = {e: dict(m) for e, m in (gmap or {}).items()}
-        self.constants = dict(constants or {})
+        self.meet = MappingProxyType(
+            {_mk(*k): v for k, v in (meet or {}).items()})
+        self.suc = _frozen(suc)
+        self.pre = _frozen(pre)
+        self.lim = _frozen(lim)
+        self.gmap = MappingProxyType(
+            {e: _frozen(m) for e, m in (gmap or {}).items()})
+        self.constants = _frozen(constants)
         self.mode = mode
-        self._below = self._transitive_closure()
-
-    # -- derived order -----------------------------------------------
-
-    def _transitive_closure(self) -> dict[str, set[str]]:
-        below = {n: set() for n in self.nodes}
-        for a, b in self.order:
-            if b in below:
-                below[b].add(a)
-        changed = True
-        while changed:
-            changed = False
-            for b in self.nodes:
-                extra = set()
-                for a in below[b]:
-                    extra |= below.get(a, set())
-                if not extra <= below[b]:
-                    below[b] |= extra
-                    changed = True
-        return below
-
-    def has_cycle(self) -> bool:
-        return any(n in self._below[n] for n in self.nodes)
+        self._below = _down_sets(self.nodes, self.order)
 
     # -- accessors ---------------------------------------------------
-
-    def sort_of(self, x: str) -> str | None:
-        return self.sort.get(x)
-
-    def level_of(self, x: str) -> Ordinal | None:
-        return self.level.get(x)
 
     def meet_of(self, x: str, y: str) -> str | None:
         return self.meet.get(_mk(x, y))
 
-    def suc_of(self, x: str, y: str) -> str | None:
-        return self.suc.get((x, y))
-
-    def pre_of(self, x: str) -> str | None:
-        return self.pre.get(x)
-
-    def lim_of(self, x: str) -> str | None:
-        return self.lim.get(x)
-
     def g_of(self, edge: tuple[str, str], x: str) -> str | None:
         return self.gmap.get(edge, {}).get(x)
-
-    def replace(self, **kw) -> "Fragment":
-        args = dict(
-            shape=self.shape, nodes=self.nodes, sort=self.sort,
-            level=self.level, order=self.order, meet=self.meet,
-            suc=self.suc, pre=self.pre, lim=self.lim, gmap=self.gmap,
-            constants=self.constants, mode=self.mode,
-        )
-        args.update(kw)
-        return Fragment(**args)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -181,6 +139,31 @@ class Fragment(_OrderQueries):
     def __repr__(self) -> str:
         return "Fragment(%d nodes, %d sorts, mode=%s)" % (
             len(self.nodes), len(self.shape), self.mode)
+
+
+def _frozen(table) -> MappingProxyType:
+    """A read-only view of a copy of table (None is empty)."""
+    return MappingProxyType(dict(table or {}))
+
+
+def _down_sets(nodes, order) -> dict[str, frozenset[str]]:
+    """Strict down-set of each node under the transitive closure of the
+    edges `order`; edges into a node outside `nodes` are dropped."""
+    below = {n: set() for n in nodes}
+    for a, b in order:
+        if b in below:
+            below[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for b in nodes:
+            extra = set()
+            for a in below[b]:
+                extra |= below.get(a, set())
+            if not extra <= below[b]:
+                below[b] |= extra
+                changed = True
+    return {n: frozenset(d) for n, d in below.items()}
 
 
 class FragmentBuilder:
@@ -211,14 +194,16 @@ class FragmentBuilder:
         self.nodes.update(f.nodes)
         for n, eta in f.sort.items():
             self.sort[n] = sort_of(eta)
-        self.level.update(f.level)
+        # a view's copy() is a dict, which update merges in bulk; from
+        # the view itself it reads entry by entry, many times slower
+        self.level.update(f.level.copy())
         self.order |= f.order
-        self.meet.update(f.meet)
-        self.suc.update(f.suc)
-        self.pre.update(f.pre)
-        self.lim.update(f.lim)
+        self.meet.update(f.meet.copy())
+        self.suc.update(f.suc.copy())
+        self.pre.update(f.pre.copy())
+        self.lim.update(f.lim.copy())
         for (e1, e2), table in f.gmap.items():
-            self.gmap[(sort_of(e1), sort_of(e2))] = dict(table)
+            self.gmap[(sort_of(e1), sort_of(e2))] = table.copy()
         for (eta, i), c in f.constants.items():
             self.constants[(sort_of(eta), i)] = c
 
@@ -252,11 +237,10 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
     if index not in shape:
         raise InvalidTree("index %r not in shape" % index)
     nodes = sorted(levels)
-    f = Fragment(shape, nodes, {n: index for n in nodes}, dict(levels),
-                 {(a, b) for a, b in edges}, mode=mode)
-    if f.has_cycle():
+    order = {(a, b) for a, b in edges}
+    below = _down_sets(nodes, order)
+    if any(n in below[n] for n in nodes):
         raise InvalidTree("order contains a cycle")
-    below = f._below
     for y in nodes:
         down = sorted(below[y])
         # a chain iff its members' down-sets differ in size (see validate)
@@ -291,7 +275,8 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
             meet[(x, y)] = max(common, key=lambda c: len(below[c]))
     for x in nodes:
         meet[(x, x)] = x
-    return f.replace(meet=meet, suc=suc, pre=pre, lim=lim)
+    return Fragment(shape, nodes, {n: index for n in nodes}, levels, order,
+                    meet, suc, pre, lim, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -428,12 +428,12 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
     Raises BadArgument for a negative n, then BudgetExceeded when f has
     more than budget_tuples n-tuples, then NotClosed unless f is closed
     (checked once per call, not per tuple), then BadArgument for a
-    negative k and UnknownNode for a node of the set that is not in f;
-    a fragment without n-tuples gives 0.  The parameter set's closure
-    chain and each node's neighbourhood in its rank-k closure B are
-    built once per call (`_Params`); each tuple's closure continues that
-    chain, and only what the tuple adds to B is indexed and ranked
-    (`_relative_record`)."""
+    negative k and UnknownNode for a node of the set that is not in f,
+    also when f has no n-tuples; otherwise such an f gives 0.  The
+    parameter set's closure chain and each node's neighbourhood in its
+    rank-k closure B are built once per call (`_Params`); each tuple's
+    closure continues that chain, and only what the tuple adds to B is
+    indexed and ranked (`_relative_record`)."""
     if n < 0:
         raise BadArgument("tuple length must be non-negative, not %d" % n)
     total = len(f.nodes) ** n
@@ -441,8 +441,6 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
         raise BudgetExceeded("%d tuples exceed budget %d"
                              % (total, budget_tuples), total, budget_tuples)
     _require_closed(f)
-    if not total:
-        return 0
     p = _Params(f, tuple(sorted(a_set)), k)
     return len({_relative_record(p, tup)
                 for tup in itertools.product(f.nodes, repeat=n)})

@@ -16,6 +16,16 @@ TRIPOD = ShapeTree(("r", "r0", "r1"), "r", {"r0": "r", "r1": "r"},
                    {"r": "r", "r0": "0", "r1": "1"})
 
 
+def replace(f: Fragment, **tables) -> Fragment:
+    """Copy of f with the given constructor arguments (tables, shape,
+    nodes or mode) in place of f's own."""
+    args = dict(shape=f.shape, nodes=f.nodes, sort=f.sort, level=f.level,
+                order=f.order, meet=f.meet, suc=f.suc, pre=f.pre, lim=f.lim,
+                gmap=f.gmap, constants=f.constants, mode=f.mode)
+    args.update(tables)
+    return Fragment(**args)
+
+
 def rename(f: Fragment, pref: str, reverse: bool = False):
     """Isomorphic copy with every node id prefixed, plus the node map.
     With reverse, each id becomes pref and a number instead, numbered so
@@ -85,8 +95,8 @@ def theta_single_sort() -> Fragment:
         {("r", "L"), ("r", "d0"), ("r", "d1"), ("r", "d2"),
          ("L", "d0"), ("L", "d1"), ("L", "d2")},
         mode="theta")
-    return g.replace(constants={("r", 0): "d0", ("r", 1): "d1",
-                                ("r", 2): "d2"})
+    return replace(g, constants={("r", 0): "d0", ("r", 1): "d1",
+                                 ("r", 2): "d2"})
 
 
 def theta_two_sort() -> Fragment:
@@ -104,8 +114,8 @@ def theta_two_sort() -> Fragment:
     h = merge_fragments(chain_shape(2), {"0": s0, "1": s1},
                         gmap={("0", "1"): {"d0": "e0", "d1": "e1"}},
                         mode="theta")
-    return h.replace(constants={("0", 0): "d0", ("0", 1): "d1",
-                                ("1", 0): "e0", ("1", 1): "e1"})
+    return replace(h, constants={("0", 0): "d0", ("0", 1): "d1",
+                                 ("1", 0): "e0", ("1", 1): "e1"})
 
 
 def random_unsorted(rng, max_nodes: int = 6) -> Fragment:
@@ -169,10 +179,10 @@ def corrupted_fragment(rng) -> Fragment:
             x, v = rng.sample(nodes, 2)
             if f.level[v] < f.level[x]:
                 x, v = v, x
-            f = f.replace(order=f.order | {(x, v)})
+            f = replace(f, order=f.order | {(x, v)})
             continue
         table = dict(getattr(f, kind))
         key = rng.choice(sorted(table))
         table[key] = key[1] if kind == "suc" else rng.choice(nodes)
-        f = f.replace(**{kind: table})
+        f = replace(f, **{kind: table})
     return f

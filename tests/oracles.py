@@ -374,7 +374,7 @@ def from_standard_tree_reference(levels, edges, index="r", shape=None,
     nodes = sorted(levels)
     f = Fragment(shape, nodes, {n: index for n in nodes}, dict(levels),
                  {(a, b) for a, b in edges}, mode=mode)
-    if f.has_cycle():
+    if any(f.lt(n, n) for n in nodes):
         raise InvalidTree("order contains a cycle")
     for y in nodes:
         down = sorted(f.strictly_below(y))
@@ -418,4 +418,5 @@ def from_standard_tree_reference(levels, edges, index="r", shape=None,
                     1 for d in common if f.leq(d, c)))
     for x in nodes:
         meet[_mk(x, x)] = x
-    return f.replace(meet=meet, suc=suc, pre=pre, lim=lim)
+    return Fragment(f.shape, f.nodes, f.sort, f.level, f.order, meet, suc,
+                    pre, lim, mode=f.mode)

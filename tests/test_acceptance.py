@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from gen import rename, theta_single_sort, theta_two_sort, transfer_instances
+from gen import (rename, replace, theta_single_sort, theta_two_sort,
+                 transfer_instances)
 from oracles import closure_oracle, count_isomorphisms
 
 from treedesk.fixtures import (
@@ -74,42 +75,42 @@ def test_criterion_01_axiom_validator():
     ok = ok and not validate(f)
     g01 = f.gmap[("0", "1")]
     mutations = [
-        ("sort-unknown-index", f.replace(sort=_upd(f.sort, a_r="bogus"))),
-        ("level-missing", f.replace(
+        ("sort-unknown-index", replace(f, sort=_upd(f.sort, a_r="bogus"))),
+        ("level-missing", replace(f,
             level={k: v for k, v in f.level.items() if k != "a_r"})),
         ("order-unknown-node",
-         f.replace(order=set(f.order) | {("ghost", "a_m0")})),
+         replace(f, order=set(f.order) | {("ghost", "a_m0")})),
         ("order-cross-sort",
-         f.replace(order=set(f.order) | {("a_r", "b_r")})),
-        ("order-cycle", f.replace(order=set(f.order) | {("a_m0", "a_r")})),
+         replace(f, order=set(f.order) | {("a_r", "b_r")})),
+        ("order-cycle", replace(f, order=set(f.order) | {("a_m0", "a_r")})),
         ("order-downset-chain",
-         f.replace(order=set(f.order) | {("a_s0", "a_s1")})),
-        ("order-level", f.replace(order=set(f.order) | {("a_p0", "a_s0")})),
-        ("meet-sort", f.replace(meet={**f.meet, ("a_r", "a_r"): "b_r"})),
+         replace(f, order=set(f.order) | {("a_s0", "a_s1")})),
+        ("order-level", replace(f, order=set(f.order) | {("a_p0", "a_s0")})),
+        ("meet-sort", replace(f, meet={**f.meet, ("a_r", "a_r"): "b_r"})),
         ("meet-lower-bound",
-         f.replace(meet={**f.meet, ("a_m0", "a_m1"): "a_s0"})),
+         replace(f, meet={**f.meet, ("a_m0", "a_m1"): "a_s0"})),
         ("meet-not-max",
-         f.replace(meet={**f.meet, ("a_p0", "a_s0"): "a_r"})),
-        ("suc-sort", f.replace(suc={**f.suc, ("a_r", "a_m0"): "b_r"})),
-        ("suc-bounds", f.replace(suc={**f.suc, ("a_m0", "a_p0"): "a_r"})),
-        ("suc-level", f.replace(suc={**f.suc, ("a_p0", "a_m1"): "a_m1"})),
-        ("suc-between", f.replace(suc={**f.suc, ("a_r", "a_m1"): "a_m1"})),
-        ("lim-of-suc", f.replace(lim=_upd(f.lim, a_p0="a_r"))),
-        ("lim-sort", f.replace(lim=_upd(f.lim, a_p0="b_r"))),
-        ("lim-bound", f.replace(lim=_upd(f.lim, a_p0="a_s0"))),
-        ("lim-level", f.replace(lim=_upd(f.lim, a_p0="a_r"))),
-        ("lim-idempotent", f.replace(lim=_upd(f.lim, a_m0="a_r"))),
-        ("lim-monotone", f.replace(lim=_upd(f.lim, a_m2="a_m0"))),
-        ("pre-sort", f.replace(pre=_upd(f.pre, a_p0="b_r"))),
-        ("pre-bound", f.replace(pre=_upd(f.pre, a_p0="a_s0"))),
-        ("pre-level", f.replace(pre=_upd(f.pre, a_p0="a_r"))),
-        ("pre-suc", f.replace(suc={**f.suc, ("a_m0", "a_p0"): "a_s0"})),
-        ("gmap-edge", f.replace(gmap={**f.gmap, ("0", "2"): {}})),
-        ("gmap-sort", f.replace(
+         replace(f, meet={**f.meet, ("a_p0", "a_s0"): "a_r"})),
+        ("suc-sort", replace(f, suc={**f.suc, ("a_r", "a_m0"): "b_r"})),
+        ("suc-bounds", replace(f, suc={**f.suc, ("a_m0", "a_p0"): "a_r"})),
+        ("suc-level", replace(f, suc={**f.suc, ("a_p0", "a_m1"): "a_m1"})),
+        ("suc-between", replace(f, suc={**f.suc, ("a_r", "a_m1"): "a_m1"})),
+        ("lim-of-suc", replace(f, lim=_upd(f.lim, a_p0="a_r"))),
+        ("lim-sort", replace(f, lim=_upd(f.lim, a_p0="b_r"))),
+        ("lim-bound", replace(f, lim=_upd(f.lim, a_p0="a_s0"))),
+        ("lim-level", replace(f, lim=_upd(f.lim, a_p0="a_r"))),
+        ("lim-idempotent", replace(f, lim=_upd(f.lim, a_m0="a_r"))),
+        ("lim-monotone", replace(f, lim=_upd(f.lim, a_m2="a_m0"))),
+        ("pre-sort", replace(f, pre=_upd(f.pre, a_p0="b_r"))),
+        ("pre-bound", replace(f, pre=_upd(f.pre, a_p0="a_s0"))),
+        ("pre-level", replace(f, pre=_upd(f.pre, a_p0="a_r"))),
+        ("pre-suc", replace(f, suc={**f.suc, ("a_m0", "a_p0"): "a_s0"})),
+        ("gmap-edge", replace(f, gmap={**f.gmap, ("0", "2"): {}})),
+        ("gmap-sort", replace(f,
             gmap={**f.gmap, ("0", "1"): {**g01, "b_r": "b_v0"}})),
-        ("gmap-domain", f.replace(
+        ("gmap-domain", replace(f,
             gmap={**f.gmap, ("0", "1"): {**g01, "a_m0": "b_v0"}})),
-        ("regressive", f.replace(
+        ("regressive", replace(f,
             gmap={**f.gmap, ("0", "1"): {**g01, "a_s3": "b_v0"}})),
     ]
     g = theta_single_sort()
@@ -117,16 +118,16 @@ def test_criterion_01_axiom_validator():
     ok = ok and not validate(g) and not validate(h)
     mutations += [
         ("constants-sort",
-         g.replace(constants={**g.constants, ("r", 0): "ghost"})),
+         replace(g, constants={**g.constants, ("r", 0): "ghost"})),
         ("constants-distinct",
-         g.replace(constants={**g.constants, ("r", 1): "d0"})),
-        ("constants-limit-meet", g.replace(lim=_upd(g.lim, L="r"))),
+         replace(g, constants={**g.constants, ("r", 1): "d0"})),
+        ("constants-limit-meet", replace(g, lim=_upd(g.lim, L="r"))),
         ("constants-suc-meet",
-         g.replace(suc={**g.suc, ("L", "d0"): "d1"})),
+         replace(g, suc={**g.suc, ("L", "d0"): "d1"})),
         ("constants-meet",
-         g.replace(meet={**g.meet, ("d0", "d1"): "r"})),
+         replace(g, meet={**g.meet, ("d0", "d1"): "r"})),
         ("constants-gmap",
-         h.replace(gmap={("0", "1"): {"d0": "e1", "d1": "e1"}})),
+         replace(h, gmap={("0", "1"): {"d0": "e1", "d1": "e1"}})),
     ]
     for name, mutated in mutations:
         if name not in _violation_names(validate(mutated)):

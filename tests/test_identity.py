@@ -41,6 +41,12 @@ that closed each tuple's generators from scratch, rebuilt the
 refinement index in every individualization branch and counted type
 classes by their code bytes.
 
+Each CLI case runs one subcommand with `--format json` on files written
+like the `tests/test_cli.py` fixtures and pins the SHA-256 of the report
+with `timing` dropped, followed by the bytes of the file it writes with
+`-o`, if any.  They were recorded, under PYTHONHASHSEED 0 and 2, on the
+code whose fragment tables were plain dicts.
+
 Never re-record them to make a refactor pass.
 """
 
@@ -54,7 +60,8 @@ import pytest
 
 from gen import (corrupted_fragment, random_tripod, rename, theta_single_sort,
                  theta_two_sort, top_sort_only, two_root_forest)
-from treedesk.fileio import fragment_to_dict
+from treedesk.cli import main
+from treedesk.fileio import fragment_to_dict, save_fragment
 from treedesk.fixtures import (family_fragment, family_parameter_pool,
                                random_closed_fragment,
                                random_sequence_fixture,
@@ -491,3 +498,91 @@ TYPE_PINNED = {
 @pytest.mark.parametrize("name", sorted(TYPE_CASES))
 def test_type_sweep_is_pinned(name):
     assert _digest(TYPE_CASES[name]()) == TYPE_PINNED[name]
+
+
+# {name} stands for a path that the fixture `cli_files` makes; the
+# window of `indis classify` is that of `three_sort_step_fixture`.
+CLI_CASES = {
+    "validate": ["validate", "{chain}"],
+    "complete": ["complete", "{raw_step}", "-o", "{out}"],
+    "close": ["close", "{chain}", "--nodes", "n02", "--k", "0"],
+    "types-code": ["types", "code", "{chain}", "--tuple", "n03", "--k", "1"],
+    "types-count": ["types", "count", "{chain}", "--set", "n02", "--k", "0"],
+    "qe-extend": ["qe", "extend", "{chain}", "{chain}", "--abar", "n03",
+                  "--bbar", "n03", "--c", "n01", "--m1", "1", "-o", "{out}"],
+    "indis-classify": ["indis", "classify", "{step}",
+                       "--seq", "a_s0,a_s1,a_s2,a_s3"],
+    "glue-star": ["glue", "star", "{glue}", "-o", "{out}"],
+}
+
+CLI_PINNED = {
+    "close":
+        "a09cf2ffdb8740f9a180b422d58fd0ad8a9b4488fdcd8d5cd30d519213e75525",
+    "complete":
+        "200d39814db0afc8389d029fa301c82480da0d0a60b2fdc4e4afbbaf21b3adca",
+    "glue-star":
+        "43f3cdb29660a672ca851e4a751e133206a07d569cc83782ad31152c3bcd79e0",
+    "indis-classify":
+        "bf8ea7bcd7909825714f9dfd4c3db8260d90782a232f3c4ded40cceb6f43478b",
+    "qe-extend":
+        "71511d9e9e24ee7072be01ebd8f2413b9e0f0ef3e07c9c04990760230580b1f2",
+    "types-code":
+        "40c6d442607e39bc18a2bd70f30c59951c0a5e74bb88a83b3dba5fff4012726b",
+    "types-count":
+        "742a77d6c82f796603241c1bb39ba3252d469e4e0ed69d428f4a13f78eff6df3",
+    "validate":
+        "02bb2c9275cb6b6688f044f05aa9993f0c6638a500b5fe3256b25d7fff1e2642",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    levels = {"n%02d" % i: Ordinal.nat(i) for i in range(6)}
+    names = sorted(levels)
+    w = Ordinal.omega()
+
+    def wing(pref):
+        return from_standard_tree(
+            {pref + "0": Ordinal(), pref + "l": w, pref + "s": w.plus(1)},
+            {(pref + "0", pref + "l"), (pref + "0", pref + "s"),
+             (pref + "l", pref + "s")})
+
+    raw_step = three_sort_step_fixture()[0]
+    frags = {
+        "chain": from_standard_tree(levels, {(names[i], names[j])
+                                             for i in range(6)
+                                             for j in range(i + 1, 6)}),
+        "raw_step": raw_step,
+        "step": complete(raw_step),
+        "base": wing("b"),
+        "wing": wing("w"),
+    }
+    paths = {name: str(d / ("%s.json" % name)) for name in frags}
+    for name, f in frags.items():
+        save_fragment(f, paths[name])
+    spec = {
+        "s_prime": {"indices": ["r"], "root": "r", "parent": {},
+                    "labels": {"r": "r"}},
+        "base": "base.json",
+        "boundary": [{"nu": "r", "eps": 0, "path": "wing.json"}],
+        "connectors": [{"nu": "r", "eps": 0, "entries": [["bs", "w0"]]}],
+    }
+    paths["glue"] = str(d / "glue.json")
+    with open(paths["glue"], "w") as fh:
+        json.dump(spec, fh)
+    return d, paths
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_json_is_pinned(capsys, cli_files, name):
+    d, paths = cli_files
+    out = d / ("%s.out.json" % name)
+    argv = [a.format(out=out, **paths) for a in CLI_CASES[name]]
+    assert main(["--format", "json", *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["timing"]
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if "-o" in argv:
+        text += out.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_PINNED[name]

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gen import replace
 from treedesk.fixtures import (
     comb_and_fan_fixture, fan_pair_fixture, random_sequence_fixture,
     three_sort_step_fixture,
@@ -27,7 +28,7 @@ def test_window_validation():
     f = _chain(4)
     with pytest.raises(ValueError):
         SequenceWindow(f, ("n00",))
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError, match="ghost"):
         SequenceWindow(f, ("n00", "ghost"))
     w = SequenceWindow(f, ("n00", "n00"))
     assert w.is_constant()
@@ -97,7 +98,7 @@ def test_h_map_requires_almost_increasing():
 
 
 def test_h_map_shape_exhausted():
-    f = _chain(8).replace()
+    f = replace(_chain(8))
     # a strictly increasing chain is almost-increasing but single-sorted
     w = SequenceWindow(f, ("n01", "n03", "n05", "n07"), k=0, r=1)
     assert classify(w).tag == "AlmostIncreasing"

@@ -62,3 +62,16 @@ def test_validate_catches_two_roots():
 def test_validate_names_a_cycle_without_parentless_index():
     s = ShapeTree(("a", "b"), "a", {"a": "b", "b": "a"})
     assert validate_shape(s) == ["shape-cycle: at 'a'", "shape-cycle: at 'b'"]
+
+
+def test_equal_shapes_hash_equal():
+    assert hash(chain_shape(3)) == hash(chain_shape(3))
+    assert {chain_shape(3): "c", binary_shape(1): "b"}[chain_shape(3)] == "c"
+    assert len({chain_shape(2), chain_shape(2), chain_shape(3)}) == 2
+
+
+def test_shape_copies_its_maps():
+    parent, labels = {"b": "a"}, {"a": "x"}
+    s = ShapeTree(("a", "b"), "a", parent, labels)
+    parent["c"], labels["b"] = "a", "y"
+    assert dict(s.parent) == {"b": "a"} and dict(s.labels) == {"a": "x"}

@@ -1,11 +1,12 @@
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (corrupted_fragment, random_tripod, top_sort_only,
-                 two_root_forest)
+from gen import (corrupted_fragment, random_tripod, replace, theta_two_sort,
+                 top_sort_only, two_root_forest)
 from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
                      from_standard_tree_reference, set_checked_reports)
 
@@ -21,8 +22,8 @@ from treedesk.fixtures import (
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE, chain_shape
 from treedesk.structure import (
-    CannotComplete, Fragment, Incomparable, InvalidTree, NotClosed, Term,
-    UndefinedTerm, closure, complete, distance, eval_term,
+    CannotComplete, Fragment, FragmentBuilder, Incomparable, InvalidTree,
+    NotClosed, Term, UndefinedTerm, closure, complete, distance, eval_term,
     from_standard_tree, is_closed, validate,
 )
 
@@ -38,9 +39,9 @@ def test_from_standard_tree_chain():
     assert not validate(f)
     assert f.lt("n0", "n4")
     assert f.meet_of("n1", "n3") == "n1"
-    assert f.suc_of("n0", "n4") == "n1"
-    assert f.pre_of("n3") == "n2"
-    assert f.lim_of("n3") == "n0"
+    assert f.suc[("n0", "n4")] == "n1"
+    assert f.pre["n3"] == "n2"
+    assert f.lim["n3"] == "n0"
     assert is_closed(f)
 
 
@@ -159,8 +160,8 @@ def test_from_standard_tree_matches_reference():
 
 def test_accessors_and_distance():
     f = _chain5()
-    assert f.sort_of("n0") == "r"
-    assert f.level_of("n2") == Ordinal.nat(2)
+    assert f.sort["n0"] == "r"
+    assert f.level["n2"] == Ordinal.nat(2)
     assert f.nodes_of_sort("r") == ["n%d" % i for i in range(5)]
     assert distance(f, "n1", "n4") == 3
     assert distance(f, "n4", "n1") == 3
@@ -180,13 +181,13 @@ def test_complete_materializes_missing_tables():
     done = complete(f)
     assert is_closed(done)
     # the limit below b and its successor chain got materialized
-    lim_b = done.lim_of("b")
-    assert done.level_of(lim_b) == w
+    lim_b = done.lim["b"]
+    assert done.level[lim_b] == w
     assert distance(done, lim_b, "b") == 2
 
 
 def test_complete_rejects_invalid_input():
-    f = _chain5().replace(lim={"n3": "n4"})
+    f = replace(_chain5(), lim={"n3": "n4"})
     with pytest.raises(CannotComplete):
         complete(f)
 
@@ -411,16 +412,16 @@ def _set_checked_faults():
     order = set(f.order)
     g01 = {**f.gmap[("0", "1")], "a_s3": "b_v0", "a_s2": "b_v1"}
     return {
-        "downset-chain": f.replace(order=order | {("a_s0", "a_s1")}),
-        "downset-chains": f.replace(
+        "downset-chain": replace(f, order=order | {("a_s0", "a_s1")}),
+        "downset-chains": replace(f,
             order=order | {("a_s0", "a_s1"), ("a_s0", "a_s3")}),
-        "meet-not-max": f.replace(meet={**f.meet, ("a_p0", "a_s0"): "a_r"}),
-        "meet-misses-several": f.replace(
+        "meet-not-max": replace(f, meet={**f.meet, ("a_p0", "a_s0"): "a_r"}),
+        "meet-misses-several": replace(f,
             meet={**f.meet, ("a_s2", "a_s3"): "a_m0"}),
-        "suc-between": f.replace(suc={**f.suc, ("a_r", "a_m1"): "a_m1"}),
-        "lim-monotone": f.replace(lim={**f.lim, "a_m2": "a_m0"}),
-        "regressive": f.replace(gmap={**f.gmap, ("0", "1"): g01}),
-        "all": f.replace(
+        "suc-between": replace(f, suc={**f.suc, ("a_r", "a_m1"): "a_m1"}),
+        "lim-monotone": replace(f, lim={**f.lim, "a_m2": "a_m0"}),
+        "regressive": replace(f, gmap={**f.gmap, ("0", "1"): g01}),
+        "all": replace(f,
             order=order | {("a_s0", "a_s1")},
             meet={**f.meet, ("a_s2", "a_s3"): "a_m0"},
             suc={**f.suc, ("a_r", "a_m2"): "a_m2"},
@@ -534,6 +535,14 @@ def test_completion_is_closed():
 
 def test_complete_freezes_once(monkeypatch):
     f = random_standard_fragment(random.Random(0), 30)
+    built = _count_inits(monkeypatch)
+    out = complete(f)
+    assert len(out.nodes) > len(f.nodes)
+    assert built == [out]
+
+
+def _count_inits(monkeypatch):
+    """Record every Fragment that is constructed from now on."""
     built = []
     init = Fragment.__init__
 
@@ -542,14 +551,58 @@ def test_complete_freezes_once(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(Fragment, "__init__", counting_init)
-    out = complete(f)
-    assert len(out.nodes) > len(f.nodes)
-    assert built == [out]
+    return built
+
+
+def test_from_standard_tree_builds_once(monkeypatch):
+    built = _count_inits(monkeypatch)
+    f = _chain5()
+    assert f.suc and f.meet
+    assert built == [f]
+
+
+TABLES = ("sort", "level", "meet", "suc", "pre", "lim", "gmap", "constants")
+
+
+def test_fragment_and_shape_tables_are_read_only():
+    """No way of writing to a mapping works on a fragment table, an
+    inner G table or a shape's parent or labels: not item assignment
+    or deletion, not the dict methods called on the view (it has no
+    update or setdefault of its own)."""
+    f = theta_two_sort()
+    tables = [getattr(f, name) for name in TABLES]
+    tables += [f.gmap[("0", "1")], f.shape.parent, f.shape.labels]
+    for t in tables:
+        key = next(iter(t))
+        writes = (lambda: operator.setitem(t, key, t[key]),
+                  lambda: operator.delitem(t, key),
+                  lambda: dict.__setitem__(t, key, t[key]),
+                  lambda: dict.update(t, {key: t[key]}),
+                  lambda: dict.setdefault(t, key, t[key]))
+        for write in writes:
+            with pytest.raises(TypeError):
+                write()
+        assert not hasattr(t, "update") and not hasattr(t, "setdefault")
+    assert all(type(d) is frozenset for d in f._below.values())
+
+
+def test_frozen_fragment_ignores_later_builder_edits():
+    b = FragmentBuilder(theta_two_sort())
+    f = b.freeze(chain_shape(2), "theta")
+    before = fragment_to_dict(f)
+    for name in TABLES:
+        getattr(b, name).clear()
+    b = FragmentBuilder(f)
+    b.gmap[("0", "1")]["d0"] = "e1"
+    b.order.add(("e1", "e0"))
+    b.add_node("zz", "0", Ordinal())
+    assert fragment_to_dict(f) == before
+    assert fragment_to_dict(b.freeze(f.shape, f.mode)) != before
 
 
 def test_fragment_replace_is_nondestructive():
     f = _chain5()
-    g = f.replace(mode="theta")
+    g = replace(f, mode="theta")
     assert f.mode == "base" and g.mode == "theta"
     assert g.nodes == f.nodes
 

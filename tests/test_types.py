@@ -4,15 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (random_tripod, rename, theta_single_sort, theta_two_sort,
-                 top_sort_only, two_root_forest)
+from gen import (random_tripod, rename, replace, theta_single_sort,
+                 theta_two_sort, top_sort_only, two_root_forest)
 from oracles import canon_reference, count_isomorphisms
 
 from treedesk import structure, types
 from treedesk.fixtures import (random_closed_fragment,
                                random_standard_fragment,
                                three_sort_step_fixture)
-from treedesk.errors import UnknownNode
+from treedesk.errors import BadArgument, UnknownNode
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE
 from treedesk.structure import (Fragment, NotClosed, closure, complete,
@@ -296,7 +296,7 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("f, gens", [
     (_fan(), ()),
     (_fan(), ("c0",)),
-    (theta_two_sort().replace(constants={}), ()),
+    (replace(theta_two_sort(), constants={}), ()),
     (theta_two_sort(), ()),
 ], ids=["fan", "fan-c0", "theta-two-sort-bare", "theta-two-sort"])
 def test_branching_code_matches_reference(monkeypatch, f, gens):
@@ -430,4 +430,8 @@ def test_count_raises_budget_then_not_closed_then_key_error():
     with pytest.raises(KeyError, match="nowhere"):
         count_type_classes(_chain(5), ("nowhere",), 0, 1)
     empty = Fragment(POINT_SHAPE, ())
-    assert count_type_classes(empty, ("nowhere",), 2, 1) == 0
+    with pytest.raises(BadArgument, match="-1"):
+        count_type_classes(empty, ("nowhere",), -1, 1)
+    with pytest.raises(UnknownNode, match="nowhere"):
+        count_type_classes(empty, ("nowhere",), 2, 1)
+    assert count_type_classes(empty, (), 2, 1) == 0
