@@ -285,48 +285,85 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
 
 def validate(f: Fragment) -> list[str]:
     """Empty report iff every declared value satisfies every axiom of
-    f's mode.  Entries are "axiom-name: witnesses"."""
+    f's mode.  Entries are "axiom-name: witnesses".
+
+    Each table loop walks its table unsorted and decides the axioms of
+    each entry with membership and size tests on the down-sets; only
+    the entries that fail get their witnesses built, in sorted order.
+    So the report lists table by table and, within a table, by key,
+    whatever the order the tables were built in.
+    """
     mode = f.mode
     rep: list[str] = []
     nodeset = set(f.nodes)
+    # plain dicts: .get on a read-only view costs twice a dict's
+    sort, level, lim = f.sort.copy(), f.level.copy(), f.lim.copy()
+    below = f._below
+    indices = set(f.shape.indices)
 
-    for n, s in f.sort.items():
-        if s not in f.shape:
+    for n, s in sort.items():
+        if s not in indices:
             rep.append("sort-unknown-index: node %r sort %r" % (n, s))
-        if n not in f.level:
+        if n not in level:
             rep.append("level-missing: node %r" % n)
-    for a, b in sorted(f.order):
-        if a not in nodeset or b not in nodeset:
-            rep.append("order-unknown-node: (%r,%r)" % (a, b))
-        elif f.sort.get(a) != f.sort.get(b) or f.sort.get(a) is None:
-            rep.append("order-cross-sort: (%r,%r)" % (a, b))
+    if not all(a in nodeset and b in nodeset
+               and (sa := sort.get(a)) is not None and sort.get(b) == sa
+               for a, b in f.order):
+        for a, b in sorted(f.order):
+            if a not in nodeset or b not in nodeset:
+                rep.append("order-unknown-node: (%r,%r)" % (a, b))
+            elif sort.get(a) != sort.get(b) or sort.get(a) is None:
+                rep.append("order-cross-sort: (%r,%r)" % (a, b))
     for n in f.nodes:
-        if f.lt(n, n):
+        if n in below[n]:
             rep.append("order-cycle: at %r" % n)
     if any("order-cycle" in r or "order-unknown-node" in r or
            "order-cross-sort" in r or "level-missing" in r for r in rep):
         return rep
 
+    # from here on the order is a strict partial order inside each sort,
+    # and every node in it has a level
     for y in f.nodes:
-        down = sorted(f.strictly_below(y))
+        down = below[y]
+        if not down:
+            continue
         # down is a chain iff its members' down-sets (inside down, as the
         # order is transitive and acyclic) differ in size
-        if len({len(f._below[a]) for a in down}) < len(down):
-            for a, b in itertools.combinations(down, 2):
+        if len({len(below[a]) for a in down}) < len(down):
+            for a, b in itertools.combinations(sorted(down), 2):
                 if not f.comparable(a, b):
                     rep.append("order-downset-chain: %r,%r below %r"
                                % (a, b, y))
-        for a in down:
-            if not f.level[a] < f.level[y]:
-                rep.append("order-level: %r < %r but levels %s >= %s"
-                           % (a, y, f.level[a], f.level[y]))
+        ly = level[y]
+        if not all(level[a] < ly for a in down):
+            for a in sorted(down):
+                if not level[a] < ly:
+                    rep.append("order-level: %r < %r but levels %s >= %s"
+                               % (a, y, level[a], ly))
 
     def downset(v):
         return f.strictly_below(v) | {v}
 
-    for (x, y), m in sorted(f.meet.items()):
-        sx = f.sort.get(x)
-        if sx is None or f.sort.get(y) != sx or f.sort.get(m) != sx:
+    bad = []
+    for key, m in f.meet.items():
+        x, y = key
+        sx = sort.get(x)
+        if sx is not None and sort.get(y) == sx and sort.get(m) == sx:
+            bx, by = below.get(x, ()), below.get(y, ())
+            if m == x or m == y:
+                if (m == x or m in bx) and (m == y or m in by):
+                    continue
+            # m < x, m < y: then down(m)+m lies in down(x)+x & down(y)+y,
+            # which is down(x) & down(y) for an incomparable pair, so no
+            # common lower bound misses m iff the sizes agree
+            elif (m in bx and m in by and x != y and x not in by
+                  and y not in bx and len(bx & by) == len(below[m]) + 1):
+                continue
+        bad.append(key)
+    for x, y in sorted(bad):
+        m = f.meet[(x, y)]
+        sx = sort.get(x)
+        if sx is None or sort.get(y) != sx or sort.get(m) != sx:
             rep.append("meet-sort: (%r,%r)->%r" % (x, y, m))
             continue
         if not (f.leq(m, x) and f.leq(m, y)):
@@ -336,75 +373,128 @@ def validate(f: Fragment) -> list[str]:
             if z in nodeset:
                 rep.append("meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
 
-    for (x, y), s in sorted(f.suc.items()):
-        sx = f.sort.get(x)
-        if sx is None or f.sort.get(y) != sx or f.sort.get(s) != sx:
+    # level + 1 of each node, built once, for the suc and pre tests
+    step = {n: lv.plus(1) for n, lv in level.items()}
+    bad = []
+    for key, s in f.suc.items():
+        x, y = key
+        sx = sort.get(x)
+        if sx is not None and sort.get(y) == sx and sort.get(s) == sx:
+            bs, by = below.get(s, ()), below.get(y, ())
+            lx, ls = lim.get(x), lim.get(s)
+            # x < s <= y, so x < y; and down(x)+x lies in down(s), so
+            # nothing lies strictly between x and s iff the sizes agree
+            if (x in bs and (s == y or s in by)
+                    and len(bs) == len(below[x]) + 1
+                    and level[s] == step[x]
+                    and (lx is None or ls is None or lx == ls)):
+                continue
+        bad.append(key)
+    for x, y in sorted(bad):
+        s = f.suc[(x, y)]
+        sx = sort.get(x)
+        if sx is None or sort.get(y) != sx or sort.get(s) != sx:
             rep.append("suc-sort: (%r,%r)->%r" % (x, y, s))
             continue
         if not (f.lt(x, y) and f.lt(x, s) and f.leq(s, y)):
             rep.append("suc-bounds: (%r,%r)->%r" % (x, y, s))
             continue
-        if f.level[s] != f.level[x].plus(1):
-            rep.append("suc-level: (%r,%r)->%r at %s" % (x, y, s, f.level[s]))
-        for z in sorted(z for z in f._below[s] if f.lt(x, z)):
+        if level[s] != level[x].plus(1):
+            rep.append("suc-level: (%r,%r)->%r at %s" % (x, y, s, level[s]))
+        for z in sorted(z for z in below[s] if f.lt(x, z)):
             rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
-        lx, ls = f.lim.get(x), f.lim.get(s)
+        lx, ls = lim.get(x), lim.get(s)
         if lx is not None and ls is not None and lx != ls:
             rep.append("lim-of-suc: lim(%r)=%r but lim(suc)=%r" % (x, lx, ls))
 
-    for x, l in sorted(f.lim.items()):
-        if f.sort.get(l) != f.sort.get(x) or f.sort.get(x) is None:
+    bad = []
+    for x, l in lim.items():
+        sx = sort.get(x)
+        if (sx is not None and sort.get(l) == sx
+                and (l == x or l in below.get(x, ()))
+                and level[l] == level[x].limb() and lim.get(l) in (None, l)):
+            continue
+        bad.append(x)
+    for x in sorted(bad):
+        l = lim[x]
+        if sort.get(l) != sort.get(x) or sort.get(x) is None:
             rep.append("lim-sort: %r->%r" % (x, l))
             continue
         if not f.leq(l, x):
             rep.append("lim-bound: %r->%r" % (x, l))
             continue
-        if f.level[l] != f.level[x].limb():
+        if level[l] != level[x].limb():
             rep.append("lim-level: lim(%r)=%r at %s, expected %s"
-                       % (x, l, f.level[l], f.level[x].limb()))
-        if f.lim.get(l) not in (None, l):
+                       % (x, l, level[l], level[x].limb()))
+        if lim.get(l) not in (None, l):
             rep.append("lim-idempotent: lim(%r)=%r, lim(%r)=%r"
-                       % (x, l, l, f.lim[l]))
-    for x, y in sorted((x, y) for y in f.lim for x in f._below.get(y, ())
-                       if x in f.lim and not f.leq(f.lim[x], f.lim[y])):
+                       % (x, l, l, lim[l]))
+    bad = []
+    for y, ly in lim.items():
+        up = below.get(ly, ())
+        for x in below.get(y, ()):
+            lx = lim.get(x, ly)
+            if lx != ly and lx not in up:
+                bad.append((x, y))
+    for x, y in sorted(bad):
         rep.append("lim-monotone: %r < %r" % (x, y))
 
-    for x, p in sorted(f.pre.items()):
-        if f.sort.get(p) != f.sort.get(x) or f.sort.get(x) is None:
+    bad = []
+    for x, p in f.pre.items():
+        sx = sort.get(x)
+        if (sx is not None and sort.get(p) == sx and p in below.get(x, ())
+                and step[p] == level[x]
+                and f.suc.get((p, x), x) == x):
+            continue
+        bad.append(x)
+    for x in sorted(bad):
+        p = f.pre[x]
+        if sort.get(p) != sort.get(x) or sort.get(x) is None:
             rep.append("pre-sort: %r->%r" % (x, p))
             continue
         if not f.lt(p, x):
             rep.append("pre-bound: %r->%r" % (x, p))
             continue
-        if f.level[p].plus(1) != f.level[x]:
-            rep.append("pre-level: pre(%r)=%r at %s" % (x, p, f.level[p]))
+        if level[p].plus(1) != level[x]:
+            rep.append("pre-level: pre(%r)=%r at %s" % (x, p, level[p]))
         s = f.suc.get((p, x))
         if s is not None and s != x:
             rep.append("pre-suc: suc(pre(%r),%r)=%r" % (x, x, s))
 
     shape_edges = set(f.shape.suc_pairs())
+    classT = mode == "classT"
     for edge, table in sorted(f.gmap.items()):
         if edge not in shape_edges:
             rep.append("gmap-edge: %r" % (edge,))
             continue
         e1, e2 = edge
-        for x, y in sorted(table.items()):
-            if f.sort.get(x) != e1 or f.sort.get(y) != e2:
+        table = table.copy()
+        bad = [x for x, y in table.items()
+               if sort.get(x) != e1 or sort.get(y) != e2 or lim.get(x) == x
+               or (classT and (not level[y] <= level[x] or lim.get(y) == y))]
+        for x in sorted(bad):
+            y = table[x]
+            if sort.get(x) != e1 or sort.get(y) != e2:
                 rep.append("gmap-sort: G%r(%r)=%r" % (edge, x, y))
                 continue
-            if f.lim.get(x) == x:
+            if lim.get(x) == x:
                 rep.append("gmap-domain: %r is not a successor" % x)
-            if mode == "classT":
-                if not f.level[y] <= f.level[x]:
+            if classT:
+                if not level[y] <= level[x]:
                     rep.append("classT-level: G%r(%r)=%r" % (edge, x, y))
-                if f.lim.get(y) == y:
+                if lim.get(y) == y:
                     rep.append("classT-successor-image: G%r(%r)=%r"
                                % (edge, x, y))
-        for x, y in sorted(_mk(x, y) for y in table
-                           for x in f._below.get(y, ()) if x in table
-                           and f.is_successor(x) and f.is_successor(y)
-                           and f.lim.get(x) == f.lim.get(y)
-                           and table[x] != table[y]):
+        # pairs x < y of successors over one limit with different images
+        bad = []
+        for y, gy in table.items():
+            ly = lim.get(y)
+            if ly is None or ly == y:
+                continue
+            for x in below.get(y, ()):
+                if x != ly and lim.get(x) == ly and table.get(x, gy) != gy:
+                    bad.append(_mk(x, y))
+        for x, y in sorted(bad):
             rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
 
     if mode == "theta":
@@ -816,11 +906,12 @@ def _require_closed(f: Fragment) -> None:
 
 
 def _known(f: Fragment, a) -> frozenset[str]:
-    """The node set a, or UnknownNode for a node that is not in f."""
+    """The node set a, or UnknownNode naming the least node of a that is
+    not in f."""
     s = frozenset(a)
     for x in s:
         if x not in f._below:
-            raise UnknownNode("unknown node %r" % x)
+            raise UnknownNode("unknown node %r" % min(s - f._below.keys()))
     return s
 
 

@@ -124,11 +124,13 @@ def random_unsorted(rng, max_nodes: int = 6) -> Fragment:
     return Fragment(EMPTY_SHAPE, tuple("x%d" % i for i in range(n)))
 
 
-def transfer_instances(rng):
-    """Criterion 05's one-point extensions: 80 point trees, 80 tripods of
-    at most 40 nodes and 40 bare-point fragments, each extended against
-    its renamed copy.  Yields (kind, fa, fb, a, b, c, m1)."""
-    for kind, count in (("point", 80), ("tripod", 80), ("empty", 40)):
+def transfer_instances(rng, counts=(("point", 80), ("tripod", 80),
+                                    ("empty", 40))):
+    """Criterion 05's one-point extensions: by default 80 point trees, 80
+    tripods of at most 40 nodes and 40 bare-point fragments, each
+    extended against its renamed copy.  counts gives the kinds and their
+    numbers.  Yields (kind, fa, fb, a, b, c, m1)."""
+    for kind, count in counts:
         done = 0
         while done < count:
             if kind == "point":
@@ -186,3 +188,82 @@ def corrupted_fragment(rng) -> Fragment:
         table[key] = key[1] if kind == "suc" else rng.choice(nodes)
         f = replace(f, **{kind: table})
     return f
+
+
+def _just_below(f: Fragment, v: str) -> str | None:
+    """The node just below v, if any: the top of its down-set."""
+    return max(f.strictly_below(v), key=lambda c: len(f.strictly_below(c)),
+               default=None)
+
+
+def _just_above(f: Fragment, v: str, top: str) -> str | None:
+    """The node just above v on the chain up to top, if any."""
+    ups = [z for z in f.strictly_below(top) | {top} if f.lt(v, z)]
+    return min(ups, key=lambda c: len(f.strictly_below(c)), default=None)
+
+
+def near_valid_fragments(rng) -> list[Fragment]:
+    """Completed fragments, each with one meet, suc, pre, lim or G entry
+    dropped or redirected to a node next to its value, or with the level
+    of one leaf raised by one, so that most fail one axiom by one
+    witness.  The meets include a self-pair (x, x), a pair x < y, a pair
+    y < x and an incomparable pair (x, y) of each fragment, each sent to
+    the node just below its value; a suc value moves one step up its
+    chain or to a cover of x on another branch, a pre or lim value one
+    step down, and a G value to another node of its sort."""
+    bases = [complete(random_standard_fragment(rng, 14)) for _ in range(4)]
+    bases += [random_tripod(rng) for _ in range(2)]
+    out = []
+    for f in bases:
+        kinds = {"self": [], "up": [], "down": [], "incomparable": []}
+        for (x, y), m in sorted(f.meet.items()):
+            if _just_below(f, m) is not None:
+                kinds["self" if x == y else "up" if f.lt(x, y) else "down"
+                      if f.lt(y, x) else "incomparable"].append((x, y))
+        for keys in kinds.values():
+            if keys:
+                key = rng.choice(keys)
+                out.append(replace(f, meet={
+                    **f.meet, key: _just_below(f, f.meet[key])}))
+        (x, y), s = rng.choice(sorted(f.suc.items()))
+        step = _just_above(f, s, y) if s != y else _just_below(f, s)
+        out.append(replace(f, suc={**f.suc, (x, y): step}))
+        covers = {}
+        for (x, _), s in f.suc.items():
+            covers.setdefault(x, set()).add(s)
+        aside = [((x, y), z) for (x, y) in sorted(f.suc)
+                 for z in sorted(covers[x]) if not f.leq(z, y)]
+        if aside:
+            key, z = rng.choice(aside)
+            out.append(replace(f, suc={**f.suc, key: z}))
+        leaves = [v for v in f.nodes if f.sort.get(v) is not None
+                  and not f.level[v].is_limit
+                  and not any(f.lt(v, w) for w in f.nodes)]
+        v = rng.choice(leaves)
+        out.append(replace(f, level={**f.level, v: f.level[v].plus(1)}))
+        for kind in ("pre", "lim"):
+            table = getattr(f, kind)
+            keys = [x for x in sorted(table) if _just_below(f, table[x])]
+            if keys:
+                x = rng.choice(keys)
+                out.append(replace(f, **{kind: {
+                    **table, x: _just_below(f, table[x])}}))
+        for edge, table in sorted(f.gmap.items()):
+            x = rng.choice(sorted(table))
+            others = [n for n in f.nodes
+                      if f.sort.get(n) == edge[1] and n != table[x]]
+            if others:
+                out.append(replace(f, gmap={
+                    **f.gmap, edge: {**table, x: rng.choice(others)}}))
+        tables = ("meet", "suc", "pre", "lim") + (("gmap",) if f.gmap else ())
+        kind = rng.choice(tables)
+        if kind == "gmap":
+            edge = rng.choice(sorted(f.gmap))
+            table = dict(f.gmap[edge])
+            del table[rng.choice(sorted(table))]
+            out.append(replace(f, gmap={**f.gmap, edge: table}))
+        else:
+            table = dict(getattr(f, kind))
+            del table[rng.choice(sorted(table))]
+            out.append(replace(f, **{kind: table}))
+    return out

@@ -3,9 +3,9 @@
 Deliberately written from the definitions, not from the library code:
 a fixpoint term-value closure, a backtracking isomorphism counter, and
 small brute-force helpers.  The exceptions are reference copies of
-five of the validator's loops, of the one-step closure operators, of
-the canonical ordering of a closure and of the standard-tree builder,
-kept to check their faster forms.
+five of the validator's loops and of the whole validator, of the
+one-step closure operators, of the canonical ordering of a closure and
+of the standard-tree builder, kept to check their faster forms.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 
 from treedesk.shape import ShapeTree
-from treedesk.structure import Fragment, InvalidTree, _mk
+from treedesk.structure import Fragment, InvalidTree, _mk, _validate_theta
 
 
 def closure_oracle(f, a, k):
@@ -359,6 +359,138 @@ def set_checked_reports(f):
                     and f.lim.get(x) == f.lim.get(y)
                     and table[x] != table[y]):
                 rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
+    return rep
+
+
+def validate_reference(f):
+    """`structure.validate` as it was before it decided each axiom with a
+    set or size test first: every table walked in sorted order, and the
+    witnesses of every entry built."""
+    mode = f.mode
+    rep: list[str] = []
+    nodeset = set(f.nodes)
+
+    for n, s in f.sort.items():
+        if s not in f.shape:
+            rep.append("sort-unknown-index: node %r sort %r" % (n, s))
+        if n not in f.level:
+            rep.append("level-missing: node %r" % n)
+    for a, b in sorted(f.order):
+        if a not in nodeset or b not in nodeset:
+            rep.append("order-unknown-node: (%r,%r)" % (a, b))
+        elif f.sort.get(a) != f.sort.get(b) or f.sort.get(a) is None:
+            rep.append("order-cross-sort: (%r,%r)" % (a, b))
+    for n in f.nodes:
+        if f.lt(n, n):
+            rep.append("order-cycle: at %r" % n)
+    if any("order-cycle" in r or "order-unknown-node" in r or
+           "order-cross-sort" in r or "level-missing" in r for r in rep):
+        return rep
+
+    for y in f.nodes:
+        down = sorted(f.strictly_below(y))
+        # down is a chain iff its members' down-sets (inside down, as the
+        # order is transitive and acyclic) differ in size
+        if len({len(f._below[a]) for a in down}) < len(down):
+            for a, b in itertools.combinations(down, 2):
+                if not f.comparable(a, b):
+                    rep.append("order-downset-chain: %r,%r below %r"
+                               % (a, b, y))
+        for a in down:
+            if not f.level[a] < f.level[y]:
+                rep.append("order-level: %r < %r but levels %s >= %s"
+                           % (a, y, f.level[a], f.level[y]))
+
+    def downset(v):
+        return f.strictly_below(v) | {v}
+
+    for (x, y), m in sorted(f.meet.items()):
+        sx = f.sort.get(x)
+        if sx is None or f.sort.get(y) != sx or f.sort.get(m) != sx:
+            rep.append("meet-sort: (%r,%r)->%r" % (x, y, m))
+            continue
+        if not (f.leq(m, x) and f.leq(m, y)):
+            rep.append("meet-lower-bound: (%r,%r)->%r" % (x, y, m))
+        missed = () if m in (x, y) else downset(x) & downset(y) - downset(m)
+        for z in sorted(missed):
+            if z in nodeset:
+                rep.append("meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
+
+    for (x, y), s in sorted(f.suc.items()):
+        sx = f.sort.get(x)
+        if sx is None or f.sort.get(y) != sx or f.sort.get(s) != sx:
+            rep.append("suc-sort: (%r,%r)->%r" % (x, y, s))
+            continue
+        if not (f.lt(x, y) and f.lt(x, s) and f.leq(s, y)):
+            rep.append("suc-bounds: (%r,%r)->%r" % (x, y, s))
+            continue
+        if f.level[s] != f.level[x].plus(1):
+            rep.append("suc-level: (%r,%r)->%r at %s" % (x, y, s, f.level[s]))
+        for z in sorted(z for z in f._below[s] if f.lt(x, z)):
+            rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
+        lx, ls = f.lim.get(x), f.lim.get(s)
+        if lx is not None and ls is not None and lx != ls:
+            rep.append("lim-of-suc: lim(%r)=%r but lim(suc)=%r" % (x, lx, ls))
+
+    for x, l in sorted(f.lim.items()):
+        if f.sort.get(l) != f.sort.get(x) or f.sort.get(x) is None:
+            rep.append("lim-sort: %r->%r" % (x, l))
+            continue
+        if not f.leq(l, x):
+            rep.append("lim-bound: %r->%r" % (x, l))
+            continue
+        if f.level[l] != f.level[x].limb():
+            rep.append("lim-level: lim(%r)=%r at %s, expected %s"
+                       % (x, l, f.level[l], f.level[x].limb()))
+        if f.lim.get(l) not in (None, l):
+            rep.append("lim-idempotent: lim(%r)=%r, lim(%r)=%r"
+                       % (x, l, l, f.lim[l]))
+    for x, y in sorted((x, y) for y in f.lim for x in f._below.get(y, ())
+                       if x in f.lim and not f.leq(f.lim[x], f.lim[y])):
+        rep.append("lim-monotone: %r < %r" % (x, y))
+
+    for x, p in sorted(f.pre.items()):
+        if f.sort.get(p) != f.sort.get(x) or f.sort.get(x) is None:
+            rep.append("pre-sort: %r->%r" % (x, p))
+            continue
+        if not f.lt(p, x):
+            rep.append("pre-bound: %r->%r" % (x, p))
+            continue
+        if f.level[p].plus(1) != f.level[x]:
+            rep.append("pre-level: pre(%r)=%r at %s" % (x, p, f.level[p]))
+        s = f.suc.get((p, x))
+        if s is not None and s != x:
+            rep.append("pre-suc: suc(pre(%r),%r)=%r" % (x, x, s))
+
+    shape_edges = set(f.shape.suc_pairs())
+    for edge, table in sorted(f.gmap.items()):
+        if edge not in shape_edges:
+            rep.append("gmap-edge: %r" % (edge,))
+            continue
+        e1, e2 = edge
+        for x, y in sorted(table.items()):
+            if f.sort.get(x) != e1 or f.sort.get(y) != e2:
+                rep.append("gmap-sort: G%r(%r)=%r" % (edge, x, y))
+                continue
+            if f.lim.get(x) == x:
+                rep.append("gmap-domain: %r is not a successor" % x)
+            if mode == "classT":
+                if not f.level[y] <= f.level[x]:
+                    rep.append("classT-level: G%r(%r)=%r" % (edge, x, y))
+                if f.lim.get(y) == y:
+                    rep.append("classT-successor-image: G%r(%r)=%r"
+                               % (edge, x, y))
+        for x, y in sorted(_mk(x, y) for y in table
+                           for x in f._below.get(y, ()) if x in table
+                           and f.is_successor(x) and f.is_successor(y)
+                           and f.lim.get(x) == f.lim.get(y)
+                           and table[x] != table[y]):
+            rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
+
+    if mode == "theta":
+        rep.extend(_validate_theta(f))
+    if mode == "classT" and not f.shape.is_chain():
+        rep.append("classT-shape: shape is not a chain")
     return rep
 
 

@@ -290,6 +290,9 @@ WRONG_INPUTS = {
         "node budget 0 exceeded"),
     "close-unknown-node": (["close", "{chain}", "--nodes", "zz"],
                            "unknown node 'zz'"),
+    # with several unknown nodes the least is named, whatever the hash seed
+    "close-unknown-nodes": (["close", "{chain}", "--nodes", "zz,yy,xx"],
+                            "unknown node 'xx'"),
     "close-unclosed": (["close", "{unclosed}", "--nodes", "n000"],
                        "NotClosed"),
     **{"%s-negative-rank" % name: (

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import SET_CHECKED, set_checked_reports
+from oracles import SET_CHECKED, set_checked_reports, validate_reference
 from treedesk.fileio import (
     InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
     fragment_from_dict, fragment_to_dict, load_coloring, load_fragment,
@@ -289,14 +289,16 @@ _VALIDATE_FUZZ = st.integers(0, 7).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_VALIDATE_FUZZ)
 def test_fuzz_validate_matches_reference_loops(doc):
-    """On every row mutation or id swap that loads, validate's reports of
-    the SET_CHECKED axioms equal the reference loops', in full and in
-    order."""
+    """On every row mutation or id swap that loads, validate's report
+    equals the reference validator's, and its reports of the SET_CHECKED
+    axioms equal the reference loops', in full and in order."""
     try:
         f = fragment_from_dict(doc)
     except InputError:
         return
-    rep = [r for r in validate(f) if r.split(":")[0] in SET_CHECKED]
+    full = validate(f)
+    assert full == validate_reference(f)
+    rep = [r for r in full if r.split(":")[0] in SET_CHECKED]
     assert rep == set_checked_reports(f)
 
 

@@ -1,18 +1,25 @@
+import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (corrupted_fragment, random_tripod, replace, theta_two_sort,
-                 top_sort_only, two_root_forest)
+from gen import (corrupted_fragment, near_valid_fragments, random_tripod,
+                 replace, theta_two_sort, top_sort_only, transfer_instances,
+                 two_root_forest)
 from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
-                     from_standard_tree_reference, set_checked_reports)
+                     from_standard_tree_reference, set_checked_reports,
+                     validate_reference)
 
-from treedesk import structure
+import treedesk
+from treedesk import qe, structure
 
-from treedesk.errors import BadArgument
+from treedesk.errors import BadArgument, UnknownNode
 from treedesk.fileio import fragment_to_dict
 from treedesk.fixtures import (
     comb_and_fan_fixture, family_fragment, family_parameter_pool,
@@ -421,6 +428,10 @@ def _set_checked_faults():
         "suc-between": replace(f, suc={**f.suc, ("a_r", "a_m1"): "a_m1"}),
         "lim-monotone": replace(f, lim={**f.lim, "a_m2": "a_m0"}),
         "regressive": replace(f, gmap={**f.gmap, ("0", "1"): g01}),
+        "cross-sort-edge": replace(f, order=order | {("a_r", "b_r")}),
+        # G on the limit below a_p0, with another value
+        "gmap-on-limit": replace(f, gmap={
+            **f.gmap, ("0", "1"): {**f.gmap[("0", "1")], "a_m0": "b_v1"}}),
         "all": replace(f,
             order=order | {("a_s0", "a_s1")},
             meet={**f.meet, ("a_s2", "a_s3"): "a_m0"},
@@ -442,6 +453,85 @@ def test_validate_matches_reference_loops_on_corrupted_trees():
     for seed in range(60):
         f = corrupted_fragment(random.Random(seed))
         assert_set_checked_reports_match(f)
+
+
+def _extension_pass_fragments():
+    """Every fragment that validate sees in one pass shaped like the
+    benchmark's extension sweep: 24 point trees, 18 tripods and 6
+    bare-point fragments, each completed and extended against its
+    renamed copy."""
+    seen = []
+
+    def record(f):
+        seen.append(f)
+        return validate(f)
+
+    instances = transfer_instances(
+        random.Random(11), (("point", 24), ("tripod", 18), ("empty", 6)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "validate", record)
+        mp.setattr(qe, "validate", record)
+        for kind, fa, fb, a, b, c, m1 in instances:
+            qe.extend_one_point(fa, a, c, fb, b, m1)
+    return seen
+
+
+_VALIDATE_CORPORA = {
+    "hand-made": lambda: list(_set_checked_faults().values()),
+    "corrupted": lambda: [corrupted_fragment(random.Random(seed))
+                          for seed in range(300)],
+    "near-valid": lambda: near_valid_fragments(random.Random(0)),
+    "extension-pass": _extension_pass_fragments,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATE_CORPORA))
+def test_validate_matches_reference(name):
+    """validate's report equals the sorted, witness-building
+    reference's, in full and in order."""
+    corpus = _VALIDATE_CORPORA[name]()
+    assert len(corpus) >= 8
+    for f in corpus:
+        assert validate(f) == validate_reference(f)
+
+
+def test_near_valid_fragments_fail_by_few_witnesses():
+    corpus = near_valid_fragments(random.Random(0))
+    reports = [validate(f) for f in corpus]
+    seen = {r.split(":")[0] for rep in reports for r in rep}
+    assert {"meet-not-max", "suc-between", "lim-monotone", "regressive",
+            "pre-level", "lim-level"} <= seen
+    assert sum(len(rep) == 1 for rep in reports) >= len(corpus) // 4
+
+
+def _seed_probe():
+    """validate's reports on 60 corrupted trees and on the near-valid
+    corpus, and the closure error for three unknown nodes."""
+    out = {"corrupted": [validate(corrupted_fragment(random.Random(seed)))
+                         for seed in range(60)],
+           "near-valid": [validate(f) for f in
+                          near_valid_fragments(random.Random(0))]}
+    try:
+        closure(random_closed_fragment(random.Random(0)), ("zz", "yy", "xx"))
+    except UnknownNode as exc:
+        out["unknown"] = str(exc)
+    return out
+
+
+def test_validate_and_unknown_node_ignore_hash_seed():
+    expected = _seed_probe()
+    assert expected["unknown"] == repr("unknown node 'xx'")
+    paths = [os.path.dirname(os.path.dirname(treedesk.__file__)),
+             os.path.dirname(__file__)]
+    script = ("import json, test_structure; "
+              "print(json.dumps(test_structure._seed_probe()))")
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert json.loads(run.stdout) == expected
 
 
 _IDEMPOTENCE_INPUTS = {
