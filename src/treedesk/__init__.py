@@ -27,8 +27,7 @@ from .partition import (pair, unpair, pi1, pi2, Coloring,
                         enumerate_complete_dtypes, QNode, validate_qnode,
                         q_enumerate, lift_element)
 from .glue import (GlueSpec, star_construct, build_witness, build_control,
-                   DisjointnessViolated, AxiomViolated,
-                   InsufficientSubwitness)
+                   DisjointnessViolated, AxiomViolated)
 from .fileio import (InputError, save_fragment, load_fragment,
                      save_coloring, load_coloring, save_ptriple,
                      load_ptriple, load_gluespec, write_series_csv)

@@ -176,9 +176,9 @@ def hard_six() -> PTriple:
 # seeded random generators
 
 
-def random_standard_fragment(rng: random.Random, max_nodes: int = 40,
-                             max_limb: int = 3) -> Fragment:
-    """Random level-labelled tree with levels below w*(max_limb+1)."""
+def random_standard_fragment(rng: random.Random,
+                             max_nodes: int = 40) -> Fragment:
+    """Random level-labelled tree with levels below w*4."""
     n = rng.randint(5, max_nodes)
     names = ["n%03d" % i for i in range(n)]
     levels = {names[0]: Ordinal()}
@@ -188,7 +188,7 @@ def random_standard_fragment(rng: random.Random, max_nodes: int = 40,
         cur = levels[p]
         coeff = cur.terms[0][1] if cur.terms and cur.terms[0][0] == 1 else 0
         roll = rng.random()
-        if roll < 0.35 and coeff < max_limb:
+        if roll < 0.35 and coeff < 3:
             lvl = Ordinal.omega(1, coeff + 1).plus(rng.randint(0, 2))
         else:
             lvl = cur.plus(rng.randint(1, 3))

@@ -27,7 +27,8 @@ from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree, POINT_SHAPE, chain_shape
 from .structure import Fragment, FragmentBuilder, complete, validate
-from .partition import PTriple, lift_element, p_from_coloring, q_enumerate
+from .partition import (Coloring, PTriple, lift_element, p_from_coloring,
+                        q_enumerate)
 
 
 class DisjointnessViolated(TreedeskError, ValueError):
@@ -35,10 +36,6 @@ class DisjointnessViolated(TreedeskError, ValueError):
 
 
 class AxiomViolated(TreedeskError, ValueError):
-    pass
-
-
-class InsufficientSubwitness(TreedeskError, ValueError):
     pass
 
 
@@ -150,34 +147,30 @@ def _limit_chain(n_limits: int, prefix: str):
     return levels, edges, sucs
 
 
-def build_witness(case: str, **params):
+def build_witness(case: str, *, theta_bound: int = 8,
+                  lambdas=(3, 5), branches: int = 2, fan: int = 2):
     """A valid fragment and a designated witness subset of its first
     sort with no non-constant indiscernible window at desk parameters.
 
-    cases: "theta" (constants), "singular" (chain base with
-    size-threshold and position connectors), "regular" (meet-closed
-    tree sample with limit-indexed connector), "inaccessible"
-    (guess-sequence tree glued on, with per-class connector targets).
+    cases: "theta" (`theta_bound` constants), "singular" (chain base
+    with size-threshold and position connectors, a block of limits of
+    each size in `lambdas`), "regular" (meet-closed tree sample with
+    limit-indexed connector, `branches` branches of `fan` tops each),
+    "inaccessible" (guess-sequence tree glued on, with per-class
+    connector targets).
     """
     if case == "theta":
-        count = params.get("theta_bound", 8)
-        f = _constant_fan(count, "t_")
+        f = _constant_fan(theta_bound, "t_")
         a = sorted(n for (s, i), n in f.constants.items())
         return f, a
 
     if case == "singular":
-        lambdas = tuple(params.get("lambdas", (3, 5)))
-        n_limits = params.get("n_limits", sum(lambdas))
-        sub_a = params.get("sub_a") or _constant_fan(len(lambdas), "a_")
-        sub_b = params.get("sub_b") or _constant_fan(n_limits, "b_")
+        lambdas = tuple(lambdas)
+        n_limits = sum(lambdas)
+        sub_a = _constant_fan(len(lambdas), "a_")
+        sub_b = _constant_fan(n_limits, "b_")
         a_names = sorted(n for k, n in sub_a.constants.items())
         b_names = sorted(n for k, n in sub_b.constants.items())
-        if len(a_names) < len(lambdas):
-            raise InsufficientSubwitness("need %d size-threshold targets"
-                                         % len(lambdas))
-        if len(b_names) < n_limits:
-            raise InsufficientSubwitness("need %d position targets"
-                                         % n_limits)
         levels, edges, sucs = _limit_chain(n_limits, "k_")
         base = _tree(levels, edges)
         cum = list(itertools.accumulate(lambdas))
@@ -193,12 +186,8 @@ def build_witness(case: str, **params):
         return star_construct(g), sucs
 
     if case == "regular":
-        branches = params.get("branches", 2)
-        fan = params.get("fan", 2)
-        sub_a = params.get("sub_a") or _constant_fan(3, "a_")
+        sub_a = _constant_fan(3, "a_")
         a_names = sorted(n for k, n in sub_a.constants.items())
-        if len(a_names) < 2:
-            raise InsufficientSubwitness("need targets for two limit levels")
         # meet-closed sample of a branching tree with levels 0,1,w,w+1
         root = "f_root"
         levels = {root: Ordinal()}
@@ -226,23 +215,17 @@ def build_witness(case: str, **params):
         return star_construct(g), sorted(low + tops)
 
     if case == "inaccessible":
-        colors = params.get("colors", 2)
-        n_limits = params.get("n_limits", 4)
-        p = params.get("p")
-        if p is None:
-            from .partition import Coloring
-            levels = [Ordinal()]
-            for m in range(1, n_limits + 1):
-                levels += [Ordinal.omega(1, m), Ordinal.omega(1, m).plus(1)]
-            p = p_from_coloring(Coloring(len(levels), len(levels)), levels)
+        # the triple of the all-zero coloring on 0 and w*m, w*m+1 for
+        # m = 1..4, and its guess-sequence tree in two colors
+        levels = [Ordinal()]
+        for m in range(1, 5):
+            levels += [Ordinal.omega(1, m), Ordinal.omega(1, m).plus(1)]
+        p = p_from_coloring(Coloring(len(levels), len(levels)), levels)
         sl = p.suc_lim()
         classes = sorted({p.e[x] for x in sl})
-        sub = params.get("sub") or _constant_fan(len(classes), "a_")
+        sub = _constant_fan(len(classes), "a_")
         a_names = sorted(n for k, n in sub.constants.items())
-        if len(a_names) < len(classes):
-            raise InsufficientSubwitness(
-                "need one target per class, %d classes" % len(classes))
-        q, ids = q_enumerate(p, min(2, len(sl)), colors)
+        q, ids = q_enumerate(p, min(2, len(sl)), 2)
         # two-sort base: the triple's chain and the guess-sequence tree
         shape2 = chain_shape(2)
         b = FragmentBuilder()

@@ -401,10 +401,12 @@ def dtp(p: PTriple, t: str, a_set) -> DType:
     return DType(support, eqs)
 
 
-def enumerate_complete_dtypes(p: PTriple, a_set, colors: int,
-                              budget_bits: int = 22) -> list[DType]:
+def enumerate_complete_dtypes(p: PTriple, a_set, colors: int) -> list[DType]:
     """All complete d-types over the set: one color choice per
-    increasing tuple of the support, the empty tuple included."""
+    increasing tuple of the support, the empty tuple included.  Raises
+    BudgetExceeded when they need more than 22 bits (two colors at
+    least)."""
+    budget_bits = 22
     f = p.tree
     support = tuple(sorted(a_set, key=lambda x: (f.level[x].terms, x)))
     for x, y in zip(support, support[1:]):
@@ -509,14 +511,14 @@ def validate_qnode(p: PTriple, a: QNode) -> list[str]:
     return rep
 
 
-def q_enumerate(p: PTriple, alpha_max: int, colors: int,
-                c_levels: Coloring | None = None,
-                budget: int = 10 ** 5):
+def q_enumerate(p: PTriple, alpha_max: int, colors: int):
     """The complete bounded-length fragment of the guess-sequence
     triple: every QNode of length <= alpha_max passing all clauses,
     packaged as a PTriple (prefix order, level = length) together with
     the node-id -> QNode map.  Raises BadArgument when colors < 1 or
-    alpha_max < 0."""
+    alpha_max < 0, and BudgetExceeded when a length has more than 10**5
+    QNodes."""
+    budget = 10 ** 5
     if colors < 1:
         raise BadArgument("colors must be at least 1, not %d" % colors)
     if alpha_max < 0:
@@ -562,7 +564,7 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int,
     out = PTriple(tree, {}, {})
     # derived coloring on increasing successor-of-limit tuples
     for key in _increasing_suc_lim_tuples(out):
-        out.d[key] = d_q(p, tuple(ids[x] for x in key), c_levels)
+        out.d[key] = d_q(p, tuple(ids[x] for x in key))
     # derived equivalence
     labels = {}
     for nid, a in sorted(ids.items()):
@@ -582,29 +584,22 @@ def _qnode_key(a: QNode):
                   sorted(a.gammas.items())))
 
 
-def _increasing_suc_lim_tuples(p: PTriple, max_len: int = 4):
-    for key in sub_tuples(p.suc_lim(), max_len):
+def _increasing_suc_lim_tuples(p: PTriple):
+    for key in sub_tuples(p.suc_lim(), 4):
         if all(p.tree.lt(key[i], key[i + 1]) for i in range(len(key) - 1)):
             yield key
 
 
-def d_q(p: PTriple, qnodes: tuple[QNode, ...],
-        c_levels: Coloring | None = None) -> int:
+def d_q(p: PTriple, qnodes: tuple[QNode, ...]) -> int:
     """Derived color of an increasing tuple of guess sequences: the
     color the top Gamma assigns to the tuple of last entries, paired
-    with the base coloring of the lengths."""
-    n = len(qnodes)
+    with 0, the constant coloring of the lengths."""
     top = qnodes[-1]
     gpos = top.lg - 1
     if gpos not in top.gammas:
         raise BadArgument("top node is not at a successor-of-limit level")
     tkey = tuple(a.last for a in qnodes)
-    eps = top.gammas[gpos].eqs[tkey]
-    if c_levels is not None:
-        cval = c_levels.color(tuple(a.lg for a in qnodes))
-    else:
-        cval = 0
-    return pair(eps, cval)
+    return pair(top.gammas[gpos].eqs[tkey], 0)
 
 
 def e_q(p: PTriple, a: QNode, b: QNode) -> bool:

@@ -33,6 +33,7 @@ from .structure import (Fragment, Term, eval_term, is_closed, validate,
 from .types import BudgetExceeded, _tp_code, equiv_k, tp_code
 
 K_BUDGET = 8
+M2_CAP = 10 ** 9
 
 
 class RankTooLow(TreedeskError, RuntimeError):
@@ -45,23 +46,24 @@ class RankTooLow(TreedeskError, RuntimeError):
 # the extension-rank recursion
 
 
-def m2(m1: int, k: int, s: ShapeTree, cap: int = 10 ** 9) -> int:
+def m2(m1: int, k: int, s: ShapeTree) -> int:
     """Rank needed on the given tuples so that k new points can be
-    matched at rank m1 over the given shape."""
+    matched at rank m1 over the given shape.  Raises BudgetExceeded past
+    M2_CAP."""
     if m1 < 0 or k < 0:
         raise BadArgument("naturals expected")
     if k == 0 or len(s) == 0:
         return m1
     if k == 1:
         _, comps = decompose(s)
-        best = max((2 * m2(m1, K_BUDGET, comp, cap) for comp in comps),
+        best = max((2 * m2(m1, K_BUDGET, comp) for comp in comps),
                    default=0)
         v = best + 2 * m1 + 1
     else:
-        v = m2(m2(m1, k - 1, s, cap), 1, s, cap)
-    if v > cap:
-        raise BudgetExceeded("extension rank %d exceeds cap %d" % (v, cap),
-                             v, cap)
+        v = m2(m2(m1, k - 1, s), 1, s)
+    if v > M2_CAP:
+        raise BudgetExceeded("extension rank %d exceeds cap %d"
+                             % (v, M2_CAP), v, M2_CAP)
     return v
 
 

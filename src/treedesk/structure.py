@@ -60,6 +60,8 @@ class _OrderQueries:
     down-sets `_below`.  Fragment and completion's working state both
     answer them here, so the two can never disagree."""
 
+    __slots__ = ()
+
     def lt(self, x: str, y: str) -> bool:
         return x in self._below.get(y, ())
 
@@ -91,8 +93,12 @@ class _OrderQueries:
 
 class Fragment(_OrderQueries):
     """Read-only partial model: each table, and each G table in `gmap`,
-    is a read-only view of a copy taken here, and each down-set is a
-    frozenset.  Edits go through a `FragmentBuilder`."""
+    is a read-only view of a copy taken here, each down-set is a
+    frozenset, and no attribute can be rebound once `__init__` is done.
+    Edits go through a `FragmentBuilder`."""
+
+    __slots__ = ("shape", "nodes", "sort", "level", "order", "meet", "suc",
+                 "pre", "lim", "gmap", "constants", "mode", "_below")
 
     def __init__(
         self,
@@ -109,21 +115,30 @@ class Fragment(_OrderQueries):
         constants: dict[tuple[str, int], str] | None = None,
         mode: str = "base",
     ):
-        self.shape = shape
-        self.nodes = tuple(sorted(nodes))
-        self.sort = _frozen(sort)
-        self.level = _frozen(level)
-        self.order = frozenset(order or ())
-        self.meet = MappingProxyType(
-            {_mk(*k): v for k, v in (meet or {}).items()})
-        self.suc = _frozen(suc)
-        self.pre = _frozen(pre)
-        self.lim = _frozen(lim)
-        self.gmap = MappingProxyType(
-            {e: _frozen(m) for e, m in (gmap or {}).items()})
-        self.constants = _frozen(constants)
-        self.mode = mode
-        self._below = _down_sets(self.nodes, self.order)
+        # bound once, here, past the refusing __setattr__
+        put = object.__setattr__
+        put(self, "shape", shape)
+        put(self, "nodes", tuple(sorted(nodes)))
+        put(self, "sort", _frozen(sort))
+        put(self, "level", _frozen(level))
+        put(self, "order", frozenset(order or ()))
+        put(self, "meet", MappingProxyType(
+            {_mk(*k): v for k, v in (meet or {}).items()}))
+        put(self, "suc", _frozen(suc))
+        put(self, "pre", _frozen(pre))
+        put(self, "lim", _frozen(lim))
+        put(self, "gmap", MappingProxyType(
+            {e: _frozen(m) for e, m in (gmap or {}).items()}))
+        put(self, "constants", _frozen(constants))
+        put(self, "mode", mode)
+        put(self, "_below", _down_sets(self.nodes, self.order))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot set %r: fragments are read-only" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: fragments are read-only"
+                             % name)
 
     # -- accessors ---------------------------------------------------
 
@@ -287,11 +302,12 @@ def validate(f: Fragment) -> list[str]:
     """Empty report iff every declared value satisfies every axiom of
     f's mode.  Entries are "axiom-name: witnesses".
 
-    Each table loop walks its table unsorted and decides the axioms of
-    each entry with membership and size tests on the down-sets; only
-    the entries that fail get their witnesses built, in sorted order.
-    So the report lists table by table and, within a table, by key,
-    whatever the order the tables were built in.
+    One pass per table: each loop walks its table once, unsorted, and
+    tests each axiom of an entry once with membership and size tests on
+    the down-sets; a failed test builds its witnesses on the spot, under
+    the entry's key.  Each loop then lists its failing keys in sorted
+    order, so the report runs table by table and, within a table, by
+    key, whatever the order the tables were built in.
     """
     mode = f.mode
     rep: list[str] = []
@@ -300,29 +316,42 @@ def validate(f: Fragment) -> list[str]:
     sort, level, lim = f.sort.copy(), f.level.copy(), f.lim.copy()
     below = f._below
     indices = set(f.shape.indices)
+    fails: dict = {}
 
+    def fail(key, line):
+        fails.setdefault(key, []).append(line)
+
+    def flush():
+        if fails:
+            for key in sorted(fails):
+                rep.extend(fails[key])
+            fails.clear()
+
+    # the rest needs a strict partial order inside each sort, and a
+    # level on every node in it
+    stop = False
     for n, s in sort.items():
         if s not in indices:
             rep.append("sort-unknown-index: node %r sort %r" % (n, s))
         if n not in level:
             rep.append("level-missing: node %r" % n)
-    if not all(a in nodeset and b in nodeset
-               and (sa := sort.get(a)) is not None and sort.get(b) == sa
-               for a, b in f.order):
-        for a, b in sorted(f.order):
-            if a not in nodeset or b not in nodeset:
-                rep.append("order-unknown-node: (%r,%r)" % (a, b))
-            elif sort.get(a) != sort.get(b) or sort.get(a) is None:
-                rep.append("order-cross-sort: (%r,%r)" % (a, b))
+            stop = True
+    for a, b in sorted((a, b) for a, b in f.order
+                       if not (a in nodeset and b in nodeset
+                               and (sa := sort.get(a)) is not None
+                               and sort.get(b) == sa)):
+        if a not in nodeset or b not in nodeset:
+            rep.append("order-unknown-node: (%r,%r)" % (a, b))
+        else:
+            rep.append("order-cross-sort: (%r,%r)" % (a, b))
+        stop = True
     for n in f.nodes:
         if n in below[n]:
             rep.append("order-cycle: at %r" % n)
-    if any("order-cycle" in r or "order-unknown-node" in r or
-           "order-cross-sort" in r or "level-missing" in r for r in rep):
+            stop = True
+    if stop:
         return rep
 
-    # from here on the order is a strict partial order inside each sort,
-    # and every node in it has a level
     for y in f.nodes:
         down = below[y]
         if not down:
@@ -335,131 +364,95 @@ def validate(f: Fragment) -> list[str]:
                     rep.append("order-downset-chain: %r,%r below %r"
                                % (a, b, y))
         ly = level[y]
-        if not all(level[a] < ly for a in down):
-            for a in sorted(down):
-                if not level[a] < ly:
-                    rep.append("order-level: %r < %r but levels %s >= %s"
-                               % (a, y, level[a], ly))
+        low = [a for a in down if not level[a] < ly]
+        for a in sorted(low):
+            rep.append("order-level: %r < %r but levels %s >= %s"
+                       % (a, y, level[a], ly))
 
-    def downset(v):
-        return f.strictly_below(v) | {v}
-
-    bad = []
     for key, m in f.meet.items():
         x, y = key
         sx = sort.get(x)
-        if sx is not None and sort.get(y) == sx and sort.get(m) == sx:
-            bx, by = below.get(x, ()), below.get(y, ())
-            if m == x or m == y:
-                if (m == x or m in bx) and (m == y or m in by):
-                    continue
-            # m < x, m < y: then down(m)+m lies in down(x)+x & down(y)+y,
-            # which is down(x) & down(y) for an incomparable pair, so no
-            # common lower bound misses m iff the sizes agree
-            elif (m in bx and m in by and x != y and x not in by
-                  and y not in bx and len(bx & by) == len(below[m]) + 1):
-                continue
-        bad.append(key)
-    for x, y in sorted(bad):
-        m = f.meet[(x, y)]
-        sx = sort.get(x)
         if sx is None or sort.get(y) != sx or sort.get(m) != sx:
-            rep.append("meet-sort: (%r,%r)->%r" % (x, y, m))
+            fail(key, "meet-sort: (%r,%r)->%r" % (x, y, m))
             continue
-        if not (f.leq(m, x) and f.leq(m, y)):
-            rep.append("meet-lower-bound: (%r,%r)->%r" % (x, y, m))
-        missed = () if m in (x, y) else downset(x) & downset(y) - downset(m)
-        for z in sorted(missed):
-            if z in nodeset:
-                rep.append("meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
+        bx, by = below.get(x, ()), below.get(y, ())
+        if not ((m == x or m in bx) and (m == y or m in by)):
+            fail(key, "meet-lower-bound: (%r,%r)->%r" % (x, y, m))
+        # x or y misses nothing.  Else m < x, m < y: then down(m)+m lies
+        # in down(x)+x & down(y)+y, which is down(x) & down(y) for an
+        # incomparable pair, so no common lower bound misses m iff the
+        # sizes agree
+        elif m == x or m == y or (
+                x != y and x not in by and y not in bx
+                and len(bx & by) == len(below[m]) + 1):
+            continue
+        missed = ({x, *bx} & {y, *by}) - {m, *below.get(m, ())}
+        for z in sorted(missed & nodeset):
+            fail(key, "meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
+    flush()
 
     # level + 1 of each node, built once, for the suc and pre tests
     step = {n: lv.plus(1) for n, lv in level.items()}
-    bad = []
     for key, s in f.suc.items():
         x, y = key
         sx = sort.get(x)
-        if sx is not None and sort.get(y) == sx and sort.get(s) == sx:
-            bs, by = below.get(s, ()), below.get(y, ())
-            lx, ls = lim.get(x), lim.get(s)
-            # x < s <= y, so x < y; and down(x)+x lies in down(s), so
-            # nothing lies strictly between x and s iff the sizes agree
-            if (x in bs and (s == y or s in by)
-                    and len(bs) == len(below[x]) + 1
-                    and level[s] == step[x]
-                    and (lx is None or ls is None or lx == ls)):
-                continue
-        bad.append(key)
-    for x, y in sorted(bad):
-        s = f.suc[(x, y)]
-        sx = sort.get(x)
         if sx is None or sort.get(y) != sx or sort.get(s) != sx:
-            rep.append("suc-sort: (%r,%r)->%r" % (x, y, s))
+            fail(key, "suc-sort: (%r,%r)->%r" % (x, y, s))
             continue
-        if not (f.lt(x, y) and f.lt(x, s) and f.leq(s, y)):
-            rep.append("suc-bounds: (%r,%r)->%r" % (x, y, s))
+        bs = below.get(s, ())
+        # x < s <= y, so x < y
+        if x not in bs or not (s == y or s in below.get(y, ())):
+            fail(key, "suc-bounds: (%r,%r)->%r" % (x, y, s))
             continue
-        if level[s] != level[x].plus(1):
-            rep.append("suc-level: (%r,%r)->%r at %s" % (x, y, s, level[s]))
-        for z in sorted(z for z in below[s] if f.lt(x, z)):
-            rep.append("suc-between: %r inside (%r,%r]" % (z, x, s))
+        if level[s] != step[x]:
+            fail(key, "suc-level: (%r,%r)->%r at %s" % (x, y, s, level[s]))
+        # down(x)+x lies in down(s), so nothing lies strictly between x
+        # and s iff the sizes agree
+        if len(bs) != len(below[x]) + 1:
+            for z in sorted(z for z in bs if x in below[z]):
+                fail(key, "suc-between: %r inside (%r,%r]" % (z, x, s))
         lx, ls = lim.get(x), lim.get(s)
         if lx is not None and ls is not None and lx != ls:
-            rep.append("lim-of-suc: lim(%r)=%r but lim(suc)=%r" % (x, lx, ls))
+            fail(key, "lim-of-suc: lim(%r)=%r but lim(suc)=%r" % (x, lx, ls))
+    flush()
 
-    bad = []
     for x, l in lim.items():
         sx = sort.get(x)
-        if (sx is not None and sort.get(l) == sx
-                and (l == x or l in below.get(x, ()))
-                and level[l] == level[x].limb() and lim.get(l) in (None, l)):
+        if sx is None or sort.get(l) != sx:
+            fail(x, "lim-sort: %r->%r" % (x, l))
             continue
-        bad.append(x)
-    for x in sorted(bad):
-        l = lim[x]
-        if sort.get(l) != sort.get(x) or sort.get(x) is None:
-            rep.append("lim-sort: %r->%r" % (x, l))
-            continue
-        if not f.leq(l, x):
-            rep.append("lim-bound: %r->%r" % (x, l))
+        if l != x and l not in below.get(x, ()):
+            fail(x, "lim-bound: %r->%r" % (x, l))
             continue
         if level[l] != level[x].limb():
-            rep.append("lim-level: lim(%r)=%r at %s, expected %s"
-                       % (x, l, level[l], level[x].limb()))
+            fail(x, "lim-level: lim(%r)=%r at %s, expected %s"
+                 % (x, l, level[l], level[x].limb()))
         if lim.get(l) not in (None, l):
-            rep.append("lim-idempotent: lim(%r)=%r, lim(%r)=%r"
-                       % (x, l, l, lim[l]))
-    bad = []
+            fail(x, "lim-idempotent: lim(%r)=%r, lim(%r)=%r"
+                 % (x, l, l, lim[l]))
+    flush()
     for y, ly in lim.items():
         up = below.get(ly, ())
         for x in below.get(y, ()):
             lx = lim.get(x, ly)
             if lx != ly and lx not in up:
-                bad.append((x, y))
-    for x, y in sorted(bad):
-        rep.append("lim-monotone: %r < %r" % (x, y))
+                fail((x, y), "lim-monotone: %r < %r" % (x, y))
+    flush()
 
-    bad = []
     for x, p in f.pre.items():
         sx = sort.get(x)
-        if (sx is not None and sort.get(p) == sx and p in below.get(x, ())
-                and step[p] == level[x]
-                and f.suc.get((p, x), x) == x):
+        if sx is None or sort.get(p) != sx:
+            fail(x, "pre-sort: %r->%r" % (x, p))
             continue
-        bad.append(x)
-    for x in sorted(bad):
-        p = f.pre[x]
-        if sort.get(p) != sort.get(x) or sort.get(x) is None:
-            rep.append("pre-sort: %r->%r" % (x, p))
+        if p not in below.get(x, ()):
+            fail(x, "pre-bound: %r->%r" % (x, p))
             continue
-        if not f.lt(p, x):
-            rep.append("pre-bound: %r->%r" % (x, p))
-            continue
-        if level[p].plus(1) != level[x]:
-            rep.append("pre-level: pre(%r)=%r at %s" % (x, p, level[p]))
-        s = f.suc.get((p, x))
-        if s is not None and s != x:
-            rep.append("pre-suc: suc(pre(%r),%r)=%r" % (x, x, s))
+        if step[p] != level[x]:
+            fail(x, "pre-level: pre(%r)=%r at %s" % (x, p, level[p]))
+        s = f.suc.get((p, x), x)
+        if s != x:
+            fail(x, "pre-suc: suc(pre(%r),%r)=%r" % (x, x, s))
+    flush()
 
     shape_edges = set(f.shape.suc_pairs())
     classT = mode == "classT"
@@ -469,33 +462,28 @@ def validate(f: Fragment) -> list[str]:
             continue
         e1, e2 = edge
         table = table.copy()
-        bad = [x for x, y in table.items()
-               if sort.get(x) != e1 or sort.get(y) != e2 or lim.get(x) == x
-               or (classT and (not level[y] <= level[x] or lim.get(y) == y))]
-        for x in sorted(bad):
-            y = table[x]
+        for x, y in table.items():
             if sort.get(x) != e1 or sort.get(y) != e2:
-                rep.append("gmap-sort: G%r(%r)=%r" % (edge, x, y))
+                fail(x, "gmap-sort: G%r(%r)=%r" % (edge, x, y))
                 continue
             if lim.get(x) == x:
-                rep.append("gmap-domain: %r is not a successor" % x)
-            if classT:
-                if not level[y] <= level[x]:
-                    rep.append("classT-level: G%r(%r)=%r" % (edge, x, y))
-                if lim.get(y) == y:
-                    rep.append("classT-successor-image: G%r(%r)=%r"
-                               % (edge, x, y))
+                fail(x, "gmap-domain: %r is not a successor" % x)
+            if classT and not level[y] <= level[x]:
+                fail(x, "classT-level: G%r(%r)=%r" % (edge, x, y))
+            if classT and lim.get(y) == y:
+                fail(x, "classT-successor-image: G%r(%r)=%r" % (edge, x, y))
+        flush()
         # pairs x < y of successors over one limit with different images
-        bad = []
         for y, gy in table.items():
             ly = lim.get(y)
             if ly is None or ly == y:
                 continue
             for x in below.get(y, ()):
                 if x != ly and lim.get(x) == ly and table.get(x, gy) != gy:
-                    bad.append(_mk(x, y))
-        for x, y in sorted(bad):
-            rep.append("regressive: G%r differs on %r,%r" % (edge, x, y))
+                    pair = _mk(x, y)
+                    fail(pair, "regressive: G%r differs on %r,%r"
+                         % (edge, *pair))
+        flush()
 
     if mode == "theta":
         rep.extend(_validate_theta(f))

@@ -420,9 +420,9 @@ WRONG_INPUTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def wrong_input_files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("wrong")
+def write_wrong_input_files(d):
+    """Write the files that WRONG_INPUTS names into the directory d
+    (a pathlib.Path) and return their paths by name."""
     levels = {"n%02d" % i: Ordinal.nat(i) for i in range(6)}
     names = sorted(levels)
     chain = from_standard_tree(levels, {(names[i], names[j])
@@ -445,6 +445,11 @@ def wrong_input_files(tmp_path_factory):
         with open(paths[name], "w") as fh:
             json.dump(doc, fh)
     return paths
+
+
+@pytest.fixture(scope="module")
+def wrong_input_files(tmp_path_factory):
+    return write_wrong_input_files(tmp_path_factory.mktemp("wrong"))
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_INPUTS))

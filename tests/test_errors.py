@@ -31,7 +31,6 @@ OLD_BASES = {
     treedesk.ShapeExhausted: RuntimeError,
     treedesk.DisjointnessViolated: ValueError,
     treedesk.AxiomViolated: ValueError,
-    treedesk.InsufficientSubwitness: ValueError,
     InputError: ValueError,
     UnknownIndex: KeyError,
     UnknownNode: KeyError,

@@ -47,19 +47,34 @@ with `timing` dropped, followed by the bytes of the file it writes with
 `-o`, if any.  They were recorded, under PYTHONHASHSEED 0 and 2, on the
 code whose fragment tables were plain dicts.
 
+One subprocess under PYTHONHASHSEED 2 recomputes every CLI pin, one pin
+of each builder, coloring and type family and the violation line of
+every `tests/test_cli.py` wrong-input case, so that no pin holds by the
+hash seed of the process that runs the tests.
+
 Never re-record them to make a refactor pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
 from gen import (corrupted_fragment, random_tripod, rename, theta_single_sort,
                  theta_two_sort, top_sort_only, two_root_forest)
+from test_cli import WRONG_INPUTS, write_wrong_input_files
+
+import treedesk
 from treedesk.cli import main
 from treedesk.fileio import fragment_to_dict, save_fragment
 from treedesk.fixtures import (family_fragment, family_parameter_pool,
@@ -325,11 +340,14 @@ PINNED = {
 }
 
 
+def _builder_digest(name):
+    out = CASES[name]()
+    return _digest(out if isinstance(out, list) else fragment_to_dict(out))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_builder_output_is_pinned(name):
-    out = CASES[name]()
-    payload = out if isinstance(out, list) else fragment_to_dict(out)
-    assert _digest(payload) == PINNED[name]
+    assert _builder_digest(name) == PINNED[name]
 
 
 def _sequence_coloring(s):
@@ -386,11 +404,14 @@ COLORING_PINNED = {
 }
 
 
+def _coloring_digest(name):
+    table = COLORING_CASES[name]().table
+    return _digest(sorted([list(key), c] for key, c in table.items()))
+
+
 @pytest.mark.parametrize("name", sorted(COLORING_CASES))
 def test_coloring_table_is_pinned(name):
-    table = COLORING_CASES[name]().table
-    rows = sorted([list(key), c] for key, c in table.items())
-    assert _digest(rows) == COLORING_PINNED[name]
+    assert _coloring_digest(name) == COLORING_PINNED[name]
 
 
 def _type_sweep(f, pool, ks, prefixes=range(4)):
@@ -495,9 +516,13 @@ TYPE_PINNED = {
 }
 
 
+def _type_digest(name):
+    return _digest(TYPE_CASES[name]())
+
+
 @pytest.mark.parametrize("name", sorted(TYPE_CASES))
 def test_type_sweep_is_pinned(name):
-    assert _digest(TYPE_CASES[name]()) == TYPE_PINNED[name]
+    assert _type_digest(name) == TYPE_PINNED[name]
 
 
 # {name} stands for a path that the fixture `cli_files` makes; the
@@ -535,9 +560,9 @@ CLI_PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def cli_files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("cli")
+def _write_cli_files(d):
+    """Write the files that CLI_CASES names into the directory d (a
+    pathlib.Path) and return their paths by name."""
     levels = {"n%02d" % i: Ordinal.nat(i) for i in range(6)}
     names = sorted(levels)
     w = Ordinal.omega()
@@ -571,18 +596,107 @@ def cli_files(tmp_path_factory):
     paths["glue"] = str(d / "glue.json")
     with open(paths["glue"], "w") as fh:
         json.dump(spec, fh)
-    return d, paths
+    return paths
 
 
-@pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_json_is_pinned(capsys, cli_files, name):
-    d, paths = cli_files
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    return d, _write_cli_files(d)
+
+
+def _cli_argv(d, paths, name):
     out = d / ("%s.out.json" % name)
-    argv = [a.format(out=out, **paths) for a in CLI_CASES[name]]
-    assert main(["--format", "json", *argv]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    return out, [a.format(out=out, **paths) for a in CLI_CASES[name]]
+
+
+def _report_digest(stdout, argv, out):
+    """SHA-256 of a JSON report with `timing` dropped, followed by the
+    file written with `-o`, if any."""
+    doc = json.loads(stdout)
     del doc["timing"]
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     if "-o" in argv:
         text += out.read_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == CLI_PINNED[name]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_json_is_pinned(capsys, cli_files, name):
+    out, argv = _cli_argv(*cli_files, name)
+    assert main(["--format", "json", *argv]) == 0
+    assert _report_digest(capsys.readouterr().out, argv, out) == \
+        CLI_PINNED[name]
+
+
+# One case of each family, the cheapest: the 64-node chain sweep alone
+# takes 2.5 s.
+SECOND_SEED_CASES = {
+    "builder": ("complete-random-0", "family-binary-16", "three-sort",
+                "tripod-0", "complete-top-sort-only-0", "complete-forest",
+                "witness-inaccessible", "control-6", "extend-0",
+                "extend-m1-closed", "extend-m1-tripod",
+                "validate-corrupted-0"),
+    "coloring": ("sequence-0", "chain-tail", "closed-arity4-0"),
+    "type": ("family-binary-16", "family-binary-64-codes", "tripod-4",
+             "closed-0", "theta-two-sort"),
+}
+
+
+def _run_main(argv):
+    """Exit code, stdout and stderr of the CLI on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _second_seed_probe():
+    """The digest of each CLI case and of each SECOND_SEED_CASES case,
+    and the exit code, violation lines and traceback flag of each
+    wrong-input case."""
+    digest = {"builder": _builder_digest, "coloring": _coloring_digest,
+              "type": _type_digest}
+    got = {group: {name: digest[group](name) for name in names}
+           for group, names in SECOND_SEED_CASES.items()}
+    got["cli"], got["wrong"] = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = pathlib.Path(tmp)
+        paths = _write_cli_files(d)
+        for name in CLI_CASES:
+            out, argv = _cli_argv(d, paths, name)
+            rc, stdout, _ = _run_main(["--format", "json", *argv])
+            got["cli"][name] = _report_digest(stdout, argv, out) \
+                if rc == 0 else rc
+        (d / "wrong").mkdir()
+        paths = write_wrong_input_files(d / "wrong")
+        for case, (argv, _) in WRONG_INPUTS.items():
+            rc, stdout, stderr = _run_main([a.format(**paths) for a in argv])
+            got["wrong"][case] = [
+                rc, [line for line in stdout.splitlines()
+                     if line.startswith("violation: ")],
+                "Traceback" in stdout + stderr]
+    return got
+
+
+def test_pins_hold_under_a_second_hash_seed():
+    paths = [os.path.dirname(os.path.dirname(treedesk.__file__)),
+             os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONHASHSEED="2",
+               PYTHONPATH=os.pathsep.join(paths))
+    script = ("import json, test_identity; "
+              "print(json.dumps(test_identity._second_seed_probe()))")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    got = json.loads(run.stdout)
+    pinned = {"builder": PINNED, "coloring": COLORING_PINNED,
+              "type": TYPE_PINNED}
+    for group, names in SECOND_SEED_CASES.items():
+        assert got[group] == {name: pinned[group][name] for name in names}
+    assert got["cli"] == CLI_PINNED
+    assert got["wrong"].keys() == WRONG_INPUTS.keys()
+    for case, (_, fault) in WRONG_INPUTS.items():
+        rc, violations, traceback = got["wrong"][case]
+        assert rc == 2 and not traceback, case
+        assert len(violations) == 1 and fault in violations[0], case

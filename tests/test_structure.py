@@ -495,6 +495,30 @@ def test_validate_matches_reference(name):
         assert validate(f) == validate_reference(f)
 
 
+@pytest.mark.parametrize("name", ["x", "level-missing", "order-cycle"])
+def test_validate_stops_early_on_order_faults_not_on_node_names(name):
+    """A node whose name is an early-stop axiom's name, reported under
+    another axiom, does not stop the checks that follow."""
+    f = Fragment(POINT_SHAPE, ["a", "b", "c", name],
+                 {"a": "r", "b": "r", "c": "r", name: "q"},
+                 {"a": Ordinal(), "b": Ordinal.nat(1), "c": Ordinal.nat(1),
+                  name: Ordinal()},
+                 {("a", "b"), ("a", "c")}, {("b", "c"): "b"})
+    assert validate(f) == ["sort-unknown-index: node %r sort 'q'" % name,
+                           "meet-lower-bound: ('b','c')->'b'"]
+
+
+def test_validate_reports_class_t_level_map_faults():
+    """In classT mode, G maps each successor to a successor no higher;
+    no corpus above runs in classT mode."""
+    f = replace(theta_two_sort(), mode="classT",
+                gmap={("0", "1"): {"d0": "M", "d1": "e1", "r": "e0"}})
+    assert validate(f) == validate_reference(f) == [
+        "classT-successor-image: G('0', '1')('d0')='M'",
+        "gmap-domain: 'r' is not a successor",
+        "classT-level: G('0', '1')('r')='e0'"]
+
+
 def test_near_valid_fragments_fail_by_few_witnesses():
     corpus = near_valid_fragments(random.Random(0))
     reports = [validate(f) for f in corpus]
@@ -688,6 +712,28 @@ def test_frozen_fragment_ignores_later_builder_edits():
     b.add_node("zz", "0", Ordinal())
     assert fragment_to_dict(f) == before
     assert fragment_to_dict(b.freeze(f.shape, f.mode)) != before
+
+
+ATTRIBUTES = ("shape", "nodes", "order", "mode") + TABLES
+
+
+def test_fragment_attributes_cannot_be_rebound():
+    """A fragment's attributes are bound once, so a cache keyed by the
+    fragment stays sound; the builders stay writable."""
+    f = theta_two_sort()
+    assert len(ATTRIBUTES) == 12
+    for name in ATTRIBUTES + ("_below", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, {})
+    with pytest.raises(AttributeError):
+        del f.lim
+    assert not hasattr(f, "__dict__")
+    b = FragmentBuilder(f)
+    w = structure._Completion(f)
+    for builder in (b, w):
+        for name in ATTRIBUTES:
+            setattr(builder, name, {})
+    assert f.lim and f.mode == "theta"
 
 
 def test_fragment_replace_is_nondestructive():
