@@ -462,7 +462,8 @@ def validate_qnode(p: PTriple, a: QNode) -> list[str]:
     """Clause-by-clause check of membership in the guess-sequence tree."""
     rep = []
     f = p.tree
-    sl = set(p.suc_lim())
+    suc_lim = p.suc_lim()
+    sl = set(suc_lim)
     alpha = a.lg
     for t in a.eta:
         if t not in sl:
@@ -497,7 +498,7 @@ def validate_qnode(p: PTriple, a: QNode) -> list[str]:
                     rep.append("realized: position %d over %d" % (beta, bp))
     for beta in range(alpha):
         g0 = a.gammas[0]
-        for t in sl:
+        for t in suc_lim:
             if not f.lt(t, a.eta[beta]):
                 continue
             if any(not f.lt(a.eta[bp], t) for bp in range(beta)):

@@ -47,10 +47,19 @@ with `timing` dropped, followed by the bytes of the file it writes with
 `-o`, if any.  They were recorded, under PYTHONHASHSEED 0 and 2, on the
 code whose fragment tables were plain dicts.
 
+The guess-sequence case pins the SHA-256 of a sweep over the six colored
+chains of acceptance criterion 11: `q_enumerate` at lengths 0-3 and 1-2
+colors, with `e_q` and `is_prefix_of` on every pair of its guess
+sequences and `d_q` and `validate_qnode` on each; the lift of every base
+node; `validate_qnode` on 500 seeded malformed sequences per chain; and
+the inaccessible witness.  It was recorded on the code that stored each
+sequence's Gamma as a {position: d-type} map and listed tightness
+witnesses in level order.
+
 One subprocess under PYTHONHASHSEED 2 recomputes every CLI pin, one pin
-of each builder, coloring and type family and the violation line of
-every `tests/test_cli.py` wrong-input case, so that no pin holds by the
-hash seed of the process that runs the tests.
+of each builder, coloring and type family, the guess-sequence pin and
+the violation line of every `tests/test_cli.py` wrong-input case, so
+that no pin holds by the hash seed of the process that runs the tests.
 
 Never re-record them to make a refactor pass.
 """
@@ -60,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -76,15 +86,18 @@ from test_cli import WRONG_INPUTS, write_wrong_input_files
 
 import treedesk
 from treedesk.cli import main
-from treedesk.fileio import fragment_to_dict, save_fragment
+from treedesk.errors import TreedeskError
+from treedesk.fileio import fragment_to_dict, ptriple_to_dict, save_fragment
 from treedesk.fixtures import (family_fragment, family_parameter_pool,
                                random_closed_fragment,
                                random_sequence_fixture,
-                               random_standard_fragment,
+                               random_standard_fragment, six_chain_base,
                                three_sort_step_fixture)
 from treedesk.glue import build_control, build_witness
 from treedesk.ordinal import Ordinal
-from treedesk.partition import coloring_from_sequence
+from treedesk.partition import (DType, QNode, _qnode_key,
+                                coloring_from_sequence, d_q, e_q,
+                                lift_element, q_enumerate, validate_qnode)
 from treedesk.qe import extend_one_point
 from treedesk.structure import complete, from_standard_tree, validate
 from treedesk.types import (count_type_classes, equiv_k, questionnaire_code,
@@ -525,6 +538,78 @@ def test_type_sweep_is_pinned(name):
     assert _type_digest(name) == TYPE_PINNED[name]
 
 
+# the d tables of acceptance criterion 11, over six_chain_base's
+# successor-of-limit positions
+GUESS_TABLES = (None, {(0,): 1}, {(0,): 1, (1,): 1}, {(0, 1): 1},
+                {(0, 1): 1, (1, 2): 1}, {(0,): 1, (0, 1): 1, (0, 2): 1})
+
+
+def _qnode(eta, gamma):
+    """The guess sequence eta with gamma, if any, at position 0."""
+    return QNode(tuple(eta), {} if gamma is None else {0: gamma})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TreedeskError as e:
+        return [type(e).__name__, str(e)]
+
+
+def _malformed_qnodes(p, rng, count):
+    """Random sequences, mostly of successor-of-limit nodes and mostly
+    with a d-type over their first entry, some of its equations left
+    out."""
+    nodes = sorted(p.tree.nodes)
+    out = []
+    for _ in range(count):
+        pool = p.suc_lim() if rng.random() < 0.7 else nodes
+        eta = rng.sample(pool, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            eta.sort()
+        gamma = None
+        if rng.random() < 0.9:
+            support = tuple(eta[:1]) if rng.random() < 0.8 else \
+                tuple(rng.sample(nodes, rng.randint(0, 2)))
+            keys = [key for m in range(len(support) + 1)
+                    for key in itertools.combinations(support, m)]
+            gamma = DType(support, {key: rng.randint(0, 1) for key in keys
+                                    if rng.random() < 0.9})
+        out.append(_qnode(eta, gamma))
+    return out
+
+
+def _guess_sequence_sweep():
+    rng = random.Random(18)
+    out = []
+    for table in GUESS_TABLES:
+        p = six_chain_base(table)
+        for alpha_max in range(4):
+            for colors in (1, 2):
+                q, ids = q_enumerate(p, alpha_max, colors)
+                qs = [ids[nid] for nid in sorted(ids)]
+                out.append([
+                    ptriple_to_dict(q), [_qnode_key(a) for a in qs],
+                    [[e_q(p, a, b), a.is_prefix_of(b)]
+                     for a in qs for b in qs],
+                    [_outcome(d_q, p, (a,)) for a in qs],
+                    [validate_qnode(p, a) for a in qs]])
+        out.append([_qnode_key(lift_element(p, t))
+                    for t in sorted(p.tree.nodes)])
+        out.append([validate_qnode(p, a)
+                    for a in _malformed_qnodes(p, rng, 500)])
+    out.append(fragment_to_dict(build_witness("inaccessible")[0]))
+    return out
+
+
+GUESS_SEQUENCE_PINNED = \
+    "76fca9bd8327067c7e93f8da3dc80664d667f3587eb1bf2f0fbbdc82305faf5a"
+
+
+def test_guess_sequence_layer_is_pinned():
+    assert _digest(_guess_sequence_sweep()) == GUESS_SEQUENCE_PINNED
+
+
 # {name} stands for a path that the fixture `cli_files` makes; the
 # window of `indis classify` is that of `three_sort_step_fixture`.
 CLI_CASES = {
@@ -652,13 +737,14 @@ def _run_main(argv):
 
 
 def _second_seed_probe():
-    """The digest of each CLI case and of each SECOND_SEED_CASES case,
-    and the exit code, violation lines and traceback flag of each
-    wrong-input case."""
+    """The digest of each CLI case, of each SECOND_SEED_CASES case and
+    of the guess-sequence sweep, and the exit code, violation lines and
+    traceback flag of each wrong-input case."""
     digest = {"builder": _builder_digest, "coloring": _coloring_digest,
               "type": _type_digest}
     got = {group: {name: digest[group](name) for name in names}
            for group, names in SECOND_SEED_CASES.items()}
+    got["guess"] = _digest(_guess_sequence_sweep())
     got["cli"], got["wrong"] = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         d = pathlib.Path(tmp)
@@ -694,6 +780,7 @@ def test_pins_hold_under_a_second_hash_seed():
               "type": TYPE_PINNED}
     for group, names in SECOND_SEED_CASES.items():
         assert got[group] == {name: pinned[group][name] for name in names}
+    assert got["guess"] == GUESS_SEQUENCE_PINNED
     assert got["cli"] == CLI_PINNED
     assert got["wrong"].keys() == WRONG_INPUTS.keys()
     for case, (_, fault) in WRONG_INPUTS.items():

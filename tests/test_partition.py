@@ -14,7 +14,7 @@ from treedesk.ordinal import Ordinal
 from treedesk.partition import (
     Coloring, DType, PTriple, coloring_from_sequence, d_q, dtp,
     enumerate_complete_dtypes, find_homogeneous, is_hard, lift_element,
-    p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
+    QNode, p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
     validate_ptriple, validate_qnode,
 )
 from treedesk.qe import eval_formula
@@ -270,3 +270,77 @@ def test_d_q_requires_top_gamma():
     if two:
         with pytest.raises(ValueError):
             d_q(p, (two[0],))
+
+
+def _tight_gamma(p, t):
+    """The complete d-type of t over itself, with its missing equations
+    set to 0: on the all-zero chain every earlier successor-of-limit
+    node below t realizes it."""
+    g = dtp(p, t, (t,))
+    for key in ((), (t,)):
+        g.eqs.setdefault(key, 0)
+    return g
+
+
+def _one_zero(support, top_color=0):
+    return DType(support, {(): 0, support: top_color})
+
+
+# six_chain_base: n000 < n001 < ... < n005 at levels w, w+1, w2, w2+1,
+# w3, w3+1, so n001, n003 and n005 are the successor-of-limit nodes;
+# d is 0 on every tuple
+QNODE_FAULTS = {
+    "eta-range": (QNode(("n000",), {0: _one_zero(("n000",))}),
+                  ["eta-range: 'n000'"]),
+    "eta-increasing": (
+        QNode(("n003", "n001"), {0: _one_zero(("n003",))}),
+        ["eta-increasing: positions 0,1"]),
+    "gamma-positions-missing": (QNode(("n001",), {}),
+                                ["gamma-positions: []"]),
+    "gamma-positions-on-empty": (QNode((), {0: DType((), {(): 0})}),
+                                 ["gamma-positions: [0]"]),
+    "gamma-support": (QNode(("n001",), {0: _one_zero(("n003",))}),
+                      ["gamma-support: position 0"]),
+    "gamma-incomplete": (QNode(("n001",), {0: DType(("n001",), {(): 0})}),
+                         ["gamma-incomplete: position 0"]),
+    "zero-satisfies": (
+        QNode(("n001",), {0: DType(("n001",), {(): 1, ("n001",): 0})}),
+        ["zero-satisfies"]),
+    "realized": (QNode(("n001", "n003"), {0: _one_zero(("n001",), 1)}),
+                 ["realized: position 1 over 0"]),
+    "tightness": (
+        QNode(("n005",), {0: _tight_gamma(six_chain_base(), "n005")}),
+        ["tightness: position 0 witnessed by 'n001'",
+         "tightness: position 0 witnessed by 'n003'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QNODE_FAULTS))
+def test_validate_qnode_reports_each_clause(case):
+    a, want = QNODE_FAULTS[case]
+    assert validate_qnode(six_chain_base(), a) == want
+
+
+_TIGHTNESS_REPORT = """
+from treedesk.fixtures import six_chain_base
+from treedesk.partition import QNode, dtp, validate_qnode
+p = six_chain_base()
+g = dtp(p, "n005", ("n005",))
+for key in ((), ("n005",)):
+    g.eqs.setdefault(key, 0)
+print(validate_qnode(p, QNode(("n005",), {0: g})))
+"""
+
+
+def test_validate_qnode_lists_tightness_witnesses_in_level_order():
+    # the witnesses were listed in set order, so n003 came first under
+    # PYTHONHASHSEED 0 and n001 under 1
+    paths = [os.path.dirname(os.path.dirname(treedesk.__file__)),
+             os.path.dirname(__file__)]
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", _TIGHTNESS_REPORT],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert run.stdout == "%r\n" % QNODE_FAULTS["tightness"][1], seed
