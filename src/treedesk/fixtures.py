@@ -150,7 +150,7 @@ def comb_and_fan_fixture() -> Fragment:
 # colored-tree bases
 
 
-def six_chain_base(d_table=None, colors: int = 2) -> PTriple:
+def six_chain_base(d_table=None) -> PTriple:
     """Colored 6-node chain with three successor-of-limit nodes."""
     levels = [_o(1), _o(1, 1), _o(2), _o(2, 1), _o(3), _o(3, 1)]
     c = Coloring(len(levels), 2, {}, 0)

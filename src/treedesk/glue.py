@@ -27,7 +27,7 @@ from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree, POINT_SHAPE, chain_shape
 from .structure import Fragment, FragmentBuilder, complete, validate
-from .partition import (Coloring, PTriple, lift_element, p_from_coloring,
+from .partition import (Coloring, _qnode_key, lift_element, p_from_coloring,
                         q_enumerate)
 
 
@@ -231,10 +231,7 @@ def build_witness(case: str, *, theta_bound: int = 8,
         b = FragmentBuilder()
         b.absorb(p.tree, lambda eta: "0")
         b.absorb(q.tree, lambda eta: "1")
-        by_node = {}
-        for nid, a in ids.items():
-            by_node[(a.eta, tuple(sorted((i, tuple(sorted(g.eqs.items())))
-                                         for i, g in a.gammas.items())))] = nid
+        by_node = {_qnode_key(a): nid for nid, a in ids.items()}
         root_q = next(nid for nid, a in ids.items() if a.lg == 0)
         g01 = {}
         for x in p.tree.nodes:
@@ -244,11 +241,7 @@ def build_witness(case: str, *, theta_bound: int = 8,
             if lv.is_limit:
                 continue
             if x in sl and lv.mod_omega() == 1:
-                a = lift_element(p, x)
-                key = (a.eta, tuple(sorted(
-                    (i, tuple(sorted(g.eqs.items())))
-                    for i, g in a.gammas.items())))
-                nid = by_node.get(key)
+                nid = by_node.get(_qnode_key(lift_element(p, x)))
                 if nid is None or not q.tree.level[nid] < lv:
                     nid = root_q
                 g01[x] = nid

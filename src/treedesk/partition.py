@@ -10,8 +10,8 @@ coloring and equivalence.
 
 Colors are naturals throughout.  Base colorings may bound their
 colors; derived colorings exceed the bound through the Cantor pairing.
-Gamma components are stored only at limit positions, and position 0
-counts as a limit.
+Guess sequences have finite length, so position 0 is the only limit
+position below it, and a sequence holds one Gamma: a d-type there.
 """
 
 from __future__ import annotations
@@ -384,13 +384,19 @@ def satisfies(p: PTriple, t: str, dt: DType) -> bool:
     return True
 
 
-def dtp(p: PTriple, t: str, a_set) -> DType:
-    """The complete d-type realized by t over the set."""
-    f = p.tree
+def _support(f: Fragment, a_set) -> tuple[str, ...]:
+    """The set in level order; BadArgument unless it is a chain."""
     support = tuple(sorted(a_set, key=lambda x: (f.level[x].terms, x)))
     for x, y in zip(support, support[1:]):
         if not f.lt(x, y):
             raise BadArgument("support not linearly ordered")
+    return support
+
+
+def dtp(p: PTriple, t: str, a_set) -> DType:
+    """The complete d-type realized by t over the set."""
+    f = p.tree
+    support = _support(f, a_set)
     eqs = {}
     for key in _support_keys(support):
         if key and not f.lt(key[-1], t):
@@ -407,11 +413,7 @@ def enumerate_complete_dtypes(p: PTriple, a_set, colors: int) -> list[DType]:
     BudgetExceeded when they need more than 22 bits (two colors at
     least)."""
     budget_bits = 22
-    f = p.tree
-    support = tuple(sorted(a_set, key=lambda x: (f.level[x].terms, x)))
-    for x, y in zip(support, support[1:]):
-        if not f.lt(x, y):
-            raise BadArgument("support not linearly ordered")
+    support = _support(p.tree, a_set)
     keys = _support_keys(support)
     if (bits := len(keys) * math.log2(max(colors, 2))) > budget_bits:
         raise BudgetExceeded("type space too large: %d keys, %d colors"
@@ -429,10 +431,11 @@ def enumerate_complete_dtypes(p: PTriple, a_set, colors: int) -> list[DType]:
 @dataclass
 class QNode:
     """A pair (Gamma, eta): an increasing sequence eta of
-    successor-of-limit nodes of the base triple, with complete d-types
-    attached at the limit positions."""
+    successor-of-limit nodes of the base triple, and Gamma, the complete
+    d-type at position 0, the only limit position below a finite length;
+    Gamma is None exactly on the empty sequence."""
     eta: tuple[str, ...]
-    gammas: dict[int, DType] = field(default_factory=dict)
+    gamma: DType | None = None
 
     @property
     def lg(self) -> int:
@@ -445,17 +448,10 @@ class QNode:
         return self.eta[-1]
 
     def prefix(self, beta: int) -> "QNode":
-        return QNode(self.eta[:beta],
-                     {i: g for i, g in self.gammas.items() if i < beta})
+        return QNode(self.eta[:beta], self.gamma if beta > 0 else None)
 
     def is_prefix_of(self, other: "QNode") -> bool:
-        return (self.eta == other.eta[:self.lg]
-                and self.gammas == other.prefix(self.lg).gammas)
-
-
-def _limits(alpha: int) -> list[int]:
-    # 0 is the only limit position at finite lengths
-    return [0] if alpha > 0 else []
+        return self == other.prefix(self.lg)
 
 
 def validate_qnode(p: PTriple, a: QNode) -> list[str]:
@@ -465,48 +461,39 @@ def validate_qnode(p: PTriple, a: QNode) -> list[str]:
     suc_lim = p.suc_lim()
     sl = set(suc_lim)
     alpha = a.lg
+    g = a.gamma
     for t in a.eta:
         if t not in sl:
             rep.append("eta-range: %r" % t)
     for i in range(alpha - 1):
         if not f.lt(a.eta[i], a.eta[i + 1]):
             rep.append("eta-increasing: positions %d,%d" % (i, i + 1))
-    if set(a.gammas) != set(_limits(alpha)):
-        rep.append("gamma-positions: %r" % sorted(a.gammas))
+    if (g is None) != (alpha == 0):
+        rep.append("gamma-positions: %r" % ([] if g is None else [0]))
         return rep
-    for beta in _limits(alpha):
-        g = a.gammas[beta]
-        want = tuple(a.eta[:beta + 1])
-        if g.support != want:
-            rep.append("gamma-support: position %d" % beta)
-        elif not g.is_complete():
-            rep.append("gamma-incomplete: position %d" % beta)
+    if g is None:
+        return rep
+    if g.support != tuple(a.eta[:1]):
+        rep.append("gamma-support: position 0")
+    elif not g.is_complete():
+        rep.append("gamma-incomplete: position 0")
     if rep:
         return rep
-    if alpha > 0:
-        g0 = a.gammas[0]
-        if not satisfies(p, a.eta[0], g0.restrict(())):
-            rep.append("zero-satisfies")
-        for i, gi in a.gammas.items():
-            for j, gj in a.gammas.items():
-                if i < j and not all(gj.eqs.get(key) == v
-                                     for key, v in gi.eqs.items()):
-                    rep.append("gamma-monotone: %d,%d" % (i, j))
-        for beta in range(1, alpha):
-            for bp in _limits(alpha):
-                if bp < beta and not satisfies(p, a.eta[beta], a.gammas[bp]):
-                    rep.append("realized: position %d over %d" % (beta, bp))
+    zero = g.restrict(())
+    if not satisfies(p, a.eta[0], zero):
+        rep.append("zero-satisfies")
+    for beta in range(1, alpha):
+        if not satisfies(p, a.eta[beta], g):
+            rep.append("realized: position %d over 0" % beta)
     for beta in range(alpha):
-        g0 = a.gammas[0]
         for t in suc_lim:
             if not f.lt(t, a.eta[beta]):
                 continue
             if any(not f.lt(a.eta[bp], t) for bp in range(beta)):
                 continue
-            if not satisfies(p, t, g0.restrict(())):
+            if not satisfies(p, t, zero):
                 continue
-            if all(satisfies(p, t, a.gammas[bp])
-                   for bp in _limits(alpha) if bp < beta):
+            if beta == 0 or satisfies(p, t, g):
                 rep.append("tightness: position %d witnessed by %r"
                            % (beta, t))
     return rep
@@ -537,7 +524,7 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int):
         if alpha == 1:
             for t in sl:
                 for g0 in enumerate_complete_dtypes(p, (t,), colors):
-                    cand = QNode((t,), {0: g0})
+                    cand = QNode((t,), g0)
                     if not validate_qnode(p, cand):
                         layer.append(cand)
         else:
@@ -545,7 +532,7 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int):
                 for t in sl:
                     if not f.lt(base.last, t):
                         continue
-                    cand = QNode(base.eta + (t,), dict(base.gammas))
+                    cand = QNode(base.eta + (t,), base.gamma)
                     if not validate_qnode(p, cand):
                         layer.append(cand)
         if len(layer) > budget:
@@ -565,12 +552,12 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int):
     out = PTriple(tree, {}, {})
     # derived coloring on increasing successor-of-limit tuples
     for key in _increasing_suc_lim_tuples(out):
-        out.d[key] = d_q(p, tuple(ids[x] for x in key))
+        out.d[key] = d_q(tuple(ids[x] for x in key))
     # derived equivalence
     labels = {}
     for nid, a in sorted(ids.items()):
         for other, lab in labels.items():
-            if e_q(p, a, ids[other]):
+            if e_q(a, ids[other]):
                 labels[nid] = lab
                 break
         else:
@@ -580,9 +567,8 @@ def q_enumerate(p: PTriple, alpha_max: int, colors: int):
 
 
 def _qnode_key(a: QNode):
-    return (a.lg, a.eta,
-            tuple((i, sorted(g.eqs.items())) for i, g in
-                  sorted(a.gammas.items())))
+    return (a.lg, a.eta, () if a.gamma is None
+            else ((0, tuple(sorted(a.gamma.eqs.items()))),))
 
 
 def _increasing_suc_lim_tuples(p: PTriple):
@@ -591,41 +577,28 @@ def _increasing_suc_lim_tuples(p: PTriple):
             yield key
 
 
-def d_q(p: PTriple, qnodes: tuple[QNode, ...]) -> int:
+def d_q(qnodes: tuple[QNode, ...]) -> int:
     """Derived color of an increasing tuple of guess sequences: the
     color the top Gamma assigns to the tuple of last entries, paired
     with 0, the constant coloring of the lengths."""
     top = qnodes[-1]
-    gpos = top.lg - 1
-    if gpos not in top.gammas:
+    if top.lg != 1 or top.gamma is None:
         raise BadArgument("top node is not at a successor-of-limit level")
-    tkey = tuple(a.last for a in qnodes)
-    return pair(top.gammas[gpos].eqs[tkey], 0)
+    return pair(top.gamma.eqs[tuple(a.last for a in qnodes)], 0)
 
 
-def e_q(p: PTriple, a: QNode, b: QNode) -> bool:
+def e_q(a: QNode, b: QNode) -> bool:
     """Derived equivalence: same length, equal proper prefixes, equal
-    bare color equations, and matching top-type equations through the
-    shared support."""
+    bare color equations, and matching equations on the first entry."""
     if a.lg != b.lg:
         return False
-    alpha = a.lg
-    if alpha == 0:
+    if a.lg == 0:
         return True
-    for beta in range(alpha):
-        if a.prefix(beta) != b.prefix(beta):
-            return False
-    if a.gammas[0].eqs.get(()) != b.gammas[0].eqs.get(()):
+    if a.prefix(a.lg - 1) != b.prefix(b.lg - 1):
         return False
-    beta = max(i for i in _limits(alpha))
-    ga, gb = a.gammas[beta], b.gammas[beta]
-    for m in range(beta + 1):
-        for pos in itertools.combinations(range(beta), m):
-            ka = tuple(a.eta[i] for i in pos) + (a.eta[beta],)
-            kb = tuple(b.eta[i] for i in pos) + (b.eta[beta],)
-            if ga.eqs.get(ka) != gb.eqs.get(kb):
-                return False
-    return True
+    ga, gb = a.gamma, b.gamma
+    return (ga.eqs.get(()) == gb.eqs.get(())
+            and ga.eqs.get((a.eta[0],)) == gb.eqs.get((b.eta[0],)))
 
 
 def lift_element(p: PTriple, t: str) -> QNode:
@@ -652,8 +625,7 @@ def lift_element(p: PTriple, t: str) -> QNode:
             gamma0 = dtp(p, t, (eta[0],))
     if not eta:
         g0 = dtp(p, t, (t,))
-        for m in range(2):
-            for key in itertools.combinations((t,), m):
-                g0.eqs.setdefault(key, 0)
-        return QNode((t,), {0: g0})
-    return QNode(tuple(eta) + (t,), {0: gamma0})
+        for key in ((), (t,)):
+            g0.eqs.setdefault(key, 0)
+        return QNode((t,), g0)
+    return QNode(tuple(eta) + (t,), gamma0)

@@ -41,7 +41,7 @@ class ShapeTree:
         return len(self.indices)
 
     def __contains__(self, idx: str) -> bool:
-        return idx in set(self.indices)
+        return idx in self.indices
 
     def children(self, idx: str) -> list[str]:
         return sorted(i for i, p in self.parent.items() if p == idx)

@@ -330,6 +330,10 @@ def validate(f: Fragment) -> list[str]:
     # the rest needs a strict partial order inside each sort, and a
     # level on every node in it
     stop = False
+    for n in sorted(sort.keys() - nodeset):
+        rep.append("sort-unknown-node: %r" % n)
+    for n in sorted(level.keys() - nodeset):
+        rep.append("level-unknown-node: %r" % n)
     for n, s in sort.items():
         if s not in indices:
             rep.append("sort-unknown-index: node %r sort %r" % (n, s))

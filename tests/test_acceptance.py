@@ -468,10 +468,10 @@ def test_criterion_11_guess_sequence_laws():
             for nid, v in ids.items():
                 if v.lg != 1 or v.eta != (u0,):
                     continue
-                if not satisfies(p, u1, v.gammas[0]):
+                if not satisfies(p, u1, v.gamma):
                     continue
                 checked += 1
-                if p.d[(u0, u1)] != pi1(d_q(p, (v,))):
+                if p.d[(u0, u1)] != pi1(d_q((v,))):
                     ok = False
                     print("  key equation fails at (%r,%r)" % (u0, u1))
     ok = ok and checked > 0

@@ -546,7 +546,7 @@ GUESS_TABLES = (None, {(0,): 1}, {(0,): 1, (1,): 1}, {(0, 1): 1},
 
 def _qnode(eta, gamma):
     """The guess sequence eta with gamma, if any, at position 0."""
-    return QNode(tuple(eta), {} if gamma is None else {0: gamma})
+    return QNode(tuple(eta), gamma)
 
 
 def _outcome(fn, *args):
@@ -590,9 +590,9 @@ def _guess_sequence_sweep():
                 qs = [ids[nid] for nid in sorted(ids)]
                 out.append([
                     ptriple_to_dict(q), [_qnode_key(a) for a in qs],
-                    [[e_q(p, a, b), a.is_prefix_of(b)]
+                    [[e_q(a, b), a.is_prefix_of(b)]
                      for a in qs for b in qs],
-                    [_outcome(d_q, p, (a,)) for a in qs],
+                    [_outcome(d_q, (a,)) for a in qs],
                     [validate_qnode(p, a) for a in qs]])
         out.append([_qnode_key(lift_element(p, t))
                     for t in sorted(p.tree.nodes)])

@@ -269,7 +269,7 @@ def test_d_q_requires_top_gamma():
     two = [a for a in ids.values() if a.lg == 2]
     if two:
         with pytest.raises(ValueError):
-            d_q(p, (two[0],))
+            d_q((two[0],))
 
 
 def _tight_gamma(p, t):
@@ -290,26 +290,26 @@ def _one_zero(support, top_color=0):
 # w3, w3+1, so n001, n003 and n005 are the successor-of-limit nodes;
 # d is 0 on every tuple
 QNODE_FAULTS = {
-    "eta-range": (QNode(("n000",), {0: _one_zero(("n000",))}),
+    "eta-range": (QNode(("n000",), _one_zero(("n000",))),
                   ["eta-range: 'n000'"]),
     "eta-increasing": (
-        QNode(("n003", "n001"), {0: _one_zero(("n003",))}),
+        QNode(("n003", "n001"), _one_zero(("n003",))),
         ["eta-increasing: positions 0,1"]),
-    "gamma-positions-missing": (QNode(("n001",), {}),
+    "gamma-positions-missing": (QNode(("n001",)),
                                 ["gamma-positions: []"]),
-    "gamma-positions-on-empty": (QNode((), {0: DType((), {(): 0})}),
+    "gamma-positions-on-empty": (QNode((), DType((), {(): 0})),
                                  ["gamma-positions: [0]"]),
-    "gamma-support": (QNode(("n001",), {0: _one_zero(("n003",))}),
+    "gamma-support": (QNode(("n001",), _one_zero(("n003",))),
                       ["gamma-support: position 0"]),
-    "gamma-incomplete": (QNode(("n001",), {0: DType(("n001",), {(): 0})}),
+    "gamma-incomplete": (QNode(("n001",), DType(("n001",), {(): 0})),
                          ["gamma-incomplete: position 0"]),
     "zero-satisfies": (
-        QNode(("n001",), {0: DType(("n001",), {(): 1, ("n001",): 0})}),
+        QNode(("n001",), DType(("n001",), {(): 1, ("n001",): 0})),
         ["zero-satisfies"]),
-    "realized": (QNode(("n001", "n003"), {0: _one_zero(("n001",), 1)}),
+    "realized": (QNode(("n001", "n003"), _one_zero(("n001",), 1)),
                  ["realized: position 1 over 0"]),
     "tightness": (
-        QNode(("n005",), {0: _tight_gamma(six_chain_base(), "n005")}),
+        QNode(("n005",), _tight_gamma(six_chain_base(), "n005")),
         ["tightness: position 0 witnessed by 'n001'",
          "tightness: position 0 witnessed by 'n003'"]),
 }
@@ -328,7 +328,7 @@ p = six_chain_base()
 g = dtp(p, "n005", ("n005",))
 for key in ((), ("n005",)):
     g.eqs.setdefault(key, 0)
-print(validate_qnode(p, QNode(("n005",), {0: g})))
+print(validate_qnode(p, QNode(("n005",), g)))
 """
 
 

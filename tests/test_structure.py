@@ -31,8 +31,9 @@ from treedesk.shape import POINT_SHAPE, chain_shape
 from treedesk.structure import (
     CannotComplete, Fragment, FragmentBuilder, Incomparable, InvalidTree,
     NotClosed, Term, UndefinedTerm, closure, complete, distance, eval_term,
-    from_standard_tree, is_closed, validate,
+    from_standard_tree, is_closed, r_suc, validate,
 )
+from treedesk.types import atomic_basis
 
 
 def _chain5():
@@ -378,6 +379,34 @@ def _metamorphic_fragments():
             + [random_tripod(random.Random(s)) for s in range(6)])
 
 
+def test_basis_term_values_lie_in_the_closure_of_their_rank():
+    """Every term of the rank-k atomic basis has successor rank at most
+    k, reached at k = 1, and each of its defined values over a tuple lies
+    in the tuple's rank-k closure, as `closure` states."""
+    bases = {(n, k): list(dict.fromkeys(
+        t for _, t1, t2 in atomic_basis(n, k, POINT_SHAPE) for t in (t1, t2)))
+        for n, k in ((1, 0), (1, 1), (2, 0))}
+    for (n, k), terms in bases.items():
+        assert max(r_suc(t) for t in terms) == k
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(12):
+        f = random_closed_fragment(rng)
+        nodes = sorted(f.nodes)
+        for (n, k), terms in bases.items():
+            for _ in range(3):
+                tup = tuple(rng.choice(nodes) for _ in range(n))
+                cl = closure(f, tup, k)
+                for t in terms:
+                    try:
+                        v = eval_term(f, t, tup)
+                    except UndefinedTerm:
+                        continue
+                    assert v in cl, (t, tup)
+                    checked += 1
+    assert checked > 500
+
+
 def test_closure_is_idempotent_and_composes():
     """closure(closure(a, k), j) == closure(a, j + k): idempotent at rank
     0 and for "zero".  A rank-k closure with k >= 1 is in general not
@@ -506,6 +535,22 @@ def test_validate_stops_early_on_order_faults_not_on_node_names(name):
                  {("a", "b"), ("a", "c")}, {("b", "c"): "b"})
     assert validate(f) == ["sort-unknown-index: node %r sort 'q'" % name,
                            "meet-lower-bound: ('b','c')->'b'"]
+
+
+@pytest.mark.parametrize("tables", [
+    {"meet": {("zz", "zz"): "zz"}}, {"lim": {"zz": "zz"}}])
+def test_validate_reports_sort_and_level_on_ids_that_are_not_nodes(tables):
+    """Sort and level entries on ids outside `nodes` let table entries
+    on them pass the other axioms, and completion carried them along."""
+    f = Fragment(POINT_SHAPE, ["a"], dict.fromkeys(["zz", "a", "yy"], "r"),
+                 dict.fromkeys(["zz", "a", "yy"], Ordinal()), **tables)
+    assert validate(f) == ["sort-unknown-node: 'yy'",
+                           "sort-unknown-node: 'zz'",
+                           "level-unknown-node: 'yy'",
+                           "level-unknown-node: 'zz'"]
+    with pytest.raises(CannotComplete,
+                       match="fragment invalid: sort-unknown-node: 'yy'"):
+        complete(f)
 
 
 def test_validate_reports_class_t_level_map_faults():
