@@ -470,8 +470,7 @@ def validate_qnode(p: PTriple, a: QNode) -> list[str]:
             rep.append("eta-increasing: positions %d,%d" % (i, i + 1))
     if (g is None) != (alpha == 0):
         rep.append("gamma-positions: %r" % ([] if g is None else [0]))
-        return rep
-    if g is None:
+    if g is None or alpha == 0:
         return rep
     if g.support != tuple(a.eta[:1]):
         rep.append("gamma-support: position 0")
