@@ -327,13 +327,13 @@ def validate(f: Fragment) -> list[str]:
                 rep.extend(fails[key])
             fails.clear()
 
-    # the rest needs a strict partial order inside each sort, and a
-    # level on every node in it
-    stop = False
     for n in sorted(sort.keys() - nodeset):
         rep.append("sort-unknown-node: %r" % n)
     for n in sorted(level.keys() - nodeset):
         rep.append("level-unknown-node: %r" % n)
+    # the rest needs a strict partial order inside each sort, and a
+    # level on every node in it
+    stop = False
     for n, s in sort.items():
         if s not in indices:
             rep.append("sort-unknown-index: node %r sort %r" % (n, s))

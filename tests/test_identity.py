@@ -544,11 +544,6 @@ GUESS_TABLES = (None, {(0,): 1}, {(0,): 1, (1,): 1}, {(0, 1): 1},
                 {(0, 1): 1, (1, 2): 1}, {(0,): 1, (0, 1): 1, (0, 2): 1})
 
 
-def _qnode(eta, gamma):
-    """The guess sequence eta with gamma, if any, at position 0."""
-    return QNode(tuple(eta), gamma)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -575,7 +570,7 @@ def _malformed_qnodes(p, rng, count):
                     for key in itertools.combinations(support, m)]
             gamma = DType(support, {key: rng.randint(0, 1) for key in keys
                                     if rng.random() < 0.9})
-        out.append(_qnode(eta, gamma))
+        out.append(QNode(tuple(eta), gamma))
     return out
 
 
