@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .shape import EMPTY_SHAPE, POINT_SHAPE, binary_shape, chain_shape
 from .errors import TreedeskError
 from .structure import closure, complete, validate
-from .types import count_type_classes, tp_code
+from .types import count_type_classes, tp_code, vc_degree_experiment
 from . import qe as qe_mod
 from .indis import (SequenceWindow, classify, h_iterate, is_HNI, is_NI,
                     is_indiscernible, search_indiscernible)
@@ -31,7 +31,6 @@ from .partition import (find_homogeneous, is_hard, lift_element,
 from .glue import build_control, build_witness, star_construct
 from . import fileio
 from .fileio import InputError
-from .fixtures import vc_degree_experiment
 
 
 @dataclass

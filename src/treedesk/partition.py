@@ -385,7 +385,9 @@ def satisfies(p: PTriple, t: str, dt: DType) -> bool:
 
 
 def _support(f: Fragment, a_set) -> tuple[str, ...]:
-    """The set in level order; BadArgument unless it is a chain."""
+    """The set in level order; UnknownNode unless it lies in the tree,
+    BadArgument unless it is a chain."""
+    _known(f, a_set)
     support = tuple(sorted(a_set, key=lambda x: (f.level[x].terms, x)))
     for x, y in zip(support, support[1:]):
         if not f.lt(x, y):
@@ -394,8 +396,10 @@ def _support(f: Fragment, a_set) -> tuple[str, ...]:
 
 
 def dtp(p: PTriple, t: str, a_set) -> DType:
-    """The complete d-type realized by t over the set."""
+    """The complete d-type realized by t over the set.  Raises
+    UnknownNode unless t and the set lie in the base tree."""
     f = p.tree
+    _known(f, (t,))
     support = _support(f, a_set)
     eqs = {}
     for key in _support_keys(support):

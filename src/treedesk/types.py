@@ -42,6 +42,10 @@ are indexed, refined and listed (`_RelIndex`).  An element's
 neighbourhood in B is its initial colour, so refinement reads only its
 neighbours in N, as in individualization-refinement with a fixed vertex
 set.  The count collects these relative records, not serialized codes.
+
+The type-growth experiment behind `treedesk types vc-degree` counts
+1-types over growing parameter sets in one fragment of the chain or
+binary family and fits the growth degree with `estimate_degree`.
 """
 
 from __future__ import annotations
@@ -50,9 +54,10 @@ import itertools
 import math
 
 from .errors import BadArgument, TreedeskError
+from .ordinal import Ordinal
 from .shape import ShapeTree
 from .structure import (Fragment, Term, _chain, _known, _require_closed,
-                        distance)
+                        complete, distance, from_standard_tree)
 
 
 class BudgetExceeded(TreedeskError, RuntimeError):
@@ -623,3 +628,73 @@ def _polyfit_max_residual(xs, ys, d: int) -> float:
     coef = [rows[i][n] / rows[i][i] for i in range(n)]
     return max(abs(sum(c * x ** i for i, c in enumerate(coef)) - y)
                for x, y in zip(xs, ys))
+
+
+# ---------------------------------------------------------------------------
+# type-growth families
+
+
+def family_fragment(family: str, size: int) -> Fragment:
+    """Completed fragment of the given size from a type-growth family:
+    "chain" (one branch, four nodes at the levels w*q..w*q+3 for each q)
+    or "binary" (complete binary branching)."""
+    if family == "chain":
+        names = ["n%03d" % i for i in range(size)]
+        levels = {}
+        for i, n in enumerate(names):
+            levels[n] = Ordinal.omega(1, i // 4).plus(i % 4) \
+                if i >= 4 else Ordinal.nat(i)
+        edges = set(itertools.combinations(names, 2))
+        return complete(from_standard_tree(levels, edges))
+    levels = {"b": Ordinal()}
+    edges = set()
+    frontier = ["b"]
+    while len(levels) < size:
+        nxt = []
+        for p in frontier:
+            for bit in "01":
+                c = p + bit
+                if len(levels) >= size:
+                    break
+                levels[c] = Ordinal.nat(len(p))
+                nxt.append(c)
+        for c in nxt:
+            for anc in range(1, len(c)):
+                edges.add((c[:anc], c))
+        frontier = nxt
+    return complete(from_standard_tree(levels, edges))
+
+
+def vc_degree_experiment(family: str, ks, budget_tuples: int = 250000):
+    """Exact 1-variable type counts over growing parameter sets inside
+    one large fragment of the family, with the fitted growth degree per
+    rank."""
+    rows = []
+    degrees = {}
+    f = family_fragment(family, 64)
+    base = family_parameter_pool(f, family)
+    for k in ks:
+        series = []
+        for m in range(1, 9):
+            a_set = base[:m]
+            cnt = count_type_classes(f, a_set, k, 1, budget_tuples)
+            rows.append((m, k, 1, cnt))
+            series.append((m, cnt))
+        degrees[k] = estimate_degree(series)
+    return rows, degrees
+
+
+def family_parameter_pool(f: Fragment, family: str):
+    """Parameter nodes in nested bit-reversal order, so every prefix of
+    the pool is an evenly spread subset of the family's leaves/chain."""
+    if family == "chain":
+        pool = sorted(n for n in f.nodes if n.startswith("n"))
+    else:
+        named = [n for n in f.nodes
+                 if n.startswith("b") and f.sort.get(n) is not None]
+        pool = sorted(n for n in named
+                      if not any(c != n and c.startswith(n) for c in named))
+    bits = max(1, (len(pool) - 1).bit_length())
+    order = sorted(range(len(pool)),
+                   key=lambda i: int(format(i, "0%db" % bits)[::-1], 2))
+    return [pool[i] for i in order]

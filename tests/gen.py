@@ -1,19 +1,245 @@
-"""Randomized instance generators shared by the test suite.
+"""Named test fragments and randomized instance generators shared by
+the test suite.
 
 These sit next to the oracles: they produce inputs, the library is the
 system under test, and `oracles` provides the independent ground truth.
+The named builders are a chain, a three-sort step-map fixture,
+exhaustive-window dichotomy fixtures and small colored-tree bases; the
+seeded generators draw standard-tree fragments, tripods, transfer
+instances and corrupted or near-valid fragments.
 """
 
 from __future__ import annotations
 
-from treedesk.fixtures import (merge_fragments, random_closed_fragment,
-                               random_standard_fragment)
+import random
+
 from treedesk.ordinal import Ordinal
+from treedesk.partition import Coloring, PTriple, p_from_coloring, sub_tuples
 from treedesk.shape import EMPTY_SHAPE, ShapeTree, chain_shape
-from treedesk.structure import Fragment, complete, from_standard_tree
+from treedesk.structure import (Fragment, FragmentBuilder, complete,
+                                from_standard_tree)
 
 TRIPOD = ShapeTree(("r", "r0", "r1"), "r", {"r0": "r", "r1": "r"},
                    {"r": "r", "r0": "0", "r1": "1"})
+
+
+def _o(m: int = 0, n: int = 0) -> Ordinal:
+    """Ordinal w*m + n."""
+    if m == 0:
+        return Ordinal.nat(n)
+    return Ordinal.omega(1, m).plus(n)
+
+
+def merge_fragments(shape: ShapeTree, parts: dict[str, Fragment],
+                    gmap=None, mode: str = "base") -> Fragment:
+    """One fragment per shape index, merged over the given shape with
+    the supplied cross-sort level-map tables."""
+    b = FragmentBuilder()
+    for idx, f in sorted(parts.items()):
+        b.absorb(f, lambda eta, idx=idx: idx)
+    b.gmap.update(gmap or {})
+    return b.freeze(shape, mode)
+
+
+def chain(n: int, prefix: str = "n") -> Fragment:
+    """Chain of n nodes at the levels 0..n-1, named prefix00, prefix01..."""
+    levels = {"%s%02d" % (prefix, i): Ordinal.nat(i) for i in range(n)}
+    names = sorted(levels)
+    edges = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)}
+    return from_standard_tree(levels, edges)
+
+
+# ---------------------------------------------------------------------------
+# three-sort step-map fixture
+
+
+def three_sort_step_fixture() -> tuple[Fragment, tuple[str, ...]]:
+    """Fragment over a 3-sort chain and a length-4 window in the top
+    sort whose step-map iteration descends: almost-increasing in sorts
+    0 and 1, Fan in sort 2 after two steps."""
+    shape = chain_shape(3)
+    s0_levels = {
+        "a_r": _o(), "a_m0": _o(1), "a_p0": _o(1, 1), "a_s0": _o(1, 1),
+        "a_m1": _o(2), "a_p1": _o(2, 1), "a_s1": _o(2, 1),
+        "a_m2": _o(3), "a_p2": _o(3, 1), "a_s2": _o(3, 1),
+        "a_s3": _o(3, 2),
+    }
+    s0_edges = set()
+    spine = ["a_r", "a_m0", "a_p0", "a_m1", "a_p1", "a_m2"]
+    for i, x in enumerate(spine):
+        for y in spine[i + 1:]:
+            s0_edges.add((x, y))
+    for tooth, below in (("a_s0", "a_m0"), ("a_s1", "a_m1"),
+                         ("a_s2", "a_m2"), ("a_p2", "a_m2"),
+                         ("a_s3", "a_p2")):
+        anc = {below} | {x for x in spine
+                         if (x, below) in s0_edges or x == below}
+        for x in anc:
+            s0_edges.add((x, tooth))
+    f0 = from_standard_tree(s0_levels, s0_edges, index="0", shape=shape)
+
+    s1_levels = {
+        "b_r": _o(), "b_q0": _o(1), "b_w0": _o(1, 1), "b_v0": _o(1, 1),
+        "b_q1": _o(2), "b_v1": _o(2, 1), "b_w1": _o(2, 1),
+        "b_v2": _o(2, 2),
+    }
+    s1_edges = set()
+    spine1 = ["b_r", "b_q0", "b_w0", "b_q1"]
+    for i, x in enumerate(spine1):
+        for y in spine1[i + 1:]:
+            s1_edges.add((x, y))
+    for tooth, below in (("b_v0", "b_q0"), ("b_v1", "b_q1"),
+                         ("b_w1", "b_q1"), ("b_v2", "b_w1")):
+        anc = {below} | {x for x in spine1
+                         if (x, below) in s1_edges or x == below}
+        for x in anc:
+            s1_edges.add((x, tooth))
+    f1 = from_standard_tree(s1_levels, s1_edges, index="1", shape=shape)
+
+    s2_levels = {"c_r": _o(), "c_x0": _o(0, 1), "c_x1": _o(0, 1)}
+    s2_edges = {("c_r", "c_x0"), ("c_r", "c_x1")}
+    f2 = from_standard_tree(s2_levels, s2_edges, index="2", shape=shape)
+
+    gmap = {
+        ("0", "1"): {"a_p0": "b_v0", "a_p1": "b_v1", "a_p2": "b_v2"},
+        ("1", "2"): {"b_w0": "c_x0", "b_w1": "c_x1"},
+    }
+    f = merge_fragments(shape, {"0": f0, "1": f1, "2": f2}, gmap)
+    return f, ("a_s0", "a_s1", "a_s2", "a_s3")
+
+
+# ---------------------------------------------------------------------------
+# dichotomy fixtures: rich Fan and almost-increasing material
+
+
+def fan_pair_fixture() -> Fragment:
+    """Chain-mode fragment with two sibling fans over limit roots: the
+    only indiscernible exhaustive windows are within a single fan."""
+    levels = {"t_r": _o()}
+    edges = set()
+    for side, base in (("a", 1), ("b", 2)):
+        top = "t_%s" % side
+        levels[top] = _o(base)
+        edges.add(("t_r", top))
+        for i in range(6):
+            leaf = "t_%s%d" % (side, i)
+            levels[leaf] = _o(base, 1)
+            edges.add(("t_r", leaf))
+            edges.add((top, leaf))
+    return from_standard_tree(levels, edges, mode="classT")
+
+
+def comb_and_fan_fixture() -> Fragment:
+    """Chain-mode fragment with a fan and an almost-increasing comb:
+    exhaustive indiscernible windows classify Fan (within the fan) or
+    AlmostIncreasing (comb teeth, spine chains)."""
+    levels = {"u_r": _o()}
+    edges = set()
+    # fan over its own limit
+    levels["u_f"] = _o(1)
+    edges.add(("u_r", "u_f"))
+    for i in range(5):
+        leaf = "u_f%d" % i
+        levels[leaf] = _o(1, 1)
+        edges.add(("u_r", leaf))
+        edges.add(("u_f", leaf))
+    # comb: spine of limits with one tooth each
+    spine = []
+    for j in range(4):
+        m = "u_m%d" % j
+        levels[m] = _o(j + 1)
+        for x in ["u_r"] + spine:
+            edges.add((x, m))
+        spine.append(m)
+        tooth = "u_t%d" % j
+        levels[tooth] = _o(j + 1, 1)
+        for x in ["u_r"] + spine:
+            edges.add((x, tooth))
+    return from_standard_tree(levels, edges, mode="classT")
+
+
+# ---------------------------------------------------------------------------
+# colored-tree bases
+
+
+def six_chain_base(d_table=None) -> PTriple:
+    """Colored 6-node chain with three successor-of-limit nodes."""
+    levels = [_o(1), _o(1, 1), _o(2), _o(2, 1), _o(3), _o(3, 1)]
+    c = Coloring(len(levels), 2, {}, 0)
+    p = p_from_coloring(c, levels)
+    if d_table is not None:
+        sl = p.suc_lim()
+        d = {}
+        for key, v in d_table.items():
+            d[tuple(sl[i] for i in key)] = v
+        for tup in sub_tuples(sl, 2):
+            d.setdefault(tup, 0)
+        p = PTriple(p.tree, d, p.e)
+    return p
+
+
+def hard_six() -> PTriple:
+    """Six-node chain base that admits no increasing length-3 sequence
+    with per-length-constant d."""
+    return six_chain_base({(0,): 1})
+
+
+# ---------------------------------------------------------------------------
+# seeded random generators
+
+
+def random_standard_fragment(rng: random.Random,
+                             max_nodes: int = 40) -> Fragment:
+    """Random level-labelled tree with levels below w*4."""
+    n = rng.randint(5, max_nodes)
+    names = ["n%03d" % i for i in range(n)]
+    levels = {names[0]: Ordinal()}
+    parents: dict[str, str] = {}
+    for i in range(1, n):
+        p = names[rng.randrange(i)]
+        cur = levels[p]
+        coeff = cur.terms[0][1] if cur.terms and cur.terms[0][0] == 1 else 0
+        roll = rng.random()
+        if roll < 0.35 and coeff < 3:
+            lvl = Ordinal.omega(1, coeff + 1).plus(rng.randint(0, 2))
+        else:
+            lvl = cur.plus(rng.randint(1, 3))
+        levels[names[i]] = lvl
+        parents[names[i]] = p
+    edges = set()
+    for x in names[1:]:
+        a = parents[x]
+        while True:
+            edges.add((a, x))
+            if a not in parents:
+                break
+            a = parents[a]
+    return from_standard_tree(levels, edges)
+
+
+def random_closed_fragment(rng: random.Random,
+                           max_nodes: int = 25) -> Fragment:
+    """Completed random fragment with at most max_nodes nodes."""
+    while True:
+        f = random_standard_fragment(rng, max_nodes=max_nodes // 2)
+        out = complete(f)
+        if len(out.nodes) <= max_nodes:
+            return out
+
+
+def random_sequence_fixture(rng: random.Random):
+    """Completed fragment plus a sorted same-sort sequence of length 8
+    for round-trip coloring experiments."""
+    while True:
+        f = random_closed_fragment(rng, max_nodes=30)
+        pool = sorted(n for n in f.nodes if f.sort.get(n) is not None)
+        if len(pool) >= 8:
+            start = rng.randrange(len(pool) - 7)
+            return f, tuple(pool[start:start + 8])
+
+
+# ---------------------------------------------------------------------------
+# instance generators
 
 
 def replace(f: Fragment, **tables) -> Fragment:
@@ -55,17 +281,7 @@ def random_tripod(rng) -> Fragment:
     parts = {}
     for idx in TRIPOD.indices:
         g = random_standard_fragment(rng, max_nodes=7)
-        r = {n: idx.replace("r", "q") + "_" + n for n in g.nodes}
-        parts[idx] = Fragment(
-            ShapeTree((idx,), idx), tuple(sorted(r.values())),
-            {r[n]: idx for n in g.nodes},
-            {r[n]: l for n, l in g.level.items()},
-            {(r[a], r[b]) for a, b in g.order},
-            {tuple(sorted((r[x], r[y]))): r[m]
-             for (x, y), m in g.meet.items()},
-            {(r[x], r[y]): r[v] for (x, y), v in g.suc.items()},
-            {r[x]: r[v] for x, v in g.pre.items()},
-            {r[x]: r[v] for x, v in g.lim.items()})
+        parts[idx] = rename(g, idx.replace("r", "q") + "_")[0]
     gmap = {}
     for child in ("r0", "r1"):
         targets = sorted(parts[child].nodes)

@@ -14,15 +14,13 @@ import time
 
 import pytest
 
-from gen import (rename, replace, theta_single_sort, theta_two_sort,
+from gen import (comb_and_fan_fixture, fan_pair_fixture,
+                 random_closed_fragment, random_sequence_fixture,
+                 random_standard_fragment, rename, replace, six_chain_base,
+                 theta_single_sort, theta_two_sort, three_sort_step_fixture,
                  transfer_instances)
 from oracles import closure_oracle, count_isomorphisms
 
-from treedesk.fixtures import (
-    comb_and_fan_fixture, fan_pair_fixture,
-    random_closed_fragment, random_sequence_fixture,
-    random_standard_fragment, six_chain_base, three_sort_step_fixture,
-)
 from treedesk.glue import build_control, build_witness
 from treedesk.indis import (
     SequenceWindow, classify, h_iterate, is_indiscernible,
@@ -292,7 +290,7 @@ def test_criterion_05_extension_transfer():
 
 
 def test_criterion_06_degree_stability():
-    from treedesk.fixtures import family_fragment, family_parameter_pool
+    from treedesk.types import family_fragment, family_parameter_pool
     t0 = time.monotonic()
     ok = True
     for family in ("chain", "binary"):

@@ -3,14 +3,13 @@ import random
 
 import pytest
 
+from gen import (random_closed_fragment, random_standard_fragment,
+                 six_chain_base, three_sort_step_fixture)
 from treedesk import cli
 from treedesk.cli import main
 from treedesk.fileio import (
     fragment_to_dict, save_coloring, save_fragment, save_ptriple,
 )
-from treedesk.fixtures import (random_closed_fragment,
-                               random_standard_fragment, six_chain_base,
-                               three_sort_step_fixture)
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
 from treedesk.structure import complete, from_standard_tree

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gen import chain, six_chain_base, three_sort_step_fixture
 from oracles import SET_CHECKED, set_checked_reports, validate_reference
 from treedesk.fileio import (
     InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
@@ -14,7 +15,6 @@ from treedesk.fileio import (
     save_coloring, save_fragment, save_ptriple, term_from_list,
     write_series_csv,
 )
-from treedesk.fixtures import six_chain_base, three_sort_step_fixture
 from treedesk.glue import star_construct
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
@@ -22,13 +22,6 @@ from treedesk.qe import eval_formula, extend_one_point
 from treedesk.shape import EMPTY_SHAPE, validate_shape
 from treedesk.structure import (Fragment, Term, complete, from_standard_tree,
                                 validate)
-
-
-def _chain(n):
-    levels = {"n%02d" % i: Ordinal.nat(i) for i in range(n)}
-    names = sorted(levels)
-    edges = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)}
-    return from_standard_tree(levels, edges)
 
 
 def _fragments_equal(a, b):
@@ -45,7 +38,7 @@ def test_fragment_round_trip(tmp_path):
 
 
 def test_fragment_file_is_stable(tmp_path):
-    f = _chain(5)
+    f = chain(5)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_fragment(f, str(p1))
     save_fragment(load_fragment(str(p1)), str(p2))
@@ -53,7 +46,7 @@ def test_fragment_file_is_stable(tmp_path):
 
 
 def test_fragment_bad_ordinal_reports_location(tmp_path):
-    f = _chain(3)
+    f = chain(3)
     doc = fragment_to_dict(f)
     doc["nodes"][1]["level"] = "w^"
     p = tmp_path / "bad.json"
@@ -64,7 +57,7 @@ def test_fragment_bad_ordinal_reports_location(tmp_path):
 
 
 def test_fragment_dangling_reference():
-    f = _chain(3)
+    f = chain(3)
     doc = fragment_to_dict(f)
     doc["order"].append(["n00", "ghost"])
     with pytest.raises(InputError) as exc:
@@ -73,7 +66,7 @@ def test_fragment_dangling_reference():
 
 
 def test_fragment_unknown_mode():
-    doc = fragment_to_dict(_chain(2))
+    doc = fragment_to_dict(chain(2))
     doc["mode"] = "weird"
     with pytest.raises(InputError):
         fragment_from_dict(doc)
@@ -97,7 +90,7 @@ def test_document_not_an_object(tmp_path, load):
 
 
 def test_fragment_huge_level_literal_reports_location():
-    doc = fragment_to_dict(_chain(2))
+    doc = fragment_to_dict(chain(2))
     doc["nodes"][1]["level"] = "9" * 5000
     with pytest.raises(InputError) as exc:
         fragment_from_dict(doc)
@@ -117,7 +110,7 @@ def test_unsorted_nodes_without_level_round_trip():
 
 
 def test_sorted_node_without_level_reports_location():
-    doc = fragment_to_dict(_chain(3))
+    doc = fragment_to_dict(chain(3))
     del doc["nodes"][2]["level"]
     with pytest.raises(InputError) as exc:
         fragment_from_dict(doc)
@@ -303,7 +296,7 @@ def test_fuzz_validate_matches_reference_loops(doc):
 
 
 def test_fragment_short_order_row_reports_location():
-    doc = fragment_to_dict(_chain(2))
+    doc = fragment_to_dict(chain(2))
     doc["order"][0] = ["n00"]
     with pytest.raises(InputError) as exc:
         fragment_from_dict(doc)
@@ -317,7 +310,7 @@ def test_fragment_short_order_row_reports_location():
     {"indices": ["a"], "root": "b"},
 ])
 def test_malformed_shape_reports_location(shape):
-    doc = fragment_to_dict(_chain(2))
+    doc = fragment_to_dict(chain(2))
     doc["shape"] = shape
     with pytest.raises(InputError) as exc:
         fragment_from_dict(doc)
@@ -325,7 +318,7 @@ def test_malformed_shape_reports_location(shape):
 
 
 def test_shape_cycle_is_named():
-    doc = fragment_to_dict(_chain(2))
+    doc = fragment_to_dict(chain(2))
     doc["shape"] = {"indices": ["a", "b"], "root": "a",
                     "parent": {"a": "b", "b": "a"}}
     with pytest.raises(InputError) as exc:
@@ -440,7 +433,7 @@ def test_gluespec_round_trip(tmp_path):
 
 
 def test_gluespec_malformed_boundary(tmp_path):
-    save_fragment(_chain(2), str(tmp_path / "base.json"))
+    save_fragment(chain(2), str(tmp_path / "base.json"))
     doc = {"s_prime": {"indices": ["r"], "root": "r", "parent": {},
                        "labels": {"r": "r"}},
            "base": "base.json",
@@ -458,7 +451,7 @@ def test_term_and_formula_from_list():
     phi = formula_from_list(
         ["and", ["atom", "<", ["var", 0], ["var", 1]],
          ["not", ["atom", "=", ["var", 0], ["var", 1]]]])
-    f = _chain(3)
+    f = chain(3)
     assert eval_formula(f, phi, ("n00", "n02"))
 
 

@@ -80,19 +80,17 @@ import tempfile
 
 import pytest
 
-from gen import (corrupted_fragment, random_tripod, rename, theta_single_sort,
-                 theta_two_sort, top_sort_only, two_root_forest)
+from gen import (chain, corrupted_fragment, random_closed_fragment,
+                 random_sequence_fixture, random_standard_fragment,
+                 random_tripod, rename, six_chain_base, theta_single_sort,
+                 theta_two_sort, three_sort_step_fixture, top_sort_only,
+                 two_root_forest)
 from test_cli import WRONG_INPUTS, write_wrong_input_files
 
 import treedesk
 from treedesk.cli import main
 from treedesk.errors import TreedeskError
 from treedesk.fileio import fragment_to_dict, ptriple_to_dict, save_fragment
-from treedesk.fixtures import (family_fragment, family_parameter_pool,
-                               random_closed_fragment,
-                               random_sequence_fixture,
-                               random_standard_fragment, six_chain_base,
-                               three_sort_step_fixture)
 from treedesk.glue import build_control, build_witness
 from treedesk.ordinal import Ordinal
 from treedesk.partition import (DType, QNode, _qnode_key,
@@ -100,7 +98,8 @@ from treedesk.partition import (DType, QNode, _qnode_key,
                                 lift_element, q_enumerate, validate_qnode)
 from treedesk.qe import extend_one_point
 from treedesk.structure import complete, from_standard_tree, validate
-from treedesk.types import (count_type_classes, equiv_k, questionnaire_code,
+from treedesk.types import (count_type_classes, equiv_k, family_fragment,
+                            family_parameter_pool, questionnaire_code,
                             tp_code)
 
 
@@ -369,12 +368,8 @@ def _sequence_coloring(s):
 
 
 def _chain_tail_coloring():
-    levels = {"n%02d" % i: Ordinal.nat(i) for i in range(8)}
-    names = sorted(levels)
-    edges = {(names[i], names[j]) for i in range(8)
-             for j in range(i + 1, 8)}
-    f = from_standard_tree(levels, edges)
-    return coloring_from_sequence(f, names, k=0, arity=2)
+    f = chain(8)
+    return coloring_from_sequence(f, sorted(f.nodes), k=0, arity=2)
 
 
 def _arity4_coloring(s):

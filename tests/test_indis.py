@@ -3,29 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import replace
-from treedesk.fixtures import (
-    comb_and_fan_fixture, fan_pair_fixture, random_sequence_fixture,
-    three_sort_step_fixture,
-)
+from gen import (chain, comb_and_fan_fixture, fan_pair_fixture,
+                 random_sequence_fixture, replace, three_sort_step_fixture)
 from treedesk.indis import (
     NotAlmostIncreasing, SequenceWindow, ShapeExhausted, classify,
     default_hni_terms, derived_sequence, h_iterate, h_map, is_HNI, is_NI,
     is_indiscernible, search_indiscernible,
 )
-from treedesk.ordinal import Ordinal
-from treedesk.structure import Term, complete, from_standard_tree
-
-
-def _chain(n):
-    levels = {"n%02d" % i: Ordinal.nat(i) for i in range(n)}
-    names = sorted(levels)
-    edges = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)}
-    return from_standard_tree(levels, edges)
+from treedesk.structure import Term, complete
 
 
 def test_window_validation():
-    f = _chain(4)
+    f = chain(4)
     with pytest.raises(ValueError):
         SequenceWindow(f, ("n00",))
     with pytest.raises(KeyError, match="ghost"):
@@ -47,7 +36,7 @@ def test_fan_windows_are_indiscernible():
 
 
 def test_chain_window_not_indiscernible():
-    f = _chain(6)
+    f = chain(6)
     w = SequenceWindow(f, ("n01", "n02", "n03", "n04"), k=1, r=2)
     assert not is_indiscernible(w)
 
@@ -98,7 +87,7 @@ def test_h_map_requires_almost_increasing():
 
 
 def test_h_map_shape_exhausted():
-    f = replace(_chain(8))
+    f = replace(chain(8))
     # a strictly increasing chain is almost-increasing but single-sorted
     w = SequenceWindow(f, ("n01", "n03", "n05", "n07"), k=0, r=1)
     assert classify(w).tag == "AlmostIncreasing"
@@ -117,7 +106,7 @@ def test_h_iterate_trace():
 
 
 def test_derived_sequence_meet_term():
-    f = _chain(5)
+    f = chain(5)
     w = SequenceWindow(f, ("n01", "n02", "n03"), k=0, r=1)
     t = derived_sequence(w, Term.wedge(Term.var(0), Term.var(1)))
     assert t == ("n01", "n02")
@@ -139,5 +128,5 @@ def test_search_indiscernible_finds_fan():
 
 
 def test_search_indiscernible_none_on_chain():
-    f = _chain(6)
+    f = chain(6)
     assert search_indiscernible(f, f.nodes, length=4, k=1, r=2) is None

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import treedesk
-from gen import random_tripod
-from treedesk.fixtures import hard_six, random_closed_fragment, six_chain_base
+from gen import hard_six, random_closed_fragment, random_tripod, six_chain_base
+from treedesk.errors import UnknownNode
 from treedesk.ordinal import Ordinal
 from treedesk.partition import (
     Coloring, DType, PTriple, coloring_from_sequence, d_q, dtp,
@@ -165,9 +165,8 @@ def test_coloring_from_sequence_mixed_sorts_raise():
 _TRIPOD_COLORINGS = """
 import hashlib, json, random
 from gen import random_tripod
-from treedesk.fixtures import family_fragment, family_parameter_pool
 from treedesk.partition import coloring_from_sequence
-from treedesk.types import tp_code
+from treedesk.types import family_fragment, family_parameter_pool, tp_code
 h = hashlib.sha256()
 f = random_tripod(random.Random(0))
 for x in sorted(f.nodes):
@@ -263,6 +262,18 @@ def test_lift_element_bounded():
         assert Ordinal.nat(a.lg) <= p.tree.level[t]
 
 
+def test_dtypes_raise_unknown_node():
+    # a node outside the tree raised a bare KeyError from the level
+    # lookup, or gave an empty d-type when it was t
+    p = six_chain_base()
+    with pytest.raises(UnknownNode, match="'zz'"):
+        dtp(p, "n003", ("zz",))
+    with pytest.raises(UnknownNode, match="'zz'"):
+        enumerate_complete_dtypes(p, ("zz",), 2)
+    with pytest.raises(UnknownNode, match="'zz'"):
+        dtp(p, "zz", ("n001",))
+
+
 def test_d_q_requires_top_gamma():
     p = six_chain_base()
     q, ids = q_enumerate(p, alpha_max=2, colors=2)
@@ -322,7 +333,7 @@ def test_validate_qnode_reports_each_clause(case):
 
 
 _TIGHTNESS_REPORT = """
-from treedesk.fixtures import six_chain_base
+from gen import six_chain_base
 from treedesk.partition import QNode, dtp, validate_qnode
 p = six_chain_base()
 g = dtp(p, "n005", ("n005",))

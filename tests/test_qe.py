@@ -6,20 +6,19 @@ import random
 
 import pytest
 
-from gen import TRIPOD, random_tripod, rename, transfer_instances
+from gen import (TRIPOD, chain, random_closed_fragment,
+                 random_standard_fragment, random_tripod, rename,
+                 transfer_instances)
 from oracles import closure_oracle, count_isomorphisms
 
 from treedesk import qe, structure
 from treedesk.fileio import fragment_from_dict, fragment_to_dict
-from treedesk.fixtures import random_closed_fragment, random_standard_fragment
-from treedesk.ordinal import Ordinal
 from treedesk.qe import (
     RankTooLow, eval_formula, extend_one_point, m2, qe_candidate, qe_matches,
 )
 from treedesk.shape import EMPTY_SHAPE, POINT_SHAPE
 from treedesk.structure import (
-    SortError, Term, closure, complete, from_standard_tree, is_closed,
-    validate,
+    SortError, Term, closure, complete, is_closed, validate,
 )
 from treedesk.types import (BudgetExceeded, count_type_classes, equiv_k,
                             tp_code)
@@ -34,13 +33,6 @@ def _two_sort_draws():
                         "two_sort_draws.json")
     with open(path) as fh:
         return {int(d): rec for d, rec in json.load(fh).items()}
-
-
-def _chain(n, prefix="n"):
-    levels = {"%s%02d" % (prefix, i): Ordinal.nat(i) for i in range(n)}
-    names = sorted(levels)
-    edges = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)}
-    return from_standard_tree(levels, edges)
 
 
 def test_m2_base_cases():
@@ -69,14 +61,14 @@ def test_m2_rejects_negatives():
 
 
 def test_extend_requires_rank():
-    f = _chain(6)
+    f = chain(6)
     # n01 and n04 differ already at rank 1 (distance to the root)
     with pytest.raises(RankTooLow):
         extend_one_point(f, ("n01",), "n00", f, ("n04",), 1)
 
 
 def test_extend_identity_instance():
-    f = _chain(6)
+    f = chain(6)
     ext, d = extend_one_point(f, ("n03",), "n01", f, ("n03",), 1)
     assert d == "n01"
     assert not validate(ext)
@@ -187,14 +179,14 @@ def test_extend_budget_counts_settled_nodes():
 
 
 def test_extend_rejects_mismatched_shapes():
-    fa = _chain(3)
+    fa = chain(3)
     fb = random_tripod(random.Random(0))
     with pytest.raises(SortError):
         extend_one_point(fa, ("n00",), "n01", fb, (sorted(fb.nodes)[0],), 0)
 
 
 def test_eval_formula():
-    f = _chain(4)
+    f = chain(4)
     lt = ("atom", "<", Term.var(0), Term.var(1))
     assert eval_formula(f, lt, ("n00", "n02"))
     assert not eval_formula(f, lt, ("n02", "n00"))
@@ -208,17 +200,17 @@ def test_eval_formula():
 
 
 def test_eval_formula_rejects_unknown_relation():
-    f = _chain(2)
+    f = chain(2)
     with pytest.raises(ValueError):
         eval_formula(f, ("atom", "lt", Term.var(0), Term.var(0)), ("n00",))
 
 
 def test_qe_candidate_round_trip():
     # exists y: y < x  holds exactly above the root
-    corpus = [_chain(4), _chain(6, prefix="m")]
+    corpus = [chain(4), chain(6, prefix="m")]
     phi = ("atom", "<", Term.var(0), Term.var(1))
     configs = qe_candidate(phi, 1, corpus, 1)
-    probe = _chain(5, prefix="p")
+    probe = chain(5, prefix="p")
     for x in probe.nodes:
         want = x != "p00"
         assert qe_matches(configs, probe, (x,), 1) == want
@@ -244,14 +236,14 @@ def test_qe_candidate_validates_each_fragment_once(monkeypatch):
 
     monkeypatch.setattr(qe, "validate", counted)
     monkeypatch.setattr(structure, "validate", counted)
-    corpus = [_chain(4), random_standard_fragment(random.Random(3), 12)]
+    corpus = [chain(4), random_standard_fragment(random.Random(3), 12)]
     qe_candidate(("atom", "<", Term.var(0), Term.var(1)), 1, corpus, 0)
     assert [sum(g is f for g in seen) for f in corpus] == [1, 1]
 
 
 def _closed_corpus():
     """The closed, valid fragments this file queries."""
-    out = [_chain(n) for n in (2, 3, 4, 6)] + [_chain(5, prefix="p")]
+    out = [chain(n) for n in (2, 3, 4, 6)] + [chain(5, prefix="p")]
     out += [random_closed_fragment(random.Random(s)) for s in range(4)]
     out += [random_tripod(random.Random(s)) for s in range(2)]
     out.append(complete(random_standard_fragment(random.Random(3), 12)))
@@ -288,7 +280,7 @@ def test_qe_matches_completes_no_closed_fragment(monkeypatch):
 
 
 def test_budget_exceeded_says_how_far_the_work_got():
-    f = _chain(4)
+    f = chain(4)
     with pytest.raises(BudgetExceeded) as info:
         count_type_classes(f, (), 0, 2, budget_tuples=1)
     assert (info.value.spent, info.value.limit) == (16, 1)

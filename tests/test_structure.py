@@ -9,9 +9,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (corrupted_fragment, near_valid_fragments, random_tripod,
-                 replace, theta_two_sort, top_sort_only, transfer_instances,
-                 two_root_forest)
+from gen import (comb_and_fan_fixture, corrupted_fragment, fan_pair_fixture,
+                 near_valid_fragments, random_closed_fragment,
+                 random_standard_fragment, random_tripod, replace,
+                 theta_two_sort, three_sort_step_fixture, top_sort_only,
+                 transfer_instances, two_root_forest)
 from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
                      from_standard_tree_reference, set_checked_reports,
                      validate_reference)
@@ -21,11 +23,6 @@ from treedesk import qe, structure
 
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.fileio import fragment_to_dict
-from treedesk.fixtures import (
-    comb_and_fan_fixture, family_fragment, family_parameter_pool,
-    fan_pair_fixture, random_closed_fragment, random_standard_fragment,
-    three_sort_step_fixture,
-)
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE, chain_shape
 from treedesk.structure import (
@@ -33,7 +30,7 @@ from treedesk.structure import (
     NotClosed, Term, UndefinedTerm, closure, complete, distance, eval_term,
     from_standard_tree, is_closed, r_suc, validate,
 )
-from treedesk.types import atomic_basis
+from treedesk.types import atomic_basis, family_fragment, family_parameter_pool
 
 
 def _chain5():

@@ -4,14 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (random_tripod, rename, replace, theta_single_sort,
-                 theta_two_sort, top_sort_only, two_root_forest)
+from gen import (chain, random_closed_fragment, random_standard_fragment,
+                 random_tripod, rename, replace, theta_single_sort,
+                 theta_two_sort, three_sort_step_fixture, top_sort_only,
+                 two_root_forest)
 from oracles import canon_reference, count_isomorphisms
 
 from treedesk import structure, types
-from treedesk.fixtures import (random_closed_fragment,
-                               random_standard_fragment,
-                               three_sort_step_fixture)
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE
@@ -23,28 +22,21 @@ from treedesk.types import (
 )
 
 
-def _chain(n, prefix="n"):
-    levels = {"%s%02d" % (prefix, i): Ordinal.nat(i) for i in range(n)}
-    names = sorted(levels)
-    edges = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)}
-    return from_standard_tree(levels, edges)
-
-
 def test_identity_is_a_witness():
-    f = _chain(5)
+    f = chain(5)
     w = equiv_k(f, ("n02",), f, ("n02",), 1)
     assert w is not None
     assert all(w[x] == x for x in w)
 
 
 def test_chain_class_counts_over_midpoint():
-    f = _chain(5)
+    f = chain(5)
     assert count_type_classes(f, ("n02",), 0, 1) == 4
     assert count_type_classes(f, ("n02",), 1, 1) == 5
 
 
 def test_rank_one_separates_distances():
-    f = _chain(5)
+    f = chain(5)
     # at rank 0 the two nodes above the parameter agree; rank 1 sees the
     # one-step successor distance
     assert tp_code(f, ("n03",), ("n02",), 0) == tp_code(f, ("n04",), ("n02",), 0)
@@ -52,7 +44,7 @@ def test_rank_one_separates_distances():
 
 
 def test_codes_respect_renaming():
-    f = _chain(6)
+    f = chain(6)
     g, r = rename(f, "z")
     for k in (0, 1, 2):
         assert tp_code(f, ("n03",), (), k) == tp_code(g, ("zn03",), (), k)
@@ -61,8 +53,8 @@ def test_codes_respect_renaming():
 
 def test_cross_shape_codes_differ():
     # the sort name is part of the signature
-    f = _chain(3)
-    g = _chain(3)
+    f = chain(3)
+    g = chain(3)
     from treedesk.shape import chain_shape
     h = from_standard_tree({"a": Ordinal()}, set(), index="r")
     w = from_standard_tree({"a": Ordinal()}, set(), index="0",
@@ -72,12 +64,12 @@ def test_cross_shape_codes_differ():
 
 
 def test_questionnaire_named_member():
-    f = _chain(5)
+    f = chain(5)
     assert questionnaire_code(f, "n02", ("n02",), 0) == ("named", 1)
 
 
 def test_questionnaire_saturation():
-    f = _chain(10)
+    f = chain(10)
     # distances 3 = 2k+1 and 7 above the same parameter are capped equal
     assert questionnaire_code(f, "n03", ("n00",), 1) == \
         questionnaire_code(f, "n07", ("n00",), 1)
@@ -86,7 +78,7 @@ def test_questionnaire_saturation():
 
 
 def test_questionnaire_tracks_codes():
-    f = _chain(7)
+    f = chain(7)
     pool = sorted(f.nodes)
     for k in (0, 1):
         for a in pool:
@@ -117,7 +109,7 @@ def test_questionnaire_requires_closed_fragment(a_set):
 @pytest.mark.parametrize("a, a_set", [("zz", ("n01",)), ("n01", ("zz",))])
 def test_questionnaire_rejects_unknown_nodes(a, a_set):
     with pytest.raises(UnknownNode, match="'zz'"):
-        questionnaire_code(_chain(4), a, a_set, 1)
+        questionnaire_code(chain(4), a, a_set, 1)
 
 
 def test_estimate_degree_examples():
@@ -176,7 +168,7 @@ def test_count_type_classes_checks_closedness_once(monkeypatch):
         return is_closed(f)
 
     monkeypatch.setattr(structure, "is_closed", counted)
-    f = _chain(5)
+    f = chain(5)
     assert count_type_classes(f, ("n02",), 1, 1) == 5
     assert count_type_classes(f, ("n02",), 0, 2) > 0
     assert calls == [f, f]
@@ -198,7 +190,7 @@ def test_unclosed_fragment_raises_not_closed_first(call):
 
 
 def test_unknown_node_raises_key_error_on_closed_fragment():
-    f = _chain(5)
+    f = chain(5)
     with pytest.raises(KeyError, match="nowhere"):
         tp_code(f, ("nowhere",), (), 0)
     with pytest.raises(KeyError, match="nowhere"):
@@ -210,7 +202,7 @@ def test_unknown_node_raises_key_error_on_closed_fragment():
 
 
 def test_equiv_k_checks_fa_before_fb():
-    closed, unclosed = _chain(5), _unclosed()
+    closed, unclosed = chain(5), _unclosed()
     x, y = closed.nodes[0], unclosed.nodes[0]
     with pytest.raises(NotClosed, match=_NOT_CLOSED):
         equiv_k(unclosed, (y,), closed, ("nowhere",), 0)
@@ -251,7 +243,7 @@ def test_one_code_lists_the_closure_meets_once(monkeypatch):
         return closure_meets(f, c)
 
     monkeypatch.setattr(types, "_closure_meets", counted)
-    f = _chain(6)
+    f = chain(6)
     tp_code(f, ("n04",), ("n01",), 1)
     assert calls == [closure(f, ("n04", "n01"), 1)]
     calls.clear()
@@ -322,7 +314,7 @@ def test_count_builds_the_chain_once_and_one_index_per_code(monkeypatch):
     each tuple.  Each tuple builds one index, of the members it adds to
     the parameter closure B only, and no refinement ranks a member of
     B."""
-    f = _chain(6)
+    f = chain(6)
     b = closure(f, ("n02", "n04"), 2)
     chains = _counting(monkeypatch, "_chain")
     full = _counting(monkeypatch, "_Index")
@@ -428,7 +420,7 @@ def test_count_raises_budget_then_not_closed_then_key_error():
     with pytest.raises(NotClosed, match=_NOT_CLOSED):
         count_type_classes(unclosed, ("nowhere",), 0, 1)
     with pytest.raises(KeyError, match="nowhere"):
-        count_type_classes(_chain(5), ("nowhere",), 0, 1)
+        count_type_classes(chain(5), ("nowhere",), 0, 1)
     empty = Fragment(POINT_SHAPE, ())
     with pytest.raises(BadArgument, match="-1"):
         count_type_classes(empty, ("nowhere",), -1, 1)
