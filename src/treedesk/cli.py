@@ -168,9 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
         q = isub.add_parser(name)
         q.add_argument("file")
         q.add_argument("--seq", required=True)
-        q.add_argument("--k", type=int, default=1)
-        q.add_argument("--r", type=int, default=2)
-        q.add_argument("--n", type=int, default=1)
+        # classify and h-iter read no rank, length or gap
+        if name in ("check", "ni", "hni"):
+            q.add_argument("--k", type=int, default=1)
+            q.add_argument("--r", type=int, default=2)
+        if name in ("ni", "hni"):
+            q.add_argument("--n", type=int, default=1)
         if name == "h-iter":
             q.add_argument("--max-iter", type=int, default=8)
     q = isub.add_parser("search")
@@ -368,7 +371,9 @@ def _run_indis(args, rep: RunReport) -> RunReport:
         rep.payload = list(res.seq) if res else None
         rep.status = 0 if res is None else 1
         return rep
-    w = SequenceWindow(f, _nodes_arg(args.seq), args.k, args.r, args.n)
+    w = SequenceWindow(f, _nodes_arg(args.seq),
+                       **{a: getattr(args, a) for a in ("k", "r", "n")
+                          if hasattr(args, a)})
     checks = {"check": ("indiscernible", is_indiscernible),
               "ni": ("nearly_indiscernible", is_NI),
               "hni": ("hereditarily", is_HNI)}

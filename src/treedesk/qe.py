@@ -26,10 +26,10 @@ import itertools
 
 from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
-from .shape import ShapeTree, decompose
-from .structure import (Fragment, Term, eval_term, is_closed, validate,
-                        CannotComplete, SortError, UndefinedTerm, _chain,
-                        _complete_valid, _Completion, _mk)
+from .shape import ShapeTree
+from .structure import (Fragment, FragmentBuilder, Term, eval_term,
+                        is_closed, validate, CannotComplete, SortError,
+                        UndefinedTerm, _chain, _complete_valid, _mk)
 from .types import BudgetExceeded, _tp_code, equiv_k, tp_code
 
 K_BUDGET = 8
@@ -49,21 +49,32 @@ class RankTooLow(TreedeskError, RuntimeError):
 def m2(m1: int, k: int, s: ShapeTree) -> int:
     """Rank needed on the given tuples so that k new points can be
     matched at rank m1 over the given shape.  Raises BudgetExceeded past
-    M2_CAP."""
+    M2_CAP.
+
+    m2 is k steps from m1, and one step maps v to 2v + 1 plus twice
+    m2(v, K_BUDGET) over the tallest component above the root: a
+    shorter component's steps are the first steps of a taller one's and
+    give smaller values, so the value, and the rank that passes the
+    cap, depend on the shape only through its height."""
     if m1 < 0 or k < 0:
         raise BadArgument("naturals expected")
-    if k == 0 or len(s) == 0:
-        return m1
-    if k == 1:
-        _, comps = decompose(s)
-        best = max((2 * m2(m1, K_BUDGET, comp) for comp in comps),
-                   default=0)
-        v = best + 2 * m1 + 1
-    else:
-        v = m2(m2(m1, k - 1, s), 1, s)
-    if v > M2_CAP:
-        raise BudgetExceeded("extension rank %d exceeds cap %d"
-                             % (v, M2_CAP), v, M2_CAP)
+    # K_BUDGET steps at height 2 pass M2_CAP from any start, and every
+    # step at a greater height starts with them, so all greater heights
+    # raise as height 3 does
+    return _m2_steps(m1, k, min(s.longest_branch(), 3))
+
+
+def _m2_steps(v: int, k: int, height: int) -> int:
+    """k steps of m2 from v over a shape of the given height, checking
+    M2_CAP after each step."""
+    if height == 0:
+        return v
+    for _ in range(k):
+        best = 2 * _m2_steps(v, K_BUDGET, height - 1) if height > 1 else 0
+        v = best + 2 * v + 1
+        if v > M2_CAP:
+            raise BudgetExceeded("extension rank %d exceeds cap %d"
+                                 % (v, M2_CAP), v, M2_CAP)
     return v
 
 
@@ -318,13 +329,14 @@ def _build_extension(fa, fb, x_set, im, fresh, level):
     of x_set to its image or fresh id.  Images keep x_set's order, each
     fresh node is made comparable with fb's nodes on the chains it lies
     on, and x_set's table entries are copied."""
-    w = _Completion(fb)
+    w = FragmentBuilder(fb)
     old = set(fb.nodes)
     for x, nid in fresh:
-        w.nodes.add(nid)
-        w._below[nid] = set()
         if x in level:
             w.add_node(nid, fa.sort[x], level[x])
+        else:
+            w.nodes.add(nid)
+            w._below[nid] = set()
     for x, y in itertools.permutations(sorted(x_set), 2):
         if fa.lt(x, y) and not (im[x] in old and im[y] in old):
             w.relate(im[x], im[y])

@@ -57,8 +57,8 @@ def _mk(x: str, y: str) -> tuple[str, str]:
 
 class _OrderQueries:
     """Order and sort queries over `nodes`, `sort`, `lim` and the strict
-    down-sets `_below`.  Fragment and completion's working state both
-    answer them here, so the two can never disagree."""
+    down-sets `_below`.  Fragment and FragmentBuilder both answer them
+    here, so the two can never disagree."""
 
     __slots__ = ()
 
@@ -85,10 +85,6 @@ class _OrderQueries:
 
     def suc_members(self, eta: str) -> list[str]:
         return [n for n in self.nodes_of_sort(eta) if self.is_successor(n)]
-
-    def minimal_nodes(self, eta: str) -> list[str]:
-        ns = set(self.nodes_of_sort(eta))
-        return sorted(n for n in ns if not (self._below[n] & ns))
 
 
 class Fragment(_OrderQueries):
@@ -181,12 +177,15 @@ def _down_sets(nodes, order) -> dict[str, frozenset[str]]:
     return {n: frozenset(d) for n, d in below.items()}
 
 
-class FragmentBuilder:
-    """Mutable working copy of the fragment tables.
+class FragmentBuilder(_OrderQueries):
+    """Mutable working copy of the fragment tables, with the strict
+    down-set of each node in `_below`.
 
     Callers edit the tables directly and `freeze` them into a new
     Fragment; the builder is the one place that copies or merges all
-    the tables of a fragment.
+    the tables of a fragment.  The down-sets stay exact while order
+    edges come in through `mint` and `relate`, and through `absorb` of
+    fragments that share no node.
     """
 
     def __init__(self, f: Fragment | None = None):
@@ -200,6 +199,7 @@ class FragmentBuilder:
         self.lim: dict[str, str] = {}
         self.gmap: dict[tuple[str, str], dict[str, str]] = {}
         self.constants: dict[tuple[str, int], str] = {}
+        self._below: dict[str, set[str]] = {}
         if f is not None:
             self.absorb(f, lambda eta: eta)
 
@@ -221,11 +221,38 @@ class FragmentBuilder:
             self.gmap[(sort_of(e1), sort_of(e2))] = table.copy()
         for (eta, i), c in f.constants.items():
             self.constants[(sort_of(eta), i)] = c
+        for n, d in f._below.items():
+            self._below.setdefault(n, set()).update(d)
 
     def add_node(self, n: str, sort: str, level: Ordinal) -> None:
+        """Add node n, related to no other node."""
         self.nodes.add(n)
         self.sort[n] = sort
         self.level[n] = level
+        self._below[n] = set()
+
+    def mint(self, n: str, sort: str, level: Ordinal, below=(),
+             above=()) -> None:
+        """Add node n with order edges from each node of `below`, which
+        must be closed downwards, and to each node of `above`."""
+        self.add_node(n, sort, level)
+        down = set(below)
+        self.order.update((u, n) for u in down)
+        above = set(above)
+        self.order.update((n, u) for u in above)
+        gain = down | {n}
+        for y, d in self._below.items():
+            if y in above or not d.isdisjoint(above):
+                d |= gain
+        self._below[n] = down
+
+    def relate(self, lo: str, hi: str) -> None:
+        """Add the order edge lo < hi between two present nodes."""
+        self.order.add((lo, hi))
+        gain = self._below[lo] | {lo}
+        for y, d in self._below.items():
+            if y == hi or hi in d:
+                d |= gain
 
     def freeze(self, shape: ShapeTree, mode: str) -> Fragment:
         return Fragment(shape, self.nodes, self.sort, self.level, self.order,
@@ -234,7 +261,80 @@ class FragmentBuilder:
 
 
 # ---------------------------------------------------------------------------
-# construction from a plain level-labelled tree
+# the values a tree's chains hold, and construction from a plain
+# level-labelled tree
+
+
+def _declare_lim_pre(b: FragmentBuilder, ns) -> list[tuple[str, Ordinal]]:
+    """Fill each missing lim and pre of the nodes ns that their chains
+    hold: lim(x) is x at a limit level, else the node below x at
+    level(x)'s limb, and pre(x) the node below x at level(x)'s
+    predecessor.  Returns (x, level) for each lim left missing, in the
+    order of ns, then for each pre left missing."""
+    level, lim, pre = b.level, b.lim, b.pre
+    no_lim, no_pre = [], []
+    for x in ns:
+        lx = level[x]
+        if lx.is_limit:
+            lim.setdefault(x, x)
+            continue
+        if x in lim and x in pre:
+            continue
+        lam, lp = lx.limb(), lx.predecessor()
+        for u in b._below[x]:
+            if level[u] == lam:
+                lim.setdefault(x, u)
+            if level[u] == lp:
+                pre.setdefault(x, u)
+        if x not in lim:
+            no_lim.append((x, lam))
+        if x not in pre:
+            no_pre.append((x, lp))
+    return no_lim + no_pre
+
+
+def _declare_meet(b: FragmentBuilder, ns) -> list[tuple[str, str]]:
+    """Fill each missing meet of the sorted same-sort nodes ns that
+    their chains hold: the smaller node of a comparable pair, else the
+    common lower bound with the largest down-set.  Returns the pairs
+    without a common lower bound, in the order of ns."""
+    meet, below = b.meet, b._below
+    gaps = []
+    for x, y in itertools.combinations(ns, 2):
+        if (x, y) in meet:
+            continue
+        bx, by = below[x], below[y]
+        if x in by:
+            meet[(x, y)] = x
+        elif y in bx:
+            meet[(x, y)] = y
+        elif common := bx & by:
+            meet[(x, y)] = max(common, key=lambda c: len(below[c]))
+        else:
+            gaps.append((x, y))
+    for x in ns:
+        meet.setdefault((x, x), x)
+    return gaps
+
+
+def _declare_suc(b: FragmentBuilder, ns) -> None:
+    """Fill each missing suc(x, y) of the nodes ns, x < y, that y's
+    chain holds: its node right above x, whose down-set is x's plus x,
+    when that node lies at level(x) + 1."""
+    level, suc, below = b.level, b.suc, b._below
+    for x in ns:
+        above = [y for y in ns if x in below[y]]
+        todo = [y for y in above if (x, y) not in suc]
+        if not todo:
+            continue
+        size, step = len(below[x]) + 1, level[x].plus(1)
+        # at most one of these covers of x lies on each chain
+        covers = [z for z in above
+                  if len(below[z]) == size and level[z] == step]
+        for y in todo:
+            for z in covers:
+                if z == y or z in below[y]:
+                    suc[(x, y)] = z
 
 
 def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
@@ -242,56 +342,41 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
                        mode: str = "base") -> Fragment:
     """Single-sort fragment induced by a level-labelled tree order.
 
-    `edges` generates the strict order.  lim, pre and suc are read off
-    each node's chain (its down-set and itself) indexed by level, and
-    the meet of two incomparable nodes is their common lower bound with
-    the largest down-set: each value the tree already holds is declared.
+    `edges` generates the strict order.  lim, pre, suc and meet are read
+    off each node's chain (its down-set and itself) by the `_declare_*`
+    helpers that completion runs too: each value the tree already holds
+    is declared.
     """
+    order = {(a, b) for a, b in edges}
+    if unknown := {n for edge in order for n in edge} - levels.keys():
+        raise InvalidTree("order names unknown node %r" % min(unknown))
     if shape is None:
         shape = ShapeTree((index,), index)
     if index not in shape:
         raise InvalidTree("index %r not in shape" % index)
     nodes = sorted(levels)
-    order = {(a, b) for a, b in edges}
     below = _down_sets(nodes, order)
     if any(n in below[n] for n in nodes):
         raise InvalidTree("order contains a cycle")
     for y in nodes:
         down = sorted(below[y])
         # a chain iff its members' down-sets differ in size (see validate)
-        if len({len(below.get(a, ())) for a in down}) < len(down):
+        if len({len(below[a]) for a in down}) < len(down):
             raise InvalidTree("down-set of %r is not a chain" % y)
         for a in down:
             if not levels[a] < levels[y]:
                 raise InvalidTree(
                     "levels not strictly increasing on %r < %r" % (a, y))
-    at = {y: {levels[u]: u for u in below[y] | {y}} for y in nodes}
-    lim, pre, suc, meet = {}, {}, {}, {}
-    for x in nodes:
-        lx = levels[x]
-        if lx.is_limit:
-            lim[x] = x
-        else:
-            if lx.limb() in at[x]:
-                lim[x] = at[x][lx.limb()]
-            if lx.predecessor() in at[x]:
-                pre[x] = at[x][lx.predecessor()]
-    for x in nodes:
-        step = levels[x].plus(1)
-        for y in nodes:
-            if x in below[y] and step in at[y]:
-                suc[(x, y)] = at[y][step]
-    for x, y in itertools.combinations(nodes, 2):
-        if x in below[y]:
-            meet[(x, y)] = x
-        elif y in below[x]:
-            meet[(x, y)] = y
-        elif common := below[x] & below[y]:
-            meet[(x, y)] = max(common, key=lambda c: len(below[c]))
-    for x in nodes:
-        meet[(x, x)] = x
-    return Fragment(shape, nodes, {n: index for n in nodes}, levels, order,
-                    meet, suc, pre, lim, mode=mode)
+    b = FragmentBuilder()
+    b.nodes.update(nodes)
+    b.sort.update(dict.fromkeys(nodes, index))
+    b.level.update(levels)
+    b.order = order
+    b._below = {n: set(d) for n, d in below.items()}
+    _declare_lim_pre(b, nodes)
+    _declare_suc(b, nodes)
+    _declare_meet(b, nodes)
+    return b.freeze(shape, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -559,169 +644,65 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     return _complete_valid(f, budget_nodes)
 
 
-class _Completion(FragmentBuilder, _OrderQueries):
-    """complete's working state: f's tables in a builder, plus down-sets
-    that `mint` and `relate` keep exact.  Completion adds order edges
-    only through `mint`, and every such edge touches the node being
-    minted; the one-point extension builds with `relate`."""
-
-    def __init__(self, f: Fragment):
-        super().__init__(f)
-        self.shape = f.shape
-        self._below = {n: set(d) for n, d in f._below.items()}
-
-    def mint(self, n: str, sort: str, level: Ordinal, below=(),
-             above=()) -> None:
-        """Add node n with order edges from each node of `below`, which
-        must be closed downwards, and to each node of `above`."""
-        self.add_node(n, sort, level)
-        down = set(below)
-        self.order.update((u, n) for u in down)
-        above = set(above)
-        self.order.update((n, u) for u in above)
-        gain = down | {n}
-        for y, d in self._below.items():
-            if y in above or not d.isdisjoint(above):
-                d |= gain
-        self._below[n] = down
-
-    def relate(self, lo: str, hi: str) -> None:
-        """Add the order edge lo < hi between two present nodes."""
-        self.order.add((lo, hi))
-        gain = self._below[lo] | {lo}
-        for y, d in self._below.items():
-            if y == hi or hi in d:
-                d |= gain
-
-
 def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
     """complete for an f that already passed `validate`: scans of
-    `_fixes`, a new one after each fix that mints, with the node budget
-    checked before each scan."""
-    w = _Completion(f)
-    counter = itertools.count()
-
-    def fresh() -> str:
-        while True:
-            n = "_c%03d" % next(counter)
-            if n not in w.nodes:
-                return n
-
+    `_fixes` until one mints nothing, with the node budget checked
+    before each scan."""
+    w = FragmentBuilder(f)
+    # the ids _c000, _c001, ... that no node has yet
+    ids = ("_c%03d" % i for i in itertools.count())
+    fresh = (n for n in ids if n not in w.nodes).__next__
     while True:
         if len(w.nodes) > budget_nodes:
             raise CannotComplete("node budget %d exceeded" % budget_nodes)
-        if not any(_fixes(w, fresh)):
+        if not _fixes(w, f.shape, fresh):
             break
     out = w.freeze(f.shape, f.mode)
-    rep = validate(out)
-    if rep:
+    if rep := validate(out):
         raise CannotComplete("completion produced invalid fragment: %s"
                              % rep[0])
     return out
 
 
-def _mint_below(w: _Completion, fresh, x: str, lv: Ordinal) -> str:
-    """New node at level lv on the chain below x."""
-    down = w.strictly_below(x)
-    n = fresh()
-    w.mint(n, w.sort[x], lv, below=[u for u in down if w.level[u] < lv],
-           above=[x] + [u for u in down if lv < w.level[u]])
-    return n
+def _fixes(w: FragmentBuilder, shape: ShapeTree, fresh) -> bool:
+    """Scan w once in priority order (lim and pre, meet, suc, G) and
+    return whether the scan minted a node.
 
-
-def _fixes(w: _Completion, fresh):
-    """Scan w once in priority order (lim, pre, meet, suc, G), fixing
-    each deficiency in place and yielding after each fix whether it
-    minted a node.
-
-    The scan resumes after a fix that mints nothing.  Such a fix only
-    fills missing table entries, so it makes no deficiency in an earlier
-    phase or at an earlier position.  The scan's inputs (the sorted
-    nodes, `lt`, the suc candidates, the minimal nodes of each sort)
-    change only by a mint.  After a mint the scan is stale: it stops,
-    and the caller starts a new one.  So the fixes, and the fresh ids,
-    are those of a scan restarted from the lim phase after every fix.
+    Each chain phase first declares every missing value that the chains
+    hold, then mints one node for its first entry still missing and
+    stops; the next scan declares the values the mint made available.
+    A mint never adds a level that a chain already holds, nor a common
+    lower bound above the largest one, so every declared value stays
+    right, and the mints and fresh ids are those of a scan that fixes
+    one entry at a time.  By the suc phase pre is total, so y's chain
+    holds level(x) + 1 for every finite-gap pair x < y.
     """
-    level, meet, suc, pre, lim = w.level, w.meet, w.suc, w.pre, w.lim
+    level = w.level
     sorted_nodes = sorted(n for n in w.nodes if n in w.sort)
+    if gaps := _declare_lim_pre(w, sorted_nodes):
+        x, lv = gaps[0]
+        down = w._below[x]
+        w.mint(fresh(), w.sort[x], lv,
+               below=[u for u in down if level[u] < lv],
+               above=[x, *(u for u in down if lv < level[u])])
+        return True
 
-    # lim: total on sorted nodes
-    for x in sorted_nodes:
-        if x in lim:
-            continue
-        lam = level[x].limb()
-        if level[x].is_limit:
-            lim[x] = x
-        elif anc := [u for u in w.strictly_below(x) if level[u] == lam]:
-            lim[x] = anc[0]
-        else:
-            n = _mint_below(w, fresh, x, lam)
-            lim[x] = n
-            lim[n] = n
-            yield True
-            return
-        yield False
+    by_sort = [(eta, sorted(w.nodes_of_sort(eta))) for eta in shape.indices]
+    for eta, ns in by_sort:
+        if gaps := _declare_meet(w, ns):
+            roots = [min(w._below[v] | {v}, key=lambda c: len(w._below[c]))
+                     for v in gaps[0]]
+            if any(level[r].is_zero for r in roots):
+                raise CannotComplete(
+                    "meet of %r,%r forced below a level-0 node" % gaps[0])
+            w.mint(fresh(), eta, Ordinal(), above=roots)
+            return True
 
-    # pre: total on nodes at successor levels
-    for x in sorted_nodes:
-        if x in pre or level[x].is_limit:
-            continue
-        lp = level[x].predecessor()
-        anc = [u for u in w.strictly_below(x) if level[u] == lp]
-        pre[x] = p = anc[0] if anc else _mint_below(w, fresh, x, lp)
-        suc.setdefault((p, x), x)
-        yield not anc
-        if not anc:
-            return
-
-    # meet: total on same-sort pairs
-    for eta in w.shape.indices:
-        ns = w.nodes_of_sort(eta)
-        for x, y in itertools.combinations_with_replacement(sorted(ns), 2):
-            if _mk(x, y) in meet:
-                continue
-            if w.leq(x, y):
-                meet[_mk(x, y)] = x
-            elif w.leq(y, x):
-                meet[_mk(x, y)] = y
-            elif common := w.strictly_below(x) & w.strictly_below(y):
-                meet[_mk(x, y)] = max(
-                    common, key=lambda c: len(w.strictly_below(c)))
-            else:
-                rx = min(w.strictly_below(x) | {x},
-                         key=lambda c: len(w.strictly_below(c)))
-                ry = min(w.strictly_below(y) | {y},
-                         key=lambda c: len(w.strictly_below(c)))
-                if level[rx].is_zero or level[ry].is_zero:
-                    raise CannotComplete(
-                        "meet of %r,%r forced below a level-0 node" % (x, y))
-                z = fresh()
-                w.mint(z, eta, Ordinal(), above=(rx, ry))
-                meet[_mk(x, y)] = z
-                lim[z] = z
-                yield True
-                return
-            yield False
-
-    # suc: declared on comparable pairs whenever the required node
-    # exists, which makes it total on finite-gap pairs x < y: pre is
-    # total by now, and y's pre chain passes through level(x)+1 above x
-    for eta in w.shape.indices:
-        ns = sorted(w.nodes_of_sort(eta))
-        for x, y in itertools.permutations(ns, 2):
-            if (x, y) in suc or not w.lt(x, y):
-                continue
-            # the candidates lie on the chain below(y) + y, and the
-            # least id among them is the first in the sorted ns
-            target = level[x].plus(1)
-            cands = [z for z in w._below[y] | {y} if w.sort.get(z) == eta
-                     and level[z] == target and w.lt(x, z)]
-            if cands:
-                suc[(x, y)] = min(cands)
-                yield False
+    for eta, ns in by_sort:
+        _declare_suc(w, ns)
 
     # G: total on declared successors along each shape edge
-    for edge in w.shape.suc_pairs():
+    for edge in shape.suc_pairs():
         e1, e2 = edge
         table = w.gmap.setdefault(edge, {})
         for x in sorted(w.suc_members(e1)):
@@ -732,26 +713,20 @@ def _fixes(w: _Completion, fresh):
             if declared:
                 for y in cls:
                     table.setdefault(y, declared[0])
-                yield False
                 continue
             if not w.nodes_of_sort(e2):
                 parent = fresh()
                 w.mint(parent, e2, Ordinal())
-                lim[parent] = parent
             else:
                 # meets are total by now, so e2 has one minimal node
-                parent, = w.minimal_nodes(e2)
+                parent, = [n for n in w.nodes_of_sort(e2) if not w._below[n]]
             t = fresh()
             w.mint(t, e2, level[parent].plus(1),
-                   below=[parent, *w.strictly_below(parent)])
-            pre[t] = parent
-            suc[(parent, t)] = t
-            if level[parent].is_limit:
-                lim[t] = parent
+                   below=[parent, *w._below[parent]])
             for y in cls:
                 table[y] = t
-            yield True
-            return
+            return True
+    return False
 
 
 def _regressive_class(f: _OrderQueries, eta: str, x: str) -> list[str]:

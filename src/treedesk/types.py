@@ -441,10 +441,16 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
     indexed and ranked (`_relative_record`)."""
     if n < 0:
         raise BadArgument("tuple length must be non-negative, not %d" % n)
-    total = len(f.nodes) ** n
-    if total > budget_tuples:
-        raise BudgetExceeded("%d tuples exceed budget %d"
-                             % (total, budget_tuples), total, budget_tuples)
+    # with two nodes or more, a length past the budget's bit length is
+    # over budget: spent is then the power at the first such length, and
+    # the n-th power, which may not finish, is never built
+    size, m = len(f.nodes), n
+    if size > 1:
+        m = min(n, budget_tuples.bit_length() + 1)
+    if (total := size ** m) > budget_tuples:
+        count = "%d" % total if m == n else "%d^%d" % (size, n)
+        raise BudgetExceeded("%s tuples exceed budget %d"
+                             % (count, budget_tuples), total, budget_tuples)
     _require_closed(f)
     p = _Params(f, tuple(sorted(a_set)), k)
     return len({_relative_record(p, tup)

@@ -6,7 +6,7 @@ system under test, and `oracles` provides the independent ground truth.
 The named builders are a chain, a three-sort step-map fixture,
 exhaustive-window dichotomy fixtures and small colored-tree bases; the
 seeded generators draw standard-tree fragments, tripods, transfer
-instances and corrupted or near-valid fragments.
+instances and corrupted, near-valid or nearly closed fragments.
 """
 
 from __future__ import annotations
@@ -482,4 +482,32 @@ def near_valid_fragments(rng) -> list[Fragment]:
             table = dict(getattr(f, kind))
             del table[rng.choice(sorted(table))]
             out.append(replace(f, **{kind: table}))
+    return out
+
+
+def dropped_entry_fragments(rng) -> list[tuple[str, Fragment]]:
+    """Completed fragments, each as it is ("none") or with one entry
+    dropped, tagged by the table it left: "lim", "pre", "meet", "suc"
+    for a pair with a finite level gap, "suc-infinite" for one without,
+    which leaves the fragment closed, or "G"."""
+    bases = [complete(random_standard_fragment(rng, 14)) for _ in range(4)]
+    bases += [random_tripod(rng) for _ in range(2)]
+    out = [("none", f) for f in bases]
+    for f in bases:
+        finite = {(x, y) for x, y in f.suc
+                  if f.level[x].limb() == f.level[y].limb()}
+        keys = {"lim": f.lim.keys(), "pre": f.pre.keys(),
+                "meet": f.meet.keys(), "suc": finite,
+                "suc-infinite": f.suc.keys() - finite}
+        for kind, ks in keys.items():
+            if ks:
+                name = kind.split("-")[0]
+                table = dict(getattr(f, name))
+                del table[rng.choice(sorted(ks))]
+                out.append((kind, replace(f, **{name: table})))
+        for edge, table in sorted(f.gmap.items()):
+            if table:
+                table = dict(table)
+                del table[rng.choice(sorted(table))]
+                out.append(("G", replace(f, gmap={**f.gmap, edge: table})))
     return out

@@ -4,8 +4,9 @@ Deliberately written from the definitions, not from the library code:
 a fixpoint term-value closure, a backtracking isomorphism counter, and
 small brute-force helpers.  The exceptions are reference copies of
 five of the validator's loops and of the whole validator, of the
-one-step closure operators, of the canonical ordering of a closure and
-of the standard-tree builder, kept to check their faster forms.
+one-step closure operators, of the canonical ordering of a closure, of
+the standard-tree builder, of the closedness check and of the
+extension-rank recursion, kept to check their faster forms.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from treedesk.shape import ShapeTree
+from treedesk.qe import K_BUDGET, M2_CAP
+from treedesk.shape import ShapeTree, decompose
 from treedesk.structure import Fragment, InvalidTree, _mk, _validate_theta
+from treedesk.types import BudgetExceeded
 
 
 def closure_oracle(f, a, k):
@@ -552,3 +555,54 @@ def from_standard_tree_reference(levels, edges, index="r", shape=None,
         meet[_mk(x, x)] = x
     return Fragment(f.shape, f.nodes, f.sort, f.level, f.order, meet, suc,
                     pre, lim, mode=f.mode)
+
+
+def is_closed_reference(f):
+    """`structure.is_closed` as it was before any faster form: every
+    ordered same-sort pair is tested for a finite-gap suc."""
+    for x in f.nodes:
+        if f.sort.get(x) is None:
+            continue
+        if x not in f.lim:
+            return False
+        if not f.level[x].is_limit and x not in f.pre:
+            return False
+    for eta in f.shape.indices:
+        ns = sorted(f.nodes_of_sort(eta))
+        for x, y in itertools.combinations_with_replacement(ns, 2):
+            if _mk(x, y) not in f.meet:
+                return False
+        for x, y in itertools.permutations(ns, 2):
+            if (f.lt(x, y) and _finite_gap(f.level[x], f.level[y])
+                    and (x, y) not in f.suc):
+                return False
+    for edge in f.shape.suc_pairs():
+        table = f.gmap.get(edge, {})
+        for x in f.suc_members(edge[0]):
+            if x not in table:
+                return False
+    return True
+
+
+def _finite_gap(lx, ly):
+    return lx.limb() == ly.limb()
+
+
+def m2_reference(m1, k, s):
+    """`qe.m2` as it was before it looped: one recursion per step of k
+    and one per component of the shape."""
+    if m1 < 0 or k < 0:
+        raise ValueError("naturals expected")
+    if k == 0 or len(s) == 0:
+        return m1
+    if k == 1:
+        _, comps = decompose(s)
+        best = max((2 * m2_reference(m1, K_BUDGET, comp) for comp in comps),
+                   default=0)
+        v = best + 2 * m1 + 1
+    else:
+        v = m2_reference(m2_reference(m1, k - 1, s), 1, s)
+    if v > M2_CAP:
+        raise BudgetExceeded("extension rank %d exceeds cap %d"
+                             % (v, M2_CAP), v, M2_CAP)
+    return v

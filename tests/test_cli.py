@@ -196,6 +196,16 @@ def test_indis_check_fails_on_chain(capsys, chain_file):
     assert rc == 1 and doc["payload"]["indiscernible"] is False
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("check", "--n"), *((command, flag) for command in ("classify", "h-iter")
+                        for flag in ("--k", "--r", "--n"))])
+def test_indis_rejects_flags_it_would_not_read(capsys, chain_file, command,
+                                               flag):
+    rc = main(["indis", command, chain_file, "--seq", "n01,n02", flag, "1"])
+    assert rc == 2
+    assert "unrecognized arguments: %s 1" % flag in capsys.readouterr().err
+
+
 def test_indis_search_exit_codes(capsys, chain_file):
     # exit 0 means no window found
     rc, doc = _json_run(capsys, ["--format", "json", "indis", "search",
@@ -308,6 +318,8 @@ WRONG_INPUTS = {
     "types-count-zero-budget": (["--budget-tuples", "0", "types", "count",
                                  "{chain}"], "6 tuples exceed budget 0"),
     "types-count-unclosed": (["types", "count", "{unclosed}"], "NotClosed"),
+    "types-count-long-tuples": (["types", "count", "{chain}", "--n", "10000"],
+                                "6^10000 tuples exceed budget 250000"),
     "types-count-unknown-node": (["types", "count", "{chain}", "--set", "zz"],
                                  "unknown node 'zz'"),
     "types-count-negative-length": (["types", "count", "{chain}", "--n", "-1"],
@@ -317,6 +329,10 @@ WRONG_INPUTS = {
     "qe-m2-unknown-shape": (["qe", "m2", "--m1", "1", "--shape", "nope"],
                             "unknown shape spec 'nope'"),
     "qe-m2-negative": (["qe", "m2", "--m1", "-1"], "naturals expected"),
+    "qe-m2-many-steps": (["qe", "m2", "--m1", "0", "--k", "5000", "--shape",
+                          "point"], "BudgetExceeded: extension rank"),
+    "qe-m2-tall-shape": (["qe", "m2", "--m1", "0", "--k", "1", "--shape",
+                          "chain:600"], "BudgetExceeded: extension rank"),
     **{"qe-m2-shape-%s" % name: (
         ["qe", "m2", "--m1", "1", "--shape", spec],
         "shape size %r is not a natural number (at --shape)" % size)

@@ -9,14 +9,14 @@ import pytest
 from gen import (TRIPOD, chain, random_closed_fragment,
                  random_standard_fragment, random_tripod, rename,
                  transfer_instances)
-from oracles import closure_oracle, count_isomorphisms
+from oracles import closure_oracle, count_isomorphisms, m2_reference
 
 from treedesk import qe, structure
 from treedesk.fileio import fragment_from_dict, fragment_to_dict
 from treedesk.qe import (
     RankTooLow, eval_formula, extend_one_point, m2, qe_candidate, qe_matches,
 )
-from treedesk.shape import EMPTY_SHAPE, POINT_SHAPE
+from treedesk.shape import EMPTY_SHAPE, POINT_SHAPE, ShapeTree, chain_shape
 from treedesk.structure import (
     SortError, Term, closure, complete, is_closed, validate,
 )
@@ -53,6 +53,39 @@ def test_m2_tripod_values():
 
 def test_m2_monotone_in_k():
     assert m2(1, 2, POINT_SHAPE) >= m2(1, 1, POINT_SHAPE)
+
+
+def _m2_outcome(fn, m1, k, s):
+    try:
+        return fn(m1, k, s)
+    except BudgetExceeded as e:
+        return str(e), e.spent, e.limit
+
+
+def test_m2_matches_the_recursion():
+    """Values and raised budgets agree with the recursion over k and over
+    the shape's components, on shapes of every form up to six indices."""
+    rng = random.Random(0)
+    shapes = [EMPTY_SHAPE, POINT_SHAPE, TRIPOD]
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        idxs = [str(i) for i in range(n)]
+        shapes.append(ShapeTree(tuple(idxs), "0", {
+            idxs[i]: idxs[rng.randrange(i)] for i in range(1, n)}))
+    for s in shapes:
+        for m1 in (0, 1, 5, 10 ** 6, 3 * 10 ** 6):
+            for k in (0, 1, 2, 3):
+                assert _m2_outcome(m2, m1, k, s) == \
+                    _m2_outcome(m2_reference, m1, k, s)
+
+
+def test_m2_many_steps_and_tall_shapes_raise_without_recursing():
+    assert _m2_outcome(m2, 0, 5000, POINT_SHAPE) == (
+        "extension rank 1073741823 exceeds cap 1000000000", 1073741823,
+        10 ** 9)
+    tall = _m2_outcome(m2, 0, 1, chain_shape(600))
+    assert tall == _m2_outcome(m2, 0, 1, chain_shape(3))
+    assert tall[1] == 1082138575
 
 
 def test_m2_rejects_negatives():
@@ -290,6 +323,15 @@ def test_budget_exceeded_says_how_far_the_work_got():
         qe_candidate(phi, 1, [f], 0, budget_tuples=3)
     assert (info.value.spent, info.value.limit) == (4, 3)
     assert str(info.value) == "tuple budget exhausted"
+
+
+def test_count_budget_never_builds_the_power():
+    """Past the budget's bit length the count of n-tuples is named, not
+    built: at n = 10000 it would have 7,782 digits."""
+    with pytest.raises(BudgetExceeded) as info:
+        count_type_classes(chain(6), (), 0, 10000)
+    assert str(info.value) == "6^10000 tuples exceed budget 250000"
+    assert info.value.spent == 6 ** 19 > info.value.limit == 250000
 
 
 def test_qe_candidate_empty_corpus():

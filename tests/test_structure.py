@@ -9,14 +9,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (comb_and_fan_fixture, corrupted_fragment, fan_pair_fixture,
+from gen import (comb_and_fan_fixture, corrupted_fragment,
+                 dropped_entry_fragments, fan_pair_fixture,
                  near_valid_fragments, random_closed_fragment,
                  random_standard_fragment, random_tripod, replace,
                  theta_two_sort, three_sort_step_fixture, top_sort_only,
                  transfer_instances, two_root_forest)
 from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
-                     from_standard_tree_reference, set_checked_reports,
-                     validate_reference)
+                     from_standard_tree_reference, is_closed_reference,
+                     set_checked_reports, validate_reference)
 
 import treedesk
 from treedesk import qe, structure
@@ -67,6 +68,16 @@ def test_from_standard_tree_rejects_non_chain_downset():
               "c": Ordinal.nat(1)}
     with pytest.raises(InvalidTree):
         from_standard_tree(levels, {("a", "c"), ("b", "c")})
+
+
+def test_from_standard_tree_rejects_unknown_nodes():
+    """An edge naming a node without a level is refused, on either end,
+    before the order is checked."""
+    for edges, name in (({("zz", "a")}, "zz"), ({("a", "zz")}, "zz"),
+                        ({("a", "zz"), ("zz", "a"), ("yy", "a")}, "yy")):
+        with pytest.raises(InvalidTree) as info:
+            from_standard_tree({"a": Ordinal()}, edges)
+        assert str(info.value) == "order names unknown node %r" % name
 
 
 def _ancestor_tree(rng, n):
@@ -633,20 +644,19 @@ def _down_sets(nodes, order):
 
 def _watch_fixes(monkeypatch):
     """Wrap completion's scans: count the scans started, and after every
-    fix check the maintained down-sets against the transitive closure of
-    the working order and record how many nodes the fix minted."""
+    scan check the maintained down-sets against the transitive closure
+    of the working order and record how many nodes the scan minted."""
     real_fixes = structure._fixes
     scans, minted = [], []
 
-    def checked_fixes(w, fresh):
-        scans.append(len(w.nodes))
+    def checked_fixes(w, shape, fresh):
         before = len(w.nodes)
-        for did_mint in real_fixes(w, fresh):
-            assert w._below == _down_sets(w.nodes, w.order)
-            minted.append(len(w.nodes) - before)
-            assert did_mint == (minted[-1] > 0)
-            before = len(w.nodes)
-            yield did_mint
+        scans.append(before)
+        did_mint = real_fixes(w, shape, fresh)
+        assert w._below == _down_sets(w.nodes, w.order)
+        minted.append(len(w.nodes) - before)
+        assert did_mint == (minted[-1] > 0)
+        return did_mint
 
     monkeypatch.setattr(structure, "_fixes", checked_fixes)
     return scans, minted
@@ -660,7 +670,7 @@ def _completion_inputs():
 
 
 def test_completion_down_sets_stay_exact(monkeypatch):
-    """After every completion fix the maintained down-sets equal the
+    """After every completion scan the maintained down-sets equal the
     transitive closure of the working order."""
     _, minted = _watch_fixes(monkeypatch)
     for f in _completion_inputs():
@@ -671,13 +681,12 @@ def test_completion_down_sets_stay_exact(monkeypatch):
 
 
 def test_completion_restarts_only_after_mints(monkeypatch):
-    """A scan resumes after each fix that mints nothing, so completion
-    starts one scan, plus one more after each minting fix."""
+    """A scan declares what it can and stops after a mint, so completion
+    starts one scan, plus one more after each minting scan."""
     scans, minted = _watch_fixes(monkeypatch)
     complete(random_standard_fragment(random.Random(0), 30))
     mints = sum(1 for n in minted if n)
     assert len(scans) == mints + 1
-    assert len(minted) > len(scans)
 
 
 def test_completion_is_closed():
@@ -687,6 +696,19 @@ def test_completion_is_closed():
         assert is_closed(complete(f))
     for seed in range(10):
         assert is_closed(random_tripod(random.Random(seed)))
+
+
+def test_is_closed_matches_reference_on_dropped_entries():
+    """A completion with one lim, pre, meet, finite-gap suc or G entry
+    dropped is not closed, one without an infinite-gap suc still is,
+    and the reference copy of the check agrees on each."""
+    kinds = set()
+    for kind, f in dropped_entry_fragments(random.Random(0)):
+        closed = is_closed(f)
+        assert closed == is_closed_reference(f)
+        assert closed == (kind in ("none", "suc-infinite")), kind
+        kinds.add(kind)
+    assert kinds == {"none", "lim", "pre", "meet", "suc", "suc-infinite", "G"}
 
 
 def test_complete_freezes_once(monkeypatch):
@@ -761,7 +783,7 @@ ATTRIBUTES = ("shape", "nodes", "order", "mode") + TABLES
 
 def test_fragment_attributes_cannot_be_rebound():
     """A fragment's attributes are bound once, so a cache keyed by the
-    fragment stays sound; the builders stay writable."""
+    fragment stays sound; the builder stays writable."""
     f = theta_two_sort()
     assert len(ATTRIBUTES) == 12
     for name in ATTRIBUTES + ("_below", "extra"):
@@ -771,10 +793,8 @@ def test_fragment_attributes_cannot_be_rebound():
         del f.lim
     assert not hasattr(f, "__dict__")
     b = FragmentBuilder(f)
-    w = structure._Completion(f)
-    for builder in (b, w):
-        for name in ATTRIBUTES:
-            setattr(builder, name, {})
+    for name in ATTRIBUTES:
+        setattr(b, name, {})
     assert f.lim and f.mode == "theta"
 
 
