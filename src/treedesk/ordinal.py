@@ -138,14 +138,14 @@ class Ordinal:
             raise NotASuccessor("%s is a limit ordinal" % self)
         e, c = self.terms[-1]
         if c == 1:
-            return Ordinal(self.terms[:-1])
-        return Ordinal(self.terms[:-1] + ((0, c - 1),))
+            return _derived(self.terms[:-1])
+        return _derived(self.terms[:-1] + ((0, c - 1),))
 
     def limb(self) -> "Ordinal":
         """The largest limit ordinal <= self."""
         if self.is_limit:
             return self
-        return Ordinal(self.terms[:-1])
+        return _derived(self.terms[:-1])
 
     def mod_omega(self) -> int:
         """The finite n with self = limb(self) + n."""
@@ -157,11 +157,11 @@ class Ordinal:
         """The least limit ordinal strictly above self."""
         base = self.limb()
         if not base.terms:
-            return Ordinal(((1, 1),))
+            return _derived(((1, 1),))
         e, c = base.terms[-1]
         if e == 1:
-            return Ordinal(base.terms[:-1] + ((1, c + 1),))
-        return Ordinal(base.terms + ((1, 1),))
+            return _derived(base.terms[:-1] + ((1, c + 1),))
+        return _derived(base.terms + ((1, 1),))
 
     def plus(self, n: int) -> "Ordinal":
         if n < 0:
@@ -169,9 +169,18 @@ class Ordinal:
         if n == 0:
             return self
         if self.is_limit:
-            return Ordinal(self.terms + ((0, n),))
+            return _derived(self.terms + ((0, n),))
         e, c = self.terms[-1]
-        return Ordinal(self.terms[:-1] + ((0, c + n),))
+        return _derived(self.terms[:-1] + ((0, c + n),))
+
+
+def _derived(terms: tuple[tuple[int, int], ...]) -> Ordinal:
+    """An Ordinal on terms computed from a valid ordinal's, so in CNF
+    already: it skips the dataclass __init__ and the check in
+    __post_init__."""
+    o = object.__new__(Ordinal)
+    object.__setattr__(o, "terms", terms)
+    return o
 
 
 ZERO = Ordinal()

@@ -24,8 +24,9 @@ from .errors import BadArgument
 from .ordinal import Ordinal
 from .qe import atom_holds
 from .structure import (Fragment, SortError, UndefinedTerm, _known,
-                        from_standard_tree, term_step, validate)
-from .types import BudgetExceeded, atomic_basis, tp_code
+                        _require_closed, from_standard_tree, term_step,
+                        validate)
+from .types import BudgetExceeded, _tp_code, atomic_basis
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,10 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
     the halves' sorts differ from those, SortError is raised by the
     first ill-sorted atom reached: atoms are read in basis order, on the
     left half before the right.
+
+    Closedness is checked once per call, just before the first type
+    code: NotClosed comes before any error from coding a half, and a
+    call that codes no tuple checks nothing.
     """
     seq = list(seq)
     n = len(seq)
@@ -166,7 +171,9 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
 
     def code(half):
         if half not in codes:
-            codes[half] = tp_code(f, half, (), k)
+            if not codes:
+                _require_closed(f)
+            codes[half] = _tp_code(f, half, (), k)
         return codes[half]
 
     for m in range(1, arity // 2 + 1):

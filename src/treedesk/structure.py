@@ -624,10 +624,6 @@ def _validate_theta(f: Fragment) -> list[str]:
 # completion
 
 
-def _finite_gap(lx: Ordinal, ly: Ordinal) -> bool:
-    return lx.limb() == ly.limb()
-
-
 def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     """Smallest extension (under the fixed materialization policy) on
     which all tables are total over their intended domains.
@@ -746,20 +742,27 @@ def _regressive_class(f: _OrderQueries, eta: str, x: str) -> list[str]:
 
 def is_closed(f: Fragment) -> bool:
     """All tables total over their intended desk-scale domains."""
+    # each sorted node's limb as a term tuple: its level's terms without
+    # a final finite term; two levels have a finite gap iff these agree
+    limb = {}
     for x in f.nodes:
         if f.sort.get(x) is None:
             continue
         if x not in f.lim:
             return False
-        if not f.level[x].is_limit and x not in f.pre:
-            return False
+        terms = f.level[x].terms
+        if terms and terms[-1][0] == 0:
+            if x not in f.pre:
+                return False
+            terms = terms[:-1]
+        limb[x] = terms
     for eta in f.shape.indices:
         ns = sorted(f.nodes_of_sort(eta))
         for x, y in itertools.combinations_with_replacement(ns, 2):
             if _mk(x, y) not in f.meet:
                 return False
         for x, y in itertools.permutations(ns, 2):
-            if (f.lt(x, y) and _finite_gap(f.level[x], f.level[y])
+            if (f.lt(x, y) and limb[x] == limb[y]
                     and (x, y) not in f.suc):
                 return False
     for edge in f.shape.suc_pairs():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from treedesk.errors import BadArgument
 from treedesk.ordinal import (
     NotASuccessor, Ordinal, OrdinalParseError, cmp,
 )
@@ -105,3 +106,27 @@ def test_cmp_antisymmetric(a, b):
 def test_plus_strictly_monotone(a, n):
     assert (a.plus(n) > a) == (n > 0)
     assert a.plus(n).limb() == a.limb()
+
+
+@given(_ORDS, st.integers(0, 10))
+def test_derived_results_match_validated_ordinals(a, n):
+    """Results built from a valid ordinal skip the CNF check; each is
+    still in CNF, so it equals and hashes like the checked Ordinal on
+    its terms."""
+    derived = [a.limb(), a.plus(n), a.successor(), a.next_limit()]
+    if a.is_successor:
+        derived.append(a.predecessor())
+    for r in derived:
+        checked = Ordinal(r.terms)
+        assert r == checked and hash(r) == hash(checked)
+        assert type(r) is Ordinal and str(r) == str(checked)
+
+
+def test_constructors_still_check_cnf():
+    for terms in (((0, 0),), ((1, 1), (2, 1)), ((-1, 1),)):
+        with pytest.raises(BadArgument):
+            Ordinal(terms)
+    with pytest.raises(BadArgument):
+        Ordinal.nat(-1)
+    with pytest.raises(BadArgument):
+        Ordinal.omega(1, 0)

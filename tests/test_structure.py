@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import operator
@@ -20,7 +21,7 @@ from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
                      set_checked_reports, validate_reference)
 
 import treedesk
-from treedesk import qe, structure
+from treedesk import ordinal, qe, structure
 
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.fileio import fragment_to_dict
@@ -698,17 +699,40 @@ def test_completion_is_closed():
         assert is_closed(random_tripod(random.Random(seed)))
 
 
+@functools.lru_cache(maxsize=None)
+def _dropped_entries():
+    """`dropped_entry_fragments` of seeds 0-19."""
+    return tuple(entry for seed in range(20)
+                 for entry in dropped_entry_fragments(random.Random(seed)))
+
+
 def test_is_closed_matches_reference_on_dropped_entries():
     """A completion with one lim, pre, meet, finite-gap suc or G entry
     dropped is not closed, one without an infinite-gap suc still is,
     and the reference copy of the check agrees on each."""
     kinds = set()
-    for kind, f in dropped_entry_fragments(random.Random(0)):
+    for kind, f in _dropped_entries():
         closed = is_closed(f)
         assert closed == is_closed_reference(f)
         assert closed == (kind in ("none", "suc-infinite")), kind
         kinds.add(kind)
     assert kinds == {"none", "lim", "pre", "meet", "suc", "suc-infinite", "G"}
+
+
+def test_is_closed_builds_no_ordinal(monkeypatch):
+    """is_closed compares limbs as term tuples: with limb() and every
+    way to build an Ordinal raising, its verdicts stay the same."""
+    entries = _dropped_entries()
+    verdicts = [is_closed(f) for _, f in entries]
+
+    def no_ordinal(*args):
+        raise AssertionError("is_closed built an Ordinal")
+
+    monkeypatch.setattr(Ordinal, "limb", no_ordinal)
+    monkeypatch.setattr(Ordinal, "__post_init__", no_ordinal)
+    monkeypatch.setattr(ordinal, "_derived", no_ordinal)
+    assert [is_closed(f) for _, f in entries] == verdicts
+    assert True in verdicts and False in verdicts
 
 
 def test_complete_freezes_once(monkeypatch):

@@ -13,6 +13,7 @@ from oracles import canon_reference, count_isomorphisms
 from treedesk import structure, types
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.ordinal import Ordinal
+from treedesk.partition import coloring_from_sequence
 from treedesk.shape import POINT_SHAPE
 from treedesk.structure import (Fragment, NotClosed, closure, complete,
                                 from_standard_tree)
@@ -147,8 +148,9 @@ def test_code_equality_matches_unique_isomorphism(seed, k):
         assert n_iso == 1
 
 
-# Closedness is checked once per public call, before any unknown node
-# raises KeyError.
+# Closedness is checked once per public call of this module and of
+# partition.coloring_from_sequence, before any unknown node raises
+# KeyError.  indis still checks once per sub-tuple code (see README).
 
 _NOT_CLOSED = "closure requires a completed fragment"
 
@@ -159,7 +161,8 @@ def _unclosed():
     return f
 
 
-def test_count_type_classes_checks_closedness_once(monkeypatch):
+def _count_is_closed(monkeypatch):
+    """Record the fragment of every is_closed check from now on."""
     calls = []
     is_closed = structure.is_closed
 
@@ -168,10 +171,28 @@ def test_count_type_classes_checks_closedness_once(monkeypatch):
         return is_closed(f)
 
     monkeypatch.setattr(structure, "is_closed", counted)
+    return calls
+
+
+def test_count_type_classes_checks_closedness_once(monkeypatch):
+    calls = _count_is_closed(monkeypatch)
     f = chain(5)
     assert count_type_classes(f, ("n02",), 1, 1) == 5
     assert count_type_classes(f, ("n02",), 0, 2) > 0
     assert calls == [f, f]
+
+
+def test_coloring_from_sequence_checks_closedness_once(monkeypatch):
+    calls = _count_is_closed(monkeypatch)
+    f = chain(5)
+    col = coloring_from_sequence(f, f.nodes[:4], 0)
+    assert col.table and calls == [f]
+    unclosed = _unclosed()
+    del calls[:]
+    # a call that codes no tuple checks nothing
+    coloring_from_sequence(unclosed, unclosed.nodes[:1], 0)
+    coloring_from_sequence(unclosed, unclosed.nodes, 0, arity=1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("call", [
@@ -182,6 +203,8 @@ def test_count_type_classes_checks_closedness_once(monkeypatch):
     lambda f, x: tp_code(f, ("nowhere",), (), 0),
     lambda f, x: count_type_classes(f, ("nowhere",), 0, 1),
     lambda f, x: equiv_k(f, ("nowhere",), f, ("nowhere",), 0),
+    lambda f, x: coloring_from_sequence(f, (x, x), 1),
+    lambda f, x: coloring_from_sequence(f, ("nowhere", "nowhere"), 0),
 ])
 def test_unclosed_fragment_raises_not_closed_first(call):
     f = _unclosed()
