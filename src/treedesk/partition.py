@@ -26,7 +26,7 @@ from .qe import atom_holds
 from .structure import (Fragment, SortError, UndefinedTerm, _known,
                         _require_closed, from_standard_tree, term_step,
                         validate)
-from .types import BudgetExceeded, _tp_code, atomic_basis
+from .types import BudgetExceeded, _tp_code, basis_terms
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,14 @@ class Coloring:
             raise BadArgument("tuple %r not strictly increasing" % (key,))
 
     def color(self, key) -> int:
+        """The key's color; BadArgument unless the key passes
+        `check_key` (table keys passed it when the coloring was made)."""
         key = tuple(key)
-        if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-            raise BadArgument("tuple %r not strictly increasing" % (key,))
-        return self.table.get(key, self.default)
+        c = self.table.get(key)
+        if c is None:
+            self.check_key(key)
+            return self.default
+        return c
 
 
 def sub_tuples(items, max_len: int):
@@ -149,13 +153,24 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
                            arity: int | None = None) -> Coloring:
     """Coloring of index tuples of the sequence: odd lengths get 0; a
     tuple of length 2m gets 0 when its halves have equal rank-k types,
-    else 1 plus the index of the least separating atomic formula.
+    else 1 plus the index of the least separating atom of
+    `types.atomic_basis`.
 
     Atoms reading an undefined term are false.  The basis for length 2m
     is built on the sorts of the first left half that needs one, so when
     the halves' sorts differ from those, SortError is raised by the
     first ill-sorted atom reached: atoms are read in basis order, on the
     left half before the right.
+
+    The basis is never listed.  It is read in rows, one per term ti in
+    `types.basis_terms` order, each holding the atoms on ti and the
+    terms of its sort from ti on.  Each half evaluates every term once
+    and builds its atom truths a row at a time, when a scan first
+    reaches that row; a row holding an ill-sorted atom stops at it and
+    keeps its SortError.  Two halves skip each row in which their truths
+    agree and neither stops; in the first other row the scan returns the
+    first atom on which they differ, or raises at the first stop
+    (the left half's first).
 
     Closedness is checked once per call, just before the first type
     code: NotClosed comes before any error from coding a half, and a
@@ -184,76 +199,115 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
                 continue
             if m not in bases:
                 sorts = tuple(f.sort[x] for x in left)
-                bases[m] = _IndexedBasis(
-                    f, atomic_basis(m, k, f.shape, sorts))
+                bases[m] = _RowBasis(f, basis_terms(m, k, f.shape, sorts))
             table[idxs] = 1 + bases[m].first_difference(left, right)
     return Coloring(n, arity, table, 0)
 
 
-class _IndexedBasis:
-    """An atomic basis over one fragment with its terms in slots,
-    bottom-up: each distinct term once, after its arguments.  A tuple's
-    slot values are computed once and shared by every atom and pair
-    that reads them."""
+class _RowBasis:
+    """The atomic basis on the given (term, sort) pairs, read by rows.
+    Row i holds, for each term tj of ti's sort from ti on, the atoms
+    ("=", ti, tj), ("<", ti, tj) and ("<", tj, ti), in basis order.
+    Each tuple's term values are computed once, and its rows as a scan
+    first reaches them, so neither the atoms nor the unread rows are
+    ever built."""
 
-    def __init__(self, f: Fragment, basis):
+    def __init__(self, f: Fragment, terms):
         self.f = f
-        self.terms = []          # (term, slots of its arguments)
-        self.slots = {}          # tuple -> its slot values
-        slot_of = {}             # id(term) -> slot; basis keeps terms alive
-        self.atoms = [(rel, self._index(t1, slot_of),
-                       self._index(t2, slot_of)) for rel, t1, t2 in basis]
+        slot = {t: i for i, (t, _) in enumerate(terms)}
+        placed = [False] * len(terms)
+        self.plan = []           # (slot, term, slots of its arguments)
 
-    def _index(self, t, slot_of) -> int:
-        """Slot of t, placing t after its arguments on first sight."""
-        s = slot_of.get(id(t))
-        if s is None:
-            args = tuple(self._index(a, slot_of) for a in t.args)
-            s = slot_of[id(t)] = len(self.terms)
-            self.terms.append((t, args))
-        return s
+        def place(t) -> int:
+            """Slot of t, planning it after its arguments."""
+            i = slot[t]
+            if not placed[i]:
+                args = tuple(place(a) for a in t.args)
+                placed[i] = True
+                self.plan.append((i, t, args))
+            return i
+        for t, _ in terms:
+            place(t)
+        by_sort = {}
+        self.groups = []         # row i: slots of ti's sort, ti's place
+        for i, (_, s) in enumerate(terms):
+            group = by_sort.setdefault(s, [])
+            self.groups.append((group, len(group)))
+            group.append(i)
+        self.offsets = [0]       # first atom of each row reached
+        self.tuples = {}         # tuple -> (term values, rows built)
 
-    def values(self, assignment: tuple) -> list:
+    def first_difference(self, left: tuple, right: tuple) -> int:
+        """Index of the first atom whose truth differs between the two
+        tuples, or the number of atoms.  A SortError is raised by the
+        first ill-sorted atom reached, on the left tuple first."""
+        offsets = self.offsets
+        for i, (group, r) in enumerate(self.groups):
+            lrow, lerr = self._row(left, i)
+            rrow, rerr = self._row(right, i)
+            if i + 1 == len(offsets):
+                offsets.append(offsets[i] + 3 * (len(group) - r))
+            if lerr is None and rerr is None and lrow == rrow:
+                continue
+            n = min(len(lrow), len(rrow))
+            a = next((a for a in range(n) if lrow[a] != rrow[a]), n)
+            if a < n:
+                return offsets[i] + a
+            # the rows agree up to where one of them stops
+            raise lerr if len(lrow) == n else rerr
+        return offsets[-1]
+
+    def _row(self, assignment: tuple, i: int):
+        """Row i of the tuple, building its rows up to i."""
+        got = self.tuples.get(assignment)
+        if got is None:
+            got = self.tuples[assignment] = (self._values(assignment), [])
+        vals, rows = got
+        while len(rows) <= i:
+            rows.append(self._truths(vals, len(rows)))
+        return rows[i]
+
+    def _values(self, assignment: tuple) -> list:
         """Each term's value under the assignment, or the error its
         evaluation raises (its first failing argument's, if any)."""
-        vals = self.slots.get(assignment)
-        if vals is not None:
-            return vals
-        vals = self.slots[assignment] = []
-        for t, args in self.terms:
+        vals = [None] * len(self.groups)
+        for i, t, args in self.plan:
             argv = [vals[j] for j in args]
             err = next((v for v in argv if isinstance(v, Exception)), None)
             if err is None:
                 try:
-                    vals.append(term_step(self.f, t, argv, assignment))
+                    vals[i] = term_step(self.f, t, argv, assignment)
                 except (SortError, UndefinedTerm) as e:
                     # its traceback would keep this frame, hence every
-                    # slot list, alive until the cyclic collector runs
-                    vals.append(e.with_traceback(None))
+                    # value list, alive until the cyclic collector runs
+                    vals[i] = e.with_traceback(None)
             else:
-                vals.append(err)
+                vals[i] = err
         return vals
 
-    def first_difference(self, left: tuple, right: tuple) -> int:
-        """Index of the first atom whose truth differs between the two
-        tuples, or the number of atoms."""
-        lvals, rvals = self.values(left), self.values(right)
-        for i, (rel, s1, s2) in enumerate(self.atoms):
-            if (_atom_value(self.f, rel, lvals, s1, s2)
-                    != _atom_value(self.f, rel, rvals, s1, s2)):
-                return i
-        return len(self.atoms)
-
-
-def _atom_value(f: Fragment, rel: str, vals, s1: int, s2: int) -> bool:
-    """eval_formula on the atom from the slot values: false once a term
-    is undefined, reading t1 first; a stored SortError is raised."""
-    for v in (vals[s1], vals[s2]):
-        if isinstance(v, UndefinedTerm):
-            return False
-        if isinstance(v, Exception):
-            raise v
-    return atom_holds(f, rel, vals[s1], vals[s2])
+    def _truths(self, vals: list, i: int):
+        """eval_formula on the atoms of row i from the term values, as
+        (truths, None), or as (truths before the first ill-sorted atom,
+        its SortError).  An atom reads t1, then t2, and is false once
+        it reads an undefined term."""
+        group, r = self.groups[i]
+        f, vi = self.f, vals[i]
+        out = []
+        for j in group[r:]:
+            vj = vals[j]
+            if isinstance(vi, Exception) or isinstance(vj, Exception):
+                # the error each atom reads first: ti's in ("=", ti, tj)
+                # and ("<", ti, tj), tj's in ("<", tj, ti)
+                ei = vi if isinstance(vi, Exception) else vj
+                ej = vj if isinstance(vj, Exception) else vi
+                for e in (ei, ei, ej):
+                    if isinstance(e, SortError):
+                        return tuple(out), e
+                    out.append(False)
+            else:
+                out += (vi == vj, atom_holds(f, "<", vi, vj),
+                        atom_holds(f, "<", vj, vi))
+        return tuple(out), None
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +390,10 @@ def is_hard(p: PTriple, delta: int, budget: int = 10 ** 6) -> bool:
 
 def p_from_coloring(c: Coloring, levels) -> PTriple:
     """The chain with the given strictly increasing levels, colored by
-    c on its successor-of-limit positions, with E the equality."""
+    c on its successor-of-limit positions, with E the equality.  Raises
+    BadArgument unless the levels are strictly increasing, and when a
+    successor-of-limit node sits at position c.n or later, as one can
+    once there are more levels than c.n."""
     levels = list(levels)
     for a, b in zip(levels, levels[1:]):
         if not a < b:

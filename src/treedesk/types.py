@@ -528,18 +528,27 @@ def _record(f: Fragment, a: str, b_list: list[str], k: int):
 # symbolic atomic basis
 
 
-def atomic_basis(n: int, k: int, shape: ShapeTree,
-                 var_sorts: tuple[str, ...] | None = None):
-    """All atomic formulas (rel, t1, t2) whose terms lie in the rank-k
-    symbolic closure of n sorted variables."""
+def basis_terms(n: int, k: int, shape: ShapeTree,
+                var_sorts: tuple[str, ...] | None = None):
+    """The (term, sort) pairs of the rank-k symbolic closure of n sorted
+    variables, in the order `atomic_basis` pairs them.  Variables take
+    the root sort when no sorts are given."""
     if var_sorts is None:
         if shape.root is None:
             raise WrongShape("empty shape needs explicit variable sorts")
         var_sorts = tuple(shape.root for _ in range(n))
-    terms = _symbolic_closure(n, k, shape, var_sorts)
+    return sorted(_symbolic_closure(n, k, shape, var_sorts), key=_term_key)
+
+
+def atomic_basis(n: int, k: int, shape: ShapeTree,
+                 var_sorts: tuple[str, ...] | None = None):
+    """All atomic formulas (rel, t1, t2) whose terms lie in the rank-k
+    symbolic closure of n sorted variables: for each term ti in
+    `basis_terms` order and each term tj of its sort from ti on,
+    ("=", ti, tj), ("<", ti, tj) and ("<", tj, ti)."""
     out = []
     for (t1, s1), (t2, s2) in itertools.combinations_with_replacement(
-            sorted(terms, key=_term_key), 2):
+            basis_terms(n, k, shape, var_sorts), 2):
         if s1 == s2:
             out.append(("=", t1, t2))
             out.append(("<", t1, t2))

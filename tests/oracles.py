@@ -5,8 +5,9 @@ a fixpoint term-value closure, a backtracking isomorphism counter, and
 small brute-force helpers.  The exceptions are reference copies of
 five of the validator's loops and of the whole validator, of the
 one-step closure operators, of the canonical ordering of a closure, of
-the standard-tree builder, of the closedness check and of the
-extension-rank recursion, kept to check their faster forms.
+the standard-tree builder, of the closedness check, of the
+extension-rank recursion and of the derived colouring's basis scan,
+kept to check their faster forms.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from treedesk.qe import K_BUDGET, M2_CAP
+from treedesk.qe import K_BUDGET, M2_CAP, eval_formula
 from treedesk.shape import ShapeTree, decompose
-from treedesk.structure import Fragment, InvalidTree, _mk, _validate_theta
-from treedesk.types import BudgetExceeded
+from treedesk.structure import (Fragment, InvalidTree, UndefinedTerm, _mk,
+                                _validate_theta, eval_term)
+from treedesk.types import BudgetExceeded, atomic_basis, tp_code
 
 
 def closure_oracle(f, a, k):
@@ -606,3 +608,44 @@ def m2_reference(m1, k, s):
         raise BudgetExceeded("extension rank %d exceeds cap %d"
                              % (v, M2_CAP), v, M2_CAP)
     return v
+
+
+def basis_scan(f, basis, left, right):
+    """1 plus the index of the first atom of the basis on which the two
+    halves differ under `qe.eval_formula`, or 1 plus the basis length;
+    and how many atoms before that one read an undefined term, counted
+    once per half.  An ill-sorted atom raises eval_formula's SortError,
+    on the left half first."""
+    undefined = 0
+    for i, (rel, t1, t2) in enumerate(basis):
+        phi = ("atom", rel, t1, t2)
+        if eval_formula(f, phi, left) != eval_formula(f, phi, right):
+            return 1 + i, undefined
+        for half in (left, right):
+            try:
+                eval_term(f, t1, half), eval_term(f, t2, half)
+            except UndefinedTerm:
+                undefined += 1
+    return 1 + len(basis), undefined
+
+
+def coloring_reference(f, seq, k, arity):
+    """The table of `partition.coloring_from_sequence(f, seq, k, arity)`
+    as it was before rows: each index tuple of even length 2m whose
+    halves have distinct `tp_code`s is scanned by `basis_scan` over the
+    whole `atomic_basis` of m variables, built on the sorts of the
+    first left half that needs it."""
+    seq = list(seq)
+    table = {}
+    bases = {}
+    for m in range(1, arity // 2 + 1):
+        for idxs in itertools.combinations(range(len(seq)), 2 * m):
+            left = tuple(seq[i] for i in idxs[:m])
+            right = tuple(seq[i] for i in idxs[m:])
+            if tp_code(f, left, (), k) == tp_code(f, right, (), k):
+                continue
+            if m not in bases:
+                sorts = tuple(f.sort[x] for x in left)
+                bases[m] = atomic_basis(m, k, f.shape, sorts)
+            table[idxs] = basis_scan(f, bases[m], left, right)[0]
+    return table

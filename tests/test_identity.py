@@ -19,7 +19,10 @@ witness and control trees by hand.
 Each coloring case pins the SHA-256 of the sorted table of
 `coloring_from_sequence`, recorded on the code that evaluated every
 atom of the basis with `qe.eval_formula`.  Only single-sort shapes are
-pinned: there the basis order never depended on the hash seed.
+pinned: there the basis order never depended on the hash seed.  The
+chain-quadruples case, the only one that colours tuples of length 4
+at rank 1, was recorded on the code that built and indexed the whole
+atomic basis of each half-length (4,868,103 atoms for halves of two).
 
 Each type case pins the SHA-256 of a sweep over one closed fragment:
 for every rank and parameter prefix, the `tp_code` of every node, the
@@ -384,6 +387,8 @@ COLORING_CASES = {
     "chain-tail": _chain_tail_coloring,
     **{"closed-arity4-%d" % s: (lambda s=s: _arity4_coloring(s))
        for s in (0, 2)},
+    "chain-quadruples": lambda: coloring_from_sequence(
+        chain(5), chain(5).nodes[:4], 1),
 }
 
 COLORING_PINNED = {
@@ -409,6 +414,8 @@ COLORING_PINNED = {
         "257f771efc72903a06b59d8fad07c95dce315fe92e01c7c683b1534879ab1bbc",
     "closed-arity4-2":
         "723536954be1f0d926b52c9f4d3a462aaeca97476694c6eace7dbc09e9e5ea27",
+    "chain-quadruples":
+        "a0d4218dc75d635dc18521fe883123cfb822168a945d18442df9882591d583fe",
 }
 
 

@@ -3,23 +3,26 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 import treedesk
-from gen import hard_six, random_closed_fragment, random_tripod, six_chain_base
-from treedesk.errors import UnknownNode
+from gen import (chain, hard_six, random_closed_fragment, random_tripod,
+                 six_chain_base)
+from oracles import basis_scan, coloring_reference
+from treedesk.errors import BadArgument, UnknownNode
 from treedesk.ordinal import Ordinal
 from treedesk.partition import (
     Coloring, DType, PTriple, coloring_from_sequence, d_q, dtp,
     enumerate_complete_dtypes, find_homogeneous, is_hard, lift_element,
     QNode, p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
-    validate_ptriple, validate_qnode,
+    _RowBasis, validate_ptriple, validate_qnode,
 )
-from treedesk.qe import eval_formula
-from treedesk.structure import SortError, UndefinedTerm, eval_term
-from treedesk.types import BudgetExceeded, atomic_basis
+from treedesk import types
+from treedesk.structure import SortError, UndefinedTerm
+from treedesk.types import BudgetExceeded, atomic_basis, basis_terms
 
 
 @given(st.integers(0, 500), st.integers(0, 500))
@@ -42,6 +45,28 @@ def test_coloring_rejects_non_increasing_keys():
     assert c.color((0, 2)) == 0
     with pytest.raises(ValueError):
         c.color((1, 0))
+
+
+def test_coloring_checks_keys_it_misses():
+    c = Coloring(4, 2, {(0, 1): 3})
+    assert c.color((0, 1)) == 3
+    assert c.color([2, 3]) == c.color((1,)) == c.color(()) == 0
+    for key, why in (((0, 99), "outside ground set"),
+                     ((-1,), "outside ground set"),
+                     ((0, 1, 2), "longer than arity"),
+                     ((2, 2), "not strictly increasing")):
+        with pytest.raises(BadArgument, match=why):
+            c.color(key)
+
+
+def test_p_from_coloring_needs_a_position_per_level():
+    levels = [Ordinal.omega(1, q).plus(r) for q in range(1, 4)
+              for r in (0, 1)]
+    assert len(p_from_coloring(Coloring(6, 2), levels).d) == 6
+    # the last successor-of-limit node sits at position 5
+    with pytest.raises(BadArgument, match="outside ground set"):
+        p_from_coloring(Coloring(5, 2), levels)
+    assert p_from_coloring(Coloring(5, 2), levels[:5]).d
 
 
 def test_find_homogeneous_least_witness():
@@ -112,22 +137,12 @@ def test_coloring_from_sequence_homogeneous_on_chain_tail():
 
 
 def _scan_color(f, left, right, k):
-    """Reference color of a pair of halves with distinct types: scan the
-    basis with eval_formula.  Also returns how many atoms before the
-    separating one read an undefined term on either half."""
+    """Reference color of a pair of halves with distinct types, and how
+    many atoms before the separating one read an undefined term on
+    either half: the basis scan on the left half's sorts."""
     sorts = tuple(f.sort[x] for x in left)
-    basis = atomic_basis(len(left), k, f.shape, sorts)
-    undefined = 0
-    for i, (rel, t1, t2) in enumerate(basis):
-        phi = ("atom", rel, t1, t2)
-        if eval_formula(f, phi, left) != eval_formula(f, phi, right):
-            return 1 + i, undefined
-        for half in (left, right):
-            try:
-                eval_term(f, t1, half), eval_term(f, t2, half)
-            except UndefinedTerm:
-                undefined += 1
-    return 1 + len(basis), undefined
+    return basis_scan(f, atomic_basis(len(left), k, f.shape, sorts),
+                      left, right)
 
 
 def _one_sort_sequences():
@@ -160,6 +175,95 @@ def test_coloring_from_sequence_mixed_sorts_raise():
     assert len({f.sort[x] for x in seq}) > 1
     with pytest.raises(SortError, match="level-map edge"):
         coloring_from_sequence(f, seq, k=0, arity=2)
+
+
+def _outcome(fn):
+    """fn's result, or the type and message of the TreedeskError it
+    raises."""
+    try:
+        return fn()
+    except treedesk.TreedeskError as e:
+        return type(e), str(e)
+
+
+def _reference_cases():
+    """(fragment, sequence, k): shuffled mixed-sort and sorted one-sort
+    tripod sequences at rank 0, closed fragments at ranks 0 and 1."""
+    for s in range(80):
+        rng = random.Random(s)
+        f = random_tripod(rng)
+        pool = sorted(x for x in f.nodes if f.sort.get(x) is not None)
+        if s < 10:
+            yield f, [x for x in pool if f.sort[x] == "r"][:6], 0
+        rng.shuffle(pool)
+        yield f, pool[:5], 0
+    for s in range(40):
+        f = random_closed_fragment(random.Random(s), 14)
+        pool = sorted(x for x in f.nodes if f.sort.get(x) is not None)[:6]
+        yield from ((f, pool, k) for k in ((0, 1) if s < 8 else (0,)))
+
+
+def test_coloring_from_sequence_matches_reference_with_errors():
+    outcomes = []
+    for f, seq, k in _reference_cases():
+        want = _outcome(lambda: coloring_reference(f, seq, k, 2))
+        got = _outcome(lambda: coloring_from_sequence(f, seq, k, 2).table)
+        assert got == want
+        outcomes.append(want)
+    errors = [w for w in outcomes if isinstance(w, tuple)]
+    assert len(errors) > 10 and {t for t, _ in errors} == {SortError}
+    assert sum(1 for w in outcomes if w) > 100
+
+
+def test_coloring_from_sequence_reads_rows_not_the_basis(monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("the atomic basis was listed")
+    monkeypatch.setattr(types, "atomic_basis", unlisted)
+    f = chain(5)
+    tracemalloc.start()
+    try:
+        col = coloring_from_sequence(f, f.nodes[:4], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pairs' colors lie in the first 10 of 41 rows, the
+    # quadruple's in the first of 1,801 rows (4,868,103 atoms)
+    assert col.table == {(0, 1): 124, (0, 2): 124, (0, 3): 124,
+                         (1, 2): 148, (1, 3): 148, (2, 3): 1006,
+                         (0, 1, 2, 3): 11}
+    assert peak < 64 * 2 ** 20
+
+
+def test_row_basis_matches_basis_scan_on_any_two_halves():
+    # halves coloring_from_sequence never pairs: both of a sort other
+    # than the basis's stop at the same atom and must still raise
+    outcomes = []
+    for s in range(4):
+        rng = random.Random(s)
+        f = random_tripod(rng)
+        nodes = sorted(x for x in f.nodes if f.sort.get(x) is not None)
+        basis = atomic_basis(1, 0, f.shape, ("r",))
+        rows = _RowBasis(f, basis_terms(1, 0, f.shape, ("r",)))
+        for _ in range(40):
+            left, right = (rng.choice(nodes),), (rng.choice(nodes),)
+            want = _outcome(lambda: basis_scan(f, basis, left, right)[0])
+            assert _outcome(
+                lambda: 1 + rows.first_difference(left, right)) == want
+            outcomes.append(want)
+    assert sum(isinstance(w, tuple) for w in outcomes) > 40
+    assert sum(w == 1 + len(basis) for w in outcomes) > 0
+
+
+def test_row_atoms_read_their_first_term_first():
+    # ("<", tj, ti) reads tj before ti: with lim(x0) undefined and x0
+    # ill-sorted, ("=", ti, tj) and ("<", ti, tj) are false and
+    # ("<", tj, ti) raises, as eval_formula would
+    f = chain(2)
+    rows = _RowBasis(f, basis_terms(1, 0, f.shape))
+    undefined, ill = UndefinedTerm("lim"), SortError("x0")
+    assert rows._truths([undefined, ill], 0) == ((False,) * 5, ill)
+    assert rows._truths([ill, undefined], 0) == ((), ill)
+    assert rows._truths([undefined, undefined], 0) == ((False,) * 6, None)
 
 
 _TRIPOD_COLORINGS = """
