@@ -18,7 +18,7 @@ from .qe import (m2, extend_one_point, eval_formula, qe_candidate,
                  qe_matches, RankTooLow)
 from .indis import (SequenceWindow, Classification, TraceStep,
                     is_indiscernible, is_NI, is_HNI, classify, h_map,
-                    h_iterate, search_indiscernible, default_hni_terms,
+                    h_iterate, search_indiscernible, HNI_TERMS,
                     NotAlmostIncreasing, ShapeExhausted)
 from .partition import (pair, unpair, pi1, pi2, Coloring,
                         find_homogeneous, coloring_from_sequence,

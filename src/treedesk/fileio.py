@@ -80,12 +80,22 @@ def _parse_level(text, location: str) -> Ordinal:
                          location)
 
 
+def parse_json(text: str, location: str):
+    """The JSON value of text, or InputError at location (also when it
+    nests too deeply for the decoder)."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError("not valid JSON: %s" % exc, location)
+
+
 def _read_json(path: str) -> dict:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError("not valid JSON: %s" % exc, path)
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError("not a text file: %s" % exc, path)
+    doc = parse_json(text, path)
     if not isinstance(doc, dict):
         raise InputError("document is not a JSON object", path)
     return doc
@@ -269,8 +279,13 @@ def ptriple_from_dict(doc: dict, location: str = "ptriple") -> PTriple:
         if not isinstance(key, list):
             raise InputError("d key %r is not a list" % (key,), loc)
         d[tuple(_ref(x, ids, loc) for x in key)] = _int(v, "color", loc)
-    e = {_ref(x, ids, loc): lab
-         for loc, (x, lab) in _rows(doc, "e", 2, location)}
+    e = {}
+    for loc, (x, lab) in _rows(doc, "e", 2, location):
+        x = _ref(x, ids, loc)
+        if isinstance(lab, (list, dict)):
+            raise InputError("class label %r is not a JSON scalar" % (lab,),
+                             loc)
+        e[x] = lab
     return PTriple(tree, d, e)
 
 
@@ -294,7 +309,11 @@ def load_gluespec(path: str) -> GlueSpec:
         return rel if os.path.isabs(rel) else os.path.join(here, rel)
 
     s_prime = shape_from_dict(doc.get("s_prime", {}), path + ".s_prime")
-    base = load_fragment(resolve(doc["base"]))
+    base = doc.get("base")
+    if not isinstance(base, str):
+        raise InputError("base %r is not a file path" % (base,),
+                         path + ".base")
+    base = load_fragment(resolve(base))
     boundary = {}
     for loc, block in _rows(doc, "boundary", None, path):
         try:

@@ -93,10 +93,11 @@ def is_NI(w: SequenceWindow) -> bool:
             and length_colors(blocks, code) is not None)
 
 
-def default_hni_terms() -> list[Term]:
-    x0, x1 = Term.var(0), Term.var(1)
-    step = Term.suc(Term.lim(Term.wedge(x0, x1)), x1)
-    return [Term.wedge(x0, x1), step, Term.g(step)]
+_WEDGE = Term.wedge(Term.var(0), Term.var(1))
+# suc(lim(x0 ^ x1), x1): the step map before its level map G
+_STEP = Term.suc(Term.lim(_WEDGE), Term.var(1))
+# the step-map building blocks whose derived sequences is_HNI checks
+HNI_TERMS = (_WEDGE, _STEP, Term.g(_STEP))
 
 
 def _term_arity(t: Term) -> int:
@@ -119,16 +120,14 @@ def derived_sequence(w: SequenceWindow, sigma: Term):
     return tuple(out)
 
 
-def is_HNI(w: SequenceWindow, terms=None) -> bool:
-    """NI, and every derived sequence along the supplied terms is NI.
+def is_HNI(w: SequenceWindow) -> bool:
+    """NI, and every derived sequence along HNI_TERMS is NI.
 
     Terms whose values are not materialized in the fragment are
-    skipped; the default list holds the step-map building blocks."""
+    skipped."""
     if not is_NI(w):
         return False
-    if terms is None:
-        terms = default_hni_terms()
-    for sigma in terms:
+    for sigma in HNI_TERMS:
         t = derived_sequence(w, sigma)
         if t is None or len(t) < 2:
             continue
@@ -168,8 +167,7 @@ def h_map(w: SequenceWindow) -> SequenceWindow:
     if not kids:
         raise ShapeExhausted("sort %r has no next sort" % w.sort)
     edge = (w.sort, kids[0])
-    sigma = Term.g(Term.suc(Term.lim(Term.wedge(Term.var(0), Term.var(1))),
-                            Term.var(1)), edge)
+    sigma = Term.g(_STEP, edge)
     t = derived_sequence(w, sigma)
     if t is None:
         f2 = complete(w.fragment)
@@ -214,7 +212,9 @@ def search_indiscernible(f: Fragment, a_set, length: int, k: int, r: int,
                          budget: int = 200000):
     """Lexicographically least non-constant injective sequence of the
     given length from the set that passes is_indiscernible at (k, r),
-    or None.  Backtracking over prefixes with incremental type checks.
+    or None.  Backtracking over prefixes: each candidate prefix is
+    checked afresh, by the type code of every increasing sub-tuple of
+    length at most r, not only of those that end at its last entry.
     Raises BadArgument for a length below 2 and UnknownNode for a node of
     the set that is not in f."""
     if length < 2:

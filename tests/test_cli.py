@@ -8,7 +8,8 @@ from gen import (random_closed_fragment, random_standard_fragment,
 from treedesk import cli
 from treedesk.cli import main
 from treedesk.fileio import (
-    fragment_to_dict, save_coloring, save_fragment, save_ptriple,
+    fragment_to_dict, ptriple_to_dict, save_coloring, save_fragment,
+    save_ptriple,
 )
 from treedesk.ordinal import Ordinal
 from treedesk.partition import Coloring
@@ -410,8 +411,13 @@ WRONG_INPUTS = {
     "ramsey-homog-negative-delta": (["ramsey", "homog", "{coloring}",
                                      "--delta", "-1"],
                                     "delta must be non-negative"),
+    "ramsey-homog-zero-budget": (["ramsey", "homog", "{coloring}",
+                                  "--delta", "3", "--budget-tuples", "0"],
+                                 "homogeneity search budget"),
     "pspace-validate-not-a-triple": (["pspace", "validate", "{chain}"],
                                      "malformed shape section"),
+    "pspace-validate-list-label": (["pspace", "validate", "{listlabel}"],
+                                   "class label ['x'] is not a JSON scalar"),
     "pspace-hard-zero-budget": (["pspace", "hard", "{ptriple}", "--delta",
                                  "3", "--budget-tuples", "0"],
                                 "hardness search budget"),
@@ -428,6 +434,11 @@ WRONG_INPUTS = {
                                  "UnknownNode: \"unknown node 'zz'\""),
     "glue-star-not-a-spec": (["glue", "star", "{chain}"],
                              "malformed shape section"),
+    "glue-star-no-base": (["glue", "star", "{nobase}"],
+                          "base None is not a file path"),
+    "glue-star-base-not-a-path": (["glue", "star", "{intbase}"],
+                                  "base 5 is not a file path"),
+    "validate-not-text": (["validate", "{binary}"], "not a text file"),
     "demo-zero-budget": (["demo", "case1", "--budget-tuples", "0"],
                          "search budget exhausted"),
     "demo-short-window": (["demo", "case1", "--L", "1"],
@@ -445,17 +456,26 @@ def write_wrong_input_files(d):
                                         for j in range(i + 1, 6)})
     unclosed = random_standard_fragment(random.Random(3), 12)
     assert unclosed.nodes[:3] == ("n000", "n001", "n002")
+    s_prime = {"indices": ["r"], "root": "r", "parent": {},
+               "labels": {"r": "r"}}
     docs = {"badsort": fragment_to_dict(chain),
-            "dangling": fragment_to_dict(chain)}
+            "dangling": fragment_to_dict(chain),
+            "listlabel": ptriple_to_dict(six_chain_base()),
+            "nobase": {"s_prime": s_prime},
+            "intbase": {"s_prime": s_prime, "base": 5}}
     docs["badsort"]["nodes"][0]["sort"] = "zz"
     docs["dangling"]["order"].append(["n00", "zz"])
+    docs["listlabel"]["e"][0][1] = ["x"]
     paths = {name: str(d / ("%s.json" % name)) for name in
-             ("chain", "unclosed", "step", "coloring", "ptriple", *docs)}
+             ("chain", "unclosed", "step", "coloring", "ptriple", "binary",
+              *docs)}
     save_fragment(chain, paths["chain"])
     save_fragment(unclosed, paths["unclosed"])
     save_fragment(complete(three_sort_step_fixture()[0]), paths["step"])
     save_coloring(Coloring(5, 2, {}, 0), paths["coloring"])
     save_ptriple(six_chain_base(), paths["ptriple"])
+    with open(paths["binary"], "wb") as fh:
+        fh.write(b"\xff{}")
     for name, doc in docs.items():
         with open(paths[name], "w") as fh:
             json.dump(doc, fh)

@@ -11,9 +11,9 @@ from oracles import SET_CHECKED, set_checked_reports, validate_reference
 from treedesk.fileio import (
     InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
     fragment_from_dict, fragment_to_dict, load_coloring, load_fragment,
-    load_gluespec, load_ptriple, ptriple_from_dict, ptriple_to_dict,
-    save_coloring, save_fragment, save_ptriple, term_from_list,
-    write_series_csv,
+    load_gluespec, load_ptriple, parse_json, ptriple_from_dict,
+    ptriple_to_dict, save_coloring, save_fragment, save_ptriple,
+    term_from_list, write_series_csv,
 )
 from treedesk.glue import star_construct
 from treedesk.ordinal import Ordinal
@@ -443,6 +443,43 @@ def test_gluespec_malformed_boundary(tmp_path):
     with pytest.raises(InputError) as exc:
         load_gluespec(str(p))
     assert "boundary[0]" in exc.value.location
+
+
+@pytest.mark.parametrize("base", [None, 5, ["base.json"]])
+def test_gluespec_base_not_a_path_reports_location(tmp_path, base):
+    doc = {"s_prime": {"indices": ["r"], "root": "r", "parent": {},
+                       "labels": {"r": "r"}}}
+    if base is not None:
+        doc["base"] = base
+    p = tmp_path / "glue.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as exc:
+        load_gluespec(str(p))
+    assert exc.value.location == str(p) + ".base"
+
+
+@pytest.mark.parametrize("label", [["x"], {"x": 1}])
+def test_ptriple_unhashable_label_reports_location(label):
+    doc = ptriple_to_dict(six_chain_base())
+    doc["e"][1][1] = label
+    with pytest.raises(InputError) as exc:
+        ptriple_from_dict(doc)
+    assert exc.value.location == "ptriple.e[1]"
+
+
+@pytest.mark.parametrize("text", ["[1,", "[" * 5000 + "]" * 5000])
+def test_parse_json_faults_are_input_errors(text):
+    with pytest.raises(InputError) as exc:
+        parse_json(text, "--phi")
+    assert exc.value.location == "--phi"
+
+
+def test_file_that_is_not_text(tmp_path):
+    p = tmp_path / "binary.json"
+    p.write_bytes(b"\xff{}")
+    with pytest.raises(InputError) as exc:
+        load_fragment(str(p))
+    assert exc.value.location == str(p)
 
 
 def test_term_and_formula_from_list():

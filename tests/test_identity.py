@@ -44,11 +44,17 @@ that closed each tuple's generators from scratch, rebuilt the
 refinement index in every individualization branch and counted type
 classes by their code bytes.
 
-Each CLI case runs one subcommand with `--format json` on files written
-like the `tests/test_cli.py` fixtures and pins the SHA-256 of the report
-with `timing` dropped, followed by the bytes of the file it writes with
-`-o`, if any.  They were recorded, under PYTHONHASHSEED 0 and 2, on the
-code whose fragment tables were plain dicts.
+Each CLI case runs one of the 22 leaf subcommands with `--format json`
+on files written like the `tests/test_cli.py` fixtures and pins the
+SHA-256 of the report with `timing` dropped and the files' directory
+written as DIR, followed by the bytes of the file it writes with `-o` or
+`--csv`, if any; the exit code must equal the report's status.  The
+validate, complete, close, types-code, types-count, qe-extend,
+indis-classify and glue-star cases were recorded, under PYTHONHASHSEED 0
+and 2, on the code whose fragment tables were plain dicts; the other
+fourteen, under both seeds, on the code that dispatched each subcommand
+group through its own if/elif chain and ran `ramsey homog` without the
+tuple budget.
 
 The guess-sequence case pins the SHA-256 of a sweep over the six colored
 chains of acceptance criterion 11: `q_enumerate` at lengths 0-3 and 1-2
@@ -93,10 +99,11 @@ from test_cli import WRONG_INPUTS, write_wrong_input_files
 import treedesk
 from treedesk.cli import main
 from treedesk.errors import TreedeskError
-from treedesk.fileio import fragment_to_dict, ptriple_to_dict, save_fragment
+from treedesk.fileio import (fragment_to_dict, ptriple_to_dict,
+                             save_coloring, save_fragment, save_ptriple)
 from treedesk.glue import build_control, build_witness
 from treedesk.ordinal import Ordinal
-from treedesk.partition import (DType, QNode, _qnode_key,
+from treedesk.partition import (Coloring, DType, QNode, _qnode_key,
                                 coloring_from_sequence, d_q, e_q,
                                 lift_element, q_enumerate, validate_qnode)
 from treedesk.qe import extend_one_point
@@ -620,6 +627,27 @@ CLI_CASES = {
     "indis-classify": ["indis", "classify", "{step}",
                        "--seq", "a_s0,a_s1,a_s2,a_s3"],
     "glue-star": ["glue", "star", "{glue}", "-o", "{out}"],
+    "types-vc-degree": ["types", "vc-degree", "--family", "binary",
+                        "--k", "0", "--csv", "{out}"],
+    "qe-m2": ["qe", "m2", "--m1", "3", "--k", "1", "--shape", "chain:2"],
+    "qe-table": ["qe", "table", "{chain}", "{step}",
+                 "--phi", '["atom","<",["var",0],["var",1]]', "--nvars", "1"],
+    "indis-check": ["indis", "check", "{step}", "--seq", "a_s0,a_s1,a_s2"],
+    "indis-ni": ["indis", "ni", "{step}", "--seq", "a_s0,a_s1,a_s2,a_s3",
+                 "--n", "2", "--k", "0"],
+    "indis-hni": ["indis", "hni", "{step}", "--seq", "a_s0,a_s1,a_s2",
+                  "--k", "0", "--r", "1"],
+    "indis-h-iter": ["indis", "h-iter", "{step}",
+                     "--seq", "a_s0,a_s1,a_s2,a_s3", "--max-iter", "1"],
+    "indis-search": ["indis", "search", "{step}",
+                     "--set", "a_s0,a_s1,a_s2,a_s3", "--L", "3"],
+    "ramsey-homog": ["ramsey", "homog", "{coloring}", "--delta", "3"],
+    "pspace-validate": ["pspace", "validate", "{ptriple}"],
+    "pspace-hard": ["pspace", "hard", "{ptriple}", "--delta", "3"],
+    "pspace-q-build": ["pspace", "q-build", "{ptriple}", "--alpha-max", "2",
+                       "-o", "{out}"],
+    "pspace-lift": ["pspace", "lift", "{ptriple}", "--t", "n003"],
+    "demo": ["demo", "case1", "-o", "{out}"],
 }
 
 CLI_PINNED = {
@@ -627,16 +655,44 @@ CLI_PINNED = {
         "a09cf2ffdb8740f9a180b422d58fd0ad8a9b4488fdcd8d5cd30d519213e75525",
     "complete":
         "200d39814db0afc8389d029fa301c82480da0d0a60b2fdc4e4afbbaf21b3adca",
+    "demo":
+        "83ade29352a1e0dd68e6498d1af8d3ac02f77860a31c49403f5d3477f63a784d",
     "glue-star":
         "43f3cdb29660a672ca851e4a751e133206a07d569cc83782ad31152c3bcd79e0",
+    "indis-check":
+        "b50841c247b72e008cc1473bdc80a8726cd2d2d97075d79a8850131e48ef43c8",
     "indis-classify":
         "bf8ea7bcd7909825714f9dfd4c3db8260d90782a232f3c4ded40cceb6f43478b",
+    "indis-h-iter":
+        "c60df562b5e73e5283fdbdfc2b5ba22046bd6e50f81f23c29c9259970a118723",
+    "indis-hni":
+        "5b04389446c4fbd4e12dce0bb191b4a6e44eac34d2d52460dd984fb632aedefc",
+    "indis-ni":
+        "b1edc0be9bffa49bc41ad14287fb57b250f846b912294ad89fc8566930648ffc",
+    "indis-search":
+        "9bb8ff545ac13b068c31adb1c697ae61724dfc6130b3afe30780156321b5c311",
+    "pspace-hard":
+        "c26efef4b2f1ffdb1a43adbe534a24f7d6086e2391993593ccc60255c3b47e14",
+    "pspace-lift":
+        "4aab7affe3cae015656db4c56ef69e523a21a31c7961189af0bf125f7891c24b",
+    "pspace-q-build":
+        "f2f79dd88f2b54456d21d65c24a80a1181e68af2cd3c1f0038a768d153fcb084",
+    "pspace-validate":
+        "29ea8a2ad035055336803cdf83097adadc7bf41f2169292b3f35477083019ba1",
     "qe-extend":
         "71511d9e9e24ee7072be01ebd8f2413b9e0f0ef3e07c9c04990760230580b1f2",
+    "qe-m2":
+        "c39fd0adda8f6c8f506feb8c41af20f67fa2f9f8cc14cbb43b92c0f65ac0c64a",
+    "qe-table":
+        "c2157267b10f1c5ac4570f0fdfea7d967c8182747d32edaa8c4c82f00455d576",
+    "ramsey-homog":
+        "fd9e0ceb0780dd611ab9a42f6f3623001b533900942aaebe2c2b8c5253ea92b8",
     "types-code":
         "40c6d442607e39bc18a2bd70f30c59951c0a5e74bb88a83b3dba5fff4012726b",
     "types-count":
         "742a77d6c82f796603241c1bb39ba3252d469e4e0ed69d428f4a13f78eff6df3",
+    "types-vc-degree":
+        "8efb58728acf7aac75716337886d5a72ccf7b2ccd201f1dac6d8b8c6133a803b",
     "validate":
         "02bb2c9275cb6b6688f044f05aa9993f0c6638a500b5fe3256b25d7fff1e2642",
 }
@@ -678,6 +734,11 @@ def _write_cli_files(d):
     paths["glue"] = str(d / "glue.json")
     with open(paths["glue"], "w") as fh:
         json.dump(spec, fh)
+    paths["coloring"] = str(d / "coloring.json")
+    save_coloring(Coloring(6, 3, {(0, 1): 1, (1, 2, 3): 2, (2, 4): 1}, 0),
+                  paths["coloring"])
+    paths["ptriple"] = str(d / "ptriple.json")
+    save_ptriple(six_chain_base(), paths["ptriple"])
     return paths
 
 
@@ -693,12 +754,13 @@ def _cli_argv(d, paths, name):
 
 
 def _report_digest(stdout, argv, out):
-    """SHA-256 of a JSON report with `timing` dropped, followed by the
-    file written with `-o`, if any."""
-    doc = json.loads(stdout)
+    """SHA-256 of a JSON report with `timing` dropped and the directory
+    of the input files written as DIR, followed by the file written to
+    `out`, if argv names it."""
+    doc = json.loads(stdout.replace(str(out.parent), "DIR"))
     del doc["timing"]
     text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if "-o" in argv:
+    if str(out) in argv:
         text += out.read_text()
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -706,9 +768,10 @@ def _report_digest(stdout, argv, out):
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_json_is_pinned(capsys, cli_files, name):
     out, argv = _cli_argv(*cli_files, name)
-    assert main(["--format", "json", *argv]) == 0
-    assert _report_digest(capsys.readouterr().out, argv, out) == \
-        CLI_PINNED[name]
+    rc = main(["--format", "json", *argv])
+    stdout = capsys.readouterr().out
+    assert rc == json.loads(stdout)["status"]
+    assert _report_digest(stdout, argv, out) == CLI_PINNED[name]
 
 
 # One case of each family, the cheapest: the 64-node chain sweep alone
@@ -749,8 +812,9 @@ def _second_seed_probe():
         for name in CLI_CASES:
             out, argv = _cli_argv(d, paths, name)
             rc, stdout, _ = _run_main(["--format", "json", *argv])
-            got["cli"][name] = _report_digest(stdout, argv, out) \
-                if rc == 0 else rc
+            got["cli"][name] = (
+                _report_digest(stdout, argv, out)
+                if stdout and rc == json.loads(stdout)["status"] else rc)
         (d / "wrong").mkdir()
         paths = write_wrong_input_files(d / "wrong")
         for case, (argv, _) in WRONG_INPUTS.items():

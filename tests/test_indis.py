@@ -7,7 +7,7 @@ from gen import (chain, comb_and_fan_fixture, fan_pair_fixture,
                  random_sequence_fixture, replace, three_sort_step_fixture)
 from treedesk.indis import (
     NotAlmostIncreasing, SequenceWindow, ShapeExhausted, classify,
-    default_hni_terms, derived_sequence, h_iterate, h_map, is_HNI, is_NI,
+    derived_sequence, h_iterate, h_map, is_HNI, is_NI,
     is_indiscernible, search_indiscernible,
 )
 from treedesk.structure import Term, complete
@@ -116,7 +116,7 @@ def test_hni_skips_unmaterialized_terms():
     f = fan_pair_fixture()
     leaves = sorted(n for n in f.nodes if n.startswith("t_a"))[1:5]
     w = SequenceWindow(f, tuple(leaves), k=1, r=2)
-    assert is_HNI(w, default_hni_terms())
+    assert is_HNI(w)
 
 
 def test_search_indiscernible_finds_fan():
