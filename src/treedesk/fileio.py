@@ -348,12 +348,26 @@ def _arguments(doc, arity, location: str) -> list:
     return doc[1:]
 
 
-def term_from_list(doc, location: str = "term") -> Term:
+# How many lists deep a term or formula may nest, counting a formula's
+# terms below it: evaluating one recurses once or twice per level, so
+# deeper input would exhaust Python's default recursion limit of 1000.
+MAX_NESTING = 200
+
+
+def _check_nesting(depth: int, location: str) -> None:
+    if depth > MAX_NESTING:
+        raise InputError("nested more than %d lists deep" % MAX_NESTING,
+                         location)
+
+
+def term_from_list(doc, location: str = "term", depth: int = 1) -> Term:
     """The term [op, args...]: ["var", i] with i a natural number,
     ["const", [sort, i]], ["wedge" | "suc", t1, t2], ["pre" | "lim", t]
     or ["g", t] with an optional edge [sort, sort].  Raises InputError
     at the location of the fault, the argument at position i of a list
-    at location L being at "L[i]"."""
+    at location L being at "L[i]", and at the first list that lies more
+    than MAX_NESTING deep (doc itself lies `depth` deep)."""
+    _check_nesting(depth, location)
     if not isinstance(doc, list) or not doc:
         raise InputError("malformed term %r" % (doc,), location)
     op = doc[0]
@@ -378,16 +392,18 @@ def term_from_list(doc, location: str = "term") -> Term:
                 and all(isinstance(e, str) for e in edge)):
             raise InputError("edge %r is not [sort, sort]" % (edge,),
                              location + "[2]")
-        return Term.g(term_from_list(args[0], location + "[1]"), tuple(edge))
-    subs = [term_from_list(t, "%s[%d]" % (location, i))
+        return Term.g(term_from_list(args[0], location + "[1]", depth + 1),
+                      tuple(edge))
+    subs = [term_from_list(t, "%s[%d]" % (location, i), depth + 1)
             for i, t in enumerate(args, 1)]
     return getattr(Term, op)(*subs)
 
 
-def formula_from_list(doc, location: str = "formula"):
+def formula_from_list(doc, location: str = "formula", depth: int = 1):
     """The formula ["atom", rel, t1, t2] with rel "=" or "<", ["not", phi]
-    or ["and" | "or", phi...]; faults are located as in
-    `term_from_list`."""
+    or ["and" | "or", phi...]; faults, and nesting past MAX_NESTING, are
+    located as in `term_from_list`."""
+    _check_nesting(depth, location)
     if not isinstance(doc, list) or not doc:
         raise InputError("malformed formula %r" % (doc,), location)
     tag = doc[0]
@@ -395,14 +411,15 @@ def formula_from_list(doc, location: str = "formula"):
         rel, t1, t2 = _arguments(doc, (3,), location)
         if rel not in ("=", "<"):
             raise InputError("unknown relation %r" % (rel,), location + "[1]")
-        return ("atom", rel, term_from_list(t1, location + "[2]"),
-                term_from_list(t2, location + "[3]"))
+        return ("atom", rel, term_from_list(t1, location + "[2]", depth + 1),
+                term_from_list(t2, location + "[3]", depth + 1))
     if tag == "not":
         phi, = _arguments(doc, (1,), location)
-        return ("not", formula_from_list(phi, location + "[1]"))
+        return ("not", formula_from_list(phi, location + "[1]", depth + 1))
     if tag in ("and", "or"):
-        return (tag,) + tuple(formula_from_list(p, "%s[%d]" % (location, i))
-                              for i, p in enumerate(doc[1:], 1))
+        return (tag,) + tuple(
+            formula_from_list(p, "%s[%d]" % (location, i), depth + 1)
+            for i, p in enumerate(doc[1:], 1))
     raise InputError("unknown connective %r" % (tag,), location)
 
 

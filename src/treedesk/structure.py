@@ -14,6 +14,7 @@ generated superstructure on which the closure operators are total.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -265,76 +266,92 @@ class FragmentBuilder(_OrderQueries):
 # level-labelled tree
 
 
-def _declare_lim_pre(b: FragmentBuilder, ns) -> list[tuple[str, Ordinal]]:
+class _PerNode(dict):
+    """op(level[x]) for each node x, built on first use: a node's level
+    never changes."""
+
+    def __init__(self, level, op):
+        super().__init__()
+        self.level, self.op = level, op
+
+    def __missing__(self, x):
+        v = self[x] = self.op(self.level[x])
+        return v
+
+
+def _declare_lim_pre(b: FragmentBuilder, ns, limb,
+                     pred) -> tuple[list[str], list[str]]:
     """Fill each missing lim and pre of the nodes ns that their chains
     hold: lim(x) is x at a limit level, else the node below x at
     level(x)'s limb, and pre(x) the node below x at level(x)'s
-    predecessor.  Returns (x, level) for each lim left missing, in the
-    order of ns, then for each pre left missing."""
+    predecessor (`limb` and `pred` map each node to those two levels).
+    Returns the nodes of ns left without a lim, in the order of ns, and
+    those left without a pre."""
     level, lim, pre = b.level, b.lim, b.pre
     no_lim, no_pre = [], []
     for x in ns:
-        lx = level[x]
-        if lx.is_limit:
+        if level[x].is_limit:
             lim.setdefault(x, x)
             continue
         if x in lim and x in pre:
             continue
-        lam, lp = lx.limb(), lx.predecessor()
+        # compared as term tuples, which is much cheaper than as Ordinals
+        lam, lp = limb[x].terms, pred[x].terms
         for u in b._below[x]:
-            if level[u] == lam:
+            lu = level[u].terms
+            if lu == lam:
                 lim.setdefault(x, u)
-            if level[u] == lp:
+            if lu == lp:
                 pre.setdefault(x, u)
         if x not in lim:
-            no_lim.append((x, lam))
+            no_lim.append(x)
         if x not in pre:
-            no_pre.append((x, lp))
-    return no_lim + no_pre
+            no_pre.append(x)
+    return no_lim, no_pre
 
 
-def _declare_meet(b: FragmentBuilder, ns) -> list[tuple[str, str]]:
-    """Fill each missing meet of the sorted same-sort nodes ns that
-    their chains hold: the smaller node of a comparable pair, else the
-    common lower bound with the largest down-set.  Returns the pairs
-    without a common lower bound, in the order of ns."""
+def _declare_meet(b: FragmentBuilder, pairs) -> list[tuple[str, str]]:
+    """Fill each missing meet of the same-sort pairs (x, y), x <= y, that
+    their chains hold: x when x == y, the smaller node of a comparable
+    pair, else the largest common lower bound.  Returns the pairs
+    without a common lower bound, in the order of pairs."""
     meet, below = b.meet, b._below
+    chains = {}
     gaps = []
-    for x, y in itertools.combinations(ns, 2):
+    for x, y in pairs:
         if (x, y) in meet:
             continue
         bx, by = below[x], below[y]
-        if x in by:
+        if x == y or x in by:
             meet[(x, y)] = x
         elif y in bx:
             meet[(x, y)] = y
-        elif common := bx & by:
-            meet[(x, y)] = max(common, key=lambda c: len(below[c]))
+        elif k := len(bx & by):
+            # the common lower bounds are the k lowest nodes of x's chain,
+            # whose down-sets have sizes 0, 1, ..., k - 1
+            if (chain := chains.get(x)) is None:
+                chain = chains[x] = {len(below[c]): c for c in bx}
+            meet[(x, y)] = chain[k - 1]
         else:
             gaps.append((x, y))
-    for x in ns:
-        meet.setdefault((x, x), x)
     return gaps
 
 
-def _declare_suc(b: FragmentBuilder, ns) -> None:
-    """Fill each missing suc(x, y) of the nodes ns, x < y, that y's
-    chain holds: its node right above x, whose down-set is x's plus x,
-    when that node lies at level(x) + 1."""
-    level, suc, below = b.level, b.suc, b._below
-    for x in ns:
-        above = [y for y in ns if x in below[y]]
-        todo = [y for y in above if (x, y) not in suc]
-        if not todo:
-            continue
-        size, step = len(below[x]) + 1, level[x].plus(1)
-        # at most one of these covers of x lies on each chain
-        covers = [z for z in above
-                  if len(below[z]) == size and level[z] == step]
-        for y in todo:
-            for z in covers:
-                if z == y or z in below[y]:
-                    suc[(x, y)] = z
+def _declare_suc(b: FragmentBuilder, tops) -> None:
+    """Fill each missing suc(x, y), x < y with y in tops, that y's chain
+    holds: the node z of the chain with pre(z) = x, which lies right
+    above x at level(x) + 1.  The entries go in in the order of (x, y).
+    Run it after `_declare_lim_pre`, which declares the pre of each such
+    z."""
+    suc, pre, below = b.suc, b.pre, b._below
+    found = []
+    for y in tops:
+        for z in (y, *below[y]):
+            x = pre.get(z)
+            if x is not None and (x, y) not in suc:
+                found.append((x, y, z))
+    for x, y, z in sorted(found):
+        suc[(x, y)] = z
 
 
 def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
@@ -373,9 +390,11 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
     b.level.update(levels)
     b.order = order
     b._below = {n: set(d) for n, d in below.items()}
-    _declare_lim_pre(b, nodes)
+    _declare_lim_pre(b, nodes, _PerNode(levels, Ordinal.limb),
+                     _PerNode(levels, Ordinal.predecessor))
     _declare_suc(b, nodes)
-    _declare_meet(b, nodes)
+    _declare_meet(b, itertools.chain(itertools.combinations(nodes, 2),
+                                     zip(nodes, nodes)))
     return b.freeze(shape, mode)
 
 
@@ -641,17 +660,18 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
 
 
 def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
-    """complete for an f that already passed `validate`: scans of
-    `_fixes` until one mints nothing, with the node budget checked
-    before each scan."""
+    """complete for an f that already passed `validate`: passes of
+    `_Gaps.mint_next` until one mints nothing, with the node budget
+    checked before each pass."""
     w = FragmentBuilder(f)
     # the ids _c000, _c001, ... that no node has yet
     ids = ("_c%03d" % i for i in itertools.count())
     fresh = (n for n in ids if n not in w.nodes).__next__
+    gaps = _Gaps(w, f.shape)
     while True:
         if len(w.nodes) > budget_nodes:
             raise CannotComplete("node budget %d exceeded" % budget_nodes)
-        if not _fixes(w, f.shape, fresh):
+        if not gaps.mint_next(fresh):
             break
     out = w.freeze(f.shape, f.mode)
     if rep := validate(out):
@@ -660,81 +680,182 @@ def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
     return out
 
 
-def _fixes(w: FragmentBuilder, shape: ShapeTree, fresh) -> bool:
-    """Scan w once in priority order (lim and pre, meet, suc, G) and
-    return whether the scan minted a node.
+class _Gaps:
+    """The entries that completion still has to fill in the builder w,
+    kept from one mint to the next.
 
-    Each chain phase first declares every missing value that the chains
-    hold, then mints one node for its first entry still missing and
-    stops; the next scan declares the values the mint made available.
-    A mint never adds a level that a chain already holds, nor a common
-    lower bound above the largest one, so every declared value stays
-    right, and the mints and fresh ids are those of a scan that fixes
-    one entry at a time.  By the suc phase pre is total, so y's chain
-    holds level(x) + 1 for every finite-gap pair x < y.
+    Each pass of `mint_next` takes the first missing entry in priority
+    order (lim, pre, the meets of each sort, then G, after the suc
+    values are declared) and mints one node for it, or two for a G
+    value into an empty sort.  A mint changes only the down-sets of the
+    nodes above the new one, so the values that the chains of the other
+    nodes hold stay as they were: after a mint the `_declare_*` helpers
+    run again only for the new node and the nodes above it, for lim and
+    pre at once, and for the meet and suc pairs that contain one of
+    them when their phase comes round.  Each table thus gets the entries
+    of a from-scratch declaration at the same moments and in the same
+    order.  A mint never adds a level that a chain already holds, nor a
+    common lower bound above the largest one, so every declared value
+    stays right, and the mints and fresh ids are those of a scan that
+    fixes one entry at a time.  By the suc phase pre is total, so y's chain
+    holds level(x) + 1 for every finite-gap pair x < y, and
+    `_declare_suc` finds it as the node whose pre is x.
     """
-    level = w.level
-    sorted_nodes = sorted(n for n in w.nodes if n in w.sort)
-    if gaps := _declare_lim_pre(w, sorted_nodes):
-        x, lv = gaps[0]
-        down = w._below[x]
-        w.mint(fresh(), w.sort[x], lv,
-               below=[u for u in down if level[u] < lv],
-               above=[x, *(u for u in down if lv < level[u])])
-        return True
 
-    by_sort = [(eta, sorted(w.nodes_of_sort(eta))) for eta in shape.indices]
-    for eta, ns in by_sort:
-        if gaps := _declare_meet(w, ns):
+    def __init__(self, w: FragmentBuilder, shape: ShapeTree):
+        self.w, self.shape = w, shape
+        self.limb = _PerNode(w.level, Ordinal.limb)
+        self.pred = _PerNode(w.level, Ordinal.predecessor)
+        ns = sorted(n for n in w.nodes if n in w.sort)
+        # each sort's nodes in order
+        self.by_sort = {eta: [] for eta in shape.indices}
+        for n in ns:
+            self.by_sort[w.sort[n]].append(n)
+        no_lim, no_pre = _declare_lim_pre(w, ns, self.limb, self.pred)
+        self.no_lim, self.no_pre = set(no_lim), set(no_pre)
+        # per sort: the pairs without a common lower bound at the last
+        # meet declaration, the nodes new since then, and the nodes new
+        # or with a larger down-set since the last meet or suc one
+        self.meet_gaps = {eta: set() for eta in shape.indices}
+        self.meet_new = {eta: set(self.by_sort[eta]) for eta in shape.indices}
+        self.meet_moved = {eta: set(self.by_sort[eta])
+                           for eta in shape.indices}
+        self.suc_moved = {eta: set(self.by_sort[eta])
+                          for eta in shape.indices}
+
+    def mint_next(self, fresh) -> list[str]:
+        """Mint the nodes for the first missing entry and declare what
+        they make available; returns them, or [] when nothing is
+        missing."""
+        w, level = self.w, self.w.level
+        if self.no_lim or self.no_pre:
+            if self.no_lim:
+                x = min(self.no_lim)
+                lv = self.limb[x]
+            else:
+                x = min(self.no_pre)
+                lv = self.pred[x]
+            down = w._below[x]
+            new = [fresh()]
+            w.mint(new[0], w.sort[x], lv,
+                   below=[u for u in down if level[u] < lv],
+                   above=[x, *(u for u in down if lv < level[u])])
+        elif gap := self._meet_gap():
+            eta, pair = gap
             roots = [min(w._below[v] | {v}, key=lambda c: len(w._below[c]))
-                     for v in gaps[0]]
+                     for v in pair]
             if any(level[r].is_zero for r in roots):
                 raise CannotComplete(
-                    "meet of %r,%r forced below a level-0 node" % gaps[0])
-            w.mint(fresh(), eta, Ordinal(), above=roots)
-            return True
+                    "meet of %r,%r forced below a level-0 node" % pair)
+            new = [fresh()]
+            w.mint(new[0], eta, Ordinal(), above=roots)
+        else:
+            for eta, moved in self.suc_moved.items():
+                _declare_suc(w, moved)
+                moved.clear()
+            new = self._mint_g(fresh)
+        if new:
+            self._declare_above(new)
+        return new
 
-    for eta, ns in by_sort:
-        _declare_suc(w, ns)
+    def _meet_gap(self):
+        """Declare the meets that the chains hold now, sort by sort, up
+        to the first sort with a pair that has no common lower bound;
+        return that sort and its first such pair, or None."""
+        for eta, gaps in self.meet_gaps.items():
+            new, moved = self.meet_new[eta], self.meet_moved[eta]
+            if moved:
+                ns = self.by_sort[eta]
+                if len(new) == len(ns):
+                    # the sort's first declaration: every pair
+                    pairs = itertools.combinations(ns, 2)
+                else:
+                    pairs = {p for p in gaps
+                             if p[0] in moved or p[1] in moved}
+                    pairs.update(_mk(n, y) for n in new for y in ns
+                                 if y != n)
+                    gaps.difference_update(pairs)
+                    pairs = sorted(pairs)
+                gaps.update(_declare_meet(self.w, itertools.chain(
+                    pairs, ((n, n) for n in sorted(new)))))
+                new.clear()
+                moved.clear()
+            if gaps:
+                return eta, min(gaps)
+        return None
 
-    # G: total on declared successors along each shape edge
-    for edge in shape.suc_pairs():
-        e1, e2 = edge
-        table = w.gmap.setdefault(edge, {})
-        for x in sorted(w.suc_members(e1)):
-            if x in table:
-                continue
-            cls = _regressive_class(w, e1, x)
-            declared = sorted({table[y] for y in cls if y in table})
-            if declared:
+    def _mint_g(self, fresh) -> list[str]:
+        """Fill G on the declared successors along each shape edge from
+        values their regressive class holds, up to the first class that
+        holds none; mint a node for that class and return the nodes
+        minted ([] when G is total)."""
+        w, level = self.w, self.w.level
+        for edge in self.shape.suc_pairs():
+            e1, e2 = edge
+            table = w.gmap.setdefault(edge, {})
+            sucs = [x for x in self.by_sort[e1] if w.is_successor(x)]
+            for x in sucs:
+                if x in table:
+                    continue
+                cls = _regressive_class(w, sucs, x)
+                declared = sorted({table[y] for y in cls if y in table})
+                if declared:
+                    for y in cls:
+                        table.setdefault(y, declared[0])
+                    continue
+                new = []
+                if not self.by_sort[e2]:
+                    new.append(fresh())
+                    w.mint(new[0], e2, Ordinal())
+                    parent = new[0]
+                else:
+                    # meets are total by now, so e2 has one minimal node
+                    parent, = [n for n in self.by_sort[e2]
+                               if not w._below[n]]
+                t = fresh()
+                w.mint(t, e2, level[parent].plus(1),
+                       below=[parent, *w._below[parent]])
                 for y in cls:
-                    table.setdefault(y, declared[0])
-                continue
-            if not w.nodes_of_sort(e2):
-                parent = fresh()
-                w.mint(parent, e2, Ordinal())
-            else:
-                # meets are total by now, so e2 has one minimal node
-                parent, = [n for n in w.nodes_of_sort(e2) if not w._below[n]]
-            t = fresh()
-            w.mint(t, e2, level[parent].plus(1),
-                   below=[parent, *w._below[parent]])
-            for y in cls:
-                table[y] = t
-            return True
-    return False
+                    table[y] = t
+                return new + [t]
+        return []
+
+    def _declare_above(self, new) -> None:
+        """After the mint of the nodes new, all of one sort: declare the
+        lim and pre of each of them and each node above one, and mark
+        those nodes for the next meet and suc declarations."""
+        w = self.w
+        eta = w.sort[new[0]]
+        for n in new:
+            bisect.insort(self.by_sort[eta], n)
+        self.meet_new[eta].update(new)
+        moved = set(new)
+        for n in new:
+            moved.update(y for y, d in w._below.items() if n in d)
+        # a node above that is in no gap list has its lim and pre already
+        todo = moved & (self.no_lim | self.no_pre)
+        todo.update(new)
+        no_lim, no_pre = _declare_lim_pre(w, sorted(todo), self.limb,
+                                          self.pred)
+        self.no_lim -= todo
+        self.no_lim.update(no_lim)
+        self.no_pre -= todo
+        self.no_pre.update(no_pre)
+        self.meet_moved[eta] |= moved
+        self.suc_moved[eta] |= moved
 
 
-def _regressive_class(f: _OrderQueries, eta: str, x: str) -> list[str]:
-    """Connected component of x under "comparable successors sharing lim"."""
+def _regressive_class(f: _OrderQueries, sucs, x: str) -> list[str]:
+    """Connected component of x under "comparable successors sharing
+    lim" among the successors sucs of x's sort."""
     members = {x}
     frontier = [x]
-    sucs = f.suc_members(eta)
     while frontier:
         a = frontier.pop()
+        la = f.lim[a]
         for b in sucs:
-            if (b not in members and f.comparable(a, b)
-                    and f.lim.get(a) == f.lim.get(b)):
+            if (b not in members and f.lim[b] == la
+                    and f.comparable(a, b)):
                 members.add(b)
                 frontier.append(b)
     return sorted(members)

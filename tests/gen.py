@@ -485,14 +485,15 @@ def near_valid_fragments(rng) -> list[Fragment]:
     return out
 
 
-def dropped_entry_fragments(rng) -> list[tuple[str, Fragment]]:
+def dropped_entry_fragments(rng) -> list[tuple[str, Fragment, Fragment]]:
     """Completed fragments, each as it is ("none") or with one entry
     dropped, tagged by the table it left: "lim", "pre", "meet", "suc"
     for a pair with a finite level gap, "suc-infinite" for one without,
-    which leaves the fragment closed, or "G"."""
+    which leaves the fragment closed, or "G".  Each comes as (tag, the
+    completed fragment, the fragment with the entry dropped)."""
     bases = [complete(random_standard_fragment(rng, 14)) for _ in range(4)]
     bases += [random_tripod(rng) for _ in range(2)]
-    out = [("none", f) for f in bases]
+    out = [("none", f, f) for f in bases]
     for f in bases:
         finite = {(x, y) for x, y in f.suc
                   if f.level[x].limb() == f.level[y].limb()}
@@ -504,10 +505,25 @@ def dropped_entry_fragments(rng) -> list[tuple[str, Fragment]]:
                 name = kind.split("-")[0]
                 table = dict(getattr(f, name))
                 del table[rng.choice(sorted(ks))]
-                out.append((kind, replace(f, **{name: table})))
+                out.append((kind, f, replace(f, **{name: table})))
         for edge, table in sorted(f.gmap.items()):
             if table:
                 table = dict(table)
                 del table[rng.choice(sorted(table))]
-                out.append(("G", replace(f, gmap={**f.gmap, edge: table})))
+                out.append(("G", f,
+                            replace(f, gmap={**f.gmap, edge: table})))
     return out
+
+
+def nested_formula(op, n):
+    """An atom under n nested "and" lists, or one whose first term is
+    a variable under n nested "pre" lists."""
+    if op == "and":
+        phi = ["atom", "=", ["var", 0], ["var", 0]]
+        for _ in range(n):
+            phi = ["and", phi]
+        return phi
+    t = ["var", 0]
+    for _ in range(n):
+        t = ["pre", t]
+    return ["atom", "=", t, ["var", 0]]

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from gen import (random_closed_fragment, random_standard_fragment,
-                 six_chain_base, three_sort_step_fixture)
+from gen import (nested_formula, random_closed_fragment,
+                 random_standard_fragment, six_chain_base,
+                 three_sort_step_fixture)
 from treedesk import cli
 from treedesk.cli import main
 from treedesk.fileio import (
@@ -380,6 +381,13 @@ WRONG_INPUTS = {
             "not a natural number (at --phi[2][1])"),
            ("unknown-relation", '["atom","lt",["var",0],["var",1]]',
             "unknown relation 'lt' (at --phi[1])"))},
+    # past fileio.MAX_NESTING lists, before evaluation recurses that deep
+    **{"qe-table-%d-nested-%s" % (n, op): (
+        ["qe", "table", "{chain}", "--phi",
+         json.dumps(nested_formula(op, n)), "--nvars", "1"],
+        "nested more than 200 lists deep (at --phi%s" % (
+            "[1]" if op == "and" else "[2][1]"))
+       for op in ("and", "pre") for n in (400, 900)},
     **{"indis-%s-unknown-node" % cmd: (
         ["indis", cmd, "{chain}", "--seq", "zz,n01"], "unknown node 'zz'")
        for cmd in ("check", "ni", "hni", "classify", "h-iter")},

@@ -6,10 +6,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import chain, six_chain_base, three_sort_step_fixture
+from gen import (chain, nested_formula, six_chain_base,
+                 three_sort_step_fixture)
 from oracles import SET_CHECKED, set_checked_reports, validate_reference
 from treedesk.fileio import (
-    InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
+    MAX_NESTING, InputError, coloring_from_dict, coloring_to_dict, formula_from_list,
     fragment_from_dict, fragment_to_dict, load_coloring, load_fragment,
     load_gluespec, load_ptriple, parse_json, ptriple_from_dict,
     ptriple_to_dict, save_coloring, save_fragment, save_ptriple,
@@ -499,6 +500,28 @@ def test_term_from_list_rejects_garbage():
         term_from_list({})
     with pytest.raises(InputError):
         formula_from_list(["xor", ["var", 0]])
+
+
+@pytest.mark.parametrize("n", [400, 900])
+@pytest.mark.parametrize("op", ["and", "pre"])
+def test_deep_nesting_is_an_input_error(op, n):
+    """Past MAX_NESTING lists the readers refuse the formula, naming the
+    first list too deep, before anything recurses that far."""
+    with pytest.raises(InputError) as exc:
+        formula_from_list(nested_formula(op, n), "--phi")
+    assert str(exc.value).startswith("nested more than 200 lists deep")
+    # the atom is one list and its term one more
+    top = "--phi" + "[1]" * 200 if op == "and" else "--phi[2]" + "[1]" * 199
+    assert exc.value.location == top
+
+
+@pytest.mark.parametrize("op", ["and", "pre"])
+def test_nesting_up_to_the_cap_evaluates(op):
+    assert MAX_NESTING == 200
+    phi = formula_from_list(nested_formula(op, 198))
+    assert eval_formula(chain(3), phi, ("n00",)) == (op == "and")
+    with pytest.raises(InputError):
+        formula_from_list(nested_formula(op, 199))
 
 
 def test_write_series_csv(tmp_path):

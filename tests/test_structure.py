@@ -1,4 +1,6 @@
+import collections
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -643,24 +645,26 @@ def _down_sets(nodes, order):
     return out
 
 
-def _watch_fixes(monkeypatch):
-    """Wrap completion's scans: count the scans started, and after every
-    scan check the maintained down-sets against the transitive closure
-    of the working order and record how many nodes the scan minted."""
-    real_fixes = structure._fixes
-    scans, minted = [], []
+def _watch_passes(monkeypatch):
+    """Wrap completion's passes (`_Gaps.mint_next`): count the passes
+    started, and after every pass check the maintained down-sets against
+    the transitive closure of the working order and record how many
+    nodes the pass minted."""
+    real_mint_next = structure._Gaps.mint_next
+    passes, minted = [], []
 
-    def checked_fixes(w, shape, fresh):
+    def checked_mint_next(gaps, fresh):
+        w = gaps.w
         before = len(w.nodes)
-        scans.append(before)
-        did_mint = real_fixes(w, shape, fresh)
+        passes.append(before)
+        new = real_mint_next(gaps, fresh)
         assert w._below == _down_sets(w.nodes, w.order)
         minted.append(len(w.nodes) - before)
-        assert did_mint == (minted[-1] > 0)
-        return did_mint
+        assert len(new) == minted[-1]
+        return new
 
-    monkeypatch.setattr(structure, "_fixes", checked_fixes)
-    return scans, minted
+    monkeypatch.setattr(structure._Gaps, "mint_next", checked_mint_next)
+    return passes, minted
 
 
 def _completion_inputs():
@@ -671,9 +675,9 @@ def _completion_inputs():
 
 
 def test_completion_down_sets_stay_exact(monkeypatch):
-    """After every completion scan the maintained down-sets equal the
+    """After every completion pass the maintained down-sets equal the
     transitive closure of the working order."""
-    _, minted = _watch_fixes(monkeypatch)
+    _, minted = _watch_passes(monkeypatch)
     for f in _completion_inputs():
         complete(f)
     for seed in range(10):
@@ -682,12 +686,12 @@ def test_completion_down_sets_stay_exact(monkeypatch):
 
 
 def test_completion_restarts_only_after_mints(monkeypatch):
-    """A scan declares what it can and stops after a mint, so completion
-    starts one scan, plus one more after each minting scan."""
-    scans, minted = _watch_fixes(monkeypatch)
+    """A pass mints for one missing entry and stops, so completion
+    starts one pass, plus one more after each minting pass."""
+    passes, minted = _watch_passes(monkeypatch)
     complete(random_standard_fragment(random.Random(0), 30))
     mints = sum(1 for n in minted if n)
-    assert len(scans) == mints + 1
+    assert len(passes) == mints + 1
 
 
 def test_completion_is_closed():
@@ -711,7 +715,7 @@ def test_is_closed_matches_reference_on_dropped_entries():
     dropped is not closed, one without an infinite-gap suc still is,
     and the reference copy of the check agrees on each."""
     kinds = set()
-    for kind, f in _dropped_entries():
+    for kind, _, f in _dropped_entries():
         closed = is_closed(f)
         assert closed == is_closed_reference(f)
         assert closed == (kind in ("none", "suc-infinite")), kind
@@ -723,7 +727,7 @@ def test_is_closed_builds_no_ordinal(monkeypatch):
     """is_closed compares limbs as term tuples: with limb() and every
     way to build an Ordinal raising, its verdicts stay the same."""
     entries = _dropped_entries()
-    verdicts = [is_closed(f) for _, f in entries]
+    verdicts = [is_closed(f) for _, _, f in entries]
 
     def no_ordinal(*args):
         raise AssertionError("is_closed built an Ordinal")
@@ -731,8 +735,107 @@ def test_is_closed_builds_no_ordinal(monkeypatch):
     monkeypatch.setattr(Ordinal, "limb", no_ordinal)
     monkeypatch.setattr(Ordinal, "__post_init__", no_ordinal)
     monkeypatch.setattr(ordinal, "_derived", no_ordinal)
-    assert [is_closed(f) for _, f in entries] == verdicts
+    assert [is_closed(f) for _, _, f in entries] == verdicts
     assert True in verdicts and False in verdicts
+
+
+def test_completion_restores_a_dropped_entry():
+    """Completing a closed fragment with one derivable entry dropped
+    gives back the closed fragment: the chains still hold each lim,
+    pre, meet and suc value, and a G value is the one another member
+    of the regressive class keeps.  A G entry whose class keeps no
+    value is rightly filled with a fresh node."""
+    restored, minted = collections.Counter(), 0
+    for kind, base, f in _dropped_entries():
+        out = complete(f)
+        if kind == "G" and not _class_keeps_a_g_value(base, f):
+            assert len(out.nodes) > len(base.nodes)
+            minted += 1
+            continue
+        assert fragment_to_dict(out) == fragment_to_dict(base), kind
+        restored[kind] += 1
+    assert set(restored) == {"none", "lim", "pre", "meet", "suc",
+                             "suc-infinite", "G"}
+    assert (restored["G"], minted) == (59, 21)
+
+
+def _class_keeps_a_g_value(base, f):
+    """Whether the G entry that f lacks against base has a value on
+    another member of its regressive class in f."""
+    (edge, x), = [(e, x) for e, table in base.gmap.items()
+                  for x in table if x not in f.gmap[e]]
+    cls = structure._regressive_class(f, f.suc_members(edge[0]), x)
+    return any(y in f.gmap[edge] for y in cls)
+
+
+_COMPLETION_PINS = os.path.join(os.path.dirname(__file__), "data",
+                                "completion_pins.json")
+
+
+@functools.lru_cache(maxsize=None)
+def _completion_pins():
+    with open(_COMPLETION_PINS) as fh:
+        return json.load(fh)
+
+
+def _completion_pin_inputs():
+    """The named inputs whose completions are pinned."""
+    for i, f in enumerate(_completion_inputs()):
+        yield "inputs-%02d" % i, f
+    for seed in range(10):
+        yield "tripod-%d" % seed, random_tripod(random.Random(seed))
+    for i, (kind, _, f) in enumerate(_dropped_entries()):
+        yield "dropped-%04d-%s" % (i, kind), f
+
+
+def _completion_digest(f):
+    """SHA-256 of the sorted JSON of f's completion."""
+    doc = json.dumps(fragment_to_dict(complete(f)), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _level_zero_forest():
+    """Two roots of one sort, one at level 0: their meet has no room."""
+    w = Ordinal.omega()
+    return from_standard_tree({"a": Ordinal(), "a1": Ordinal.nat(2),
+                               "b": w, "b1": w.plus(1)},
+                              {("a", "a1"), ("b", "b1")})
+
+
+_BUDGET_INPUTS = {
+    "random-0": lambda: random_standard_fragment(random.Random(0), 30),
+    "top-sort-only-0": lambda: top_sort_only(random.Random(0)),
+    "two-root-forest": two_root_forest,
+}
+
+
+def test_completion_matches_pins():
+    """Completion's output, fresh ids included, is the one pinned in
+    tests/data/completion_pins.json.  The digests, budgets and messages
+    there were recorded on the code that declared every chain-held value
+    again in a full scan after each mint; never re-record them to make
+    a refactor pass."""
+    got = {name: _completion_digest(f)
+           for name, f in _completion_pin_inputs()}
+    assert got == _completion_pins()["digests"]
+
+
+@pytest.mark.parametrize("name", sorted(_BUDGET_INPUTS))
+def test_completion_budget_pins(name):
+    """The smallest node budget that completes the input is the pinned
+    one, and one less fails with the pinned message."""
+    pin = _completion_pins()["budgets"][name]
+    f = _BUDGET_INPUTS[name]()
+    complete(f, budget_nodes=pin["budget"])
+    with pytest.raises(CannotComplete) as info:
+        complete(f, budget_nodes=pin["budget"] - 1)
+    assert str(info.value) == pin["message"]
+
+
+def test_completion_meet_below_level_zero_pin():
+    with pytest.raises(CannotComplete) as info:
+        complete(_level_zero_forest())
+    assert str(info.value) == _completion_pins()["level_zero_meet"]
 
 
 def test_complete_freezes_once(monkeypatch):
