@@ -188,17 +188,20 @@ def _propagate(fa, fb, x_set, image):
         return fb.suc.get((x, y))
 
     # (arguments, value, fb's table, argument images) per source entry
+    # inside x_set, table by table in fa's order
     entries = [((x, y), v, fb.meet_of, image.get)
-               for (x, y), v in fa.meet.items()]
+               for (x, y), v in fa.meet.items()
+               if v in x_set and x in x_set and y in x_set]
     entries += [((x, y), v, suc_of, image.get)
-                for (x, y), v in fa.suc.items()]
-    entries += [((x,), v, fb.pre.get, image.get) for x, v in fa.pre.items()]
-    entries += [((x,), v, fb.lim.get, image.get) for x, v in fa.lim.items()]
+                for (x, y), v in fa.suc.items()
+                if v in x_set and x in x_set and y in x_set]
+    for table, look in ((fa.pre, fb.pre.get), (fa.lim, fb.lim.get)):
+        entries += [((x,), v, look, image.get) for x, v in table.items()
+                    if v in x_set and x in x_set]
     for edge, table in fa.gmap.items():
-        entries += [((x,), v, functools.partial(fb.g_of, edge), holder)
-                    for x, v in table.items()]
-    entries = [e for e in entries
-               if e[1] in x_set and all(x in x_set for x in e[0])]
+        look = functools.partial(fb.g_of, edge)
+        entries += [((x,), v, look, holder) for x, v in table.items()
+                    if v in x_set and x in x_set]
 
     changed = True
     while changed:
@@ -332,11 +335,8 @@ def _build_extension(fa, fb, x_set, im, fresh, level):
     w = FragmentBuilder(fb)
     old = set(fb.nodes)
     for x, nid in fresh:
-        if x in level:
-            w.add_node(nid, fa.sort[x], level[x])
-        else:
-            w.nodes.add(nid)
-            w._below[nid] = set()
+        # only an unsorted node has no level
+        w.add_node(nid, fa.sort.get(x), level.get(x))
     for x, y in itertools.permutations(sorted(x_set), 2):
         if fa.lt(x, y) and not (im[x] in old and im[y] in old):
             w.relate(im[x], im[y])
@@ -349,19 +349,20 @@ def _build_extension(fa, fb, x_set, im, fresh, level):
         for u in [u for u in mates if not w.comparable(nid, u)]:
             w.relate(*((u, nid) if w.level[u] < w.level[nid]
                        else (nid, u)))
+    # fa's entries with arguments and value in x_set, in fa's order
     for (x, y), v in fa.meet.items():
-        if x in im and y in im and v in im:
+        if v in x_set and x in x_set and y in x_set:
             w.meet.setdefault(_mk(im[x], im[y]), im[v])
     for (x, y), v in fa.suc.items():
-        if x in im and y in im and v in im:
+        if v in x_set and x in x_set and y in x_set:
             w.suc.setdefault((im[x], im[y]), im[v])
     for table, mine in ((fa.pre, w.pre), (fa.lim, w.lim)):
         for x, v in table.items():
-            if x in im and v in im:
+            if v in x_set and x in x_set:
                 mine.setdefault(im[x], im[v])
     for edge, table in fa.gmap.items():
         for x, v in table.items():
-            if x in im and v in im:
+            if v in x_set and x in x_set:
                 w.gmap.setdefault(edge, {}).setdefault(im[x], im[v])
     return w.freeze(fb.shape, fb.mode)
 

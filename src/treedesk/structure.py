@@ -112,15 +112,28 @@ class Fragment(_OrderQueries):
         constants: dict[tuple[str, int], str] | None = None,
         mode: str = "base",
     ):
-        # bound once, here, past the refusing __setattr__
+        nodes = tuple(sorted(nodes))
+        order = frozenset(order or ())
+        self._seal(shape, nodes, sort, level, order, meet, suc, pre, lim,
+                   gmap, constants, mode, _down_sets(nodes, order))
+
+    def _seal(self, shape, nodes, sort, level, order, meet, suc, pre, lim,
+              gmap, constants, mode, below) -> None:
+        """Bind every slot once, past the refusing __setattr__.  nodes is
+        sorted, order a frozenset and below maps each node to its strict
+        down-set under order, as a frozenset: the caller vouches for all
+        three.  The tables are copied, with each meet key ordered."""
         put = object.__setattr__
         put(self, "shape", shape)
-        put(self, "nodes", tuple(sorted(nodes)))
+        put(self, "nodes", nodes)
         put(self, "sort", _frozen(sort))
         put(self, "level", _frozen(level))
-        put(self, "order", frozenset(order or ()))
+        put(self, "order", order)
+        meet = meet or {}
+        # a plain copy when every key is ordered already, as a builder's are
         put(self, "meet", MappingProxyType(
-            {_mk(*k): v for k, v in (meet or {}).items()}))
+            dict(meet) if all(x <= y for x, y in meet) else
+            {((x, y) if x <= y else (y, x)): v for (x, y), v in meet.items()}))
         put(self, "suc", _frozen(suc))
         put(self, "pre", _frozen(pre))
         put(self, "lim", _frozen(lim))
@@ -128,7 +141,7 @@ class Fragment(_OrderQueries):
             {e: _frozen(m) for e, m in (gmap or {}).items()}))
         put(self, "constants", _frozen(constants))
         put(self, "mode", mode)
-        put(self, "_below", _down_sets(self.nodes, self.order))
+        put(self, "_below", below)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot set %r: fragments are read-only" % name)
@@ -183,37 +196,61 @@ class FragmentBuilder(_OrderQueries):
     down-set of each node in `_below`.
 
     Callers edit the tables directly and `freeze` them into a new
-    Fragment; the builder is the one place that copies or merges all
-    the tables of a fragment.  The down-sets stay exact while order
-    edges come in through `mint` and `relate`, and through `absorb` of
-    fragments that share no node.
+    Fragment, which takes over the down-sets; the builder is the one
+    place that copies or merges all the tables of a fragment.  Order
+    edges go in only through `mint`, `relate`, `absorb` and rebinding
+    `order`, which keep the down-sets exact; `order` itself is a
+    read-only snapshot.  An edge naming an id that is no node when it
+    goes in (only an invalid fragment has one) leaves the down-sets
+    inexact, so `freeze` then computes them from the edges, as
+    `Fragment` does.
     """
 
     def __init__(self, f: Fragment | None = None):
         self.nodes: set[str] = set()
         self.sort: dict[str, str] = {}
         self.level: dict[str, Ordinal] = {}
-        self.order: set[tuple[str, str]] = set()
         self.meet: dict[tuple[str, str], str] = {}
         self.suc: dict[tuple[str, str], str] = {}
         self.pre: dict[str, str] = {}
         self.lim: dict[str, str] = {}
         self.gmap: dict[tuple[str, str], dict[str, str]] = {}
         self.constants: dict[tuple[str, int], str] = {}
+        self._order: set[tuple[str, str]] = set()
         self._below: dict[str, set[str]] = {}
+        self._stale = False
         if f is not None:
             self.absorb(f, lambda eta: eta)
 
+    @property
+    def order(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self._order)
+
+    @order.setter
+    def order(self, edges) -> None:
+        """Replace the order edges; every down-set is computed anew."""
+        self._order = set(edges)
+        self._recompute()
+
+    def _recompute(self) -> None:
+        """Every down-set from the edges, over the present nodes."""
+        self._below = {n: set(d) for n, d in
+                       _down_sets(self.nodes, self._order).items()}
+        self._stale |= _names_outside(self._order, self._below)
+
     def absorb(self, f: Fragment, sort_of) -> None:
         """Add f's tables, renaming its sorts, level-map edges and
-        constant keys through sort_of; f's entries win on clashes."""
+        constant keys through sort_of; f's entries win on clashes.  The
+        builder takes over f's down-sets when f shares no node with it,
+        and else computes them all again from the merged edges."""
+        shared = not self.nodes.isdisjoint(f.nodes)
         self.nodes.update(f.nodes)
         for n, eta in f.sort.items():
             self.sort[n] = sort_of(eta)
         # a view's copy() is a dict, which update merges in bulk; from
         # the view itself it reads entry by entry, many times slower
         self.level.update(f.level.copy())
-        self.order |= f.order
+        self._order |= f.order
         self.meet.update(f.meet.copy())
         self.suc.update(f.suc.copy())
         self.pre.update(f.pre.copy())
@@ -222,43 +259,77 @@ class FragmentBuilder(_OrderQueries):
             self.gmap[(sort_of(e1), sort_of(e2))] = table.copy()
         for (eta, i), c in f.constants.items():
             self.constants[(sort_of(eta), i)] = c
-        for n, d in f._below.items():
-            self._below.setdefault(n, set()).update(d)
+        if shared:
+            self._recompute()
+        else:
+            for n, d in f._below.items():
+                self._below[n] = set(d)
+            self._stale |= _names_outside(f.order, f._below)
 
-    def add_node(self, n: str, sort: str, level: Ordinal) -> None:
-        """Add node n, related to no other node."""
+    def add_node(self, n: str, sort: str | None = None,
+                 level: Ordinal | None = None) -> None:
+        """Add node n, related to no other node, with its sort and level
+        when they are given."""
         self.nodes.add(n)
-        self.sort[n] = sort
-        self.level[n] = level
-        self._below[n] = set()
+        if sort is not None:
+            self.sort[n] = sort
+        if level is not None:
+            self.level[n] = level
+        self._below.setdefault(n, set())
 
     def mint(self, n: str, sort: str, level: Ordinal, below=(),
-             above=()) -> None:
+             above=()) -> list[str]:
         """Add node n with order edges from each node of `below`, which
-        must be closed downwards, and to each node of `above`."""
+        must be closed downwards, and to each node of `above`.  Returns
+        the nodes whose down-sets gained n: those of `above` and the
+        nodes above them."""
         self.add_node(n, sort, level)
         down = set(below)
-        self.order.update((u, n) for u in down)
+        self._order.update((u, n) for u in down)
         above = set(above)
-        self.order.update((n, u) for u in above)
+        self._order.update((n, u) for u in above)
         gain = down | {n}
-        for y, d in self._below.items():
-            if y in above or not d.isdisjoint(above):
-                d |= gain
+        up = []
+        if above:
+            for y, d in self._below.items():
+                if y in above or not d.isdisjoint(above):
+                    d |= gain
+                    up.append(y)
         self._below[n] = down
+        self._stale |= not (down | above) <= self._below.keys()
+        return up
 
     def relate(self, lo: str, hi: str) -> None:
         """Add the order edge lo < hi between two present nodes."""
-        self.order.add((lo, hi))
+        self._order.add((lo, hi))
+        self._stale |= hi not in self._below
         gain = self._below[lo] | {lo}
         for y, d in self._below.items():
             if y == hi or hi in d:
                 d |= gain
 
     def freeze(self, shape: ShapeTree, mode: str) -> Fragment:
-        return Fragment(shape, self.nodes, self.sort, self.level, self.order,
-                        self.meet, self.suc, self.pre, self.lim, self.gmap,
-                        self.constants, mode)
+        """A Fragment of copies of the tables, taking over the exact
+        down-sets (as frozensets); they are computed from the edges only
+        when an edge named no node, or `nodes` was edited directly."""
+        nodes = tuple(sorted(self.nodes))
+        order = frozenset(self._order)
+        below = self._below
+        if self._stale or below.keys() != self.nodes:
+            down = _down_sets(nodes, order)
+        else:
+            down = {n: frozenset(below[n]) for n in nodes}
+        f = object.__new__(Fragment)
+        f._seal(shape, nodes, self.sort, self.level, order, self.meet,
+                self.suc, self.pre, self.lim, self.gmap, self.constants,
+                mode, down)
+        return f
+
+
+def _names_outside(edges, below) -> bool:
+    """Whether an edge of edges names an id that is not a key of the
+    down-sets below."""
+    return not set(itertools.chain.from_iterable(edges)) <= below.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +443,12 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
     if index not in shape:
         raise InvalidTree("index %r not in shape" % index)
     nodes = sorted(levels)
-    below = _down_sets(nodes, order)
+    b = FragmentBuilder()
+    for n in nodes:
+        b.add_node(n, index)
+    b.level.update(levels)
+    b.order = order
+    below = b._below
     if any(n in below[n] for n in nodes):
         raise InvalidTree("order contains a cycle")
     for y in nodes:
@@ -384,12 +460,6 @@ def from_standard_tree(levels: dict[str, Ordinal], edges, index: str = "r",
             if not levels[a] < levels[y]:
                 raise InvalidTree(
                     "levels not strictly increasing on %r < %r" % (a, y))
-    b = FragmentBuilder()
-    b.nodes.update(nodes)
-    b.sort.update(dict.fromkeys(nodes, index))
-    b.level.update(levels)
-    b.order = order
-    b._below = {n: set(d) for n, d in below.items()}
     _declare_lim_pre(b, nodes, _PerNode(levels, Ordinal.limb),
                      _PerNode(levels, Ordinal.predecessor))
     _declare_suc(b, nodes)
@@ -499,8 +569,8 @@ def validate(f: Fragment) -> list[str]:
             fail(key, "meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
     flush()
 
-    # level + 1 of each node, built once, for the suc and pre tests
-    step = {n: lv.plus(1) for n, lv in level.items()}
+    # level + 1 of each node that the suc and pre tests read, built once
+    step = _PerNode(level, Ordinal.successor)
     for key, s in f.suc.items():
         x, y = key
         sx = sort.get(x)
@@ -737,9 +807,9 @@ class _Gaps:
                 lv = self.pred[x]
             down = w._below[x]
             new = [fresh()]
-            w.mint(new[0], w.sort[x], lv,
-                   below=[u for u in down if level[u] < lv],
-                   above=[x, *(u for u in down if lv < level[u])])
+            up = w.mint(new[0], w.sort[x], lv,
+                        below=[u for u in down if level[u] < lv],
+                        above=[x, *(u for u in down if lv < level[u])])
         elif gap := self._meet_gap():
             eta, pair = gap
             roots = [min(w._below[v] | {v}, key=lambda c: len(w._below[c]))
@@ -748,14 +818,15 @@ class _Gaps:
                 raise CannotComplete(
                     "meet of %r,%r forced below a level-0 node" % pair)
             new = [fresh()]
-            w.mint(new[0], eta, Ordinal(), above=roots)
+            up = w.mint(new[0], eta, Ordinal(), above=roots)
         else:
             for eta, moved in self.suc_moved.items():
                 _declare_suc(w, moved)
                 moved.clear()
-            new = self._mint_g(fresh)
+            # a G mint puts nothing above an older node
+            new, up = self._mint_g(fresh), []
         if new:
-            self._declare_above(new)
+            self._declare_above(new, up)
         return new
 
     def _meet_gap(self):
@@ -820,18 +891,18 @@ class _Gaps:
                 return new + [t]
         return []
 
-    def _declare_above(self, new) -> None:
-        """After the mint of the nodes new, all of one sort: declare the
-        lim and pre of each of them and each node above one, and mark
-        those nodes for the next meet and suc declarations."""
+    def _declare_above(self, new, up) -> None:
+        """After the mint of the nodes new, all of one sort, under the
+        older nodes up (what `mint` returned): declare the lim and pre
+        of the nodes of both, and mark them for the next meet and suc
+        declarations."""
         w = self.w
         eta = w.sort[new[0]]
         for n in new:
             bisect.insort(self.by_sort[eta], n)
         self.meet_new[eta].update(new)
         moved = set(new)
-        for n in new:
-            moved.update(y for y, d in w._below.items() if n in d)
+        moved.update(up)
         # a node above that is in no gap list has its lim and pre already
         todo = moved & (self.no_lim | self.no_pre)
         todo.update(new)

@@ -252,6 +252,14 @@ def replace(f: Fragment, **tables) -> Fragment:
     return Fragment(**args)
 
 
+def tables_in_order(f: Fragment):
+    """Every table of f, dicts as lists in their insertion order."""
+    return (f.shape, f.nodes, f.mode, sorted(f.order),
+            sorted(f._below.items()),
+            *(list(t.items()) for t in (f.sort, f.level, f.lim, f.pre,
+                                        f.suc, f.meet, f.gmap, f.constants)))
+
+
 def rename(f: Fragment, pref: str, reverse: bool = False):
     """Isomorphic copy with every node id prefixed, plus the node map.
     With reverse, each id becomes pref and a number instead, numbered so

@@ -6,19 +6,22 @@ small brute-force helpers.  The exceptions are reference copies of
 five of the validator's loops and of the whole validator, of the
 one-step closure operators, of the canonical ordering of a closure, of
 the standard-tree builder, of the closedness check, of the
-extension-rank recursion and of the derived colouring's basis scan,
-kept to check their faster forms.
+extension-rank recursion, of the one-point extension's propagation
+and table copy, and of the derived colouring's basis scan, kept to
+check their faster forms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 
 from treedesk.qe import K_BUDGET, M2_CAP, eval_formula
 from treedesk.shape import ShapeTree, decompose
-from treedesk.structure import (Fragment, InvalidTree, UndefinedTerm, _mk,
-                                _validate_theta, eval_term)
+from treedesk.structure import (Fragment, FragmentBuilder, InvalidTree,
+                                UndefinedTerm, _mk, _validate_theta,
+                                eval_term)
 from treedesk.types import BudgetExceeded, atomic_basis, tp_code
 
 
@@ -557,6 +560,100 @@ def from_standard_tree_reference(levels, edges, index="r", shape=None,
         meet[_mk(x, x)] = x
     return Fragment(f.shape, f.nodes, f.sort, f.level, f.order, meet, suc,
                     pre, lim, mode=f.mode)
+
+
+def propagate_reference(fa, fb, x_set, image):
+    """`qe._propagate` as it was before it filtered fa's tables while
+    reading them: an entry tuple for every entry of every table, then
+    the ones inside x_set kept."""
+    image = dict(image)
+    owner = {v: x for x, v in image.items()}
+    if len(owner) < len(image):
+        return None
+
+    def holder(x):
+        if x in image or not fa.is_successor(x):
+            return image.get(x)
+        l = image.get(fa.lim[x])
+        return min((s for y in x_set if y in image and fa.lt(x, y)
+                    for s in fb.strictly_below(image[y]) | {image[y]}
+                    if s != l and fb.lim.get(s) == l), default=None)
+
+    def suc_of(x, y):
+        return fb.suc.get((x, y))
+
+    entries = [((x, y), v, fb.meet_of, image.get)
+               for (x, y), v in fa.meet.items()]
+    entries += [((x, y), v, suc_of, image.get)
+                for (x, y), v in fa.suc.items()]
+    entries += [((x,), v, fb.pre.get, image.get) for x, v in fa.pre.items()]
+    entries += [((x,), v, fb.lim.get, image.get) for x, v in fa.lim.items()]
+    for edge, table in fa.gmap.items():
+        entries += [((x,), v, functools.partial(fb.g_of, edge), holder)
+                    for x, v in table.items()]
+    entries = [e for e in entries
+               if e[1] in x_set and all(x in x_set for x in e[0])]
+
+    changed = True
+    while changed:
+        changed = False
+        for args, v, look, key in entries:
+            keys = [key(x) for x in args]
+            t = None if None in keys else look(*keys)
+            if t is None:
+                continue
+            if v in image:
+                if image[v] != t:
+                    return None
+            elif t in owner:
+                return None
+            else:
+                image[v] = t
+                owner[t] = v
+                changed = True
+    if any(fa.lt(x, y) != fb.lt(image[x], image[y])
+           for x, y in itertools.permutations(image, 2)):
+        return None
+    return image
+
+
+def build_extension_reference(fa, fb, x_set, im, fresh, level):
+    """`qe._build_extension` as it was before it tested x_set
+    membership: every entry of every fa table is tested against the
+    image map im."""
+    w = FragmentBuilder(fb)
+    old = set(fb.nodes)
+    for x, nid in fresh:
+        if x in level:
+            w.add_node(nid, fa.sort[x], level[x])
+        else:
+            w.add_node(nid)
+    for x, y in itertools.permutations(sorted(x_set), 2):
+        if fa.lt(x, y) and not (im[x] in old and im[y] in old):
+            w.relate(im[x], im[y])
+    for x, nid in fresh:
+        if x not in level:
+            continue
+        mates = set().union(*(fb.strictly_below(z) for z in fb.nodes
+                              if w.lt(nid, z)))
+        for u in [u for u in mates if not w.comparable(nid, u)]:
+            w.relate(*((u, nid) if w.level[u] < w.level[nid]
+                       else (nid, u)))
+    for (x, y), v in fa.meet.items():
+        if x in im and y in im and v in im:
+            w.meet.setdefault(_mk(im[x], im[y]), im[v])
+    for (x, y), v in fa.suc.items():
+        if x in im and y in im and v in im:
+            w.suc.setdefault((im[x], im[y]), im[v])
+    for table, mine in ((fa.pre, w.pre), (fa.lim, w.lim)):
+        for x, v in table.items():
+            if x in im and v in im:
+                mine.setdefault(im[x], im[v])
+    for edge, table in fa.gmap.items():
+        for x, v in table.items():
+            if x in im and v in im:
+                w.gmap.setdefault(edge, {}).setdefault(im[x], im[v])
+    return w.freeze(fb.shape, fb.mode)
 
 
 def is_closed_reference(f):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -8,8 +9,9 @@ import pytest
 
 from gen import (TRIPOD, chain, random_closed_fragment,
                  random_standard_fragment, random_tripod, rename,
-                 transfer_instances)
-from oracles import closure_oracle, count_isomorphisms, m2_reference
+                 tables_in_order, transfer_instances)
+from oracles import (build_extension_reference, closure_oracle,
+                     count_isomorphisms, m2_reference, propagate_reference)
 
 from treedesk import qe, structure
 from treedesk.fileio import fragment_from_dict, fragment_to_dict
@@ -18,7 +20,7 @@ from treedesk.qe import (
 )
 from treedesk.shape import EMPTY_SHAPE, POINT_SHAPE, ShapeTree, chain_shape
 from treedesk.structure import (
-    SortError, Term, closure, complete, is_closed, validate,
+    CannotComplete, SortError, Term, closure, complete, is_closed, validate,
 )
 from treedesk.types import (BudgetExceeded, count_type_classes, equiv_k,
                             tp_code)
@@ -198,6 +200,53 @@ def test_extend_builds_once(monkeypatch):
         # equiv_k checks the rank of a, b and then verifies the result
         assert sorted(calls) == ["_complete_valid", "equiv_k", "equiv_k",
                                  "validate"]
+
+
+def _extension_inputs():
+    """Point, tripod and two-sort one-point extensions, each against the
+    renamed copy of its source: (fa, a, c, fb, b, m1)."""
+    for _, fa, fb, a, b, c, m1 in transfer_instances(
+            random.Random(13), (("point", 40), ("tripod", 40), ("empty", 5))):
+        yield fa, a, c, fb, b, m1
+    for d, rec in sorted(_two_sort_draws().items()):
+        fa = complete(fragment_from_dict(rec["doc"]))
+        fb, r = rename(fa, "y")
+        a = tuple(rec["a"])
+        yield fa, a, rec["c"], fb, tuple(r[x] for x in a), d % 3
+
+
+def test_extension_reads_as_the_full_scan(monkeypatch):
+    """The propagation and the table copy, which read only the entries
+    inside the closure x_set, give the image (or None) and the
+    extension of their full-scan reference copies, tables in the same
+    insertion order."""
+    seen = collections.Counter()
+    real_propagate, real_build = qe._propagate, qe._build_extension
+
+    def checked_propagate(fa, fb, x_set, image):
+        got = real_propagate(fa, fb, x_set, image)
+        want = propagate_reference(fa, fb, x_set, image)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert list(got.items()) == list(want.items())
+        seen["conflict" if got is None else "image"] += 1
+        return got
+
+    def checked_build(*args):
+        got = real_build(*args)
+        want = build_extension_reference(*args)
+        assert tables_in_order(got) == tables_in_order(want)
+        seen["extension"] += 1
+        return got
+
+    monkeypatch.setattr(qe, "_propagate", checked_propagate)
+    monkeypatch.setattr(qe, "_build_extension", checked_build)
+    for fa, a, c, fb, b, m1 in _extension_inputs():
+        try:
+            extend_one_point(fa, a, c, fb, b, m1)
+        except CannotComplete:
+            seen["failed"] += 1
+    assert seen["conflict"] and seen["extension"] > 100, seen
 
 
 def test_extend_budget_counts_settled_nodes():

@@ -12,18 +12,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gen import (comb_and_fan_fixture, corrupted_fragment,
-                 dropped_entry_fragments, fan_pair_fixture,
+from gen import (chain, comb_and_fan_fixture, corrupted_fragment,
+                 dropped_entry_fragments, fan_pair_fixture, hard_six,
                  near_valid_fragments, random_closed_fragment,
                  random_standard_fragment, random_tripod, replace,
-                 theta_two_sort, three_sort_step_fixture, top_sort_only,
-                 transfer_instances, two_root_forest)
+                 tables_in_order, theta_single_sort, theta_two_sort,
+                 three_sort_step_fixture, top_sort_only, transfer_instances,
+                 two_root_forest)
 from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
                      from_standard_tree_reference, is_closed_reference,
                      set_checked_reports, validate_reference)
 
 import treedesk
-from treedesk import ordinal, qe, structure
+from treedesk import glue, ordinal, qe, structure
 
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.fileio import fragment_to_dict
@@ -148,14 +149,6 @@ def _standard_tree_inputs():
     return cases
 
 
-def _tables(f):
-    """Every table of f, dicts as lists in their insertion order."""
-    return (f.shape, f.nodes, f.mode, sorted(f.order),
-            sorted(f._below.items()),
-            *(list(t.items()) for t in (f.sort, f.level, f.lim, f.pre,
-                                        f.suc, f.meet, f.gmap, f.constants)))
-
-
 def test_from_standard_tree_matches_reference():
     """Same tables in the same insertion order, or the same first
     InvalidTree message, as the builder that searched every node for
@@ -165,14 +158,15 @@ def test_from_standard_tree_matches_reference():
     outcomes = set()
     for (levels, edges), kw in cases:
         try:
-            want = _tables(from_standard_tree_reference(levels, edges, **kw))
+            want = tables_in_order(
+                from_standard_tree_reference(levels, edges, **kw))
         except InvalidTree as e:
             with pytest.raises(InvalidTree) as got:
                 from_standard_tree(levels, edges, **kw)
             assert str(got.value) == str(e)
             outcomes.add(str(e).split(" ")[0])
             continue
-        assert _tables(from_standard_tree(levels, edges, **kw)) == want
+        assert tables_in_order(from_standard_tree(levels, edges, **kw)) == want
         outcomes.add("built")
     assert outcomes == {"built", "order", "down-set", "levels", "index"}
 
@@ -840,27 +834,29 @@ def test_completion_meet_below_level_zero_pin():
 
 def test_complete_freezes_once(monkeypatch):
     f = random_standard_fragment(random.Random(0), 30)
-    built = _count_inits(monkeypatch)
+    built = _count_seals(monkeypatch)
     out = complete(f)
     assert len(out.nodes) > len(f.nodes)
     assert built == [out]
 
 
-def _count_inits(monkeypatch):
-    """Record every Fragment that is constructed from now on."""
+def _count_seals(monkeypatch):
+    """Record every Fragment sealed from now on: both the constructor
+    and `FragmentBuilder.freeze` bind a fragment's slots through
+    `Fragment._seal`, once per fragment."""
     built = []
-    init = Fragment.__init__
+    seal = Fragment._seal
 
-    def counting_init(self, *args, **kw):
+    def counting_seal(self, *args):
         built.append(self)
-        init(self, *args, **kw)
+        seal(self, *args)
 
-    monkeypatch.setattr(Fragment, "__init__", counting_init)
+    monkeypatch.setattr(Fragment, "_seal", counting_seal)
     return built
 
 
 def test_from_standard_tree_builds_once(monkeypatch):
-    built = _count_inits(monkeypatch)
+    built = _count_seals(monkeypatch)
     f = _chain5()
     assert f.suc and f.meet
     assert built == [f]
@@ -899,10 +895,143 @@ def test_frozen_fragment_ignores_later_builder_edits():
         getattr(b, name).clear()
     b = FragmentBuilder(f)
     b.gmap[("0", "1")]["d0"] = "e1"
-    b.order.add(("e1", "e0"))
+    b.relate("e1", "e0")
     b.add_node("zz", "0", Ordinal())
     assert fragment_to_dict(f) == before
     assert fragment_to_dict(b.freeze(f.shape, f.mode)) != before
+
+
+def test_builder_order_is_read_only():
+    """Order edges go in through mint, relate and absorb, or by
+    assigning all of them at once, which computes every down-set
+    anew; the order a builder shows cannot be edited in place."""
+    b = FragmentBuilder(_chain5())
+    with pytest.raises(AttributeError):
+        b.order.add(("n4", "n0"))
+    b.order = set(b.order) | {("n4", "n0")}
+    assert b._below["n0"] == {"n0", "n1", "n2", "n3", "n4"}
+
+
+def _watch_freezes(monkeypatch):
+    """Check every fragment `FragmentBuilder.freeze` seals from now on:
+    its down-sets are the ones `Fragment` computes from its edges, as
+    frozensets, and each meet key is ordered.  Returns the fragments."""
+    frozen = []
+    real_freeze = FragmentBuilder.freeze
+
+    def checked_freeze(b, shape, mode):
+        f = real_freeze(b, shape, mode)
+        assert f._below == structure._down_sets(f.nodes, f.order)
+        assert all(type(d) is frozenset for d in f._below.values())
+        assert all(x <= y for x, y in f.meet)
+        frozen.append(f)
+        return f
+
+    monkeypatch.setattr(FragmentBuilder, "freeze", checked_freeze)
+    return frozen
+
+
+def _freeze_standard_trees():
+    for (levels, edges), kw in _standard_tree_inputs():
+        try:
+            from_standard_tree(levels, edges, **kw)
+        except InvalidTree:
+            pass
+    for fix in (lambda: chain(12), three_sort_step_fixture, fan_pair_fixture,
+                comb_and_fan_fixture, hard_six, theta_single_sort,
+                theta_two_sort, two_root_forest):
+        fix()
+    for seed in range(5):
+        rng = random.Random(seed)
+        random_closed_fragment(rng)
+        random_tripod(rng)
+        top_sort_only(rng)
+
+
+def _freeze_completions():
+    """The pinned inputs, `dropped_entry_fragments` of seeds 0-19
+    among them."""
+    for _, f in _completion_pin_inputs():
+        complete(f)
+
+
+def _freeze_extensions():
+    for _, fa, fb, a, b, c, m1 in transfer_instances(
+            random.Random(7), (("point", 20), ("tripod", 20), ("empty", 5))):
+        qe.extend_one_point(fa, a, c, fb, b, m1)
+
+
+def _freeze_glue():
+    for case in ("theta", "singular", "regular", "inaccessible"):
+        glue.build_witness(case)
+    glue.build_control(12)
+    w = Ordinal.omega()
+
+    def base(p):
+        return from_standard_tree(
+            {p + "0": Ordinal(), p + "l": w, p + "s": w.plus(1)},
+            {(p + "0", p + "l"), (p + "0", p + "s"), (p + "l", p + "s")})
+
+    glue.star_construct(glue.GlueSpec(
+        POINT_SHAPE, base("b"), {("r", 0): base("w"), ("r", 1): base("v")},
+        {("r", 0): {"bs": "w0"}}))
+
+
+def _freeze_overlapping_absorb():
+    """Two fragments that share the node m, absorbed in both orders:
+    only the merged edges put a below c."""
+    f = from_standard_tree({"a": Ordinal(), "m": Ordinal.nat(1)},
+                           {("a", "m")})
+    g = from_standard_tree({"m": Ordinal.nat(1), "c": Ordinal.nat(2)},
+                           {("m", "c")})
+    for first, second in ((f, g), (g, f)):
+        b = FragmentBuilder(first)
+        b.absorb(second, lambda eta: eta)
+        assert b._below["c"] == {"a", "m"}
+        b.freeze(POINT_SHAPE, "base")
+
+
+def _freeze_dangling_edges():
+    """Edges naming ids that are no nodes when they go in, through an
+    invalid fragment, `relate`, `mint` and assigning `order`; then the
+    ids become nodes.  Last, a node written into `nodes` directly."""
+    f = Fragment(POINT_SHAPE, ("a", "b"), {"a": "r", "b": "r"},
+                 {"a": Ordinal(), "b": Ordinal.nat(1)},
+                 {("a", "b"), ("z", "a"), ("b", "q")})
+    b = FragmentBuilder(f)
+    b.freeze(f.shape, f.mode)
+    b.add_node("z", "r", Ordinal())
+    b.add_node("q", "r", Ordinal.nat(2))
+    assert b.freeze(f.shape, f.mode)._below["q"] == {"a", "b", "z"}
+    f = _chain5()
+    b = FragmentBuilder(f)
+    b.relate("n4", "p")
+    b.add_node("p", "r", Ordinal.nat(5))
+    b.freeze(f.shape, f.mode)
+    b = FragmentBuilder(f)
+    b.mint("m", "r", Ordinal.nat(5), below=f.nodes, above=["p"])
+    b.add_node("p", "r", Ordinal.nat(6))
+    b.freeze(f.shape, f.mode)
+    b = FragmentBuilder(f)
+    b.order = f.order | {("n4", "p")}
+    b.add_node("p", "r", Ordinal.nat(5))
+    b.freeze(f.shape, f.mode)
+    b = FragmentBuilder(f)
+    b.nodes.add("p")
+    assert not b.freeze(f.shape, f.mode)._below["p"]
+
+
+@pytest.mark.parametrize("run", [
+    _freeze_standard_trees, _freeze_completions, _freeze_extensions,
+    _freeze_glue, _freeze_overlapping_absorb, _freeze_dangling_edges],
+    ids=lambda run: run.__name__)
+def test_freeze_hands_over_exact_down_sets(monkeypatch, run):
+    """freeze takes the builder's down-sets over instead of computing
+    them from the edges: on every fragment it seals they equal what
+    `Fragment` would compute, and every meet key is ordered."""
+    frozen = _watch_freezes(monkeypatch)
+    run()
+    assert frozen
 
 
 ATTRIBUTES = ("shape", "nodes", "order", "mode") + TABLES
