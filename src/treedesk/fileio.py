@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 from .errors import TreedeskError
 from .ordinal import Ordinal
@@ -166,6 +167,9 @@ def fragment_to_dict(f: Fragment) -> dict:
 
 def fragment_from_dict(doc: dict, location: str = "fragment") -> Fragment:
     """Nodes without a sort may omit their level; all others need one."""
+    if not isinstance(doc, dict):
+        raise InputError("fragment %r is not a JSON object" % (doc,),
+                         location)
     shape = shape_from_dict(doc.get("shape", {}), location + ".shape")
 
     def known_sort(eta):
@@ -240,8 +244,12 @@ def coloring_from_dict(doc: dict, location: str = "coloring") -> Coloring:
     try:
         c = Coloring(int(doc["n"]), int(doc["arity"]), {},
                      int(doc.get("default", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError("malformed coloring: %s" % exc, location)
+    # indices past sys.maxsize do not fit a Python sequence index
+    if not 0 <= c.n <= sys.maxsize:
+        raise InputError("ground size %d is outside 0..%d"
+                         % (c.n, sys.maxsize), location + ".n")
     for loc, (key, v) in _rows(doc, "entries", 2, location):
         try:
             key = tuple(key)
@@ -324,11 +332,22 @@ def load_gluespec(path: str) -> GlueSpec:
     connectors = {}
     for loc, block in _rows(doc, "connectors", None, path):
         try:
-            key = (block["nu"], int(block["eps"]))
-            connectors[key] = {x: v for x, v in block["entries"]}
-        except (KeyError, TypeError, ValueError) as exc:
+            key = (block["nu"], _int(block["eps"], "eps", loc))
+            connectors[key] = dict(
+                _id_pair(row, "%s.entries[%d]" % (loc, i))
+                for i, row in enumerate(block["entries"]))
+        except (KeyError, TypeError) as exc:
             raise InputError("malformed connector block: %s" % exc, loc)
     return GlueSpec(s_prime, base, boundary, connectors)
+
+
+def _id_pair(row, loc: str) -> list[str]:
+    """row, or InputError unless it is a pair of node-id strings."""
+    if not (isinstance(row, list) and len(row) == 2
+            and all(isinstance(x, str) for x in row)):
+        raise InputError("connector entry %r is not a pair of node ids"
+                         % (row,), loc)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,37 @@ def budgeted(fn, budget: int, what: str):
     return counted
 
 
+# itertools.combinations keeps its whole pool as a tuple, so a larger
+# ground set is walked by _increasing_tuples, which keeps r indices
+_POOL_MAX = 1 << 16
+
+
+def _increasing_tuples(n: int, r: int):
+    """The increasing r-tuples from range(n) in lexicographic order, as
+    itertools.combinations(range(n), r) gives them, without building
+    range(n): the last entry runs over a range, and the entries before
+    it step as in the itertools recipe."""
+    if r == 0:
+        yield ()
+        return
+    if r > n:
+        return
+    idx = list(range(r))
+    while True:
+        head = tuple(idx[:-1])
+        for j in range(idx[-1], n):
+            yield head + (j,)
+        # step the rightmost entry of the head below its largest value
+        for i in reversed(range(r - 1)):
+            if idx[i] != i + n - r:
+                break
+        else:
+            return
+        idx[i] += 1
+        for j in range(i + 1, r):
+            idx[j] = idx[j - 1] + 1
+
+
 def find_homogeneous(c: Coloring, delta: int, budget: int = 10 ** 7):
     """Lexicographically least subsequence of [n] of length delta on
     whose increasing tuples the color depends only on tuple length, as
@@ -142,7 +173,9 @@ def find_homogeneous(c: Coloring, delta: int, budget: int = 10 ** 7):
     if c.arity < 2:
         raise BadArgument("arity bound must be at least 2")
     color = budgeted(c.color, budget, "homogeneity search budget")
-    for idxs in itertools.combinations(range(c.n), delta):
+    walk = (itertools.combinations(range(c.n), delta) if c.n <= _POOL_MAX
+            else _increasing_tuples(c.n, delta))
+    for idxs in walk:
         per_len = length_colors(sub_tuples(idxs, c.arity), color)
         if per_len is not None:
             return idxs, per_len

@@ -487,7 +487,7 @@ def validate(f: Fragment) -> list[str]:
     rep: list[str] = []
     nodeset = set(f.nodes)
     # plain dicts: .get on a read-only view costs twice a dict's
-    sort, level, lim = f.sort.copy(), f.level.copy(), f.lim.copy()
+    sort, lim, level = f.sort.copy(), f.lim.copy(), f.level
     below = f._below
     indices = set(f.shape.indices)
     fails: dict = {}
@@ -530,6 +530,8 @@ def validate(f: Fragment) -> list[str]:
     if stop:
         return rep
 
+    # levels compare as their term tuples, as `Ordinal`'s order does
+    terms = {x: o.terms for x, o in level.items()}
     for y in f.nodes:
         down = below[y]
         if not down:
@@ -541,11 +543,11 @@ def validate(f: Fragment) -> list[str]:
                 if not f.comparable(a, b):
                     rep.append("order-downset-chain: %r,%r below %r"
                                % (a, b, y))
-        ly = level[y]
-        low = [a for a in down if not level[a] < ly]
+        ty = terms[y]
+        low = [a for a in down if not terms[a] < ty]
         for a in sorted(low):
             rep.append("order-level: %r < %r but levels %s >= %s"
-                       % (a, y, level[a], ly))
+                       % (a, y, level[a], level[y]))
 
     for key, m in f.meet.items():
         x, y = key
@@ -569,8 +571,9 @@ def validate(f: Fragment) -> list[str]:
             fail(key, "meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
     flush()
 
-    # level + 1 of each node that the suc and pre tests read, built once
-    step = _PerNode(level, Ordinal.successor)
+    # the terms of level + 1 of each node that the suc and pre tests
+    # read, built once
+    step = _PerNode(terms, _successor_terms)
     for key, s in f.suc.items():
         x, y = key
         sx = sort.get(x)
@@ -582,7 +585,7 @@ def validate(f: Fragment) -> list[str]:
         if x not in bs or not (s == y or s in below.get(y, ())):
             fail(key, "suc-bounds: (%r,%r)->%r" % (x, y, s))
             continue
-        if level[s] != step[x]:
+        if terms[s] != step[x]:
             fail(key, "suc-level: (%r,%r)->%r at %s" % (x, y, s, level[s]))
         # down(x)+x lies in down(s), so nothing lies strictly between x
         # and s iff the sizes agree
@@ -602,7 +605,7 @@ def validate(f: Fragment) -> list[str]:
         if l != x and l not in below.get(x, ()):
             fail(x, "lim-bound: %r->%r" % (x, l))
             continue
-        if level[l] != level[x].limb():
+        if terms[l] != _limb_terms(terms[x]):
             fail(x, "lim-level: lim(%r)=%r at %s, expected %s"
                  % (x, l, level[l], level[x].limb()))
         if lim.get(l) not in (None, l):
@@ -625,7 +628,7 @@ def validate(f: Fragment) -> list[str]:
         if p not in below.get(x, ()):
             fail(x, "pre-bound: %r->%r" % (x, p))
             continue
-        if step[p] != level[x]:
+        if step[p] != terms[x]:
             fail(x, "pre-level: pre(%r)=%r at %s" % (x, p, level[p]))
         s = f.suc.get((p, x), x)
         if s != x:
@@ -668,6 +671,18 @@ def validate(f: Fragment) -> list[str]:
     if mode == "classT" and not f.shape.is_chain():
         rep.append("classT-shape: shape is not a chain")
     return rep
+
+
+def _successor_terms(t):
+    """The terms of level + 1, for the terms t of a level."""
+    if t and t[-1][0] == 0:
+        return t[:-1] + ((0, t[-1][1] + 1),)
+    return t + ((0, 1),)
+
+
+def _limb_terms(t):
+    """The terms of a level's limb, for the terms t of the level."""
+    return t[:-1] if t and t[-1][0] == 0 else t
 
 
 def _validate_theta(f: Fragment) -> list[str]:
@@ -1077,38 +1092,24 @@ def _known(f: Fragment, a) -> frozenset[str]:
     return s
 
 
-def _chain(f: Fragment, a, k: int, base=None) -> list[frozenset[str]]:
+def _chain(f: Fragment, a, k: int) -> list[frozenset[str]]:
     """The rank-i closures of the node set a, for a closed f, from i = 0
     up to k or to the first rank that adds nothing, whichever comes
     first: the last entry is the rank-k closure, and so is every rank
-    past it.
-
-    With base, the chain of a parameter set P, the result is the chain
-    of a | P, and each rank pays only for what a adds to P:
-        S_0     = zero(B_0 | a)               pairing outside B_0
-        S_{i+1} = zero(suc(S_i) | B_{i+1})    pairing outside B_{i+1}
-    where suc(S_i) pairs only members outside B_i.  This is exact
-    because B_i's successors and predecessors lie in B_{i+1}, and
-    B_{i+1} is closed under the rank-0 operators, as every rank-0
-    closure is.  Without base, a set's own rank i-1 and rank i closures
-    serve as B_i and B_{i+1}, so each rank pairs only the members that
+    past it.  Each rank step takes the successors of the pairs with a
+    member outside the rank before last, and the predecessors of those
+    members, as the last rank holds the others' values already; its
+    rank-0 rounds then pair only the members outside the last rank,
+    which is rank-0 closed.  So each rank pays only for the members that
     the rank before it added.  Raises BadArgument unless k is a natural
     number, then UnknownNode for a node of a that is not in f.
     """
     if not isinstance(k, int) or k < 0:
         raise BadArgument("closure rank %r is not a natural number" % (k,))
     empty = frozenset()
-    s = _known(f, a)
-    if base is None:
-        b0 = empty
-    else:
-        b0, last = base[0], len(base) - 1
-    tops = [_cl_zero(f, b0 | s, b0)]
+    tops = [_cl_zero(f, _known(f, a))]
     for i in range(k):
-        if base is None:
-            b, b1 = tops[i - 1] if i else empty, tops[i]
-        else:
-            b, b1 = base[min(i, last)], base[min(i + 1, last)]
+        b, b1 = tops[i - 1] if i else empty, tops[i]
         nxt = _cl_zero(f, _cl_suc(f, tops[i], b) | b1, b1)
         if nxt == tops[i]:
             break

@@ -1,5 +1,9 @@
+import argparse
 import json
+import pathlib
 import random
+import shlex
+import sys
 
 import pytest
 
@@ -446,6 +450,15 @@ WRONG_INPUTS = {
                           "base None is not a file path"),
     "glue-star-base-not-a-path": (["glue", "star", "{intbase}"],
                                   "base 5 is not a file path"),
+    "glue-star-object-connector": (
+        ["glue", "star", "{objconnector}"],
+        "connector entry ['n00', {}] is not a pair of node ids (at "),
+    "pspace-validate-fragment-not-an-object": (
+        ["pspace", "validate", "{boolfragment}"],
+        "fragment True is not a JSON object (at "),
+    "ramsey-homog-huge-ground-size": (
+        ["ramsey", "homog", "{hugecoloring}", "--delta", "2"],
+        "ground size %d is outside 0..%d (at " % (10 ** 30, sys.maxsize)),
     "validate-not-text": (["validate", "{binary}"], "not a text file"),
     "demo-zero-budget": (["demo", "case1", "--budget-tuples", "0"],
                          "search budget exhausted"),
@@ -470,7 +483,14 @@ def write_wrong_input_files(d):
             "dangling": fragment_to_dict(chain),
             "listlabel": ptriple_to_dict(six_chain_base()),
             "nobase": {"s_prime": s_prime},
-            "intbase": {"s_prime": s_prime, "base": 5}}
+            "intbase": {"s_prime": s_prime, "base": 5},
+            "objconnector": {
+                "s_prime": s_prime, "base": "chain.json",
+                "boundary": [{"nu": "r", "eps": 0, "path": "step.json"}],
+                "connectors": [{"nu": "r", "eps": 0,
+                                "entries": [["n00", {}]]}]},
+            "boolfragment": {"fragment": True},
+            "hugecoloring": {"n": 10 ** 30, "arity": 2, "entries": []}}
     docs["badsort"]["nodes"][0]["sort"] = "zz"
     docs["dangling"]["order"].append(["n00", "zz"])
     docs["listlabel"]["e"][0][1] = ["x"]
@@ -506,3 +526,31 @@ def test_wrong_input_exits_2_naming_the_fault(capsys, wrong_input_files,
     assert rc == 2, out
     assert len(violations) == 1 and fault in violations[0], out
     assert "Traceback" not in out + err
+
+
+def _leaf_reports(parser):
+    """The report names of the parser's leaf commands."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _leaf_reports(sub)
+    if (report := parser.get_default("report")) is not None:
+        out.add(report)
+    return out
+
+
+def test_readme_command_block_shows_every_leaf():
+    """Each line of README's command block parses, and together they
+    show every leaf command of the parser."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = cli.build_parser()
+    shown = set()
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "treedesk", line
+        shown.add(parser.parse_args(argv[1:]).report)
+    assert shown == _leaf_reports(parser)
+    assert len(shown) == 22

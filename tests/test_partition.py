@@ -20,7 +20,7 @@ from treedesk.partition import (
     QNode, p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
     _RowBasis, validate_ptriple, validate_qnode,
 )
-from treedesk import types
+from treedesk import partition, types
 from treedesk.structure import SortError, UndefinedTerm
 from treedesk.types import BudgetExceeded, atomic_basis, basis_terms
 
@@ -87,6 +87,22 @@ def test_find_homogeneous_delta_bounds():
     c = Coloring(3, 2, {}, 0)
     with pytest.raises(ValueError):
         find_homogeneous(c, 4)
+
+
+def test_find_homogeneous_walks_the_ground_set_lazily():
+    """The candidates come in the order of itertools.combinations over
+    range(n), and a ground set far larger than memory costs only the
+    candidates the search visits."""
+    for n in range(7):
+        for r in range(9):
+            assert list(partition._increasing_tuples(n, r)) == \
+                list(itertools.combinations(range(n), r)), (n, r)
+    far = Coloring(10 ** 15, 2, {(0, 2): 1}, 0)
+    assert find_homogeneous(far, 3) == ((0, 1, 3), {1: 0, 2: 0})
+    # every triple (0, 1, j) fails, so the walk stops at the budget
+    with pytest.raises(BudgetExceeded):
+        find_homogeneous(Coloring(10 ** 15, 2, {(0, 1): 1}, 0), 3,
+                         budget=50)
 
 
 def _gap_coloring(n, arity, gaps):

@@ -24,7 +24,7 @@ from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
                      set_checked_reports, validate_reference)
 
 import treedesk
-from treedesk import glue, ordinal, qe, structure
+from treedesk import glue, ordinal, qe, structure, types
 
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.fileio import fragment_to_dict
@@ -314,23 +314,24 @@ def test_closure_over_several_rounds_matches_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(ROUNDS_CASES))
 def test_chain_continued_from_parameters_matches_oracle(name):
-    """A tuple's chain continued from a parameter set's chain is, rank by
-    rank, the closure of the tuple and the set together.  A chain stops
-    at the first rank that adds nothing."""
+    """A parameter set's chain is, rank by rank, its closure, and stops at
+    the first rank that adds nothing.  A tuple's continuation of that
+    chain (`types._added`) gives, at every rank, what the closure of the
+    tuple and the set together adds to the set's closure."""
     f = ROUNDS_CASES[name]()
     rng = random.Random(name)
     nodes = sorted(f.nodes)
-
-    def assert_chain(tops, a):
+    for params in _generator_sets(name, f)[:3]:
+        tops = structure._chain(f, params, 3)
         assert all(tops[i] != tops[i + 1] for i in range(len(tops) - 1))
         assert [tops[min(i, len(tops) - 1)] for i in range(4)] == \
-            [closure_oracle(f, a, i) for i in range(4)], a
-
-    for params in _generator_sets(name, f)[:3]:
-        base = structure._chain(f, params, 3)
-        assert_chain(base, params)
-        for a in (rng.sample(nodes, 1), rng.sample(nodes, 2), params[:1]):
-            assert_chain(structure._chain(f, a, 3, base), set(a) | set(params))
+            [closure_oracle(f, params, i) for i in range(4)], params
+        tuples = (rng.sample(nodes, 1), rng.sample(nodes, 2), params[:1])
+        for k in range(4):
+            p = types._Params(f, tuple(sorted(params)), k)
+            for a in tuples:
+                assert types._added(p, a) == closure_oracle(
+                    f, set(a) | set(params), k) - p.b, (a, k)
 
 
 def test_rank_loop_stops_once_a_rank_adds_nothing(monkeypatch):

@@ -340,13 +340,13 @@ def test_count_builds_the_chain_once_and_one_index_per_code(monkeypatch):
     f = chain(6)
     b = closure(f, ("n02", "n04"), 2)
     chains = _counting(monkeypatch, "_chain")
+    continued = _counting(monkeypatch, "_added")
     full = _counting(monkeypatch, "_Index")
     relative = _counting(monkeypatch, "_RelIndex")
     ranked = _counting(monkeypatch, "_canon_order")
     count_type_classes(f, ("n02", "n04"), 2, 2)
-    params, *tuples = chains
-    assert params == (f, ("n02", "n04"), 2)
-    assert len(tuples) == 36 and all(len(args) == 4 for args in tuples)
+    assert chains == [(f, ("n02", "n04"), 2)]
+    assert len(continued) == 36 and all(len(args) == 2 for args in continued)
     assert not full and len(relative) == 36
     assert any(ix.elems for ix, _ in ranked)
     assert all(not b & (set(ix.elems) | set(colors)) for ix, colors in ranked)
@@ -362,8 +362,8 @@ def test_relative_branching_is_canonical(monkeypatch, gens):
     for f, r in ((_fan(), None), rename(_fan(), "w_", reverse=True)):
         params = types._Params(f, (), 0)
         assert not params.b
-        c = frozenset(f.nodes)
-        monkeypatch.setattr(types, "_chain", lambda *args: [c])
+        n_set = set(f.nodes)
+        monkeypatch.setattr(types, "_added", lambda *args: n_set)
         orders = _counting(monkeypatch, "_canon_order")
         records.append(types._relative_record(
             params, gens if r is None else tuple(r[x] for x in gens)))
@@ -414,6 +414,23 @@ def test_count_is_the_number_of_distinct_codes(name):
             assert _classes(records) == _classes(codes), (a_set, k, n)
             assert count_type_classes(f, a_set, k, n) == \
                 len(set(codes.values())), (a_set, k, n)
+
+
+@pytest.mark.parametrize("name", sorted(RELATIVE_CASES))
+def test_continuation_adds_what_the_closure_adds(name):
+    """Each tuple's continuation of the parameter chain gives exactly
+    the members its closure over the parameters adds to the parameter
+    closure B, at every rank."""
+    f = RELATIVE_CASES[name]()
+    rng = random.Random(name)
+    nodes = sorted(f.nodes)
+    for k in range(4):
+        a_set = tuple(sorted(rng.sample(nodes, rng.randint(0, 3))))
+        params = types._Params(f, a_set, k)
+        for n in (1, 2):
+            for t in itertools.product(nodes, repeat=n):
+                assert types._added(params, t) == \
+                    closure(f, t + a_set, k) - params.b, (a_set, k, t)
 
 
 def test_relative_records_inside_the_parameter_closure_and_constants():
