@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 
 from .errors import TreedeskError
 from .ordinal import Ordinal
@@ -246,10 +245,8 @@ def coloring_from_dict(doc: dict, location: str = "coloring") -> Coloring:
                      int(doc.get("default", 0)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError("malformed coloring: %s" % exc, location)
-    # indices past sys.maxsize do not fit a Python sequence index
-    if not 0 <= c.n <= sys.maxsize:
-        raise InputError("ground size %d is outside 0..%d"
-                         % (c.n, sys.maxsize), location + ".n")
+    if c.n < 0:
+        raise InputError("ground size %d is negative" % c.n, location + ".n")
     for loc, (key, v) in _rows(doc, "entries", 2, location):
         try:
             key = tuple(key)

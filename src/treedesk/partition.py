@@ -130,11 +130,6 @@ def budgeted(fn, budget: int, what: str):
     return counted
 
 
-# itertools.combinations keeps its whole pool as a tuple, so a larger
-# ground set is walked by _increasing_tuples, which keeps r indices
-_POOL_MAX = 1 << 16
-
-
 def _increasing_tuples(n: int, r: int):
     """The increasing r-tuples from range(n) in lexicographic order, as
     itertools.combinations(range(n), r) gives them, without building
@@ -173,9 +168,7 @@ def find_homogeneous(c: Coloring, delta: int, budget: int = 10 ** 7):
     if c.arity < 2:
         raise BadArgument("arity bound must be at least 2")
     color = budgeted(c.color, budget, "homogeneity search budget")
-    walk = (itertools.combinations(range(c.n), delta) if c.n <= _POOL_MAX
-            else _increasing_tuples(c.n, delta))
-    for idxs in walk:
+    for idxs in _increasing_tuples(c.n, delta):
         per_len = length_colors(sub_tuples(idxs, c.arity), color)
         if per_len is not None:
             return idxs, per_len

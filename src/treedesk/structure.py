@@ -487,7 +487,7 @@ def validate(f: Fragment) -> list[str]:
     rep: list[str] = []
     nodeset = set(f.nodes)
     # plain dicts: .get on a read-only view costs twice a dict's
-    sort, lim, level = f.sort.copy(), f.lim.copy(), f.level
+    sort, level, lim = f.sort.copy(), f.level.copy(), f.lim.copy()
     below = f._below
     indices = set(f.shape.indices)
     fails: dict = {}
@@ -530,8 +530,6 @@ def validate(f: Fragment) -> list[str]:
     if stop:
         return rep
 
-    # levels compare as their term tuples, as `Ordinal`'s order does
-    terms = {x: o.terms for x, o in level.items()}
     for y in f.nodes:
         down = below[y]
         if not down:
@@ -543,11 +541,11 @@ def validate(f: Fragment) -> list[str]:
                 if not f.comparable(a, b):
                     rep.append("order-downset-chain: %r,%r below %r"
                                % (a, b, y))
-        ty = terms[y]
-        low = [a for a in down if not terms[a] < ty]
+        ly = level[y]
+        low = [a for a in down if not level[a] < ly]
         for a in sorted(low):
             rep.append("order-level: %r < %r but levels %s >= %s"
-                       % (a, y, level[a], level[y]))
+                       % (a, y, level[a], ly))
 
     for key, m in f.meet.items():
         x, y = key
@@ -571,9 +569,8 @@ def validate(f: Fragment) -> list[str]:
             fail(key, "meet-not-max: (%r,%r)->%r misses %r" % (x, y, m, z))
     flush()
 
-    # the terms of level + 1 of each node that the suc and pre tests
-    # read, built once
-    step = _PerNode(terms, _successor_terms)
+    # level + 1 of each node that the suc and pre tests read, built once
+    step = _PerNode(level, Ordinal.successor)
     for key, s in f.suc.items():
         x, y = key
         sx = sort.get(x)
@@ -585,7 +582,7 @@ def validate(f: Fragment) -> list[str]:
         if x not in bs or not (s == y or s in below.get(y, ())):
             fail(key, "suc-bounds: (%r,%r)->%r" % (x, y, s))
             continue
-        if terms[s] != step[x]:
+        if level[s] != step[x]:
             fail(key, "suc-level: (%r,%r)->%r at %s" % (x, y, s, level[s]))
         # down(x)+x lies in down(s), so nothing lies strictly between x
         # and s iff the sizes agree
@@ -605,7 +602,7 @@ def validate(f: Fragment) -> list[str]:
         if l != x and l not in below.get(x, ()):
             fail(x, "lim-bound: %r->%r" % (x, l))
             continue
-        if terms[l] != _limb_terms(terms[x]):
+        if level[l] != level[x].limb():
             fail(x, "lim-level: lim(%r)=%r at %s, expected %s"
                  % (x, l, level[l], level[x].limb()))
         if lim.get(l) not in (None, l):
@@ -628,7 +625,7 @@ def validate(f: Fragment) -> list[str]:
         if p not in below.get(x, ()):
             fail(x, "pre-bound: %r->%r" % (x, p))
             continue
-        if step[p] != terms[x]:
+        if step[p] != level[x]:
             fail(x, "pre-level: pre(%r)=%r at %s" % (x, p, level[p]))
         s = f.suc.get((p, x), x)
         if s != x:
@@ -671,18 +668,6 @@ def validate(f: Fragment) -> list[str]:
     if mode == "classT" and not f.shape.is_chain():
         rep.append("classT-shape: shape is not a chain")
     return rep
-
-
-def _successor_terms(t):
-    """The terms of level + 1, for the terms t of a level."""
-    if t and t[-1][0] == 0:
-        return t[:-1] + ((0, t[-1][1] + 1),)
-    return t + ((0, 1),)
-
-
-def _limb_terms(t):
-    """The terms of a level's limb, for the terms t of the level."""
-    return t[:-1] if t and t[-1][0] == 0 else t
 
 
 def _validate_theta(f: Fragment) -> list[str]:
@@ -1115,6 +1100,110 @@ def _chain(f: Fragment, a, k: int) -> list[frozenset[str]]:
             break
         tops.append(nxt)
     return tops
+
+
+class _Continuation:
+    """The continuation of a parameter set's chain tops = _chain(f, P, k)
+    by a tuple abar, keeping only N_i, the members that abar's rank-i
+    closure S_i adds to B_i = tops[i] (B_i = B, the last entry, past the
+    end):
+        S_0     = zero(B_0 + abar)
+        S_{i+1} = zero(suc(S_i) + B_{i+1})
+    Each operator pays only for the pairs and members with a member in
+    N_i, and no set the size of B is built per tuple.  This is exact
+    because B_i's successors and predecessors lie in B_{i+1}, and
+    B_{i+1} is closed under the rank-0 operators, as every rank-0
+    closure is.  The steps are those of `_chain`, `_cl_suc` and
+    `_cl_zero` restricted to N_i, so a change to an operator there
+    belongs here too.  Built once per chain: the members of each B_i by
+    sort, the G tables along the shape's edges and the number of rank-0
+    rounds."""
+
+    def __init__(self, f: Fragment, tops: list[frozenset[str]], k: int):
+        self.f, self.tops, self.k = f, tops, k
+        self.by_sort = []
+        for top in tops:
+            groups: dict[str, list[str]] = {}
+            for y in top:
+                if (eta := f.sort.get(y)) is not None:
+                    groups.setdefault(eta, []).append(y)
+            self.by_sort.append(groups)
+        self.gtables = [f.gmap[e] for e in f.shape.suc_pairs()
+                        if e in f.gmap]
+        self.rounds = f.shape.longest_branch()
+
+    def added(self, abar) -> set[str]:
+        """N = C - B, what the rank-k closure C of abar and P adds to B.
+        S only grows, so the ranks stop at the first that adds no
+        member; the last N_i then drops the members of B."""
+        tops = self.tops
+        last = len(tops) - 1
+        b = tops[0]
+        n = {x for x in abar if x not in b}
+        self._zero(0, n)
+        suc, pre = self.f.suc.get, self.f.pre
+        for i in range(self.k):
+            b, j = tops[min(i, last)], min(i + 1, last)
+            size = len(b) + len(n)
+            extra = {pre[x] for x in n if x in pre}
+            for x in n:
+                for y in n:
+                    if y != x:
+                        extra.add(suc((x, y)))
+                for y in b:
+                    extra.add(suc((x, y)))
+                    extra.add(suc((y, x)))
+            extra.discard(None)
+            b = tops[j]
+            n = {x for x in n | extra if x not in b}
+            self._zero(j, n)
+            if len(b) + len(n) == size:
+                break
+        return n - tops[-1]
+
+    def _zero(self, j: int, n: set[str]) -> None:
+        """Add to n, in place, what the rank-0 closure of B_j + n adds to
+        B_j, for an n disjoint from B_j: the rounds of `_cl_zero`, each
+        pairing only the members of n that the round before added (all
+        of n in the first) with each other, with the older members of n
+        and with the members of B_j of their sort, then taking the lim
+        and G images of those members and of the meets found.  Values
+        in B_j are dropped."""
+        f, b, by_sort = self.f, self.tops[j], self.by_sort[j]
+        sort, meet, lim = f.sort, f.meet.get, f.lim
+        new = set(n)
+        for _ in range(self.rounds):
+            if not new:
+                return
+            groups: dict[str, list[str]] = {}
+            for x in sorted(new):
+                if (eta := sort.get(x)) is not None:
+                    groups.setdefault(eta, []).append(x)
+            found = set()
+            for eta, xs in groups.items():
+                old = [y for y in n if y not in new and sort.get(y) == eta]
+                old += by_sort.get(eta, ())
+                for i, x in enumerate(xs):
+                    for y in xs[i:]:
+                        found.add(meet((x, y)))
+                    for y in old:
+                        found.add(meet((x, y) if x <= y else (y, x)))
+            found.discard(None)
+            # lim and G take what lies neither in B_j nor among the older
+            # members of n: the new members, then such meets, then such
+            # lims
+            step = new | {m for m in found
+                          if m not in b and (m not in n or m in new)}
+            for x in list(step):
+                if x in lim:
+                    l = lim[x]
+                    found.add(l)
+                    if l not in b and (l not in n or l in new):
+                        step.add(l)
+            for table in self.gtables:
+                found.update([table[x] for x in step if x in table])
+            new = {x for x in found if x not in b and x not in n}
+            n |= new
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,15 @@ x, so it preserves those too.  Hence the tuples' codes are equal exactly
 when their closures C have equal structure relative to B, with B fixed
 pointwise.  The count builds the parameter chain B_0, B_1, ...
 (`structure._chain`) and each node's neighbourhood in B once per call
-(`_Params`).  Each tuple then tracks only what it adds (`_added`): at
-rank i its closure is B_i + N_i, and each step pairs, and takes the
-images of, the members of N_i only, with each other and with B_i, so no
-set the size of B is built per tuple.  The last N_i, less B, is
-N = C - B, and only N is indexed, refined and listed (`_RelIndex`).  An
-element's neighbourhood in B is its initial colour, so refinement reads
-only its neighbours in N, as in individualization-refinement with a
-fixed vertex set.  The count collects these relative records, not
-serialized codes.
+(`_Params`).  Each tuple then tracks only what it adds
+(`structure._Continuation`): at rank i its closure is B_i + N_i, and
+each step pairs, and takes the images of, the members of N_i only, with
+each other and with B_i, so no set the size of B is built per tuple.
+The last N_i, less B, is N = C - B, and only N is indexed, refined and
+listed (`_RelIndex`).  An element's neighbourhood in B is its initial
+colour, so refinement reads only its neighbours in N, as in
+individualization-refinement with a fixed vertex set.  The count
+collects these relative records, not serialized codes.
 
 The type-growth experiment behind `treedesk types vc-degree` counts
 1-types over growing parameter sets in one fragment of the chain or
@@ -60,8 +60,9 @@ import math
 from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree
-from .structure import (Fragment, Term, _chain, _known, _require_closed,
-                        complete, distance, from_standard_tree)
+from .structure import (Fragment, Term, _chain, _Continuation, _known,
+                        _require_closed, complete, distance,
+                        from_standard_tree)
 
 
 class BudgetExceeded(TreedeskError, RuntimeError):
@@ -313,8 +314,9 @@ def equiv_k(fa: Fragment, abar, fb: Fragment, bbar, k: int = 0,
 
 
 class _Params:
-    """What every tuple of one count shares: the parameter set's rank
-    closures `tops` (`structure._chain`), its rank-k closure B, a name
+    """What every tuple of one count shares: the continuation `cont`
+    (`structure._Continuation`) of the parameter set's rank closures
+    (`structure._chain`), its rank-k closure B, a name
     for each member of B (a negative int, so that no name is a position
     in N), and for each node x outside B the part of its neighbourhood
     in B, built once per call:
@@ -324,26 +326,13 @@ class _Params:
       out[x]   what reaches outside B: its strict down-set there, its
                lim, its meets (partner, meet) with a partner in B,
                and its G edges.
-    For the continuations (`_added`) it also keeps, for each rank i,
-    the members of tops[i] by sort (`by_sort`), the G tables along the
-    shape's edges (`gtables`) and the number of rank-0 rounds
-    (`rounds`).
     Raises UnknownNode for a node of a_set that is not in f."""
 
     def __init__(self, f: Fragment, a_set, k: int):
-        self.f, self.k = f, k
-        self.tops = _chain(f, a_set, k)
-        self.b = b = self.tops[-1]
-        self.by_sort = []
-        for top in self.tops:
-            groups = {}
-            for y in top:
-                if (eta := f.sort.get(y)) is not None:
-                    groups.setdefault(eta, []).append(y)
-            self.by_sort.append(groups)
-        self.gtables = [f.gmap[e] for e in f.shape.suc_pairs()
-                        if e in f.gmap]
-        self.rounds = f.shape.longest_branch()
+        self.f = f
+        tops = _chain(f, a_set, k)
+        self.b = b = tops[-1]
+        self.cont = _Continuation(f, tops, k)
         self.name = name = {x: -1 - i for i, x in enumerate(sorted(b))}
         up = {x: [] for x in f.nodes}
         for y in b:
@@ -370,89 +359,6 @@ class _Params:
                             tuple(sorted(up[x])), name.get(l, 0),
                             tuple(sorted(bb)), tuple(sorted(gb)))
             self.out[x] = (f._below[x] - b, l, bn, gn)
-
-
-def _added(p: _Params, abar) -> set[str]:
-    """N = C - B, what the rank-k closure C of abar and the parameter
-    set adds to the parameter closure B.  The tuple continues the
-    parameter chain B_0, B_1, ... (`p.tops`, B_i = B past its end) and
-    keeps only N_i, where its rank-i closure is S_i = B_i + N_i:
-        S_0     = zero(B_0 + abar)
-        S_{i+1} = zero(suc(S_i) + B_{i+1})
-    with each operator paying only for the pairs and members that have
-    a member in N_i, and building no set the size of B.  This is
-    exact because B_i's successors and predecessors lie in B_{i+1}, and
-    B_{i+1} is closed under the rank-0 operators, as every rank-0
-    closure is.  S only grows, so the chain stops at the first rank
-    that adds no member; the last N_i then drops the members of B."""
-    tops = p.tops
-    last = len(tops) - 1
-    b = tops[0]
-    n = {x for x in abar if x not in b}
-    _zero_added(p, 0, n)
-    suc, pre = p.f.suc.get, p.f.pre
-    for i in range(p.k):
-        b, j = tops[min(i, last)], min(i + 1, last)
-        size = len(b) + len(n)
-        extra = {pre[x] for x in n if x in pre}
-        for x in n:
-            for y in n:
-                if y != x:
-                    extra.add(suc((x, y)))
-            for y in b:
-                extra.add(suc((x, y)))
-                extra.add(suc((y, x)))
-        extra.discard(None)
-        b = tops[j]
-        n = {x for x in n | extra if x not in b}
-        _zero_added(p, j, n)
-        if len(b) + len(n) == size:
-            break
-    return n - p.b
-
-
-def _zero_added(p: _Params, j: int, n: set[str]) -> None:
-    """Add to n, in place, what the rank-0 closure of B_j + n adds to
-    B_j = p.tops[j], for an n disjoint from B_j: the rounds of
-    `structure._cl_zero`, each pairing only the members of n that the
-    round before added (all of n in the first) with each other, with
-    the older members of n and with the members of B_j of their sort,
-    then taking the lim and G images of those members and of the meets
-    found.  Values in B_j are dropped."""
-    f, b, by_sort = p.f, p.tops[j], p.by_sort[j]
-    sort, meet, lim = f.sort, f.meet.get, f.lim
-    new = set(n)
-    for _ in range(p.rounds):
-        if not new:
-            return
-        groups: dict[str, list[str]] = {}
-        for x in sorted(new):
-            if (eta := sort.get(x)) is not None:
-                groups.setdefault(eta, []).append(x)
-        found = set()
-        for eta, xs in groups.items():
-            old = [y for y in n if y not in new and sort.get(y) == eta]
-            old += by_sort.get(eta, ())
-            for i, x in enumerate(xs):
-                for y in xs[i:]:
-                    found.add(meet((x, y)))
-                for y in old:
-                    found.add(meet((x, y) if x <= y else (y, x)))
-        found.discard(None)
-        # lim and G take what lies neither in B_j nor among the older
-        # members of n: the new members, then such meets, then such lims
-        step = new | {m for m in found
-                      if m not in b and (m not in n or m in new)}
-        for x in list(step):
-            if x in lim:
-                l = lim[x]
-                found.add(l)
-                if l not in b and (l not in n or l in new):
-                    step.add(l)
-        for table in p.gtables:
-            found.update([table[x] for x in step if x in table])
-        new = {x for x in found if x not in b and x not in n}
-        n |= new
 
 
 class _RelIndex(_Index):
@@ -520,7 +426,7 @@ def _relative_record(p: _Params, abar):
     comparison within one count: the names or list positions of abar's
     members and the record of N = C - B in canonical order.  Two tuples
     get equal records exactly when their `tp_code`s are equal."""
-    ix = _RelIndex(p, _added(p, abar), abar)
+    ix = _RelIndex(p, p.cont.added(abar), abar)
     listed = _canon_order(ix, ix.colors)
     ref = p.name | {x: i for i, x in enumerate(listed)}
     return tuple(ref[x] for x in abar), ix.record(listed)
@@ -538,7 +444,7 @@ def count_type_classes(f: Fragment, a_set, k: int, n: int,
     parameter set's closure chain and each node's neighbourhood in its
     rank-k closure B are built once per call (`_Params`); each tuple
     carries along that chain only the members N it adds to B
-    (`_added`), and only N is indexed and ranked
+    (`structure._Continuation`), and only N is indexed and ranked
     (`_relative_record`)."""
     if n < 0:
         raise BadArgument("tuple length must be non-negative, not %d" % n)

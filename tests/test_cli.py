@@ -3,7 +3,6 @@ import json
 import pathlib
 import random
 import shlex
-import sys
 
 import pytest
 
@@ -226,6 +225,17 @@ def test_ramsey_homog(capsys, tmp_path):
     rc, doc = _json_run(capsys, ["--format", "json", "ramsey", "homog",
                                  str(p), "--delta", "3"])
     assert rc == 0 and doc["payload"]["indices"] == [0, 1, 2]
+
+
+def test_ramsey_homog_answers_on_a_huge_ground_set(capsys, tmp_path):
+    """A ground size far past memory costs only the candidates the
+    search visits."""
+    p = tmp_path / "col.json"
+    save_coloring(Coloring(10 ** 30, 2, {}, 0), str(p))
+    rc, doc = _json_run(capsys, ["--format", "json", "ramsey", "homog",
+                                 str(p), "--delta", "3"])
+    assert rc == 0 and doc["payload"] == {
+        "indices": [0, 1, 2], "colors": {"1": 0, "2": 0}}
 
 
 def test_pspace_pipeline(capsys, tmp_path):
@@ -456,9 +466,12 @@ WRONG_INPUTS = {
     "pspace-validate-fragment-not-an-object": (
         ["pspace", "validate", "{boolfragment}"],
         "fragment True is not a JSON object (at "),
-    "ramsey-homog-huge-ground-size": (
-        ["ramsey", "homog", "{hugecoloring}", "--delta", "2"],
-        "ground size %d is outside 0..%d (at " % (10 ** 30, sys.maxsize)),
+    "ramsey-homog-huge-ground-over-budget": (
+        ["ramsey", "homog", "{hugecoloring}", "--delta", "3",
+         "--budget-tuples", "50"], "homogeneity search budget"),
+    "ramsey-homog-negative-ground-size": (
+        ["ramsey", "homog", "{negcoloring}", "--delta", "0"],
+        "ground size -1 is negative (at "),
     "validate-not-text": (["validate", "{binary}"], "not a text file"),
     "demo-zero-budget": (["demo", "case1", "--budget-tuples", "0"],
                          "search budget exhausted"),
@@ -490,7 +503,10 @@ def write_wrong_input_files(d):
                 "connectors": [{"nu": "r", "eps": 0,
                                 "entries": [["n00", {}]]}]},
             "boolfragment": {"fragment": True},
-            "hugecoloring": {"n": 10 ** 30, "arity": 2, "entries": []}}
+            # every triple (0, 1, j) fails, so the walk runs to the budget
+            "hugecoloring": {"n": 10 ** 30, "arity": 2,
+                             "entries": [[[0, 1], 1]]},
+            "negcoloring": {"n": -1, "arity": 2, "entries": []}}
     docs["badsort"]["nodes"][0]["sort"] = "zz"
     docs["dangling"]["order"].append(["n00", "zz"])
     docs["listlabel"]["e"][0][1] = ["x"]

@@ -24,7 +24,7 @@ from oracles import (SET_CHECKED, closure_oracle, closure_step_reference,
                      set_checked_reports, validate_reference)
 
 import treedesk
-from treedesk import glue, ordinal, qe, structure, types
+from treedesk import glue, ordinal, qe, structure
 
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.fileio import fragment_to_dict
@@ -316,7 +316,7 @@ def test_closure_over_several_rounds_matches_oracle(name):
 def test_chain_continued_from_parameters_matches_oracle(name):
     """A parameter set's chain is, rank by rank, its closure, and stops at
     the first rank that adds nothing.  A tuple's continuation of that
-    chain (`types._added`) gives, at every rank, what the closure of the
+    chain (`_Continuation`) gives, at every rank, what the closure of the
     tuple and the set together adds to the set's closure."""
     f = ROUNDS_CASES[name]()
     rng = random.Random(name)
@@ -328,10 +328,11 @@ def test_chain_continued_from_parameters_matches_oracle(name):
             [closure_oracle(f, params, i) for i in range(4)], params
         tuples = (rng.sample(nodes, 1), rng.sample(nodes, 2), params[:1])
         for k in range(4):
-            p = types._Params(f, tuple(sorted(params)), k)
+            cont = structure._Continuation(f, tops[:k + 1], k)
+            b = cont.tops[-1]
             for a in tuples:
-                assert types._added(p, a) == closure_oracle(
-                    f, set(a) | set(params), k) - p.b, (a, k)
+                assert cont.added(a) == closure_oracle(
+                    f, set(a) | set(params), k) - b, (a, k)
 
 
 def test_rank_loop_stops_once_a_rank_adds_nothing(monkeypatch):

@@ -340,13 +340,17 @@ def test_count_builds_the_chain_once_and_one_index_per_code(monkeypatch):
     f = chain(6)
     b = closure(f, ("n02", "n04"), 2)
     chains = _counting(monkeypatch, "_chain")
-    continued = _counting(monkeypatch, "_added")
+    continued = []
+    added = structure._Continuation.added
+    monkeypatch.setattr(structure._Continuation, "added",
+                        lambda cont, abar: continued.append(abar)
+                        or added(cont, abar))
     full = _counting(monkeypatch, "_Index")
     relative = _counting(monkeypatch, "_RelIndex")
     ranked = _counting(monkeypatch, "_canon_order")
     count_type_classes(f, ("n02", "n04"), 2, 2)
     assert chains == [(f, ("n02", "n04"), 2)]
-    assert len(continued) == 36 and all(len(args) == 2 for args in continued)
+    assert sorted(continued) == sorted(itertools.product(f.nodes, repeat=2))
     assert not full and len(relative) == 36
     assert any(ix.elems for ix, _ in ranked)
     assert all(not b & (set(ix.elems) | set(colors)) for ix, colors in ranked)
@@ -363,7 +367,7 @@ def test_relative_branching_is_canonical(monkeypatch, gens):
         params = types._Params(f, (), 0)
         assert not params.b
         n_set = set(f.nodes)
-        monkeypatch.setattr(types, "_added", lambda *args: n_set)
+        monkeypatch.setattr(params.cont, "added", lambda abar: n_set)
         orders = _counting(monkeypatch, "_canon_order")
         records.append(types._relative_record(
             params, gens if r is None else tuple(r[x] for x in gens)))
@@ -429,7 +433,7 @@ def test_continuation_adds_what_the_closure_adds(name):
         params = types._Params(f, a_set, k)
         for n in (1, 2):
             for t in itertools.product(nodes, repeat=n):
-                assert types._added(params, t) == \
+                assert params.cont.added(t) == \
                     closure(f, t + a_set, k) - params.b, (a_set, k, t)
 
 
