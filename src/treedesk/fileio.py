@@ -128,10 +128,11 @@ def _ref(nid, ids, loc: str):
 
 
 def _int(value, what: str, loc: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+    """value, or InputError at loc unless it is a JSON integer: a bool,
+    a float such as 2.0 and a string such as "7" are refused."""
+    if type(value) is not int:
         raise InputError("%s %r is not an integer" % (what, value), loc)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +242,12 @@ def coloring_to_dict(c: Coloring) -> dict:
 
 def coloring_from_dict(doc: dict, location: str = "coloring") -> Coloring:
     try:
-        c = Coloring(int(doc["n"]), int(doc["arity"]), {},
-                     int(doc.get("default", 0)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, arity, default = doc["n"], doc["arity"], doc.get("default", 0)
+    except (KeyError, TypeError) as exc:
         raise InputError("malformed coloring: %s" % exc, location)
+    c = Coloring(_int(n, "ground size", location + ".n"),
+                 _int(arity, "arity", location + ".arity"), {},
+                 _int(default, "default color", location + ".default"))
     if c.n < 0:
         raise InputError("ground size %d is negative" % c.n, location + ".n")
     for loc, (key, v) in _rows(doc, "entries", 2, location):
@@ -322,20 +325,29 @@ def load_gluespec(path: str) -> GlueSpec:
     boundary = {}
     for loc, block in _rows(doc, "boundary", None, path):
         try:
-            key = (block["nu"], _int(block["eps"], "eps", loc))
+            key = _block_key(block, loc)
             boundary[key] = load_fragment(resolve(block["path"]))
         except (KeyError, TypeError) as exc:
             raise InputError("malformed boundary block: %s" % exc, loc)
     connectors = {}
     for loc, block in _rows(doc, "connectors", None, path):
         try:
-            key = (block["nu"], _int(block["eps"], "eps", loc))
+            key = _block_key(block, loc)
             connectors[key] = dict(
                 _id_pair(row, "%s.entries[%d]" % (loc, i))
                 for i, row in enumerate(block["entries"]))
         except (KeyError, TypeError) as exc:
             raise InputError("malformed connector block: %s" % exc, loc)
     return GlueSpec(s_prime, base, boundary, connectors)
+
+
+def _block_key(block: dict, loc: str) -> tuple[str, int]:
+    """(nu, eps) of the boundary or connector block at loc: nu an index
+    name and eps an integer.  A missing key raises KeyError."""
+    nu = block["nu"]
+    if not isinstance(nu, str):
+        raise InputError("nu %r is not an index name" % (nu,), loc + ".nu")
+    return nu, _int(block["eps"], "eps", loc + ".eps")
 
 
 def _id_pair(row, loc: str) -> list[str]:

@@ -185,13 +185,3 @@ def _derived(terms: tuple[tuple[int, int], ...]) -> Ordinal:
 
 ZERO = Ordinal()
 OMEGA = Ordinal.omega()
-
-
-def cmp(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0 or 1 as a <, =, > b."""
-    if a.terms < b.terms:
-        return -1
-    if a.terms > b.terms:
-        return 1
-    return 0
-

@@ -934,29 +934,39 @@ def _regressive_class(f: _OrderQueries, sucs, x: str) -> list[str]:
 
 def is_closed(f: Fragment) -> bool:
     """All tables total over their intended desk-scale domains."""
-    # each sorted node's limb as a term tuple: its level's terms without
-    # a final finite term; two levels have a finite gap iff these agree
-    limb = {}
+    # each sort's nodes, in the sorted order of f.nodes, and its classes:
+    # nodes of one limb, the limb being a level's terms without a final
+    # finite term as a tuple.  Two levels have a finite gap iff their
+    # limbs agree, so only x < y inside one class needs suc(x, y).
+    by_sort: dict[str, tuple[list[str], dict[tuple, set[str]]]] = {}
+    sort, lim, pre, level = f.sort, f.lim, f.pre, f.level
     for x in f.nodes:
-        if f.sort.get(x) is None:
+        if (eta := sort.get(x)) is None:
             continue
-        if x not in f.lim:
+        if x not in lim:
             return False
-        terms = f.level[x].terms
+        terms = level[x].terms
         if terms and terms[-1][0] == 0:
-            if x not in f.pre:
+            if x not in pre:
                 return False
             terms = terms[:-1]
-        limb[x] = terms
+        ns, classes = by_sort.setdefault(eta, ([], {}))
+        ns.append(x)
+        classes.setdefault(terms, set()).add(x)
+    meet, suc, below = f.meet, f.suc, f._below
     for eta in f.shape.indices:
-        ns = sorted(f.nodes_of_sort(eta))
-        for x, y in itertools.combinations_with_replacement(ns, 2):
-            if _mk(x, y) not in f.meet:
-                return False
-        for x, y in itertools.permutations(ns, 2):
-            if (f.lt(x, y) and limb[x] == limb[y]
-                    and (x, y) not in f.suc):
-                return False
+        ns, classes = by_sort.get(eta, ((), {}))
+        # meet keys are ordered, and ns is sorted
+        if not all(map(meet.__contains__,
+                       itertools.combinations_with_replacement(ns, 2))):
+            return False
+        for cls in classes.values():
+            if len(cls) > 1:
+                for y in cls:
+                    for x in below[y].intersection(cls):
+                        # x == y only on a cyclic order
+                        if x != y and (x, y) not in suc:
+                            return False
     for edge in f.shape.suc_pairs():
         table = f.gmap.get(edge, {})
         for x in f.suc_members(edge[0]):

@@ -463,6 +463,22 @@ WRONG_INPUTS = {
     "glue-star-object-connector": (
         ["glue", "star", "{objconnector}"],
         "connector entry ['n00', {}] is not a pair of node ids (at "),
+    "glue-star-integer-nu": (["glue", "star", "{intnu}"],
+                             "nu 5 is not an index name (at "),
+    "glue-star-string-eps": (["glue", "star", "{streps}"],
+                             "eps '0' is not an integer (at "),
+    **{"ramsey-homog-%s" % name: (
+        ["ramsey", "homog", "{%s}" % name, "--delta", "1"],
+        "%s is not an integer (at " % fault)
+       for name, fault in (("fractional-ground-size", "ground size 2.9"),
+                           ("string-ground-size", "ground size '7'"),
+                           ("bool-arity", "arity True"),
+                           ("float-default", "default color 0.0"),
+                           ("fractional-color", "color 1.5"))},
+    "validate-fractional-constant-index": (
+        ["validate", "{fracconstant}"], "constant index 0.5 is not an integer"),
+    "pspace-validate-string-color": (["pspace", "validate", "{strcolor}"],
+                                     "color '1' is not an integer (at "),
     "pspace-validate-fragment-not-an-object": (
         ["pspace", "validate", "{boolfragment}"],
         "fragment True is not a JSON object (at "),
@@ -502,14 +518,31 @@ def write_wrong_input_files(d):
                 "boundary": [{"nu": "r", "eps": 0, "path": "step.json"}],
                 "connectors": [{"nu": "r", "eps": 0,
                                 "entries": [["n00", {}]]}]},
+            "intnu": {
+                "s_prime": s_prime, "base": "chain.json",
+                "boundary": [{"nu": "r", "eps": 0, "path": "step.json"}],
+                "connectors": [{"nu": 5, "eps": 0, "entries": []}]},
+            "streps": {
+                "s_prime": s_prime, "base": "chain.json",
+                "boundary": [{"nu": "r", "eps": "0", "path": "step.json"}]},
+            "fracconstant": fragment_to_dict(chain),
+            "strcolor": ptriple_to_dict(six_chain_base()),
             "boolfragment": {"fragment": True},
             # every triple (0, 1, j) fails, so the walk runs to the budget
             "hugecoloring": {"n": 10 ** 30, "arity": 2,
                              "entries": [[[0, 1], 1]]},
-            "negcoloring": {"n": -1, "arity": 2, "entries": []}}
+            "negcoloring": {"n": -1, "arity": 2, "entries": []},
+            "fractional-ground-size": {"n": 2.9, "arity": 2},
+            "string-ground-size": {"n": "7", "arity": 2},
+            "bool-arity": {"n": 5, "arity": True},
+            "float-default": {"n": 5, "arity": 2, "default": 0.0},
+            "fractional-color": {"n": 5, "arity": 2,
+                                 "entries": [[[0, 1], 1.5]]}}
     docs["badsort"]["nodes"][0]["sort"] = "zz"
     docs["dangling"]["order"].append(["n00", "zz"])
     docs["listlabel"]["e"][0][1] = ["x"]
+    docs["fracconstant"]["constants"] = [["r", 0.5, "n00"]]
+    docs["strcolor"]["d"][0][1] = "1"
     paths = {name: str(d / ("%s.json" % name)) for name in
              ("chain", "unclosed", "step", "coloring", "ptriple", "binary",
               *docs)}

@@ -397,6 +397,18 @@ def test_coloring_malformed():
         coloring_from_dict({"arity": 2})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.9), ("n", "7"), ("n", True), ("arity", 2.0), ("arity", None),
+    ("default", False), ("default", "0")])
+def test_coloring_integers_are_strict(key, value):
+    """n, arity and default load only as JSON integers, and the error
+    names the field."""
+    doc = {"n": 5, "arity": 2, key: value}
+    with pytest.raises(InputError) as exc:
+        coloring_from_dict(doc)
+    assert exc.value.location == "coloring." + key
+
+
 def test_ptriple_round_trip(tmp_path):
     ptr = six_chain_base()
     p = tmp_path / "p.json"
@@ -444,6 +456,27 @@ def test_gluespec_malformed_boundary(tmp_path):
     with pytest.raises(InputError) as exc:
         load_gluespec(str(p))
     assert "boundary[0]" in exc.value.location
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("boundary", "nu", 5), ("connectors", "nu", None),
+    ("connectors", "nu", ["r"]), ("boundary", "eps", 0.0),
+    ("connectors", "eps", "0"), ("boundary", "eps", False)])
+def test_gluespec_block_keys_are_typed(tmp_path, block, key, value):
+    """A boundary or connector block's nu is an index name and its eps
+    an integer; anything else is refused at that field."""
+    save_fragment(chain(2), str(tmp_path / "base.json"))
+    doc = {"s_prime": {"indices": ["r"], "root": "r", "parent": {},
+                       "labels": {"r": "r"}},
+           "base": "base.json",
+           "boundary": [{"nu": "r", "eps": 0, "path": "base.json"}],
+           "connectors": [{"nu": "r", "eps": 0, "entries": []}]}
+    doc[block][0][key] = value
+    p = tmp_path / "glue.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as exc:
+        load_gluespec(str(p))
+    assert exc.value.location == "%s.%s[0].%s" % (p, block, key)
 
 
 @pytest.mark.parametrize("base", [None, 5, ["base.json"]])

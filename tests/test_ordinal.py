@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treedesk.errors import BadArgument
-from treedesk.ordinal import (
-    NotASuccessor, Ordinal, OrdinalParseError, cmp,
-)
+from treedesk.ordinal import NotASuccessor, Ordinal, OrdinalParseError
 
 
 def test_zero_properties():
@@ -47,9 +45,8 @@ def test_ordering():
              Ordinal.omega(2), Ordinal.omega(2, 1).plus(3)]
     for a, b in zip(chain, chain[1:]):
         assert a < b
-        assert cmp(a, b) == -1
-        assert cmp(b, a) == 1
-    assert cmp(chain[3], chain[3]) == 0
+        assert not b < a and a != b
+    assert chain[3] == chain[3] and not chain[3] < chain[3]
 
 
 def test_successor_predecessor():
@@ -97,9 +94,9 @@ def test_limb_plus_mod_recomposes(a):
 
 
 @given(_ORDS, _ORDS)
-def test_cmp_antisymmetric(a, b):
-    assert cmp(a, b) == -cmp(b, a)
-    assert (cmp(a, b) == 0) == (a == b)
+def test_order_antisymmetric(a, b):
+    assert (a < b) == (b > a)
+    assert (a < b) + (b < a) + (a == b) == 1
 
 
 @given(_ORDS, st.integers(0, 10))

@@ -735,6 +735,46 @@ def test_is_closed_builds_no_ordinal(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def test_is_closed_makes_no_lt_call(monkeypatch):
+    """is_closed reads the down-sets of each limb class, not the order
+    pair by pair: with lt raising, its verdicts stay the same."""
+    entries = _dropped_entries()
+    verdicts = [is_closed(f) for _, _, f in entries]
+
+    def no_lt(*args):
+        raise AssertionError("is_closed called lt")
+
+    monkeypatch.setattr(structure._OrderQueries, "lt", no_lt)
+    assert [is_closed(f) for _, _, f in entries] == verdicts
+    assert True in verdicts and False in verdicts
+
+
+def test_is_closed_matches_reference_on_corrupted_and_near_valid():
+    """The check agrees with the reference copy on fragments with
+    redrawn entries and extra order edges, and on fragments that fail
+    one axiom by one witness."""
+    corpus = [corrupted_fragment(random.Random(seed)) for seed in range(60)]
+    for seed in range(10):
+        corpus += near_valid_fragments(random.Random(seed))
+    verdicts = [is_closed(f) for f in corpus]
+    assert verdicts == [is_closed_reference(f) for f in corpus]
+    assert True in verdicts and False in verdicts
+
+
+def test_is_closed_on_a_cyclic_order():
+    """On a two-node cycle each node lies in its own down-set.  The
+    reference tests only pairs of distinct nodes, so every suc it asks
+    for is declared and both call the fragment closed."""
+    w = Ordinal.omega()
+    f = Fragment(POINT_SHAPE, ("a", "b"), {"a": "r", "b": "r"},
+                 {"a": w, "b": w}, {("a", "b"), ("b", "a")},
+                 {("a", "a"): "a", ("a", "b"): "a", ("b", "b"): "b"},
+                 {("a", "b"): "b", ("b", "a"): "a"}, lim={"a": "a", "b": "b"})
+    assert f.lt("a", "a") and f.lt("a", "b") and f.lt("b", "a")
+    assert is_closed_reference(f)
+    assert is_closed(f)
+
+
 def test_completion_restores_a_dropped_entry():
     """Completing a closed fragment with one derivable entry dropped
     gives back the closed fragment: the chains still hold each lim,
