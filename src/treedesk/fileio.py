@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import TreedeskError
+from .errors import BadArgument, TreedeskError
 from .ordinal import Ordinal
 from .shape import ShapeTree, validate_shape
 from .structure import Fragment, Term
@@ -251,10 +251,12 @@ def coloring_from_dict(doc: dict, location: str = "coloring") -> Coloring:
     if c.n < 0:
         raise InputError("ground size %d is negative" % c.n, location + ".n")
     for loc, (key, v) in _rows(doc, "entries", 2, location):
+        if not isinstance(key, list):
+            raise InputError("coloring key %r is not a list" % (key,), loc)
+        key = tuple(_int(i, "key member", loc) for i in key)
         try:
-            key = tuple(key)
             c.check_key(key)
-        except (TypeError, ValueError) as exc:
+        except BadArgument as exc:
             raise InputError("malformed coloring entry: %s" % exc, loc)
         c.table[key] = _int(v, "color", loc)
     return c
@@ -313,20 +315,27 @@ def load_gluespec(path: str) -> GlueSpec:
     doc = _read_json(path)
     here = os.path.dirname(os.path.abspath(path))
 
-    def resolve(rel):
-        return rel if os.path.isabs(rel) else os.path.join(here, rel)
+    def load_part(rel, loc):
+        """The fragment file rel names, relative to the spec's folder;
+        InputError at loc when it cannot be read."""
+        try:
+            return load_fragment(
+                rel if os.path.isabs(rel) else os.path.join(here, rel))
+        except OSError as exc:
+            raise InputError("cannot read %r: %s"
+                             % (rel, exc.strerror or exc), loc)
 
     s_prime = shape_from_dict(doc.get("s_prime", {}), path + ".s_prime")
     base = doc.get("base")
     if not isinstance(base, str):
         raise InputError("base %r is not a file path" % (base,),
                          path + ".base")
-    base = load_fragment(resolve(base))
+    base = load_part(base, path + ".base")
     boundary = {}
     for loc, block in _rows(doc, "boundary", None, path):
         try:
             key = _block_key(block, loc)
-            boundary[key] = load_fragment(resolve(block["path"]))
+            boundary[key] = load_part(block["path"], loc + ".path")
         except (KeyError, TypeError) as exc:
             raise InputError("malformed boundary block: %s" % exc, loc)
     connectors = {}

@@ -16,6 +16,7 @@ position below it, and a sequence holds one Gamma: a d-type there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from .errors import BadArgument
 from .ordinal import Ordinal
 from .qe import atom_holds
+from .shape import ShapeTree
 from .structure import (Fragment, SortError, UndefinedTerm, _known,
                         _require_closed, from_standard_tree, term_step,
                         validate)
@@ -190,7 +192,8 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
 
     The basis is never listed.  It is read in rows, one per term ti in
     `types.basis_terms` order, each holding the atoms on ti and the
-    terms of its sort from ti on.  Each half evaluates every term once
+    terms of its sort from ti on; `_row_plan` lays the rows out once
+    per (m, k, shape, sorts).  Each half evaluates every term once
     and builds its atom truths a row at a time, when a scan first
     reaches that row; a row holding an ill-sorted atom stops at it and
     keeps its SortError.  Two halves skip each row in which their truths
@@ -225,63 +228,75 @@ def coloring_from_sequence(f: Fragment, seq, k: int,
                 continue
             if m not in bases:
                 sorts = tuple(f.sort[x] for x in left)
-                bases[m] = _RowBasis(f, basis_terms(m, k, f.shape, sorts))
+                bases[m] = _RowBasis(f, _row_plan(m, k, f.shape, sorts))
             table[idxs] = 1 + bases[m].first_difference(left, right)
     return Coloring(n, arity, table, 0)
 
 
+@functools.lru_cache(maxsize=32)
+def _row_plan(m: int, k: int, shape: ShapeTree, sorts: tuple[str, ...]):
+    """The atomic basis on m variables of the given sorts at rank k, as
+    a row plan of tuples only: (steps, rows, offsets).  steps holds
+    (slot, term, slots of its arguments) for each `types.basis_terms`
+    term, each after its arguments; row i is (the slots of ti's sort,
+    ti's place among them); offsets[i] is the index of row i's first
+    atom, and offsets[-1] the number of atoms."""
+    terms = basis_terms(m, k, shape, sorts)
+    slot = {t: i for i, (t, _) in enumerate(terms)}
+    placed = [False] * len(terms)
+    steps = []
+
+    def place(t) -> int:
+        """Slot of t, planning it after its arguments."""
+        i = slot[t]
+        if not placed[i]:
+            args = tuple(place(a) for a in t.args)
+            placed[i] = True
+            steps.append((i, t, args))
+        return i
+    for t, _ in terms:
+        place(t)
+    by_sort = {}
+    for i, (_, s) in enumerate(terms):
+        by_sort.setdefault(s, []).append(i)
+    groups = {s: tuple(g) for s, g in by_sort.items()}
+    rows, offsets, seen = [], [0], {}
+    for _, s in terms:
+        r = seen[s] = seen.get(s, -1) + 1
+        rows.append((groups[s], r))
+        offsets.append(offsets[-1] + 3 * (len(groups[s]) - r))
+    return tuple(steps), tuple(rows), tuple(offsets)
+
+
 class _RowBasis:
-    """The atomic basis on the given (term, sort) pairs, read by rows.
+    """The atomic basis of a `_row_plan`, read by rows on one fragment.
     Row i holds, for each term tj of ti's sort from ti on, the atoms
     ("=", ti, tj), ("<", ti, tj) and ("<", tj, ti), in basis order.
     Each tuple's term values are computed once, and its rows as a scan
     first reaches them, so neither the atoms nor the unread rows are
     ever built."""
 
-    def __init__(self, f: Fragment, terms):
+    def __init__(self, f: Fragment, plan):
         self.f = f
-        slot = {t: i for i, (t, _) in enumerate(terms)}
-        placed = [False] * len(terms)
-        self.plan = []           # (slot, term, slots of its arguments)
-
-        def place(t) -> int:
-            """Slot of t, planning it after its arguments."""
-            i = slot[t]
-            if not placed[i]:
-                args = tuple(place(a) for a in t.args)
-                placed[i] = True
-                self.plan.append((i, t, args))
-            return i
-        for t, _ in terms:
-            place(t)
-        by_sort = {}
-        self.groups = []         # row i: slots of ti's sort, ti's place
-        for i, (_, s) in enumerate(terms):
-            group = by_sort.setdefault(s, [])
-            self.groups.append((group, len(group)))
-            group.append(i)
-        self.offsets = [0]       # first atom of each row reached
+        self.steps, self.rows, self.offsets = plan
         self.tuples = {}         # tuple -> (term values, rows built)
 
     def first_difference(self, left: tuple, right: tuple) -> int:
         """Index of the first atom whose truth differs between the two
         tuples, or the number of atoms.  A SortError is raised by the
         first ill-sorted atom reached, on the left tuple first."""
-        offsets = self.offsets
-        for i, (group, r) in enumerate(self.groups):
+        for i in range(len(self.rows)):
             lrow, lerr = self._row(left, i)
             rrow, rerr = self._row(right, i)
-            if i + 1 == len(offsets):
-                offsets.append(offsets[i] + 3 * (len(group) - r))
             if lerr is None and rerr is None and lrow == rrow:
                 continue
             n = min(len(lrow), len(rrow))
             a = next((a for a in range(n) if lrow[a] != rrow[a]), n)
             if a < n:
-                return offsets[i] + a
+                return self.offsets[i] + a
             # the rows agree up to where one of them stops
             raise lerr if len(lrow) == n else rerr
-        return offsets[-1]
+        return self.offsets[-1]
 
     def _row(self, assignment: tuple, i: int):
         """Row i of the tuple, building its rows up to i."""
@@ -296,8 +311,8 @@ class _RowBasis:
     def _values(self, assignment: tuple) -> list:
         """Each term's value under the assignment, or the error its
         evaluation raises (its first failing argument's, if any)."""
-        vals = [None] * len(self.groups)
-        for i, t, args in self.plan:
+        vals = [None] * len(self.rows)
+        for i, t, args in self.steps:
             argv = [vals[j] for j in args]
             err = next((v for v in argv if isinstance(v, Exception)), None)
             if err is None:
@@ -316,7 +331,7 @@ class _RowBasis:
         (truths, None), or as (truths before the first ill-sorted atom,
         its SortError).  An atom reads t1, then t2, and is false once
         it reads an undefined term."""
-        group, r = self.groups[i]
+        group, r = self.rows[i]
         f, vi = self.f, vals[i]
         out = []
         for j in group[r:]:

@@ -92,10 +92,12 @@ class Fragment(_OrderQueries):
     """Read-only partial model: each table, and each G table in `gmap`,
     is a read-only view of a copy taken here, each down-set is a
     frozenset, and no attribute can be rebound once `__init__` is done.
-    Edits go through a `FragmentBuilder`."""
+    Edits go through a `FragmentBuilder`.  `_closed` is True only on a
+    fragment that `complete` returned, which checked it closed."""
 
     __slots__ = ("shape", "nodes", "sort", "level", "order", "meet", "suc",
-                 "pre", "lim", "gmap", "constants", "mode", "_below")
+                 "pre", "lim", "gmap", "constants", "mode", "_below",
+                 "_closed")
 
     def __init__(
         self,
@@ -142,6 +144,7 @@ class Fragment(_OrderQueries):
         put(self, "constants", _frozen(constants))
         put(self, "mode", mode)
         put(self, "_below", below)
+        put(self, "_closed", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot set %r: fragments are read-only" % name)
@@ -720,8 +723,10 @@ def complete(f: Fragment, budget_nodes: int = 2000) -> Fragment:
     Raises CannotComplete when f fails `validate` ("fragment invalid"),
     when the working fragment grows past budget_nodes nodes ("node
     budget exceeded"), when a meet would have to be minted below a
-    level-0 node, and when the result fails `validate` ("completion
-    produced invalid fragment").
+    level-0 node, when the result fails `validate` ("completion
+    produced invalid fragment") and when it fails `is_closed`
+    ("completion produced unclosed fragment").  The result carries that
+    verdict, so `is_closed` answers it at once.
     """
     rep = validate(f)
     if rep:
@@ -747,6 +752,10 @@ def _complete_valid(f: Fragment, budget_nodes: int) -> Fragment:
     if rep := validate(out):
         raise CannotComplete("completion produced invalid fragment: %s"
                              % rep[0])
+    if not is_closed(out):
+        raise CannotComplete("completion produced unclosed fragment")
+    # the one place that writes the verdict
+    object.__setattr__(out, "_closed", True)
     return out
 
 
@@ -933,7 +942,10 @@ def _regressive_class(f: _OrderQueries, sucs, x: str) -> list[str]:
 
 
 def is_closed(f: Fragment) -> bool:
-    """All tables total over their intended desk-scale domains."""
+    """All tables total over their intended desk-scale domains.  A
+    fragment that `complete` returned carries the verdict."""
+    if f._closed:
+        return True
     # each sort's nodes, in the sorted order of f.nodes, and its classes:
     # nodes of one limb, the limb being a level's terms without a final
     # finite term as a tuple.  Two levels have a finite gap iff their

@@ -463,6 +463,12 @@ WRONG_INPUTS = {
     "glue-star-object-connector": (
         ["glue", "star", "{objconnector}"],
         "connector entry ['n00', {}] is not a pair of node ids (at "),
+    "glue-star-missing-base": (["glue", "star", "{missingbase}"],
+                               "cannot read 'nowhere.json': No such file "
+                               "or directory (at "),
+    "glue-star-missing-wing": (["glue", "star", "{missingwing}"],
+                               "cannot read 'nowhere.json': No such file "
+                               "or directory (at "),
     "glue-star-integer-nu": (["glue", "star", "{intnu}"],
                              "nu 5 is not an index name (at "),
     "glue-star-string-eps": (["glue", "star", "{streps}"],
@@ -474,7 +480,8 @@ WRONG_INPUTS = {
                            ("string-ground-size", "ground size '7'"),
                            ("bool-arity", "arity True"),
                            ("float-default", "default color 0.0"),
-                           ("fractional-color", "color 1.5"))},
+                           ("fractional-color", "color 1.5"),
+                           ("fractional-key", "key member 0.5"))},
     "validate-fractional-constant-index": (
         ["validate", "{fracconstant}"], "constant index 0.5 is not an integer"),
     "pspace-validate-string-color": (["pspace", "validate", "{strcolor}"],
@@ -518,6 +525,10 @@ def write_wrong_input_files(d):
                 "boundary": [{"nu": "r", "eps": 0, "path": "step.json"}],
                 "connectors": [{"nu": "r", "eps": 0,
                                 "entries": [["n00", {}]]}]},
+            "missingbase": {"s_prime": s_prime, "base": "nowhere.json"},
+            "missingwing": {
+                "s_prime": s_prime, "base": "chain.json",
+                "boundary": [{"nu": "r", "eps": 0, "path": "nowhere.json"}]},
             "intnu": {
                 "s_prime": s_prime, "base": "chain.json",
                 "boundary": [{"nu": "r", "eps": 0, "path": "step.json"}],
@@ -537,7 +548,9 @@ def write_wrong_input_files(d):
             "bool-arity": {"n": 5, "arity": True},
             "float-default": {"n": 5, "arity": 2, "default": 0.0},
             "fractional-color": {"n": 5, "arity": 2,
-                                 "entries": [[[0, 1], 1.5]]}}
+                                 "entries": [[[0, 1], 1.5]]},
+            "fractional-key": {"n": 5, "arity": 2,
+                               "entries": [[[0.5, 1], 3], [[True, 2], 4]]}}
     docs["badsort"]["nodes"][0]["sort"] = "zz"
     docs["dangling"]["order"].append(["n00", "zz"])
     docs["listlabel"]["e"][0][1] = ["x"]

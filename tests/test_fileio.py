@@ -409,6 +409,16 @@ def test_coloring_integers_are_strict(key, value):
     assert exc.value.location == "coloring." + key
 
 
+@pytest.mark.parametrize("key", [[0.5, 1], [True, 2], [1, "3"], "01", {}])
+def test_coloring_key_members_are_strict(key):
+    """Each member of an entry's key loads only as a JSON integer, and
+    the error names the entry."""
+    doc = {"n": 5, "arity": 2, "entries": [[[0, 1], 1], [key, 4]]}
+    with pytest.raises(InputError) as exc:
+        coloring_from_dict(doc)
+    assert exc.value.location == "coloring.entries[1]"
+
+
 def test_ptriple_round_trip(tmp_path):
     ptr = six_chain_base()
     p = tmp_path / "p.json"

@@ -14,14 +14,15 @@ from gen import (chain, hard_six, random_closed_fragment, random_tripod,
 from oracles import basis_scan, coloring_reference
 from treedesk.errors import BadArgument, UnknownNode
 from treedesk.ordinal import Ordinal
+from treedesk.shape import ShapeTree
 from treedesk.partition import (
     Coloring, DType, PTriple, coloring_from_sequence, d_q, dtp,
     enumerate_complete_dtypes, find_homogeneous, is_hard, lift_element,
     QNode, p_from_coloring, pair, pi1, pi2, q_enumerate, satisfies, unpair,
-    _RowBasis, validate_ptriple, validate_qnode,
+    _RowBasis, _row_plan, validate_ptriple, validate_qnode,
 )
 from treedesk import partition, types
-from treedesk.structure import SortError, UndefinedTerm
+from treedesk.structure import SortError, Term, UndefinedTerm
 from treedesk.types import BudgetExceeded, atomic_basis, basis_terms
 
 
@@ -259,7 +260,7 @@ def test_row_basis_matches_basis_scan_on_any_two_halves():
         f = random_tripod(rng)
         nodes = sorted(x for x in f.nodes if f.sort.get(x) is not None)
         basis = atomic_basis(1, 0, f.shape, ("r",))
-        rows = _RowBasis(f, basis_terms(1, 0, f.shape, ("r",)))
+        rows = _RowBasis(f, _row_plan(1, 0, f.shape, ("r",)))
         for _ in range(40):
             left, right = (rng.choice(nodes),), (rng.choice(nodes),)
             want = _outcome(lambda: basis_scan(f, basis, left, right)[0])
@@ -270,12 +271,54 @@ def test_row_basis_matches_basis_scan_on_any_two_halves():
     assert sum(w == 1 + len(basis) for w in outcomes) > 0
 
 
+def _only_tuples(x) -> bool:
+    """x is a tuple whose members are, recursively, tuples, naturals
+    and terms."""
+    if type(x) is tuple:
+        return all(map(_only_tuples, x))
+    return type(x) in (int, Term)
+
+
+def test_row_plan_is_made_once_per_key_of_tuples_only():
+    f = random_tripod(random.Random(0))
+    twin = ShapeTree(f.shape.indices, f.shape.root, f.shape.parent,
+                     f.shape.labels)
+    plan = _row_plan(2, 0, f.shape, ("r", "r0"))
+    assert twin is not f.shape and _row_plan(2, 0, twin, ("r", "r0")) is plan
+    assert _row_plan(2, 0, f.shape, ("r0", "r")) is not plan
+    assert _only_tuples(plan)
+    steps, rows, offsets = plan
+    terms = basis_terms(2, 0, f.shape, ("r", "r0"))
+    assert sorted(i for i, _, _ in steps) == list(range(len(terms)))
+    assert len(rows) + 1 == len(offsets)
+    assert offsets[-1] == len(atomic_basis(2, 0, f.shape, ("r", "r0")))
+
+
+def test_coloring_from_sequence_shares_plans_in_either_order():
+    """Two fragments of one shape read one cached plan, whichever of
+    them builds it, and both match the reference."""
+    cases = []
+    for s in (0, 1):
+        f = random_tripod(random.Random(s))
+        cases.append((f, [x for x in f.nodes if f.sort.get(x) == "r"][:6]))
+    want = [_outcome(lambda: coloring_reference(f, seq, 0, 2))
+            for f, seq in cases]
+    assert all(w and isinstance(w, dict) for w in want)
+    for order in (cases, cases[::-1]):
+        _row_plan.cache_clear()
+        got = {id(f): _outcome(
+            lambda: coloring_from_sequence(f, seq, 0, 2).table)
+            for f, seq in order}
+        assert [got[id(f)] for f, _ in cases] == want
+        assert _row_plan.cache_info().hits > 0
+
+
 def test_row_atoms_read_their_first_term_first():
     # ("<", tj, ti) reads tj before ti: with lim(x0) undefined and x0
     # ill-sorted, ("=", ti, tj) and ("<", ti, tj) are false and
     # ("<", tj, ti) raises, as eval_formula would
     f = chain(2)
-    rows = _RowBasis(f, basis_terms(1, 0, f.shape))
+    rows = _RowBasis(f, _row_plan(1, 0, f.shape, (f.shape.root,)))
     undefined, ill = UndefinedTerm("lim"), SortError("x0")
     assert rows._truths([undefined, ill], 0) == ((False,) * 5, ill)
     assert rows._truths([ill, undefined], 0) == ((), ill)

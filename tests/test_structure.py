@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from gen import (chain, comb_and_fan_fixture, corrupted_fragment,
                  dropped_entry_fragments, fan_pair_fixture, hard_six,
                  near_valid_fragments, random_closed_fragment,
-                 random_standard_fragment, random_tripod, replace,
+                 random_standard_fragment, random_tripod, rename, replace,
                  tables_in_order, theta_single_sort, theta_two_sort,
                  three_sort_step_fixture, top_sort_only, transfer_instances,
                  two_root_forest)
@@ -27,7 +27,7 @@ import treedesk
 from treedesk import glue, ordinal, qe, structure
 
 from treedesk.errors import BadArgument, UnknownNode
-from treedesk.fileio import fragment_to_dict
+from treedesk.fileio import fragment_from_dict, fragment_to_dict
 from treedesk.ordinal import Ordinal
 from treedesk.shape import POINT_SHAPE, chain_shape
 from treedesk.structure import (
@@ -697,6 +697,41 @@ def test_completion_is_closed():
         assert is_closed(complete(f))
     for seed in range(10):
         assert is_closed(random_tripod(random.Random(seed)))
+
+
+def test_completion_carries_its_closedness_verdict():
+    """Every completion comes back with the verdict set; no other way
+    of making a fragment sets it, not even from a completed one."""
+    for f in _completion_inputs():
+        out = complete(f)
+        assert out._closed is True and f._closed is False
+    copies = [FragmentBuilder(out).freeze(out.shape, out.mode),
+              fragment_from_dict(fragment_to_dict(out)),
+              rename(out, "x")[0], replace(out), _chain5()]
+    for g in copies:
+        assert g._closed is False and is_closed(g)
+    # a set verdict is read, not checked again
+    unclosed = replace(out, lim={})
+    assert not is_closed(unclosed)
+    object.__setattr__(unclosed, "_closed", True)
+    assert is_closed(unclosed)
+
+
+def test_closedness_verdict_cannot_be_set():
+    f = _chain5()
+    with pytest.raises(AttributeError):
+        f._closed = True
+    with pytest.raises(AttributeError):
+        del complete(f)._closed
+    assert f._closed is False
+
+
+def test_completion_refuses_an_unclosed_result(monkeypatch):
+    f = random_standard_fragment(random.Random(0), 30)
+    monkeypatch.setattr(structure, "is_closed", lambda g: False)
+    with pytest.raises(CannotComplete) as info:
+        complete(f)
+    assert str(info.value) == "completion produced unclosed fragment"
 
 
 @functools.lru_cache(maxsize=None)
